@@ -25,6 +25,7 @@ from .denoiser import (
 )
 from .errors import (
     BadMagic,
+    BadMetadata,
     ConditioningMismatch,
     ConfigError,
     DataExhausted,
@@ -273,15 +274,23 @@ def cmd_sample(args) -> int:
     req = SampleRequest(count=args.count, seed=args.seed, variant=args.variant)
 
     needs_k = args.variant in ("improved", "ddim")
+    ignored = [flag for flag, value, used in (("--k", args.k, needs_k),
+                                              ("--eta", args.eta, args.variant == "ddim"),
+                                              ("--w", args.w, args.variant == "guided"))
+               if value is not None and not used]
+    if ignored:
+        raise ConfigError(f"--variant {args.variant} does not use {', '.join(ignored)}")
+    eta = 0.0 if args.eta is None else args.eta
+    w = 0.0 if args.w is None else args.w
     if needs_k:
         if args.k is None:
             raise ConfigError(f"--variant {args.variant} requires --k")
         if not (2 <= args.k <= sched.T):
             raise ConfigError(f"--k must satisfy 2 <= k <= T={sched.T}, got {args.k}")
-    if not (0.0 <= args.eta <= 1.0):
-        raise ConfigError(f"--eta must lie in [0, 1], got {args.eta}")
-    if args.w < 0.0:
-        raise ConfigError(f"--w must be >= 0, got {args.w}")
+    if not (0.0 <= eta <= 1.0):
+        raise ConfigError(f"--eta must lie in [0, 1], got {eta}")
+    if w < 0.0:
+        raise ConfigError(f"--w must be >= 0, got {w}")
 
     onehot = None
     if args.cls is not None:
@@ -298,12 +307,12 @@ def cmd_sample(args) -> int:
     elif args.variant == "improved":
         res = improved_sample(model, sched, stride_steps(sched.T, args.k), req)
     elif args.variant == "ddim":
-        res = ddim_sample(model, sched, stride_steps(sched.T, args.k), args.eta,
+        res = ddim_sample(model, sched, stride_steps(sched.T, args.k), eta,
                           req, cond=onehot)
     else:
         if onehot is None:
             raise ConfigError("--variant guided requires --class")
-        res = guided_sample(model, sched, args.w, onehot, req)
+        res = guided_sample(model, sched, w, onehot, req)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -324,14 +333,14 @@ def cmd_sample(args) -> int:
         "checkpoint": str(args.checkpoint),
         "class": args.cls,
         "count": args.count,
-        "eta": args.eta,
+        "eta": eta,
         "format": args.format,
         "k": args.k,
         "out": str(args.out),
         "rows": args.rows,
         "seed": args.seed,
         "variant": args.variant,
-        "w": args.w,
+        "w": w,
     })
     _progress(f"wrote {target} and {out / 'manifest.json'}")
     return EXIT_OK
@@ -442,9 +451,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=("ddpm", "improved", "ddim", "guided"))
     ps.add_argument("--count", type=int, default=16)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--k", type=int, default=None, help="stride count for improved/ddim")
-    ps.add_argument("--eta", type=float, default=0.0)
-    ps.add_argument("--w", type=float, default=0.0)
+    ps.add_argument("--k", type=int, default=None, help="stride count, improved/ddim only")
+    ps.add_argument("--eta", type=float, default=None, help="ddim only (default 0)")
+    ps.add_argument("--w", type=float, default=None, help="guided only (default 0)")
     ps.add_argument("--class", dest="cls", type=int, default=None)
     ps.add_argument("--format", default="csv", choices=("csv", "pgm"))
     ps.add_argument("--rows", type=int, default=0, help="image rows for pgm output")
@@ -476,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_ERRORS = (ConfigError, EmptyBatch, InvalidK, InvalidPlan,
                   OffsetOutOfRange, SigmaConstraintViolated, StepCountTooSmall)
-_DATA_ERRORS = (BadMagic, DataExhausted, DimensionMismatch, DimensionOverflow,
+_DATA_ERRORS = (BadMagic, BadMetadata, DataExhausted, DimensionMismatch, DimensionOverflow,
                 LengthMismatch, NoCenters, NonpositiveEntry, OffGridInput,
                 OutOfRange, ShapeMismatch, TooFewSamples, TruncatedFile, OSError)
 _HEAD_ERRORS = (ConditioningMismatch, HeadMismatch, NotDualHead)

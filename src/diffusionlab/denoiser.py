@@ -9,9 +9,11 @@ tanh-squashed interpolation coefficient for learned variances.
 
 All model math goes through the polymorphic ops in numerics.autodiff, so
 the same code path runs on plain arrays (sampling) and on tape Tensors
-(training gradients).
+(training gradients). The parameter layout is compiled once per
+architecture; each forward reads all blocks from it in one pass.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     StepOutOfRange,
 )
-from .numerics import RngStream, ops
+from .numerics import ParamLayout, RngStream, ops
 
 HEAD_NOISE = "noise-only"
 HEAD_DUAL = "noise+variance"
@@ -45,13 +47,23 @@ class TimeEmbeddingSpec:
 
 
 def time_embedding(t: int, spec: TimeEmbeddingSpec) -> np.ndarray:
-    """c sines then c cosines of t / 10000^(i/(c-1)), i = 1..c."""
+    """c sines then c cosines of t / 10000^(i/(c-1)), i = 1..c.
+
+    The array is cached per (t, d_emb) and shared, so it is read-only.
+    """
     if t < 0:
         raise StepOutOfRange(f"step must be >= 0, got {t}")
-    c = spec.c
+    return _embedding(t, spec.d_emb)
+
+
+@functools.lru_cache(maxsize=8192)
+def _embedding(t: int, d_emb: int) -> np.ndarray:
+    c = d_emb // 2
     i = np.arange(1, c + 1, dtype=np.float64)
     angles = t * np.power(10000.0, -i / (c - 1))
-    return np.concatenate([np.sin(angles), np.cos(angles)])
+    emb = np.concatenate([np.sin(angles), np.cos(angles)])
+    emb.flags.writeable = False
+    return emb
 
 
 @dataclass(frozen=True)
@@ -93,11 +105,11 @@ class DenoiserArch:
         return TimeEmbeddingSpec(self.d_emb)
 
 
-def build_layout(arch: DenoiserArch) -> tuple[dict[str, tuple[int, tuple[int, ...]]], int]:
-    """Name -> (offset, shape) table tiling the flat parameter vector.
+def param_layout(arch: DenoiserArch) -> ParamLayout:
+    """The compiled block plan tiling arch's flat parameter vector.
 
-    Returns the table and the total length. Entries carry an implicit
-    fan-in (their initialization scale); see init_params.
+    Entries carry an implicit fan-in (their initialization scale); see
+    init_params.
     """
     entries: list[tuple[str, tuple[int, ...]]] = []
     entries.append(("input.w", (arch.d, arch.hidden[0])))
@@ -126,13 +138,7 @@ def build_layout(arch: DenoiserArch) -> tuple[dict[str, tuple[int, tuple[int, ..
         entries.append(("attn.proj", (tc.heads * tc.d_head, prev)))
     entries.append(("head.w", (prev, arch.out_dim)))
     entries.append(("head.b", (arch.out_dim,)))
-
-    layout: dict[str, tuple[int, tuple[int, ...]]] = {}
-    offset = 0
-    for name, shape in entries:
-        layout[name] = (offset, shape)
-        offset += int(np.prod(shape))
-    return layout, offset
+    return ParamLayout(entries)
 
 
 def _fan_in(name: str, shape: tuple[int, ...], layout) -> int:
@@ -147,13 +153,12 @@ def _fan_in(name: str, shape: tuple[int, ...], layout) -> int:
 
 def init_params(arch: DenoiserArch, seed: int) -> np.ndarray:
     """Uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per entry, fixed seed."""
-    layout, total = build_layout(arch)
+    plan = param_layout(arch)
     stream = RngStream(seed)
-    params = np.empty(total, dtype=np.float64)
-    for name, (offset, shape) in layout.items():
-        bound = 1.0 / math.sqrt(_fan_in(name, shape, layout))
-        u = stream.uniforms(int(np.prod(shape)))
-        params[offset : offset + u.size] = bound * (2.0 * u - 1.0)
+    params = np.empty(plan.total, dtype=np.float64)
+    for name, start, stop, shape in plan.plan:
+        bound = 1.0 / math.sqrt(_fan_in(name, shape, plan.offsets))
+        params[start:stop] = bound * (2.0 * stream.uniforms(stop - start) - 1.0)
     return params
 
 
@@ -163,10 +168,10 @@ class DenoiserModel:
     params: np.ndarray
 
     def __post_init__(self):
-        layout, total = build_layout(self.arch)
-        if self.params.shape != (total,):
-            raise ShapeMismatch(f"params shape {self.params.shape}, layout needs ({total},)")
-        object.__setattr__(self, "_layout", layout)
+        plan = param_layout(self.arch)
+        if self.params.shape != (plan.total,):
+            raise ShapeMismatch(f"params shape {self.params.shape}, layout needs ({plan.total},)")
+        object.__setattr__(self, "plan", plan)
 
     @staticmethod
     def initialized(arch: DenoiserArch, seed: int) -> "DenoiserModel":
@@ -174,7 +179,7 @@ class DenoiserModel:
 
     @property
     def layout(self) -> dict[str, tuple[int, tuple[int, ...]]]:
-        return self._layout
+        return self.plan.offsets
 
     @property
     def param_count(self) -> int:
@@ -184,18 +189,11 @@ class DenoiserModel:
         return DenoiserModel(self.arch, params)
 
 
-def _view(params, layout, name: str):
-    offset, shape = layout[name]
-    size = int(np.prod(shape))
-    if isinstance(params, np.ndarray):
-        return params[offset : offset + size].reshape(shape)
-    return ops.reshape(ops.slice_axis(params, 0, offset, offset + size), shape)
-
-
+@functools.lru_cache(maxsize=64)
 def _const_group_matrices(d_feat: int, D: int, groups: int):
     # averaging matrix (groups x d_feat), its indicator transpose, and the
     # (d_feat x D) tiling matrix for modulation signals; coordinate i + D*j
-    # has channel i
+    # has channel i. Shared between calls, so read-only.
     ch = np.arange(d_feat) % D
     grp = ch // (D // groups)
     avg = np.zeros((groups, d_feat))
@@ -203,7 +201,10 @@ def _const_group_matrices(d_feat: int, D: int, groups: int):
     counts = avg.sum(axis=1, keepdims=True)
     tile = np.zeros((d_feat, D))
     tile[np.arange(d_feat), ch] = 1.0
-    return avg / counts, (avg > 0).astype(np.float64), tile
+    out = (avg / counts, (avg > 0).astype(np.float64), tile)
+    for m in out:
+        m.flags.writeable = False
+    return out
 
 
 def adagn(x, y1, y2, beta: float = 0.0, gamma: float = 1.0, eps: float = 1e-5, groups: int = 1):
@@ -313,9 +314,6 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None):
     if t < 1:
         raise StepOutOfRange(f"step must be >= 1, got {t}")
     arch = model.arch
-    layout = model.layout
-    if params is None:
-        params = model.params
     xv = np.asarray(xt, dtype=np.float64)
     single = xv.ndim == 1
     if xv.shape[-1] != arch.d or xv.ndim > 2:
@@ -323,44 +321,29 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None):
     xb = xv.reshape(1, -1) if single else xv
     cv = _check_conditioning(arch, cond, xb.shape[0])
 
-    emb = time_embedding(t, arch.emb_spec)
-    h = ops.add(ops.matmul(xb, _view(params, layout, "input.w")), _view(params, layout, "input.b"))
+    p = model.plan.blocks(model.params if params is None else params)
+    emb = _embedding(t, arch.d_emb)
+    h = ops.linear(xb, p["input.w"], p["input.b"])
     for k, w in enumerate(arch.hidden):
-        if f"block{k}.proj.w" in layout:
-            h = ops.add(
-                ops.matmul(h, _view(params, layout, f"block{k}.proj.w")),
-                _view(params, layout, f"block{k}.proj.b"),
-            )
-        te = ops.add(
-            ops.matmul(emb, _view(params, layout, f"block{k}.time.w")),
-            _view(params, layout, f"block{k}.time.b"),
-        )
-        h = ops.add(h, te)
+        pre = f"block{k}."
+        if pre + "proj.w" in p:
+            h = ops.linear(h, p[pre + "proj.w"], p[pre + "proj.b"])
+        h = ops.add(h, ops.linear(emb, p[pre + "time.w"], p[pre + "time.b"]))
         if isinstance(arch.conditioning, ClassConditioning):
-            ypair = ops.add(
-                ops.matmul(cv, _view(params, layout, f"block{k}.cls.w")),
-                _view(params, layout, f"block{k}.cls.b"),
-            )
+            ypair = ops.linear(cv, p[pre + "cls.w"], p[pre + "cls.b"])
             y1 = ops.slice_axis(ypair, 1, 0, w)
             y2 = ops.slice_axis(ypair, 1, w, 2 * w)
             h = adagn(h, y1, y2)
-        inner = ops.tanh(
-            ops.add(ops.matmul(h, _view(params, layout, f"block{k}.core.w1")),
-                    _view(params, layout, f"block{k}.core.b1"))
-        )
-        h = ops.add(
-            h,
-            ops.add(ops.matmul(inner, _view(params, layout, f"block{k}.core.w2")),
-                    _view(params, layout, f"block{k}.core.b2")),
-        )
+        inner = ops.tanh(ops.linear(h, p[pre + "core.w1"], p[pre + "core.b1"]))
+        h = ops.add(h, ops.linear(inner, p[pre + "core.w2"], p[pre + "core.b2"]))
     if isinstance(arch.conditioning, TokenConditioning):
         tc = arch.conditioning
-        wq = [_view(params, layout, f"attn.q{i}") for i in range(tc.heads)]
-        wk = [_view(params, layout, f"attn.k{i}") for i in range(tc.heads)]
-        wv = [_view(params, layout, f"attn.v{i}") for i in range(tc.heads)]
-        h = ops.add(h, cross_attention(h, cv, wq, wk, wv, _view(params, layout, "attn.proj")))
+        wq = [p[f"attn.q{i}"] for i in range(tc.heads)]
+        wk = [p[f"attn.k{i}"] for i in range(tc.heads)]
+        wv = [p[f"attn.v{i}"] for i in range(tc.heads)]
+        h = ops.add(h, cross_attention(h, cv, wq, wk, wv, p["attn.proj"]))
 
-    out = ops.add(ops.matmul(h, _view(params, layout, "head.w")), _view(params, layout, "head.b"))
+    out = ops.linear(h, p["head.w"], p["head.b"])
     if arch.head == HEAD_DUAL:
         v1 = ops.slice_axis(out, 1, 0, arch.d)
         v2 = ops.tanh(ops.slice_axis(out, 1, arch.d, 2 * arch.d))

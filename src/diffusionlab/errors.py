@@ -131,6 +131,11 @@ class TruncatedFile(DiffusionLabError):
     """File shorter than its header promises."""
 
 
+class BadMetadata(DiffusionLabError):
+    """Checkpoint metadata not UTF-8 JSON, lacking or mistyping a key, or
+    describing a model or schedule that cannot be built."""
+
+
 class DimensionOverflow(DiffusionLabError):
     """IDX dimensions exceed the desk-scale element budget."""
 

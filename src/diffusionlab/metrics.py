@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    BadMetadata,
     BadWindow,
     ConfigError,
     EmptyBatch,
@@ -24,8 +25,8 @@ from .errors import (
     TooFewSamples,
     TruncatedFile,
 )
-from .numerics import ADTape, RngStream, grad, ops, spd_sqrt
-from .training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from .numerics import ADTape, ParamLayout, RngStream, grad, ops, spd_sqrt
+from .training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, read_metadata, require_keys
 
 # classifier probabilities are floored by smoothing so KL terms stay finite
 PROB_SMOOTHING = 1e-12
@@ -38,23 +39,18 @@ SSIM_C2 = 0.03**2
 
 
 def _feature_layout(d: int, hidden: tuple[int, ...], feature_dim: int,
-                    num_classes: int):
-    sizes = []
+                    num_classes: int) -> ParamLayout:
+    entries = []
     prev = d
     for i, w in enumerate(hidden):
-        sizes.append((f"h{i}.w", (prev, w)))
-        sizes.append((f"h{i}.b", (w,)))
+        entries.append((f"h{i}.w", (prev, w)))
+        entries.append((f"h{i}.b", (w,)))
         prev = w
-    sizes.append(("feat.w", (prev, feature_dim)))
-    sizes.append(("feat.b", (feature_dim,)))
-    sizes.append(("cls.w", (feature_dim, num_classes)))
-    sizes.append(("cls.b", (num_classes,)))
-    layout = {}
-    offset = 0
-    for name, shape in sizes:
-        layout[name] = (offset, shape)
-        offset += int(np.prod(shape))
-    return layout, offset
+    entries.append(("feat.w", (prev, feature_dim)))
+    entries.append(("feat.b", (feature_dim,)))
+    entries.append(("cls.w", (feature_dim, num_classes)))
+    entries.append(("cls.b", (num_classes,)))
+    return ParamLayout(entries)
 
 
 @dataclass(frozen=True)
@@ -68,55 +64,40 @@ class FeatureModel:
     params: np.ndarray
 
     def __post_init__(self):
-        layout, total = _feature_layout(self.d, self.hidden, self.feature_dim,
-                                        self.num_classes)
-        if self.params.shape != (total,):
-            raise ShapeMismatch(f"parameter vector {self.params.shape}, expected ({total},)")
-        object.__setattr__(self, "_layout", layout)
+        plan = _feature_layout(self.d, self.hidden, self.feature_dim, self.num_classes)
+        if self.params.shape != (plan.total,):
+            raise ShapeMismatch(f"parameter vector {self.params.shape}, expected ({plan.total},)")
+        object.__setattr__(self, "_plan", plan)
 
     @staticmethod
     def initialized(d: int, num_classes: int, feature_dim: int,
                     hidden: tuple[int, ...], seed: int) -> "FeatureModel":
-        layout, total = _feature_layout(d, hidden, feature_dim, num_classes)
+        plan = _feature_layout(d, hidden, feature_dim, num_classes)
         rng = RngStream(seed)
-        params = np.empty(total, dtype=np.float64)
-        for name, (off, shape) in layout.items():
-            fan_in = shape[0] if len(shape) == 2 else layout[name[:-2] + ".w"][1][0]
-            size = int(np.prod(shape))
+        params = np.empty(plan.total, dtype=np.float64)
+        for name, start, stop, shape in plan.plan:
+            fan_in = shape[0] if len(shape) == 2 else plan.offsets[name[:-2] + ".w"][1][0]
             bound = 1.0 / math.sqrt(fan_in)
-            params[off : off + size] = bound * (2.0 * rng.uniforms(size) - 1.0)
+            params[start:stop] = bound * (2.0 * rng.uniforms(stop - start) - 1.0)
         return FeatureModel(d, num_classes, feature_dim, hidden, params)
 
-    def _view(self, params, name):
-        off, shape = self._layout[name]
-        size = int(np.prod(shape))
-        if isinstance(params, np.ndarray):
-            return params[off : off + size].reshape(shape)
-        return ops.reshape(ops.slice_axis(params, 0, off, off + size), shape)
-
-    def _trunk(self, x: np.ndarray, params):
+    def _trunk(self, x: np.ndarray, p: dict):
         h = np.asarray(x, dtype=np.float64)
         if h.ndim == 1:
             h = h.reshape(1, -1)
         if h.shape[1] != self.d:
             raise ShapeMismatch(f"input width {h.shape[1]}, expected {self.d}")
         for i in range(len(self.hidden)):
-            wn = self._view(params, f"h{i}.w")
-            bn = self._view(params, f"h{i}.b")
-            h = ops.tanh(ops.add(ops.matmul(h, wn), bn))
-        wf = self._view(params, "feat.w")
-        bf = self._view(params, "feat.b")
-        return ops.tanh(ops.add(ops.matmul(h, wf), bf))
+            h = ops.tanh(ops.linear(h, p[f"h{i}.w"], p[f"h{i}.b"]))
+        return ops.tanh(ops.linear(h, p["feat.w"], p["feat.b"]))
 
     def _logits(self, x: np.ndarray, params):
-        f = self._trunk(x, params)
-        wc = self._view(params, "cls.w")
-        bc = self._view(params, "cls.b")
-        return ops.add(ops.matmul(f, wc), bc)
+        p = self._plan.blocks(params)
+        return ops.linear(self._trunk(x, p), p["cls.w"], p["cls.b"])
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """(J, feature_dim) activations of the last hidden layer."""
-        return np.asarray(self._trunk(x, self.params))
+        return np.asarray(self._trunk(x, self._plan.blocks(self.params)))
 
     def probs(self, x: np.ndarray) -> np.ndarray:
         """(J, num_classes) smoothed class probabilities, strictly positive."""
@@ -186,11 +167,15 @@ def load_feature_model(path: str) -> FeatureModel:
     pos += 8
     if len(raw) < pos + meta_len:
         raise TruncatedFile(f"feature checkpoint {path} metadata truncated")
-    meta = json.loads(raw[pos : pos + meta_len].decode("utf-8"))
+    meta = read_metadata(raw[pos : pos + meta_len], path)
     pos += meta_len
     if meta.get("kind") != "feature":
         raise ConfigError(f"{path} is not a feature-model checkpoint")
-    count = int(meta["param_count"])
+    require_keys(meta, path, {"d": int, "feature_dim": int, "hidden": list,
+                              "num_classes": int, "param_count": int})
+    if not all(type(w) is int for w in meta["hidden"]):
+        raise BadMetadata(f"{path}: metadata key 'hidden' must list integers")
+    count = meta["param_count"]
     if len(raw) < pos + 4 * count:
         raise TruncatedFile(f"feature checkpoint {path} parameter block truncated")
     params = np.frombuffer(raw[pos : pos + 4 * count], dtype="<f4").astype(np.float64)

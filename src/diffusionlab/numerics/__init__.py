@@ -2,11 +2,13 @@
 
 from . import autodiff as ops
 from .autodiff import ADTape, Tensor, grad
+from .layout import ParamLayout
 from .linalg import jacobi_eigh, spd_sqrt
 from .rng import RngStream, sample_standard_normal
 
 __all__ = [
     "ADTape",
+    "ParamLayout",
     "RngStream",
     "Tensor",
     "grad",

@@ -12,7 +12,14 @@ div assume nonzero arguments, as their closed-form partials do.
 
 The op functions (add, mul, matmul, ...) also accept plain numpy inputs and
 then compute plain numpy outputs, so model code written against them runs
-with or without a tape.
+with or without a tape. float64 ndarray and float operands skip the dispatch
+entirely.
+
+Two primitives serve flat parameter vectors: `view` takes one contiguous
+block of a rank-1 leaf as an array of any shape, and `linear` is the fused
+x @ w + b of a dense layer. grad scatters the adjoint of every view in
+place into one flat buffer for its parent, so a backward pass costs O(P)
+in the parameter count however many blocks the model reads.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from scipy.special import erf as _scipy_erf
 from ..errors import NonScalarOutput, UnsupportedPrimitive
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
+_ND = np.ndarray
+_F64 = np.dtype(np.float64)
 
 
 class ADTape:
@@ -148,6 +157,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _binary(op: str, a, b, fn):
+    ta, tb = type(a), type(b)
+    if (ta is _ND and a.dtype is _F64 or ta is float) and \
+            (tb is _ND and b.dtype is _F64 or tb is float):
+        return fn(a, b)
     tape = _tape_of(a, b)
     if tape is None:
         return fn(_value(a), _value(b))
@@ -156,6 +169,8 @@ def _binary(op: str, a, b, fn):
 
 
 def _unary(op: str, a, fn, ctx: tuple = ()):
+    if type(a) is _ND and a.dtype is _F64:
+        return fn(a)
     if not isinstance(a, Tensor):
         return fn(_value(a))
     t = a.tape
@@ -204,6 +219,29 @@ def neg(a):
 
 def matmul(a, b):
     return _binary("matmul", a, b, np.matmul)
+
+
+def linear(x, w, b):
+    """Dense layer x @ w + b as one node; x is a row batch or one vector.
+
+    A constant x (not a Tensor) is kept in the node's context instead of
+    becoming a leaf, so backward skips its unused gradient.
+    """
+    if type(x) is _ND and type(w) is _ND and type(b) is _ND and x.dtype is _F64 \
+            and w.dtype is _F64 and b.dtype is _F64:
+        return np.add(np.matmul(x, w), b)
+    tape = _tape_of(x, w, b)
+    if tape is None:
+        return np.add(np.matmul(_value(x), _value(w)), _value(b))
+    iw, ib = _index_on(tape, w), _index_on(tape, b)
+    vals = tape.values
+    if isinstance(x, Tensor):
+        parents, ctx, xv = (_index_on(tape, x), iw, ib), (), x.value
+    else:
+        xv = _value(x)
+        parents, ctx = (iw, ib), (xv,)
+    out = np.add(np.matmul(xv, vals[iw]), vals[ib])
+    return Tensor(tape, tape.append("linear", parents, ctx, out))
 
 
 def exp(a):
@@ -283,6 +321,21 @@ def slice_axis(a, axis: int, start: int, stop: int):
     return _unary("slice", a, fn, (axis, start, stop, _value(a).shape))
 
 
+def view(a, start: int, stop: int, shape):
+    """Entries start..stop of the rank-1 a, read in row-major order as `shape`.
+
+    Plain arrays give a numpy view; a Tensor gives one node whose value is
+    a view of a's value, so a must not be written to while the tape lives.
+    """
+    if not isinstance(a, Tensor):
+        return _value(a)[start:stop].reshape(shape)
+    t = a.tape
+    flat = t.values[a.index]
+    if flat.ndim != 1:
+        raise ValueError(f"view needs a rank-1 operand, got shape {flat.shape}")
+    return Tensor(t, t.append("view", (a.index,), (start, stop), flat[start:stop].reshape(shape)))
+
+
 def concat(parts: Sequence, axis: int = 0):
     tape = _tape_of(*parts)
     if tape is None:
@@ -331,6 +384,16 @@ def _vjp_matmul(g, out, pv, ctx):
         return np.outer(g, b), a.T @ g
     # 1-D @ 1-D inner product
     return g * b, g * a
+
+
+def _vjp_linear(g, out, pv, ctx):
+    if ctx:  # constant x: gradients for w and b only
+        x, (w, b) = ctx[0], pv
+        gw = x.T @ g if x.ndim == 2 else np.outer(x, g)
+        return gw, _unbroadcast(g, b.shape)
+    x, w, b = pv
+    gx, gw = _vjp_matmul(g, out, (x, w), ())
+    return gx, gw, _unbroadcast(g, b.shape)
 
 
 def _vjp_exp(g, out, pv, ctx):
@@ -413,6 +476,7 @@ _VJP = {
     "shift": _vjp_shift,
     "scale": _vjp_scale,
     "matmul": _vjp_matmul,
+    "linear": _vjp_linear,
     "exp": _vjp_exp,
     "ln": _vjp_ln,
     "tanh": _vjp_tanh,
@@ -433,6 +497,11 @@ def grad(f: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
     """Gradients of the scalar expression f with respect to each leaf.
 
     Reverse accumulation over the tape; f's forward value is left untouched.
+    A view node adds its adjoint in place into its parent's flat adjoint,
+    which starts as zeros, so every entry receives its one contribution
+    plus exact zeros, as a sum of full-length slice adjoints would give.
+    Adjoints are stored without copying; one that may alias another array
+    is copied before it is written in place or returned.
     """
     if not isinstance(f, Tensor):
         raise TypeError("grad target must be a Tensor on a tape")
@@ -445,25 +514,43 @@ def grad(f: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
 
     adjoint: list[np.ndarray | None] = [None] * (f.index + 1)
     adjoint[f.index] = np.ones_like(f.value)
+    owned = {f.index}  # nodes whose adjoint array grad allocated itself
     ops, parents, ctxs, values = tape.ops, tape.parents, tape.ctxs, tape.values
 
     for i in range(f.index, -1, -1):
         g = adjoint[i]
-        if g is None or ops[i] == "leaf":
+        op = ops[i]
+        if g is None or op == "leaf":
             continue
-        vjp = _VJP.get(ops[i])
+        if op == "view":
+            p = parents[i][0]
+            flat = adjoint[p]
+            if flat is None:
+                flat = adjoint[p] = np.zeros(values[p].shape, dtype=np.float64)
+            elif p not in owned:
+                flat = adjoint[p] = np.array(flat, dtype=np.float64)
+            owned.add(p)
+            start, stop = ctxs[i]
+            flat[start:stop] += g.reshape(-1)
+            continue
+        vjp = _VJP.get(op)
         if vjp is None:
-            raise UnsupportedPrimitive(f"no derivative rule for operation {ops[i]!r}")
+            raise UnsupportedPrimitive(f"no derivative rule for operation {op!r}")
         par = parents[i]
         contribs = vjp(g, values[i], [values[p] for p in par], ctxs[i])
         for p, c in zip(par, contribs):
             if adjoint[p] is None:
-                adjoint[p] = np.array(c, dtype=np.float64, copy=True)
+                adjoint[p] = c
             else:
                 adjoint[p] = adjoint[p] + c
+                owned.add(p)
 
     out = []
     for leaf in leaves:
-        g = adjoint[leaf.index] if leaf.index <= f.index else None
-        out.append(np.zeros_like(leaf.value) if g is None else np.asarray(g))
+        i = leaf.index
+        g = adjoint[i] if i <= f.index else None
+        if g is None:
+            out.append(np.zeros_like(leaf.value))
+        else:
+            out.append(np.asarray(g) if i in owned else np.array(g, dtype=np.float64))
     return out

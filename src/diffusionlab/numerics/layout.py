@@ -1,0 +1,43 @@
+"""Named blocks of one flat parameter vector, laid out once per model shape.
+
+A ParamLayout compiles an ordered list of (name, shape) entries into a plan
+of (name, start, stop, shape) rows that tile the vector in row-major order.
+`blocks` then reads every block in one pass: numpy views of a plain vector,
+or one `view` node each when the vector is a tape Tensor, so gradients
+flow back into the flat vector through a single scatter per block.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from .autodiff import Tensor, view
+
+
+class ParamLayout:
+    """Compiled tiling of a flat parameter vector by named blocks."""
+
+    __slots__ = ("plan", "total", "offsets")
+
+    def __init__(self, entries: Sequence[tuple[str, tuple[int, ...]]]) -> None:
+        plan = []
+        start = 0
+        for name, shape in entries:
+            shape = tuple(int(n) for n in shape)
+            stop = start + math.prod(shape)
+            plan.append((name, start, stop, shape))
+            start = stop
+        self.plan: tuple[tuple[str, int, int, tuple[int, ...]], ...] = tuple(plan)
+        self.total = start
+        # name -> (offset, shape)
+        self.offsets = {name: (a, shape) for name, a, _, shape in plan}
+
+    def blocks(self, params) -> dict:
+        """Every block of params by name, shaped as its entry."""
+        if isinstance(params, Tensor):
+            return {name: view(params, a, b, shape) for name, a, b, shape in self.plan}
+        flat = np.asarray(params)
+        return {name: flat[a:b].reshape(shape) for name, a, b, shape in self.plan}

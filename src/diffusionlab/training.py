@@ -23,7 +23,9 @@ from .denoiser import (
 )
 from .errors import (
     BadMagic,
+    BadMetadata,
     ConfigError,
+    DiffusionLabError,
     LengthMismatch,
     NotDualHead,
     StepOutOfRange,
@@ -248,7 +250,8 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
                 raise ConfigError("variant cfg needs labeled data")
             onehot = _one_hot(np.asarray(labels), model.arch.conditioning.num_classes)
             keep = mask_stream.bernoulli(cfg.J, 1.0 - cfg.p_uncond)
-            cond = np.stack([cfg_mask(onehot[j], int(keep[j])) for j in range(cfg.J)])
+            # row j is cfg_mask(onehot[j], keep[j])
+            cond = np.where(keep[:, None] == 1, onehot, 0.0)
 
         tape = ADTape()
         leaf = tape.tensor(params)
@@ -295,17 +298,24 @@ def _arch_to_meta(arch: DenoiserArch) -> dict:
             "head": arch.head, "conditioning": cond_meta}
 
 
+# what reading a model or schedule back from malformed metadata can raise
+_META_ERRORS = (AttributeError, KeyError, TypeError, ValueError, DiffusionLabError)
+
+
 def arch_from_meta(meta: dict) -> DenoiserArch:
-    cond_meta = meta.get("conditioning")
-    if cond_meta is None:
-        cond = None
-    elif cond_meta["kind"] == "class":
-        cond = ClassConditioning(int(cond_meta["num_classes"]))
-    else:
-        cond = TokenConditioning(int(cond_meta["length"]), int(cond_meta["width"]),
-                                 int(cond_meta["heads"]), int(cond_meta["d_head"]))
-    return DenoiserArch(int(meta["d"]), tuple(int(w) for w in meta["hidden"]),
-                        int(meta["d_emb"]), meta["head"], cond)
+    try:
+        cond_meta = meta.get("conditioning")
+        if cond_meta is None:
+            cond = None
+        elif cond_meta["kind"] == "class":
+            cond = ClassConditioning(int(cond_meta["num_classes"]))
+        else:
+            cond = TokenConditioning(int(cond_meta["length"]), int(cond_meta["width"]),
+                                     int(cond_meta["heads"]), int(cond_meta["d_head"]))
+        return DenoiserArch(int(meta["d"]), tuple(int(w) for w in meta["hidden"]),
+                            int(meta["d_emb"]), meta["head"], cond)
+    except _META_ERRORS as e:
+        raise BadMetadata(f"architecture metadata unusable: {type(e).__name__}: {e}") from None
 
 
 def schedule_to_meta(sched: NoiseSchedule) -> dict:
@@ -313,11 +323,46 @@ def schedule_to_meta(sched: NoiseSchedule) -> dict:
 
 
 def schedule_from_meta(meta: dict) -> NoiseSchedule:
-    if meta["kind"] == "linear":
-        return linear_schedule(int(meta["T"]))
-    if meta["kind"] == "cosine":
-        return cosine_schedule(int(meta["T"]), float(meta["s"]))
-    raise ConfigError(f"unknown schedule kind {meta['kind']!r}")
+    try:
+        if meta["kind"] == "linear":
+            return linear_schedule(int(meta["T"]))
+        if meta["kind"] == "cosine":
+            return cosine_schedule(int(meta["T"]), float(meta["s"]))
+    except _META_ERRORS as e:
+        raise BadMetadata(f"schedule metadata unusable: {type(e).__name__}: {e}") from None
+    raise BadMetadata(f"unknown schedule kind {meta['kind']!r}")
+
+
+def read_metadata(blob: bytes, path: str) -> dict:
+    """Decode a container's metadata block, which must be one JSON object."""
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise BadMetadata(f"{path}: metadata is not UTF-8 text") from None
+    except json.JSONDecodeError as e:
+        raise BadMetadata(f"{path}: metadata is not valid JSON ({e})") from None
+    if not isinstance(meta, dict):
+        raise BadMetadata(f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
+    return meta
+
+
+def require_keys(meta: dict, path: str, required: dict[str, type]) -> None:
+    """Each required key must be present with its type; integers must be
+    >= 0 and are never booleans."""
+    for key, kind in required.items():
+        if key not in meta:
+            raise BadMetadata(f"{path}: metadata lacks key {key!r}")
+        value = meta[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise BadMetadata(f"{path}: metadata key {key!r} must be a JSON "
+                              f"{_JSON_NAMES[kind]}, got {value!r}")
+        if kind is int and value < 0:
+            raise BadMetadata(f"{path}: metadata key {key!r} must be >= 0, got {value}")
+
+
+_JSON_NAMES = {int: "integer", dict: "object", list: "array"}
+_CHECKPOINT_KEYS = {"arch": dict, "param_count": int, "rng": dict, "schedule": dict,
+                    "step": int}
 
 
 def save_checkpoint(path: str, model: DenoiserModel, sched: NoiseSchedule,
@@ -352,15 +397,16 @@ def load_checkpoint(path: str) -> Checkpoint:
     pos += 8
     if len(raw) < pos + meta_len:
         raise TruncatedFile(f"checkpoint {path} metadata truncated")
-    meta = json.loads(raw[pos : pos + meta_len].decode("utf-8"))
+    meta = read_metadata(raw[pos : pos + meta_len], path)
     pos += meta_len
     if meta.get("kind", "denoiser") != "denoiser":
         raise ConfigError(f"{path} holds a {meta['kind']} model, not a denoiser")
-    count = int(meta["param_count"])
+    require_keys(meta, path, _CHECKPOINT_KEYS)
+    count = meta["param_count"]
     if len(raw) < pos + 4 * count:
         raise TruncatedFile(f"checkpoint {path} parameter block truncated")
     params32 = np.frombuffer(raw[pos : pos + 4 * count], dtype="<f4").copy()
-    return Checkpoint(version, meta["schedule"], meta["arch"], int(meta["step"]),
+    return Checkpoint(version, meta["schedule"], meta["arch"], meta["step"],
                       meta["rng"], params32)
 
 

@@ -4,6 +4,7 @@ subprocesses."""
 
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 
@@ -262,6 +263,31 @@ def test_sample_flag_validation_is_exit_2(work):
                    "--class", 9, cwd=work).returncode == 2
 
 
+@pytest.mark.parametrize("variant, flags", [
+    ("guided", ("--w", 1, "--class", 2, "--k", 5, "--eta", 0.5)),
+    ("ddpm", ("--w", 1)),
+    ("ddpm", ("--k", 3)),
+    ("ddim", ("--k", 3, "--w", 0)),
+    ("improved", ("--k", 3, "--eta", 0.5)),
+])
+def test_sample_flags_the_variant_ignores_are_exit_2(work, variant, flags):
+    ck = {"guided": "cond", "improved": "dual"}.get(variant, "base") + "/model.ckpt"
+    proc = run_cli("sample", ck, "--variant", variant, *flags, "--out", "ignored", cwd=work)
+    assert proc.returncode == 2, proc.stderr
+    assert "does not use" in proc.stderr
+    assert not (work / "ignored" / "manifest.json").exists()
+
+
+def test_improved_sampling_from_dual_checkpoint(work):
+    for out in ("impA", "impB"):
+        run_ok("sample", "dual/model.ckpt", "--variant", "improved", "--k", 3,
+               "--count", 5, "--seed", 4, "--out", out, cwd=work)
+    rows = read_numeric_csv(str(work / "impA" / "samples.csv"))
+    assert rows.shape == (5, 2)
+    assert np.all(np.isfinite(rows))
+    assert sha256(work / "impA" / "samples.csv") == sha256(work / "impB" / "samples.csv")
+
+
 def test_sample_manifest_records_flags(work):
     run_ok("sample", "base/model.ckpt", "--variant", "ddim", "--k", 4,
            "--eta", 0.5, "--seed", 3, "--count", 2, "--out", "mf", cwd=work)
@@ -400,6 +426,70 @@ def test_info_prints_progress_lines_only(work):
     assert proc.returncode == 0
     assert "parameters" in proc.stdout
     assert proc.stderr == ""
+
+
+def _with_metadata(src, dst, blob):
+    """dst: the checkpoint src with its metadata block replaced by blob."""
+    raw = src.read_bytes()
+    meta_len = struct.unpack_from("<I", raw, 12)[0]
+    dst.write_bytes(raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + meta_len:])
+
+
+def _meta_without_param_count(meta):
+    del meta["param_count"]
+    return json.dumps(meta).encode()
+
+
+def _meta_with_text_step(meta):
+    meta["step"] = "4"
+    return json.dumps(meta).encode()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_meta_without_param_count, "lacks key 'param_count'"),
+    (_meta_with_text_step, "'step' must be a JSON integer"),
+    (lambda meta: b"\xff\xfe" + json.dumps(meta).encode()[2:], "not UTF-8"),
+    (lambda meta: json.dumps(meta).encode()[:-1], "not valid JSON"),
+    (lambda meta: b"[1, 2]", "not an object"),
+])
+@pytest.mark.parametrize("command", [("info",), ("sample", "--count", 1)])
+def test_corrupt_checkpoint_metadata_is_exit_3(work, tmp_path, corrupt, message, command):
+    raw = (work / "base" / "model.ckpt").read_bytes()
+    meta = json.loads(raw[16:16 + struct.unpack_from("<I", raw, 12)[0]])
+    _with_metadata(work / "base" / "model.ckpt", tmp_path / "bad.ckpt", corrupt(meta))
+    proc = run_cli(command[0], "bad.ckpt", *command[1:], cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("arch", "d_emb", 3, "architecture metadata unusable"),
+    ("arch", "hidden", "wide", "architecture metadata unusable"),
+    ("schedule", "kind", "sigmoid", "unknown schedule kind"),
+    ("schedule", "T", None, "schedule metadata unusable"),
+])
+def test_unusable_checkpoint_model_or_schedule_is_exit_3(work, tmp_path, section, key,
+                                                         value, message):
+    raw = (work / "base" / "model.ckpt").read_bytes()
+    meta = json.loads(raw[16:16 + struct.unpack_from("<I", raw, 12)[0]])
+    meta[section][key] = value
+    _with_metadata(work / "base" / "model.ckpt", tmp_path / "bad.ckpt",
+                   json.dumps(meta).encode())
+    proc = run_cli("sample", "bad.ckpt", "--count", 1, cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert message in proc.stderr
+
+
+def test_feature_checkpoint_with_bad_hidden_is_exit_3(work, tmp_path):
+    raw = (work / "features.ckpt").read_bytes()
+    meta = json.loads(raw[16:16 + struct.unpack_from("<I", raw, 12)[0]])
+    meta["hidden"] = ["x"]
+    _with_metadata(work / "features.ckpt", tmp_path / "f.ckpt", json.dumps(meta).encode())
+    proc = run_cli("eval", "--gen", work / "same.csv", "--ref", work / "same.csv",
+                   "--metrics", "fid", "--features", "f.ckpt", "--out", "x.csv", cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "'hidden' must list integers" in proc.stderr
 
 
 def test_info_on_garbage_is_exit_3(tmp_path):

@@ -12,10 +12,10 @@ from diffusionlab.denoiser import (
     TimeEmbeddingSpec,
     TokenConditioning,
     adagn,
-    build_layout,
     cross_attention,
     denoise,
     init_params,
+    param_layout,
     time_embedding,
 )
 from diffusionlab.errors import (
@@ -221,7 +221,8 @@ def test_cross_attention_shape_validation():
 def test_layout_tiles_exactly():
     arch = DenoiserArch(d=3, hidden=(8, 12), d_emb=6, head=HEAD_DUAL,
                         conditioning=ClassConditioning(4))
-    layout, total = build_layout(arch)
+    plan = param_layout(arch)
+    layout, total = plan.offsets, plan.total
     seen = np.zeros(total, dtype=bool)
     for offset, shape in layout.values():
         size = int(np.prod(shape))
@@ -236,16 +237,14 @@ def test_init_params_deterministic_and_bounded():
     p2 = init_params(arch, 99)
     np.testing.assert_array_equal(p1, p2)
     assert not np.array_equal(p1, init_params(arch, 100))
-    layout, _ = build_layout(arch)
-    off, shape = layout["input.w"]
+    off, shape = param_layout(arch).offsets["input.w"]
     assert np.max(np.abs(p1[off : off + 16])) <= 1.0 / math.sqrt(2)
 
 
 def test_zero_params_give_zero_output():
     arch = DenoiserArch(d=2, hidden=(8, 8), d_emb=4, head=HEAD_DUAL,
                         conditioning=ClassConditioning(3))
-    _, total = build_layout(arch)
-    model = DenoiserModel(arch, np.zeros(total))
+    model = DenoiserModel(arch, np.zeros(param_layout(arch).total))
     eps_hat, v2 = denoise(model, np.array([0.7, -0.7]), 5, np.array([1.0, 0.0, 0.0]))
     np.testing.assert_array_equal(eps_hat, np.zeros(2))
     np.testing.assert_array_equal(v2, np.zeros(2))
@@ -367,8 +366,7 @@ def test_denoise_no_nan_over_many_evaluations():
 
 def test_varied_widths_use_projection():
     arch = DenoiserArch(d=2, hidden=(8, 12), d_emb=4)
-    layout, _ = build_layout(arch)
-    assert "block1.proj.w" in layout
+    assert "block1.proj.w" in param_layout(arch).offsets
     model = DenoiserModel.initialized(arch, 5)
     out, _ = denoise(model, np.array([0.3, 0.4]), 2)
     assert out.shape == (2,)
