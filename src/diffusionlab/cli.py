@@ -24,30 +24,12 @@ from .denoiser import (
     DenoiserModel,
 )
 from .errors import (
-    BadMagic,
-    BadMetadata,
+    OS_ERROR_EXIT_CODE,
     ConditioningMismatch,
     ConfigError,
-    DataExhausted,
     DiffusionLabError,
     DimensionMismatch,
-    DimensionOverflow,
-    EmptyBatch,
-    HeadMismatch,
-    InvalidK,
-    InvalidPlan,
-    LengthMismatch,
-    NoCenters,
-    NonpositiveEntry,
-    NotDualHead,
-    OffGridInput,
-    OffsetOutOfRange,
-    OutOfRange,
-    ShapeMismatch,
-    SigmaConstraintViolated,
-    StepCountTooSmall,
-    TooFewSamples,
-    TruncatedFile,
+    NonFiniteLoss,
 )
 from .fileio import (
     read_numeric_csv,
@@ -85,12 +67,6 @@ from .training import (
     schedule_from_meta,
     train,
 )
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_HEAD = 5
 
 # stream tag for data-source draws, distinct from the loop's internal tags
 _TAG_DATA = 4
@@ -234,7 +210,7 @@ def _build_model(rc: RunConfig, d: int) -> DenoiserModel:
     return DenoiserModel.initialized(arch, rc.train_cfg.seed)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     rc = load_run_config(args.config)
     sched = build_schedule(rc.schedule_type, rc.T, rc.s)
     source, d, data_classes = _build_source(rc)
@@ -253,8 +229,7 @@ def cmd_train(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         result = train(model, source, rc.train_cfg, sched, rc.variant)
     if result.losses and not all(math.isfinite(v) for v in result.losses):
-        print("error: training loss became non-finite", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise NonFiniteLoss("training loss became non-finite")
 
     ckpt = out / "model.ckpt"
     save_checkpoint(str(ckpt), result.model, sched, rc.train_cfg.N, result.rng_counters)
@@ -262,10 +237,9 @@ def cmd_train(args) -> int:
               [(i + 1, v) for i, v in enumerate(result.losses)],
               header=("step", "loss"))
     _progress(f"saved {ckpt} and {out / 'loss.csv'}")
-    return EXIT_OK
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> None:
     ck = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ck)
     sched = schedule_from_meta(ck.schedule)
@@ -343,7 +317,6 @@ def cmd_sample(args) -> int:
         "w": w,
     })
     _progress(f"wrote {target} and {out / 'manifest.json'}")
-    return EXIT_OK
 
 
 def _pgm_row(path: str) -> np.ndarray:
@@ -368,7 +341,7 @@ def _load_eval_matrix(path: str) -> np.ndarray:
     return read_numeric_csv(path)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     gen = _load_eval_matrix(args.gen)
     ref = _load_eval_matrix(args.ref)
     metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -411,19 +384,17 @@ def cmd_eval(args) -> int:
     write_csv(args.out, rows,
               header=("metric", "value", "k_samples", "m_samples", "batches", "std"))
     _progress(f"wrote {args.out} with {len(rows)} metric rows")
-    return EXIT_OK
 
 
-def cmd_schedule(args) -> int:
+def cmd_schedule(args) -> None:
     sched = build_schedule(args.type, args.t, args.s)
     rows = [(t, sched.a(t), sched.abar(t), sched.btilde(t))
             for t in range(1, sched.T + 1)]
     write_csv(args.out, rows, header=("t", "alpha", "alpha_bar", "beta_tilde"))
     _progress(f"wrote {args.out} with {sched.T} schedule rows")
-    return EXIT_OK
 
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> None:
     ck = load_checkpoint(args.checkpoint)
     _progress(f"checkpoint {args.checkpoint}")
     _progress(f"format version {ck.version}")
@@ -432,7 +403,6 @@ def cmd_info(args) -> int:
     _progress(f"trained steps {ck.step}")
     _progress(f"parameters {ck.params32.size} (32-bit)")
     _progress(f"rng counters {ck.rng}")
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -483,30 +453,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CONFIG_ERRORS = (ConfigError, EmptyBatch, InvalidK, InvalidPlan,
-                  OffsetOutOfRange, SigmaConstraintViolated, StepCountTooSmall)
-_DATA_ERRORS = (BadMagic, BadMetadata, DataExhausted, DimensionMismatch, DimensionOverflow,
-                LengthMismatch, NoCenters, NonpositiveEntry, OffGridInput,
-                OutOfRange, ShapeMismatch, TooFewSamples, TruncatedFile, OSError)
-_HEAD_ERRORS = (ConditioningMismatch, HeadMismatch, NotDualHead)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except _CONFIG_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _HEAD_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_HEAD
-    except _DATA_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        args.handler(args)
     except DiffusionLabError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return e.exit_code
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return OS_ERROR_EXIT_CODE
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,8 @@
 """The noise-prediction network.
 
 A residual MLP over flat parameter vectors. Each hidden block adds a
-learned affine image of the sinusoidal time embedding, optionally modulates
-activations with class-driven adaptive group normalization, and optionally
-(once, after the last block) attends over a conditioning token matrix.
+learned affine image of the sinusoidal time embedding and optionally
+modulates activations with class-driven adaptive group normalization.
 Heads: plain noise prediction, or a doubled output whose second half is a
 tanh-squashed interpolation coefficient for learned variances.
 
@@ -72,14 +71,6 @@ class ClassConditioning:
 
 
 @dataclass(frozen=True)
-class TokenConditioning:
-    length: int
-    width: int
-    heads: int
-    d_head: int
-
-
-@dataclass(frozen=True)
 class DenoiserArch:
     """Shape of the network; parameters live separately as one flat vector."""
 
@@ -87,7 +78,7 @@ class DenoiserArch:
     hidden: tuple[int, ...]
     d_emb: int
     head: str = HEAD_NOISE
-    conditioning: ClassConditioning | TokenConditioning | None = None
+    conditioning: ClassConditioning | None = None
 
     def __post_init__(self):
         if self.head not in (HEAD_NOISE, HEAD_DUAL):
@@ -121,7 +112,7 @@ def param_layout(arch: DenoiserArch) -> ParamLayout:
             entries.append((f"block{k}.proj.b", (w,)))
         entries.append((f"block{k}.time.w", (arch.d_emb, w)))
         entries.append((f"block{k}.time.b", (w,)))
-        if isinstance(arch.conditioning, ClassConditioning):
+        if arch.conditioning is not None:
             entries.append((f"block{k}.cls.w", (arch.conditioning.num_classes, 2 * w)))
             entries.append((f"block{k}.cls.b", (2 * w,)))
         entries.append((f"block{k}.core.w1", (w, w)))
@@ -129,13 +120,6 @@ def param_layout(arch: DenoiserArch) -> ParamLayout:
         entries.append((f"block{k}.core.w2", (w, w)))
         entries.append((f"block{k}.core.b2", (w,)))
         prev = w
-    if isinstance(arch.conditioning, TokenConditioning):
-        tc = arch.conditioning
-        for i in range(tc.heads):
-            entries.append((f"attn.q{i}", (prev, tc.d_head)))
-            entries.append((f"attn.k{i}", (tc.width, tc.d_head)))
-            entries.append((f"attn.v{i}", (tc.width, tc.d_head)))
-        entries.append(("attn.proj", (tc.heads * tc.d_head, prev)))
     entries.append(("head.w", (prev, arch.out_dim)))
     entries.append(("head.b", (arch.out_dim,)))
     return ParamLayout(entries)
@@ -245,42 +229,6 @@ def adagn(x, y1, y2, beta: float = 0.0, gamma: float = 1.0, eps: float = 1e-5, g
     return ops.reshape(out, (d_feat,)) if single else out
 
 
-def cross_attention(x, y, wq, wk, wv, proj):
-    """Multi-head attention of query rows x over key/value token rows y.
-
-    wq/wk/wv are per-head weight matrices (lists of equal length); each
-    head computes softmax(x Wq (y Wk)^T / sqrt(d_head)) (y Wv), the head
-    outputs are concatenated along columns and mapped back through proj.
-    """
-    xv = x.value if hasattr(x, "value") else np.asarray(x, dtype=np.float64)
-    yv = y.value if hasattr(y, "value") else np.asarray(y, dtype=np.float64)
-    if xv.ndim != 2 or yv.ndim != 2:
-        raise ShapeMismatch("attention operands must be matrices")
-    if not (len(wq) == len(wk) == len(wv)) or not wq:
-        raise ShapeMismatch("per-head weight lists must be equal-length and nonempty")
-
-    def shape_of(w):
-        return w.shape if hasattr(w, "shape") else np.asarray(w).shape
-
-    e, c = xv.shape[1], yv.shape[1]
-    d_head = shape_of(wq[0])[1]
-    heads = []
-    for i in range(len(wq)):
-        if shape_of(wq[i]) != (e, d_head):
-            raise ShapeMismatch(f"query weights head {i}: {shape_of(wq[i])} vs ({e}, {d_head})")
-        if shape_of(wk[i]) != (c, d_head) or shape_of(wv[i]) != (c, d_head):
-            raise ShapeMismatch(f"key/value weights head {i} incompatible with tokens {yv.shape}")
-        q = ops.matmul(x, wq[i])
-        k = ops.matmul(y, wk[i])
-        v = ops.matmul(y, wv[i])
-        scores = ops.div(ops.matmul(q, ops.transpose(k)), math.sqrt(d_head))
-        heads.append(ops.matmul(ops.softmax(scores, axis=-1), v))
-    stacked = heads[0] if len(heads) == 1 else ops.concat(heads, axis=1)
-    if shape_of(proj) != (len(wq) * d_head, e):
-        raise ShapeMismatch(f"projection shape {shape_of(proj)} vs ({len(wq) * d_head}, {e})")
-    return ops.matmul(stacked, proj)
-
-
 def _check_conditioning(arch: DenoiserArch, cond, batch: int):
     c = arch.conditioning
     if c is None:
@@ -290,16 +238,12 @@ def _check_conditioning(arch: DenoiserArch, cond, batch: int):
     if cond is None:
         raise ConditioningMismatch("conditioning input required")
     cv = np.asarray(cond, dtype=np.float64)
-    if isinstance(c, ClassConditioning):
-        if cv.ndim == 1:
-            if cv.shape != (c.num_classes,):
-                raise ConditioningMismatch(f"class vector shape {cv.shape} vs ({c.num_classes},)")
-            cv = np.broadcast_to(cv, (batch, c.num_classes))
-        elif cv.shape != (batch, c.num_classes):
-            raise ConditioningMismatch(f"class batch shape {cv.shape} vs ({batch}, {c.num_classes})")
-        return cv
-    if cv.shape != (c.length, c.width):
-        raise ConditioningMismatch(f"token matrix shape {cv.shape} vs ({c.length}, {c.width})")
+    if cv.ndim == 1:
+        if cv.shape != (c.num_classes,):
+            raise ConditioningMismatch(f"class vector shape {cv.shape} vs ({c.num_classes},)")
+        return np.broadcast_to(cv, (batch, c.num_classes))
+    if cv.shape != (batch, c.num_classes):
+        raise ConditioningMismatch(f"class batch shape {cv.shape} vs ({batch}, {c.num_classes})")
     return cv
 
 
@@ -329,19 +273,13 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None):
         if pre + "proj.w" in p:
             h = ops.linear(h, p[pre + "proj.w"], p[pre + "proj.b"])
         h = ops.add(h, ops.linear(emb, p[pre + "time.w"], p[pre + "time.b"]))
-        if isinstance(arch.conditioning, ClassConditioning):
+        if cv is not None:
             ypair = ops.linear(cv, p[pre + "cls.w"], p[pre + "cls.b"])
             y1 = ops.slice_axis(ypair, 1, 0, w)
             y2 = ops.slice_axis(ypair, 1, w, 2 * w)
             h = adagn(h, y1, y2)
         inner = ops.tanh(ops.linear(h, p[pre + "core.w1"], p[pre + "core.b1"]))
         h = ops.add(h, ops.linear(inner, p[pre + "core.w2"], p[pre + "core.b2"]))
-    if isinstance(arch.conditioning, TokenConditioning):
-        tc = arch.conditioning
-        wq = [p[f"attn.q{i}"] for i in range(tc.heads)]
-        wk = [p[f"attn.k{i}"] for i in range(tc.heads)]
-        wv = [p[f"attn.v{i}"] for i in range(tc.heads)]
-        h = ops.add(h, cross_attention(h, cv, wq, wk, wv, p["attn.proj"]))
 
     out = ops.linear(h, p["head.w"], p["head.b"])
     if arch.head == HEAD_DUAL:

@@ -1,12 +1,15 @@
 """Bit-stable file formats: RFC-4180 CSV with 17-digit floats, binary PGM
-images, and sorted-key JSON manifests. No timestamps anywhere."""
+images, sorted-key JSON manifests, and the model checkpoint container. No
+timestamps anywhere."""
 
 import json
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, LengthMismatch, TruncatedFile
+from .errors import BadMagic, BadMetadata, ConfigError, LengthMismatch, TruncatedFile
 
 
 def format_cell(value) -> str:
@@ -150,3 +153,95 @@ def write_manifest(path: str, payload: dict) -> None:
 
 def read_manifest(path: str) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+# ------------------------------------------------------------ checkpoint container
+
+CONTAINER_MAGIC = b"DDPMCKPT"
+CONTAINER_VERSION = 1
+_HEADER = struct.Struct("<II")  # version, metadata length in bytes
+_JSON_NAMES = {int: "integer", dict: "object", list: "array"}
+
+
+def write_container(path: str, meta: dict, params) -> None:
+    """Magic, u32 version, u32-length-prefixed sorted-key JSON metadata, then
+    the parameters as little-endian float32.
+
+    The metadata gains param_count. The file is written next to path and
+    renamed over it, so a failed or killed save leaves any old file intact.
+    """
+    block = np.asarray(params).astype("<f4")
+    meta = {**meta, "param_count": int(block.size)}
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CONTAINER_MAGIC + _HEADER.pack(CONTAINER_VERSION, len(blob)) + blob)
+            f.write(block.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def read_container(path: str, kind: str,
+                   required: dict[str, type]) -> tuple[int, dict, np.ndarray]:
+    """(version, metadata, float32 parameters) of a container holding a
+    `kind` model (metadata without a kind holds a denoiser).
+
+    The magic, version, lengths and kind are checked, then each required
+    metadata key and its JSON type; the parameter block must end the file.
+    """
+    raw = Path(path).read_bytes()
+    head = len(CONTAINER_MAGIC) + _HEADER.size
+    if len(raw) < head:
+        raise TruncatedFile(f"checkpoint {path} too short for its header")
+    if raw[: len(CONTAINER_MAGIC)] != CONTAINER_MAGIC:
+        raise BadMagic(f"checkpoint {path} has wrong magic bytes")
+    version, meta_len = _HEADER.unpack_from(raw, len(CONTAINER_MAGIC))
+    if version != CONTAINER_VERSION:
+        raise BadMagic(f"checkpoint {path} has format version {version}, "
+                       f"expected {CONTAINER_VERSION}")
+    if len(raw) < head + meta_len:
+        raise TruncatedFile(f"checkpoint {path} metadata truncated")
+    meta = read_metadata(raw[head : head + meta_len], path)
+    found = meta.get("kind", "denoiser")
+    if found != kind:
+        raise ConfigError(f"{path} holds a {found} model, not a {kind} model")
+    require_keys(meta, path, {**required, "param_count": int})
+    start = head + meta_len
+    stop = start + 4 * meta["param_count"]
+    if len(raw) < stop:
+        raise TruncatedFile(f"checkpoint {path} parameter block truncated")
+    if len(raw) > stop:
+        raise BadMetadata(f"checkpoint {path} has {len(raw) - stop} bytes after its "
+                          f"{meta['param_count']} parameters")
+    return version, meta, np.frombuffer(raw[start:stop], dtype="<f4").copy()
+
+
+def read_metadata(blob: bytes, path: str) -> dict:
+    """Decode a container's metadata block, which must be one JSON object."""
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise BadMetadata(f"{path}: metadata is not UTF-8 text") from None
+    except json.JSONDecodeError as e:
+        raise BadMetadata(f"{path}: metadata is not valid JSON ({e})") from None
+    if not isinstance(meta, dict):
+        raise BadMetadata(f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
+    return meta
+
+
+def require_keys(meta: dict, path: str, required: dict[str, type]) -> None:
+    """Each required key must be present with its type; integers must be
+    >= 0 and are never booleans."""
+    for key, kind in required.items():
+        if key not in meta:
+            raise BadMetadata(f"{path}: metadata lacks key {key!r}")
+        value = meta[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise BadMetadata(f"{path}: metadata key {key!r} must be a JSON "
+                              f"{_JSON_NAMES[kind]}, got {value!r}")
+        if kind is int and value < 0:
+            raise BadMetadata(f"{path}: metadata key {key!r} must be >= 0, got {value}")

@@ -6,27 +6,22 @@ layer provides the feature vectors and its softmax head the class
 probabilities. Sizes are configuration, not constants.
 """
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BadMagic,
     BadMetadata,
     BadWindow,
-    ConfigError,
     EmptyBatch,
     LengthMismatch,
     NonpositiveEntry,
     ShapeMismatch,
     TooFewSamples,
-    TruncatedFile,
 )
+from .fileio import read_container, write_container
 from .numerics import ADTape, ParamLayout, RngStream, grad, ops, spd_sqrt
-from .training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, read_metadata, require_keys
 
 # classifier probabilities are floored by smoothing so KL terms stay finite
 PROB_SMOOTHING = 1e-12
@@ -137,51 +132,19 @@ def train_feature_model(x: np.ndarray, labels: np.ndarray, num_classes: int,
 
 
 def save_feature_model(path: str, fm: FeatureModel) -> None:
-    """Same binary container as denoiser checkpoints, tagged kind=feature."""
-    meta = {
-        "d": fm.d,
-        "feature_dim": fm.feature_dim,
-        "hidden": list(fm.hidden),
-        "kind": "feature",
-        "num_classes": fm.num_classes,
-        "param_count": int(fm.params.size),
-    }
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(fm.params.astype("<f4").tobytes())
+    """The checkpoint container of denoisers, tagged kind=feature."""
+    meta = {"d": fm.d, "feature_dim": fm.feature_dim, "hidden": list(fm.hidden),
+            "kind": "feature", "num_classes": fm.num_classes}
+    write_container(path, meta, fm.params)
 
 
 def load_feature_model(path: str) -> FeatureModel:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 8:
-        raise TruncatedFile(f"feature checkpoint {path} too short for its header")
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"feature checkpoint {path} has wrong magic bytes")
-    pos = len(CHECKPOINT_MAGIC)
-    meta_len = struct.unpack_from("<I", raw, pos + 4)[0]
-    pos += 8
-    if len(raw) < pos + meta_len:
-        raise TruncatedFile(f"feature checkpoint {path} metadata truncated")
-    meta = read_metadata(raw[pos : pos + meta_len], path)
-    pos += meta_len
-    if meta.get("kind") != "feature":
-        raise ConfigError(f"{path} is not a feature-model checkpoint")
-    require_keys(meta, path, {"d": int, "feature_dim": int, "hidden": list,
-                              "num_classes": int, "param_count": int})
+    _, meta, params32 = read_container(path, "feature", {
+        "d": int, "feature_dim": int, "hidden": list, "num_classes": int})
     if not all(type(w) is int for w in meta["hidden"]):
         raise BadMetadata(f"{path}: metadata key 'hidden' must list integers")
-    count = meta["param_count"]
-    if len(raw) < pos + 4 * count:
-        raise TruncatedFile(f"feature checkpoint {path} parameter block truncated")
-    params = np.frombuffer(raw[pos : pos + 4 * count], dtype="<f4").astype(np.float64)
-    return FeatureModel(int(meta["d"]), int(meta["num_classes"]),
-                        int(meta["feature_dim"]),
-                        tuple(int(w) for w in meta["hidden"]), params)
+    return FeatureModel(meta["d"], meta["num_classes"], meta["feature_dim"],
+                        tuple(meta["hidden"]), params32.astype(np.float64))
 
 
 # ------------------------------------------------------------ report type

@@ -301,10 +301,6 @@ def softmax(a, axis: int = -1):
     return _unary("softmax", a, fn, (axis,))
 
 
-def transpose(a):
-    return _unary("transpose", a, lambda v: v.T.copy())
-
-
 def reshape(a, shape):
     shape = tuple(shape)
     return _unary("reshape", a, lambda v: v.reshape(shape), (_value(a).shape,))
@@ -334,17 +330,6 @@ def view(a, start: int, stop: int, shape):
     if flat.ndim != 1:
         raise ValueError(f"view needs a rank-1 operand, got shape {flat.shape}")
     return Tensor(t, t.append("view", (a.index,), (start, stop), flat[start:stop].reshape(shape)))
-
-
-def concat(parts: Sequence, axis: int = 0):
-    tape = _tape_of(*parts)
-    if tape is None:
-        return np.concatenate([_value(p) for p in parts], axis=axis)
-    idx = tuple(_index_on(tape, p) for p in parts)
-    vals = [tape.values[i] for i in idx]
-    sizes = tuple(v.shape[axis] for v in vals)
-    out = np.concatenate(vals, axis=axis)
-    return Tensor(tape, tape.append("concat", idx, (axis, sizes), out))
 
 
 # ------------------------------------------------------------ backward
@@ -439,10 +424,6 @@ def _vjp_softmax(g, out, pv, ctx):
     return (out * (g - np.sum(g * out, axis=axis, keepdims=True)),)
 
 
-def _vjp_transpose(g, out, pv, ctx):
-    return (g.T.copy(),)
-
-
 def _vjp_reshape(g, out, pv, ctx):
     return (g.reshape(ctx[0]),)
 
@@ -454,18 +435,6 @@ def _vjp_slice(g, out, pv, ctx):
     sl[axis] = slice(start, stop)
     full[tuple(sl)] = g
     return (full,)
-
-
-def _vjp_concat(g, out, pv, ctx):
-    axis, sizes = ctx
-    grads = []
-    offset = 0
-    sl = [slice(None)] * g.ndim
-    for s in sizes:
-        sl[axis] = slice(offset, offset + s)
-        grads.append(g[tuple(sl)].copy())
-        offset += s
-    return tuple(grads)
 
 
 _VJP = {
@@ -486,10 +455,8 @@ _VJP = {
     "sum": _vjp_sum,
     "mean": _vjp_mean,
     "softmax": _vjp_softmax,
-    "transpose": _vjp_transpose,
     "reshape": _vjp_reshape,
     "slice": _vjp_slice,
-    "concat": _vjp_concat,
 }
 
 

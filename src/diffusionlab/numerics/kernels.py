@@ -12,6 +12,7 @@ mix is the splitmix64 finalizer.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -35,6 +36,10 @@ _ONE_U = np.uint64(1)
 # 2**-53, exact
 _INV53 = 1.0 / 9007199254740992.0
 _TWO_PI = 6.283185307179586
+
+# largest |tau| whose square is finite; beyond it t = 1/(tau + sqrt(1 + tau^2))
+# rounds to 0 and the Jacobi rotation is the identity
+_TAU_MAX = math.sqrt(sys.float_info.max)
 
 
 def mix64(z: int) -> int:
@@ -85,7 +90,9 @@ def _jacobi_sweeps_loop(a, v, tol_abs, max_sweeps):  # pragma: no cover - jit so
                 apq = a[p, q]
                 if abs(apq) == 0.0:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = float(a[q, q] - a[p, p]) / (2.0 * float(apq))
+                if abs(tau) > _TAU_MAX:
+                    continue
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
@@ -144,7 +151,9 @@ def _jacobi_sweeps_np(a, v, tol_abs, max_sweeps):
                 apq = a[p, q]
                 if apq == 0.0:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = float(a[q, q] - a[p, p]) / (2.0 * float(apq))
+                if abs(tau) > _TAU_MAX:
+                    continue
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:

@@ -6,9 +6,7 @@ posterior variance beta_tilde_t, driven by the tanh head v2. Its mean path
 runs through a frozen parameter copy so no gradient flows into the mean.
 """
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,19 +16,17 @@ from .denoiser import (
     ClassConditioning,
     DenoiserArch,
     DenoiserModel,
-    TokenConditioning,
     denoise,
 )
 from .errors import (
-    BadMagic,
     BadMetadata,
     ConfigError,
     DiffusionLabError,
     LengthMismatch,
     NotDualHead,
     StepOutOfRange,
-    TruncatedFile,
 )
+from .fileio import read_container, write_container
 from .forward import GRID_LEVELS, HALF_BIN, forward_sample, grid_index, posterior_mean_var
 from .numerics import ADTape, RngStream, grad, ops
 from .schedule import NoiseSchedule, cosine_schedule, linear_schedule
@@ -271,9 +267,6 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
 
 # ------------------------------------------------------------ checkpoints
 
-CHECKPOINT_MAGIC = b"DDPMCKPT"
-CHECKPOINT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class Checkpoint:
@@ -287,13 +280,7 @@ class Checkpoint:
 
 def _arch_to_meta(arch: DenoiserArch) -> dict:
     cond = arch.conditioning
-    if cond is None:
-        cond_meta = None
-    elif isinstance(cond, ClassConditioning):
-        cond_meta = {"kind": "class", "num_classes": cond.num_classes}
-    else:
-        cond_meta = {"kind": "tokens", "length": cond.length, "width": cond.width,
-                     "heads": cond.heads, "d_head": cond.d_head}
+    cond_meta = None if cond is None else {"kind": "class", "num_classes": cond.num_classes}
     return {"d": arch.d, "hidden": list(arch.hidden), "d_emb": arch.d_emb,
             "head": arch.head, "conditioning": cond_meta}
 
@@ -310,8 +297,7 @@ def arch_from_meta(meta: dict) -> DenoiserArch:
         elif cond_meta["kind"] == "class":
             cond = ClassConditioning(int(cond_meta["num_classes"]))
         else:
-            cond = TokenConditioning(int(cond_meta["length"]), int(cond_meta["width"]),
-                                     int(cond_meta["heads"]), int(cond_meta["d_head"]))
+            raise ValueError(f"conditioning kind {cond_meta['kind']!r} is not 'class'")
         return DenoiserArch(int(meta["d"]), tuple(int(w) for w in meta["hidden"]),
                             int(meta["d_emb"]), meta["head"], cond)
     except _META_ERRORS as e:
@@ -333,79 +319,23 @@ def schedule_from_meta(meta: dict) -> NoiseSchedule:
     raise BadMetadata(f"unknown schedule kind {meta['kind']!r}")
 
 
-def read_metadata(blob: bytes, path: str) -> dict:
-    """Decode a container's metadata block, which must be one JSON object."""
-    try:
-        meta = json.loads(blob.decode("utf-8"))
-    except UnicodeDecodeError:
-        raise BadMetadata(f"{path}: metadata is not UTF-8 text") from None
-    except json.JSONDecodeError as e:
-        raise BadMetadata(f"{path}: metadata is not valid JSON ({e})") from None
-    if not isinstance(meta, dict):
-        raise BadMetadata(f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
-    return meta
-
-
-def require_keys(meta: dict, path: str, required: dict[str, type]) -> None:
-    """Each required key must be present with its type; integers must be
-    >= 0 and are never booleans."""
-    for key, kind in required.items():
-        if key not in meta:
-            raise BadMetadata(f"{path}: metadata lacks key {key!r}")
-        value = meta[key]
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise BadMetadata(f"{path}: metadata key {key!r} must be a JSON "
-                              f"{_JSON_NAMES[kind]}, got {value!r}")
-        if kind is int and value < 0:
-            raise BadMetadata(f"{path}: metadata key {key!r} must be >= 0, got {value}")
-
-
-_JSON_NAMES = {int: "integer", dict: "object", list: "array"}
-_CHECKPOINT_KEYS = {"arch": dict, "param_count": int, "rng": dict, "schedule": dict,
-                    "step": int}
+_CHECKPOINT_KEYS = {"arch": dict, "rng": dict, "schedule": dict, "step": int}
 
 
 def save_checkpoint(path: str, model: DenoiserModel, sched: NoiseSchedule,
                     step: int, rng_counters: dict | None = None) -> None:
-    """Magic, version, length-prefixed JSON metadata, float32 parameter block."""
+    """The model's parameters and what rebuilds it, in the checkpoint container."""
     meta = {
         "arch": _arch_to_meta(model.arch),
-        "param_count": model.param_count,
         "rng": rng_counters or {},
         "schedule": schedule_to_meta(sched),
         "step": int(step),
     }
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(model.params.astype("<f4").tobytes())
+    write_container(path, meta, model.params)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 8:
-        raise TruncatedFile(f"checkpoint {path} too short for its header")
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"checkpoint {path} has wrong magic bytes")
-    pos = len(CHECKPOINT_MAGIC)
-    version = struct.unpack_from("<I", raw, pos)[0]
-    meta_len = struct.unpack_from("<I", raw, pos + 4)[0]
-    pos += 8
-    if len(raw) < pos + meta_len:
-        raise TruncatedFile(f"checkpoint {path} metadata truncated")
-    meta = read_metadata(raw[pos : pos + meta_len], path)
-    pos += meta_len
-    if meta.get("kind", "denoiser") != "denoiser":
-        raise ConfigError(f"{path} holds a {meta['kind']} model, not a denoiser")
-    require_keys(meta, path, _CHECKPOINT_KEYS)
-    count = meta["param_count"]
-    if len(raw) < pos + 4 * count:
-        raise TruncatedFile(f"checkpoint {path} parameter block truncated")
-    params32 = np.frombuffer(raw[pos : pos + 4 * count], dtype="<f4").copy()
+    version, meta, params32 = read_container(path, "denoiser", _CHECKPOINT_KEYS)
     return Checkpoint(version, meta["schedule"], meta["arch"], meta["step"],
                       meta["rng"], params32)
 

@@ -8,6 +8,7 @@ fixed at import time, so cross-backend checks run in subprocesses.
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -119,3 +120,18 @@ def test_active_backend_matches_numpy_reference():
     ref = np.empty(1024, dtype=np.float64)
     kernels._normals_block_np(np.uint64(161803), np.uint64(10), np.int64(1024), ref)
     assert np.max(np.abs(normals_active - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("apq", [1e-160, 1e-320])
+@pytest.mark.parametrize("sweeps", [kernels._jacobi_sweeps_loop, kernels._jacobi_sweeps_np])
+def test_jacobi_skips_rotations_whose_angle_underflows(sweeps, apq):
+    # a tiny a_pq against a diagonal gap of 1 makes tau^2 (or, for a
+    # subnormal a_pq, tau itself) overflow; that rotation is the identity
+    # and must pass without a floating-point warning
+    m = np.array([[1.0, apq, 0.5], [apq, 2.0, 0.0], [0.5, 0.0, 3.0]])
+    a, v = m.copy(), np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweeps(a, v, 1e-12 * np.linalg.norm(m), 60)
+    np.testing.assert_allclose(np.sort(np.diag(a)), np.linalg.eigvalsh(m), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(v @ np.diag(np.diag(a)) @ v.T, m, rtol=0, atol=1e-14)

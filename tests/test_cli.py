@@ -1,7 +1,9 @@
 """End-to-end command-line contract: exit codes, byte-stable outputs, and
-the documented reductions between sampler variants, all through real
-subprocesses."""
+the documented reductions between sampler variants, through real
+subprocesses; the sweeps over error classes and malformed checkpoints call
+`cli.main` in process."""
 
+import builtins
 import hashlib
 import json
 import struct
@@ -11,12 +13,16 @@ import sys
 import numpy as np
 import pytest
 
+from diffusionlab import cli, errors
 from diffusionlab.data import idx_write, idx_write_labels
 from diffusionlab.fileio import (read_csv, read_manifest, read_numeric_csv,
                                  write_samples_csv)
-from diffusionlab.metrics import discrete_kl, save_feature_model, train_feature_model
+from diffusionlab.denoiser import DenoiserArch, DenoiserModel
+from diffusionlab.metrics import (FeatureModel, discrete_kl, save_feature_model,
+                                  train_feature_model)
 from diffusionlab.numerics import RngStream
-from diffusionlab.training import load_checkpoint
+from diffusionlab.schedule import linear_schedule
+from diffusionlab.training import load_checkpoint, save_checkpoint
 
 from conftest import child_env
 
@@ -468,6 +474,8 @@ def test_corrupt_checkpoint_metadata_is_exit_3(work, tmp_path, corrupt, message,
     ("arch", "hidden", "wide", "architecture metadata unusable"),
     ("schedule", "kind", "sigmoid", "unknown schedule kind"),
     ("schedule", "T", None, "schedule metadata unusable"),
+    ("arch", "conditioning", {"kind": "tokens", "length": 2, "width": 5, "heads": 2,
+                              "d_head": 4}, "architecture metadata unusable"),
 ])
 def test_unusable_checkpoint_model_or_schedule_is_exit_3(work, tmp_path, section, key,
                                                          value, message):
@@ -496,3 +504,93 @@ def test_info_on_garbage_is_exit_3(tmp_path):
     (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint at all")
     proc = run_cli("info", "junk.ckpt", cwd=tmp_path)
     assert proc.returncode == 3
+
+
+# ------------------------------------------------------------ exit codes
+
+EXIT_CODES = {
+    "DiffusionLabError": 4,
+    "NonScalarOutput": 4, "UnsupportedPrimitive": 4, "NotSymmetric": 4,
+    "IndefiniteMatrix": 4, "SingularCovariance": 4, "StepOutOfRange": 4,
+    "NonpositiveVariance": 4, "DegenerateEmbedding": 4, "BadWindow": 4, "NonFiniteLoss": 4,
+    "ConfigError": 2, "EmptyBatch": 2, "InvalidK": 2, "InvalidPlan": 2,
+    "OffsetOutOfRange": 2, "SigmaConstraintViolated": 2, "StepCountTooSmall": 2,
+    "BadMagic": 3, "BadMetadata": 3, "DataExhausted": 3, "DimensionMismatch": 3,
+    "DimensionOverflow": 3, "LengthMismatch": 3, "NoCenters": 3, "NonpositiveEntry": 3,
+    "OffGridInput": 3, "OutOfRange": 3, "ShapeMismatch": 3, "TooFewSamples": 3,
+    "TruncatedFile": 3,
+    "ConditioningMismatch": 5, "HeadMismatch": 5, "NotDualHead": 5,
+    "OSError": 3, "FileNotFoundError": 3,
+}
+
+
+def test_every_error_class_exit_code(monkeypatch, capsys):
+    classes = {errors.DiffusionLabError}
+    todo = [errors.DiffusionLabError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            classes.add(sub)
+            todo.append(sub)
+    by_name = {c.__name__: c for c in classes}
+    assert set(by_name) == set(EXIT_CODES) - {"OSError", "FileNotFoundError"}
+    for name, code in EXIT_CODES.items():
+        kind = by_name.get(name) or getattr(builtins, name)
+
+        def raise_it(args, kind=kind, name=name):
+            raise kind(f"{name} raised")
+
+        monkeypatch.setattr(cli, "cmd_info", raise_it)
+        assert cli.main(["info", "x"]) == code, name
+        assert capsys.readouterr().err == f"error: {name} raised\n"
+
+
+# ------------------------------------------------------------ malformed containers, in process
+
+
+@pytest.fixture
+def tiny(tmp_path):
+    """A tiny denoiser checkpoint, a tiny feature checkpoint and a CSV to
+    evaluate, with one command per checkpoint that reads it."""
+    save_checkpoint(str(tmp_path / "model.ckpt"),
+                    DenoiserModel.initialized(DenoiserArch(1, (2,), 4), 0),
+                    linear_schedule(2), step=0)
+    save_feature_model(str(tmp_path / "features.ckpt"),
+                       FeatureModel.initialized(1, 2, 2, (2,), 0))
+    write_samples_csv(str(tmp_path / "x.csv"), np.arange(3.0).reshape(3, 1))
+    return {
+        "info": ("model.ckpt", lambda path: ["info", path]),
+        "sample": ("model.ckpt", lambda path: ["sample", path, "--count", "1",
+                                               "--out", str(tmp_path / "s")]),
+        "eval": ("features.ckpt", lambda path: [
+            "eval", "--gen", str(tmp_path / "x.csv"), "--ref", str(tmp_path / "x.csv"),
+            "--metrics", "fid", "--features", path, "--out", str(tmp_path / "m.csv")]),
+    }
+
+
+@pytest.mark.parametrize("command", ["info", "sample", "eval"])
+@pytest.mark.parametrize("change, message", [
+    (lambda raw: raw[:8] + struct.pack("<I", 99) + raw[12:], "format version 99"),
+    (lambda raw: raw + b"x" * 13, "13 bytes after"),
+], ids=["version-99", "trailing-bytes"])
+def test_wrong_version_or_trailing_bytes_is_exit_3(tiny, tmp_path, capsys, command,
+                                                   change, message):
+    name, argv = tiny[command]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(change((tmp_path / name).read_bytes()))
+    assert cli.main(argv(str(bad))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and message in err, err
+
+
+@pytest.mark.parametrize("command", ["info", "eval"])
+def test_every_checkpoint_prefix_is_exit_3(tiny, tmp_path, capsys, command):
+    name, argv = tiny[command]
+    raw = (tmp_path / name).read_bytes()
+    assert cli.main(argv(str(tmp_path / name))) == 0
+    capsys.readouterr()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        assert cli.main(argv(str(cut))) == 3, n
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (n, err)

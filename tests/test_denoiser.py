@@ -10,9 +10,7 @@ from diffusionlab.denoiser import (
     DenoiserArch,
     DenoiserModel,
     TimeEmbeddingSpec,
-    TokenConditioning,
     adagn,
-    cross_attention,
     denoise,
     init_params,
     param_layout,
@@ -126,96 +124,6 @@ def test_adagn_shape_validation():
         adagn(np.zeros((2, 6)), np.ones((3, 6)), np.zeros((3, 6)))
 
 
-# ------------------------------------------------------------ cross attention
-
-def _ca_oracle(x, y, wq, wk, wv, proj):
-    # scalar-loop evaluation, no vectorized shortcuts
-    i_n, _ = x.shape
-    l = y.shape[0]
-    dh = wq[0].shape[1]
-    cols = []
-    for hi in range(len(wq)):
-        q, k, v = x @ wq[hi], y @ wk[hi], y @ wv[hi]
-        out = np.zeros((i_n, dh))
-        for r in range(i_n):
-            scores = np.array([float(q[r] @ k[j]) / math.sqrt(dh) for j in range(l)])
-            w = np.exp(scores - scores.max())
-            w = w / w.sum()
-            for j in range(l):
-                out[r] += w[j] * v[j]
-        cols.append(out)
-    return np.concatenate(cols, axis=1) @ proj
-
-
-def test_cross_attention_single_token():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(3, 4))
-    y = rng.normal(size=(1, 5))
-    wq = [rng.normal(size=(4, 2))]
-    wk = [rng.normal(size=(5, 2))]
-    wv = [rng.normal(size=(5, 2))]
-    proj = rng.normal(size=(2, 4))
-    out = cross_attention(x, y, wq, wk, wv, proj)
-    # softmax over one key is 1, every query row sees the same value row
-    want = np.tile((y @ wv[0]) @ proj, (3, 1))
-    np.testing.assert_allclose(out, want, rtol=1e-12)
-
-
-def test_cross_attention_zero_queries_average_values():
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=(2, 4))
-    y = rng.normal(size=(5, 3))
-    wq = [np.zeros((4, 2))]
-    wk = [rng.normal(size=(3, 2))]
-    wv = [rng.normal(size=(3, 2))]
-    proj = rng.normal(size=(2, 4))
-    out = cross_attention(x, y, wq, wk, wv, proj)
-    want = np.tile((y @ wv[0]).mean(axis=0) @ proj, (2, 1))
-    np.testing.assert_allclose(out, want, rtol=1e-12)
-
-
-def test_cross_attention_matches_loop_oracle():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(3, 4))
-    y = rng.normal(size=(2, 5))
-    wq = [rng.normal(size=(4, 3)) for _ in range(2)]
-    wk = [rng.normal(size=(5, 3)) for _ in range(2)]
-    wv = [rng.normal(size=(5, 3)) for _ in range(2)]
-    proj = rng.normal(size=(6, 4))
-    out = cross_attention(x, y, wq, wk, wv, proj)
-    np.testing.assert_allclose(out, _ca_oracle(x, y, wq, wk, wv, proj), atol=1e-12)
-
-
-def test_cross_attention_rows_sum_to_one():
-    # all-ones tokens with identity value/projection expose the softmax rows
-    rng = np.random.default_rng(12)
-    e = 3
-    x = rng.normal(size=(4, e))
-    y = np.ones((5, e))
-    wq = [rng.normal(size=(e, e))]
-    wk = [rng.normal(size=(e, e))]
-    wv = [np.eye(e)]
-    out = cross_attention(x, y, wq, wk, wv, np.eye(e))
-    np.testing.assert_allclose(out, np.ones((4, e)), atol=1e-12)
-
-
-def test_cross_attention_shape_validation():
-    x, y = np.zeros((2, 4)), np.zeros((3, 5))
-    good_q = [np.zeros((4, 2))]
-    good_k = [np.zeros((5, 2))]
-    good_v = [np.zeros((5, 2))]
-    with pytest.raises(ShapeMismatch):
-        cross_attention(x, y, [np.zeros((3, 2))], good_k, good_v, np.zeros((2, 4)))
-    with pytest.raises(ShapeMismatch):
-        cross_attention(x, y, good_q, [np.zeros((4, 2))], good_v, np.zeros((2, 4)))
-    with pytest.raises(ShapeMismatch):
-        cross_attention(x, y, good_q, good_k, good_v, np.zeros((3, 4)))
-    with pytest.raises(ShapeMismatch):
-        cross_attention(np.zeros(4), y, good_q, good_k, good_v, np.zeros((2, 4)))
-    with pytest.raises(ShapeMismatch):
-        cross_attention(x, y, [], [], [], np.zeros((2, 4)))
-
-
 # ------------------------------------------------------------ model
 
 def test_layout_tiles_exactly():
@@ -292,13 +200,6 @@ def test_conditioning_mismatch():
     with pytest.raises(ConditioningMismatch):
         denoise(cls, np.zeros((4, 2)), 1, np.zeros((3, 3)))
 
-    tok = DenoiserModel.initialized(
-        DenoiserArch(2, (8,), 4, conditioning=TokenConditioning(2, 5, 2, 4)), 1)
-    with pytest.raises(ConditioningMismatch):
-        denoise(tok, np.zeros(2), 1, np.zeros((3, 5)))
-    with pytest.raises(ConditioningMismatch):
-        denoise(tok, np.zeros(2), 1)
-
 
 def test_denoise_rejects_bad_step_and_params():
     model = DenoiserModel.initialized(DenoiserArch(2, (8,), 4), 1)
@@ -344,10 +245,6 @@ def test_denoise_gradient_matches_finite_differences():
     rel = _fd_vs_ad(
         DenoiserArch(2, (6, 6), 4, head=HEAD_DUAL, conditioning=ClassConditioning(3)),
         np.array([0.0, 1.0, 0.0]), 11)
-    assert rel <= 1e-4
-    rel = _fd_vs_ad(
-        DenoiserArch(2, (6,), 4, conditioning=TokenConditioning(2, 5, 2, 3)),
-        np.random.default_rng(0).normal(size=(2, 5)), 13)
     assert rel <= 1e-4
 
 

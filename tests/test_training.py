@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from diffusionlab import fileio
 from diffusionlab.denoiser import (
     HEAD_DUAL,
     HEAD_NOISE,
@@ -571,6 +573,42 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTADDPM" + b"\x00" * 32)
     with pytest.raises(BadMagic):
         load_checkpoint(str(path))
+
+
+def test_failed_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), _model(seed=3), linear_schedule(12), step=1)
+    old = path.read_bytes()
+
+    class DiskFullAfterFirstWrite:
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.f.write(data)
+
+    files = []
+
+    def failing_open(name, mode="r"):
+        files.append(DiskFullAfterFirstWrite(open(name, mode)))
+        return files[-1]
+
+    monkeypatch.setattr(fileio, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(str(path), _model(seed=4), linear_schedule(12), step=2)
+    assert [f.writes for f in files] == [2]
+    assert files[0].f.name.startswith(str(tmp_path / "model.ckpt"))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_truncations(tmp_path):
