@@ -157,7 +157,7 @@ class BadMagic(DiffusionLabError):
 
 
 class TruncatedFile(DiffusionLabError):
-    """File shorter than its header promises."""
+    """File length differs from what its header promises."""
     exit_code = 3
 
 

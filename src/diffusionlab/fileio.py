@@ -134,9 +134,9 @@ def read_pgm(path: str) -> np.ndarray:
     w, h, maxval = fields
     if maxval != 255:
         raise BadMagic(f"{path}: only 8-bit images supported, maxval {maxval}")
-    data = raw[pos : pos + w * h]
-    if len(data) < w * h:
-        raise TruncatedFile(f"{path}: {len(data)} pixel bytes, expected {w * h}")
+    data = raw[pos:]
+    if len(data) != w * h:
+        raise TruncatedFile(f"{path}: {len(data)} pixel bytes, header promises {w * h}")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
 
 

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .errors import (
     DimensionMismatch,
@@ -85,6 +84,8 @@ def _log_bin_prob(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     Entries of lo may be -inf and entries of hi +inf (boundary bins).
     """
+    from scipy.special import log_ndtr, ndtr  # lazy: ~0.3 s to import
+
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
 

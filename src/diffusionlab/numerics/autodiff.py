@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf as _scipy_erf
 
 from ..errors import NonScalarOutput, UnsupportedPrimitive
 
@@ -258,7 +257,9 @@ def tanh(a):
 
 
 def erf(a):
-    return _unary("erf", a, _scipy_erf)
+    from scipy.special import erf as scipy_erf  # lazy: ~0.3 s to import
+
+    return _unary("erf", a, scipy_erf)
 
 
 def clip_min(a, floor: float):

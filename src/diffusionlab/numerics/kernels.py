@@ -1,9 +1,10 @@
 """Hot kernels with numba scalar-loop and vectorized-numpy implementations.
 
-Public entry points (`raw_block`, `normals_block`, `jacobi_sweeps`) bind to
-one implementation at import time, per diffusionlab.backend. Both paths of
-the integer mixer are exact and bitwise identical; the float kernels agree
-to a few ulps (see backend module docstring).
+Public entry points (`raw_block`, `normals_block`, `normals_rows`,
+`jacobi_sweeps`) bind to one implementation at import time, per
+diffusionlab.backend. Both paths of the integer mixer are exact and bitwise
+identical; the float kernels agree to a few ulps (see backend module
+docstring).
 
 The generator is counter based: output j of a stream is a pure function
 mix(key + (counter + j) * GOLDEN) of the stream key and the absolute
@@ -25,6 +26,7 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 # uint64 copies of the constants; numba freezes these with the right type
 _GOLDEN_U = np.uint64(_GOLDEN)
+_GOLDEN2_U = np.uint64(2 * _GOLDEN & _U64)
 _MIX1_U = np.uint64(_MIX1)
 _MIX2_U = np.uint64(_MIX2)
 _S30 = np.uint64(30)
@@ -132,12 +134,23 @@ def _raw_block_np(key, counter, n, out):
 
 
 def _normals_block_np(key, counter, n, out):
-    c = counter + np.arange(n, dtype=np.uint64) * np.uint64(2)
-    b1 = _mix_array(key + c * _GOLDEN_U)
-    b2 = _mix_array(key + (c + _ONE_U) * _GOLDEN_U)
-    u1 = ((b1 >> _S11) + _ONE_U).astype(np.float64) * _INV53
-    u2 = (b2 >> _S11).astype(np.float64) * _INV53
-    out[:] = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+    """Box-Muller draws for counters (counter + 2i, counter + 2i + 1), i < n.
+
+    key is one uint64 key, with out of length n, or a column of keys of
+    shape (rows, 1), with out of shape (rows, n): row r then holds what
+    key[r] alone would give, drawn in one pass over the whole grid. The
+    counter is taken mod 2**64 in python ints, because a uint64 scalar
+    product raises numpy's overflow warning where the counter wraps.
+    """
+    start = np.asarray(key, dtype=np.uint64).reshape(-1, 1)
+    start = start + np.uint64(int(counter) * _GOLDEN & _U64)  # key + counter * GOLDEN
+    step = np.arange(n, dtype=np.uint64) * _GOLDEN2_U
+    b1 = _mix_array(start + step)
+    b2 = _mix_array((start + _GOLDEN_U) + step)
+    u1 = ((b1 >> _S11) + _ONE_U).astype(np.float64) * _INV53  # (0, 1]
+    u2 = (b2 >> _S11).astype(np.float64) * _INV53  # [0, 1)
+    np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(_TWO_PI * u2),
+                out=out.reshape(start.shape[0], n))
 
 
 def _jacobi_sweeps_np(a, v, tol_abs, max_sweeps):
@@ -202,6 +215,22 @@ def normals_block(key: int, counter: int, n: int) -> np.ndarray:
     if n:
         _normals_block(np.uint64(key), np.uint64(counter), np.int64(n), out)
     return out
+
+
+def normals_rows(keys: np.ndarray, counter: int, out: np.ndarray) -> None:
+    """Fill out (rows, n) so that out[r] == normals_block(keys[r], counter, n).
+
+    keys is a uint64 array of one key per row and counter a python int
+    (taken mod 2**64). The numpy backend draws the whole grid in one
+    vectorised pass; the numba backend runs its jit kernel row by row, so
+    each backend keeps the bits of its single-stream kernel.
+    """
+    if USE_NUMBA:
+        c, n = np.uint64(int(counter) & _U64), np.int64(out.shape[1])
+        for r, key in enumerate(keys):
+            _normals_block(key, c, n, out[r])
+    else:
+        _normals_block_np(keys.reshape(-1, 1), counter, out.shape[1], out)
 
 
 def jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol_abs: float, max_sweeps: int) -> int:

@@ -66,6 +66,17 @@ class RngStream:
         return (self.uniforms(n) < p_one).astype(np.int64)
 
 
+def split_keys(seed: int, tags: np.ndarray) -> np.ndarray:
+    """Generator keys of RngStream(seed).split(tag) for every uint64 tag.
+
+    Entry i equals _key(RngStream(seed).split(tags[i]).seed), computed for
+    all tags in one vectorised pass (the samplers' per-chain streams).
+    """
+    z = kernels._mix_array(np.asarray(tags, dtype=np.uint64) ^ np.uint64(_SPLIT_SALT))
+    z = kernels._mix_array(z ^ np.uint64(_key(seed)))
+    return kernels._mix_array(z ^ np.uint64(_KEY_SALT))
+
+
 def sample_standard_normal(rng: RngStream, n: int) -> np.ndarray:
     """n independent standard normal draws from the stream (flat float64)."""
     if n < 1:

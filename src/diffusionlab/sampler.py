@@ -3,6 +3,10 @@ eta-family of partially deterministic samplers, and guided extrapolation.
 
 Every chain in a batch owns a private stream derived from (seed, chain
 index), so per-chain draws never depend on how many chains run together.
+Chain i's noise comes from the key of RngStream(seed).split(i): its start
+is the d normals at counters 0 ... 2d - 1, and its k-th noisy step uses
+counters 2*d*k ... 2*d*(k+1) - 1. Each step draws its block for all chains
+at once, so a batch holds O(count * d) noise whatever the number of steps.
 All four samplers share the convention that the final step adds no noise.
 """
 
@@ -20,7 +24,8 @@ from .errors import (
     OutOfRange,
     SigmaConstraintViolated,
 )
-from .numerics import RngStream
+from .numerics.kernels import normals_rows
+from .numerics.rng import split_keys
 from .schedule import NoiseSchedule, StridePlan
 
 SAMPLER_VARIANTS = ("ddpm", "improved", "ddim", "guided")
@@ -49,36 +54,31 @@ class SampleResult:
     trajectory: np.ndarray | None = None
 
 
-def _chain_noise(seed: int, count: int, per_chain: int) -> np.ndarray:
-    """(count, per_chain) normal draws, chain i from split(i) of the seed."""
-    root = RngStream(seed)
-    out = np.empty((count, per_chain), dtype=np.float64)
-    for i in range(count):
-        out[i] = root.split(i).normals(per_chain)
-    return out
+def _run_chain(step_fn, d: int, req: SampleRequest, times, noisy):
+    """Walk the batch down `times` from a standard normal start.
 
-
-def _run_chain(step_fn, d: int, req: SampleRequest, times, noisy_flags):
-    """Walk the batch down the listed times from a standard normal start.
-
-    step_fn(x, time) -> (mean, sigma); sigma (scalar or per-coordinate) is
-    applied only on steps flagged noisy, keeping every chain's draw order
-    fixed at d for the start plus d per noisy step.
+    step_fn(x, time) -> (mean, sigma) returns a fresh mean array, which is
+    updated in place into the next state; sigma (scalar or per-coordinate)
+    is applied only where noisy(time) holds. The k-th noisy step draws
+    block k of every chain, when it comes, into one reused (count, d)
+    buffer; the start is block 0 (see the module docstring).
     """
-    draws = _chain_noise(req.seed, req.count, d * (1 + sum(noisy_flags)))
-    x = draws[:, :d].copy()
-    frames = [x.copy()] if req.record_trajectory else None
-    col = d
-    for time, noisy in zip(times, noisy_flags):
+    keys = split_keys(req.seed, np.arange(req.count, dtype=np.uint64))
+    x = np.empty((req.count, d))
+    normals_rows(keys, 0, x)
+    z = np.empty_like(x)
+    frames = [x] if req.record_trajectory else None
+    block = 0
+    for time in times:
         mean, sigma = step_fn(x, time)
-        if noisy:
-            z = draws[:, col : col + d]
-            col += d
-            x = mean + sigma * z
-        else:
-            x = mean
+        if noisy(time):
+            block += 1
+            normals_rows(keys, 2 * d * block, z)
+            np.multiply(sigma, z, out=z)
+            np.add(mean, z, out=mean)
+        x = mean
         if frames is not None:
-            frames.append(x.copy())
+            frames.append(x)
     traj = np.stack(frames) if frames is not None else None
     return SampleResult(x, traj)
 
@@ -109,8 +109,7 @@ def ddpm_sample(model: DenoiserModel, sched: NoiseSchedule, req: SampleRequest,
         mean = (x - (1.0 - a) / math.sqrt(1.0 - ab) * eps_fn(x, t)) / math.sqrt(a)
         return mean, (math.sqrt(sched.btilde(t)) if t >= 2 else None)
 
-    times = list(range(sched.T, 0, -1))
-    return _run_chain(step, model.arch.d, req, times, [t >= 2 for t in times])
+    return _run_chain(step, model.arch.d, req, range(sched.T, 0, -1), lambda t: t >= 2)
 
 
 def improved_sample(model: DenoiserModel, sched: NoiseSchedule, plan: StridePlan,
@@ -140,8 +139,7 @@ def improved_sample(model: DenoiserModel, sched: NoiseSchedule, plan: StridePlan
             sigma = np.exp(0.5 * logv)
         return mean, sigma
 
-    ks = list(range(plan.K, 0, -1))
-    return _run_chain(step, model.arch.d, req, ks, [k >= 2 for k in ks])
+    return _run_chain(step, model.arch.d, req, range(plan.K, 0, -1), lambda k: k >= 2)
 
 
 def ddim_sigma(sched: NoiseSchedule, t_k: int, t_prev: int, eta: float) -> float:
@@ -179,8 +177,7 @@ def ddim_sample(model: DenoiserModel, sched: NoiseSchedule, plan: StridePlan,
         drift = math.sqrt(max(1.0 - ab_prev - sigmas[k] ** 2, 0.0))
         return math.sqrt(ab_prev) * x0_hat + drift * eps_hat, sigmas[k]
 
-    ks = list(range(plan.K, 0, -1))
-    return _run_chain(step, model.arch.d, req, ks, [sigmas[k] > 0.0 for k in ks])
+    return _run_chain(step, model.arch.d, req, range(plan.K, 0, -1), lambda k: sigmas[k] > 0.0)
 
 
 def guided_sample(model: DenoiserModel, sched: NoiseSchedule, w: float, c,

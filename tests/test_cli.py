@@ -385,11 +385,33 @@ def test_eval_unreadable_input_is_exit_3(work):
     assert proc.returncode == 3
 
 
+def test_eval_multi_image_pgm_is_exit_3(work, tmp_path):
+    # two images in one file: eval must not score the first and drop the rest
+    one = (work / "pA" / sorted(p.name for p in (work / "pA").glob("*.pgm"))[0]).read_bytes()
+    gen = tmp_path / "gen"
+    gen.mkdir()
+    (gen / "both.pgm").write_bytes(one + one)
+    proc = run_cli("eval", "--gen", str(gen), "--ref", str(gen), "--metrics", "ssim",
+                   "--window", 2, "--out", str(tmp_path / "ssim.csv"), cwd=work)
+    assert proc.returncode == 3
+    assert "both.pgm" in proc.stderr and "header promises 4" in proc.stderr
+
+
 def test_eval_feature_checkpoint_kind_is_enforced(work):
     proc = run_cli("eval", "--gen", "same.csv", "--ref", "same.csv",
                    "--metrics", "fid", "--features", "base/model.ckpt",
                    "--out", "x.csv", cwd=work)
     assert proc.returncode == 2
+
+
+def test_import_cli_does_not_load_scipy_special():
+    # scipy.special is most of the start-up time; only the erf primitive and
+    # the decoder likelihood use it, and they import it when first called
+    code = "import sys, diffusionlab.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ schedule, info

@@ -149,6 +149,15 @@ def test_pgm_truncated_payload(tmp_path):
         read_pgm(str(p))
 
 
+def test_pgm_rejects_bytes_after_the_pixels(tmp_path):
+    # a second image appended to the first must not read as the first alone
+    p = tmp_path / "two.pgm"
+    one = b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4])
+    p.write_bytes(one + one)
+    with pytest.raises(TruncatedFile, match="19 pixel bytes, header promises 4"):
+        read_pgm(str(p))
+
+
 def test_pgm_truncated_header(tmp_path):
     p = tmp_path / "th.pgm"
     p.write_bytes(b"P5\n3")

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+
+from diffusionlab import sampler
 
 from diffusionlab.denoiser import (
     HEAD_DUAL,
@@ -19,9 +23,11 @@ from diffusionlab.errors import (
     OutOfRange,
     SigmaConstraintViolated,
 )
-from diffusionlab.numerics import RngStream
+from diffusionlab.numerics import RngStream, kernels
+from diffusionlab.numerics.rng import _key, split_keys
 from diffusionlab.sampler import (
     SampleRequest,
+    SampleResult,
     ddim_sample,
     ddim_sigma,
     ddpm_sample,
@@ -344,3 +350,147 @@ def test_guided_single_step_is_affine_in_weight():
     lhs = x1[2.0] - x1[0.0]
     rhs = 2.0 * (x1[1.0] - x1[0.0])
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+# ---------------------------------------------------------------- noise streams
+
+
+def _oracle_chain_noise(seed, count, per_chain):
+    """The per-chain loop: chain i's draws are split(i).normals(per_chain)."""
+    root = RngStream(seed)
+    out = np.empty((count, per_chain), dtype=np.float64)
+    for i in range(count):
+        out[i] = root.split(i).normals(per_chain)
+    return out
+
+
+def _oracle_run_chain(step_fn, d, req, times, noisy):
+    """The composed chain: every draw made before the first step, then the
+    walk, with mean + sigma * z evaluated as one expression."""
+    noisy_flags = [noisy(time) for time in times]
+    draws = _oracle_chain_noise(req.seed, req.count, d * (1 + sum(noisy_flags)))
+    x = draws[:, :d].copy()
+    frames = [x.copy()] if req.record_trajectory else None
+    col = d
+    for time, noisy in zip(times, noisy_flags):
+        mean, sigma = step_fn(x, time)
+        if noisy:
+            z = draws[:, col : col + d]
+            col += d
+            x = mean + sigma * z
+        else:
+            x = mean
+        if frames is not None:
+            frames.append(x.copy())
+    traj = np.stack(frames) if frames is not None else None
+    return SampleResult(x, traj)
+
+
+def _run_variant(variant, count, d, seed, T=6):
+    sched = linear_schedule(T)
+    plan = stride_steps(T, 4)
+    req = SampleRequest(count=count, seed=seed, record_trajectory=True)
+    if variant == "ddpm":
+        return ddpm_sample(_model(d=d, seed=3), sched, req)
+    if variant == "improved":
+        return improved_sample(_model(HEAD_DUAL, d=d, seed=23), sched, plan, req)
+    if variant.startswith("ddim"):
+        return ddim_sample(_model(d=d, seed=31), sched, plan, float(variant[4:]), req)
+    c = np.array([0.0, 1.0, 0.0])
+    return guided_sample(_model(d=d, cond=ClassConditioning(3), seed=37), sched, 1.5, c, req)
+
+
+_VARIANTS = ["ddpm", "improved", "ddim0", "ddim0.5", "ddim1", "guided"]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_split_keys_match_split():
+    tags = [0, 1, 2**32, 2**63, 2**64 - 1]
+    for seed in (0, 9, -1, 2**64 - 1):
+        keys = split_keys(seed, np.array(tags, dtype=np.uint64))
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [_key(RngStream(seed).split(tag).seed) for tag in tags]
+
+
+@pytest.mark.parametrize("count, d", [(1, 1), (3, 64), (4000, 2)])
+@pytest.mark.parametrize("variant", _VARIANTS)
+def test_streamed_noise_matches_the_composed_chain(monkeypatch, variant, count, d):
+    streamed = _run_variant(variant, count, d, seed=17)
+    monkeypatch.setattr(sampler, "_run_chain", _oracle_run_chain)
+    composed = _run_variant(variant, count, d, seed=17)
+    assert _same_bits(streamed.samples, composed.samples)
+    assert _same_bits(streamed.trajectory, composed.trajectory)
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
+def test_returned_arrays_share_no_memory_with_the_noise_buffer(monkeypatch, variant):
+    buffers = []
+
+    def recording(keys, counter, out):
+        buffers.append(out)
+        kernels.normals_rows(keys, counter, out)
+
+    monkeypatch.setattr(sampler, "normals_rows", recording)
+    res = _run_variant(variant, 5, 3, seed=4)
+    assert buffers
+    for buf in buffers:
+        assert not np.shares_memory(res.samples, buf)
+        assert not np.shares_memory(res.trajectory, buf)
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
+def test_samplers_raise_no_warnings(variant):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _run_variant(variant, 5, 3, seed=2**64 - 1)
+
+
+def test_noise_block_across_the_counter_wrap():
+    # d = 3: 2^64 is not a multiple of 2d, so the block at index 2^64 // 6
+    # starts at counter 2^64 - 4 and its third draw wraps to counters (0, 1)
+    d, k = 3, 2**64 // 6
+    keys = split_keys(5, np.arange(4, dtype=np.uint64))
+    out = np.empty((4, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels.normals_rows(keys, 2 * d * k, out)
+    for i in range(4):
+        child = RngStream(5).split(i)
+        assert _same_bits(out[i, :2], RngStream(child.seed, 2**64 - 4).normals(2))
+        assert _same_bits(out[i, 2:], child.normals(1))
+
+
+@pytest.mark.parametrize("counter", [0, 6, 2**64 - 4, 2**64 + 6])
+def test_row_by_row_fill_matches_the_grid(monkeypatch, counter):
+    # the numba backend fills the grid one row at a time with its
+    # single-key kernel; run that branch with the numpy kernel in its place
+    keys = split_keys(11, np.arange(7, dtype=np.uint64))
+    grid = np.empty((7, 5))
+    kernels.normals_rows(keys, counter, grid)
+    monkeypatch.setattr(kernels, "USE_NUMBA", True)
+    monkeypatch.setattr(kernels, "_normals_block", kernels._normals_block_np)
+    rows = np.empty((7, 5))
+    kernels.normals_rows(keys, counter, rows)
+    assert _same_bits(rows, grid)
+
+
+def test_sampler_memory_is_flat_in_the_number_of_steps():
+    model = _model(d=64, seed=3)
+    req = SampleRequest(count=128, seed=1)
+    peaks = {}
+    for T in (50, 1000):
+        sched = linear_schedule(T)
+        # a first call fills the denoiser's per-t time-embedding cache, which
+        # outlives the call (one small array per t); the peak of the second
+        # call is the sampler's own working memory
+        ddpm_sample(model, sched, req)
+        tracemalloc.start()
+        try:
+            ddpm_sample(model, sched, req)
+            peaks[T] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] <= 1.1 * peaks[50], peaks
