@@ -30,6 +30,8 @@ from .errors import (
     DiffusionLabError,
     DimensionMismatch,
     NonFiniteLoss,
+    OutOfRange,
+    ShapeMismatch,
 )
 from .fileio import (
     read_numeric_csv,
@@ -319,26 +321,36 @@ def cmd_sample(args) -> None:
     _progress(f"wrote {target} and {out / 'manifest.json'}")
 
 
-def _pgm_row(path: str) -> np.ndarray:
+def _pgm_rows(paths: list[str]) -> np.ndarray:
+    """(count, h * w) matrix of PGM images that must all be one size."""
+    images = [read_pgm(p) for p in paths]
+    for p, img in zip(paths, images):
+        if img.shape != images[0].shape:
+            raise ShapeMismatch(f"{p} is {img.shape[1]}x{img.shape[0]} pixels, "
+                                f"{paths[0]} is {images[0].shape[1]}x{images[0].shape[0]}")
     # bytes land on the same grid the quantizer uses, b -> -1 + (2/255) b
-    return -1.0 + GRID_STEP * read_pgm(path).astype(np.float64).ravel()
+    return -1.0 + GRID_STEP * np.stack(images).reshape(len(images), -1).astype(np.float64)
 
 
 def _load_eval_matrix(path: str) -> np.ndarray:
-    """Samples as a (count, d) matrix from a CSV/IDX file or a PGM directory."""
+    """Samples as a finite (count, d) matrix from a CSV/IDX file or a PGM directory."""
     p = Path(path)
     if p.is_dir():
         names = sorted(p.glob("*.pgm"))
         if not names:
             raise FileNotFoundError(f"no PGM files in directory {path}")
-        return np.stack([_pgm_row(str(n)) for n in names])
+        return _pgm_rows([str(n) for n in names])
     if not p.is_file():
         raise FileNotFoundError(f"input {path} not found")
     if p.suffix == ".idx":
-        return idx_read(path).samples
+        return idx_read(path).samples  # checked finite by the IDX reader
     if p.suffix == ".pgm":
-        return _pgm_row(path).reshape(1, -1)
-    return read_numeric_csv(path)
+        return _pgm_rows([path])
+    m = read_numeric_csv(path)
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
+    if bad.size:
+        raise OutOfRange(f"{path}: row {bad[0] + 1} holds a non-finite value")
+    return m
 
 
 def cmd_eval(args) -> None:
@@ -361,20 +373,22 @@ def cmd_eval(args) -> None:
         elif name == "is":
             rep = inception_score(gen, fm, batches=args.batches)
             rows.append(("is", rep.value, rep.k_samples, 0, rep.batches, rep.std))
-        elif name == "psnr":
+        elif name in ("psnr", "ssim"):
             if gen.shape != ref.shape:
-                raise DimensionMismatch(f"psnr needs equal shapes, {gen.shape} vs {ref.shape}")
-            vals = [min(psnr(g, r), PSNR_CAP) for g, r in zip(gen, ref)]
-            rows.append(("psnr", float(np.mean(vals)), gen.shape[0], ref.shape[0],
-                         1, float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0))
-        elif name == "ssim":
-            side = int(math.isqrt(gen.shape[1]))
-            if side * side != gen.shape[1]:
-                raise ConfigError(f"ssim needs square images, got width {gen.shape[1]}")
-            vals = [ssim(g.reshape(side, side), r.reshape(side, side), window=args.window)
-                    for g, r in zip(gen, ref)]
-            rows.append(("ssim", float(np.mean(vals)), gen.shape[0], ref.shape[0],
-                         1, float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0))
+                raise DimensionMismatch(f"{name} needs equal shapes, {gen.shape} vs {ref.shape}")
+            count, width = gen.shape
+            if name == "psnr":
+                # each row is one 1 x width image
+                vals = np.minimum(psnr(gen.reshape(count, 1, width),
+                                       ref.reshape(count, 1, width)), PSNR_CAP)
+            else:
+                side = math.isqrt(width)
+                if side * side != width:
+                    raise ConfigError(f"ssim needs square images, got width {width}")
+                vals = ssim(gen.reshape(count, side, side), ref.reshape(count, side, side),
+                            window=args.window)
+            rows.append((name, float(np.mean(vals)), count, count,
+                         1, float(np.std(vals, ddof=1)) if count > 1 else 0.0))
         elif name == "kl":
             rows.append(("kl", discrete_kl(gen.ravel(), ref.ravel()),
                          gen.size, ref.size, 1, 0.0))

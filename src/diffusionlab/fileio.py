@@ -2,9 +2,11 @@
 images, sorted-key JSON manifests, and the model checkpoint container. No
 timestamps anywhere."""
 
+import csv
 import json
 import os
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,45 +37,15 @@ def write_csv(path: str, rows, header=None) -> None:
 
 
 def read_csv(path: str) -> list[list[str]]:
-    """Rows of string cells; quoted cells may embed commas, quotes, newlines."""
-    text = Path(path).read_text(encoding="utf-8").replace("\r\n", "\n")
-    rows = []
-    record: list[str] = []
-    field: list[str] = []
-    started = False  # current record has content beyond a bare newline
-    quoted = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if quoted:
-            if ch == '"':
-                if i + 1 < len(text) and text[i + 1] == '"':
-                    field.append('"')
-                    i += 1
-                else:
-                    quoted = False
-            else:
-                field.append(ch)
-        elif ch == '"':
-            quoted = True
-            started = True
-        elif ch == ",":
-            record.append("".join(field))
-            field = []
-            started = True
-        elif ch == "\n":
-            if started or field:
-                record.append("".join(field))
-                rows.append(record)
-            record, field, started = [], [], False
-        else:
-            field.append(ch)
-            started = True
-        i += 1
-    if started or field:
-        record.append("".join(field))
-        rows.append(record)
-    return rows
+    """Rows of string cells read by the csv module in strict mode, empty records
+    dropped; quoted cells may embed commas, quotes and line breaks."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            return [row for row in csv.reader(f, strict=True) if row]
+    except UnicodeDecodeError:
+        raise TruncatedFile(f"{path}: not UTF-8 text") from None
+    except csv.Error as e:
+        raise TruncatedFile(f"{path}: malformed CSV ({e})") from None
 
 
 def read_numeric_csv(path: str, skip_header: bool = False) -> np.ndarray:
@@ -87,9 +59,11 @@ def read_numeric_csv(path: str, skip_header: bool = False) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise LengthMismatch(f"{path}: ragged rows")
     try:
-        return np.array([[float(v) for v in r] for r in rows], dtype=np.float64)
+        cells = np.fromiter(map(float, chain.from_iterable(rows)), dtype=np.float64,
+                            count=len(rows) * width)
     except ValueError as e:
         raise TruncatedFile(f"{path}: non-numeric cell ({e})") from None
+    return cells.reshape(len(rows), width)
 
 
 def write_samples_csv(path: str, samples: np.ndarray) -> None:

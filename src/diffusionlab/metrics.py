@@ -190,7 +190,10 @@ def inception_score(samples: np.ndarray, fm, batches: int = 1) -> MetricReport:
     for part in np.array_split(samples, batches):
         p = np.asarray(fm.probs(part))
         avg = p.mean(axis=0)
-        kls = [discrete_kl(row, avg) for row in p]
+        if np.any(p <= 0.0) or np.any(avg <= 0.0):
+            raise NonpositiveEntry("divergence needs strictly positive entries")
+        # each row's discrete_kl(row, avg), as one row sum
+        kls = np.sum(np.log(p / avg) * p, axis=1)
         scores.append(math.exp(float(np.mean(kls))))
     value = float(np.mean(scores))
     std = float(np.std(scores, ddof=1)) if batches >= 2 else 0.0
@@ -222,48 +225,56 @@ def fid(gen: np.ndarray, ref: np.ndarray, fm) -> float:
 PSNR_CAP = 1e9
 
 
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """10 log10(1 / MSE) for unit-range images; infinite when identical."""
+def _image_stacks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Both inputs as float64 (N, ...) stacks, and whether they were single
+    images: an array of up to two dimensions is one image, a stack of one."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(1.0 / mse)
+    single = a.ndim < 3
+    return (a[None], b[None], True) if single else (a, b, False)
 
 
-def _patches(img: np.ndarray, window: int) -> np.ndarray:
-    h, w = img.shape
-    return (img.reshape(h // window, window, w // window, window)
-            .transpose(0, 2, 1, 3).reshape(-1, window * window))
+def psnr(a: np.ndarray, b: np.ndarray):
+    """10 log10(1 / MSE) for unit-range images, infinite when identical: a
+    float for one image, an (N,) array for an (N, h, w) stack."""
+    a, b, single = _image_stacks(a, b)
+    mse = np.mean(((a - b) ** 2).reshape(a.shape[0], -1), axis=1)
+    # math.log10, not np.log10, which can differ in the last bit
+    vals = np.array([10.0 * math.log10(1.0 / m) if m != 0.0 else math.inf
+                     for m in mse.tolist()])
+    return float(vals[0]) if single else vals
 
 
 def ssim(a: np.ndarray, b: np.ndarray, window: int = 4,
-         constants: tuple[float, float] = (SSIM_C1, SSIM_C2)) -> float:
+         constants: tuple[float, float] = (SSIM_C1, SSIM_C2)):
     """Mean over non-overlapping patches of the three-term similarity
     ((2 mu_a mu_b + c1)(2 cov + c2)) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2)).
 
-    Patch moments use the K-1 normalization; the value lies in [-1, 1] and
-    equals 1 exactly when the images coincide.
+    A float for one 2-D image, an (N,) array for an (N, h, w) stack. Patch
+    moments use the K-1 normalization; each value lies in [-1, 1] and equals
+    1 exactly when the images coincide.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shapes {a.shape} vs {b.shape}")
-    if a.ndim != 2:
+    a, b, single = _image_stacks(a, b)
+    if a.ndim != 3:
         raise BadWindow("patch similarity expects 2-D images")
-    if window < 2 or a.shape[0] % window or a.shape[1] % window:
-        raise BadWindow(f"window {window} must tile image dims {a.shape}")
+    count, h, w = a.shape
+    if window < 2 or h % window or w % window:
+        raise BadWindow(f"window {window} must tile image dims {(h, w)}")
     c1, c2 = constants
-    pa, pb = _patches(a, window), _patches(b, window)
-    n = pa.shape[1]
-    mu_a, mu_b = pa.mean(axis=1), pb.mean(axis=1)
-    da, db = pa - mu_a[:, None], pb - mu_b[:, None]
-    var_a = np.sum(da * da, axis=1) / (n - 1)
-    var_b = np.sum(db * db, axis=1) / (n - 1)
-    cov = np.sum(da * db, axis=1) / (n - 1)
+    # (N, patches, window * window)
+    pa, pb = (x.reshape(count, h // window, window, w // window, window)
+              .transpose(0, 1, 3, 2, 4).reshape(count, -1, window * window) for x in (a, b))
+    n = pa.shape[2]
+    mu_a, mu_b = pa.mean(axis=2), pb.mean(axis=2)
+    # rebinding frees each uncentred copy, so fewer stack-sized arrays coexist
+    pa = pa - mu_a[..., None]
+    pb = pb - mu_b[..., None]
+    var_a = np.sum(pa * pa, axis=2) / (n - 1)
+    var_b = np.sum(pb * pb, axis=2) / (n - 1)
+    cov = np.sum(pa * pb, axis=2) / (n - 1)
     per_patch = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
         (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
-    return float(np.mean(per_patch))
+    vals = np.mean(per_patch, axis=1)
+    return float(vals[0]) if single else vals

@@ -1,6 +1,7 @@
 """CSV, PGM, and manifest round trips, plus the malformed-file error paths."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,104 @@ def test_numeric_csv_ragged_raises(tmp_path):
     p = tmp_path / "r.csv"
     p.write_bytes(b"1,2,3\r\n4,5\r\n")
     with pytest.raises(LengthMismatch):
+        read_numeric_csv(str(p))
+
+
+def _oracle_read_csv(path):
+    """The character loop read_csv replaced: CRLF folded to LF, quoted cells
+    may embed commas, quotes and newlines, blank lines dropped."""
+    text = Path(path).read_text(encoding="utf-8").replace("\r\n", "\n")
+    rows = []
+    record, field = [], []
+    started = False  # current record has content beyond a bare newline
+    quoted = False
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if quoted:
+            if ch == '"':
+                if i + 1 < len(text) and text[i + 1] == '"':
+                    field.append('"')
+                    i += 1
+                else:
+                    quoted = False
+            else:
+                field.append(ch)
+        elif ch == '"':
+            quoted = True
+            started = True
+        elif ch == ",":
+            record.append("".join(field))
+            field = []
+            started = True
+        elif ch == "\n":
+            if started or field:
+                record.append("".join(field))
+                rows.append(record)
+            record, field, started = [], [], False
+        else:
+            field.append(ch)
+            started = True
+        i += 1
+    if started or field:
+        record.append("".join(field))
+        rows.append(record)
+    return rows
+
+
+def _numeric_text(rng, rows, cols, newline, final_newline, blank_every=0, header=False):
+    cells = 1e3 * (rng.uniforms(rows * cols) - 0.5)
+    lines = [",".join(f"c{j}" for j in range(cols))] if header else []
+    for r in range(rows):
+        if blank_every and r % blank_every == 0:
+            lines.append("")
+        lines.append(",".join(format_cell(float(v)) for v in cells[r * cols : (r + 1) * cols]))
+    return newline.join(lines) + (newline if final_newline else "")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("blank_every", [0, 1, 3])
+@pytest.mark.parametrize("header", [False, True])
+def test_read_csv_matches_the_character_loop(tmp_path, newline, final_newline,
+                                             blank_every, header):
+    rng = RngStream(40 + blank_every)
+    p = tmp_path / "m.csv"
+    p.write_bytes(_numeric_text(rng, 23, 3, newline, final_newline, blank_every,
+                                header).encode("utf-8"))
+    want = _oracle_read_csv(p)
+    assert read_csv(str(p)) == want
+    body = want[1:] if header else want
+    expect = np.array([[float(v) for v in r] for r in body], dtype=np.float64)
+    got = read_numeric_csv(str(p), skip_header=header)
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+def test_read_csv_trailing_blank_lines_and_whitespace_cells(tmp_path):
+    p = tmp_path / "w.csv"
+    p.write_bytes(b"\r\n\n1, 2\r\n \n\n3,4\n\r\n\r\n")
+    assert read_csv(str(p)) == _oracle_read_csv(p) == [["1", " 2"], [" "], ["3", "4"]]
+
+
+def test_read_csv_line_breaks_the_loop_did_not_split(tmp_path):
+    # the csv module ends a line at a lone \r and keeps a quoted \r\n as written
+    p = tmp_path / "cr.csv"
+    p.write_bytes(b'1,2\r3,4\r\n"a\r\nb",c\r\n')
+    assert read_csv(str(p)) == [["1", "2"], ["3", "4"], ["a\r\nb", "c"]]
+
+
+def test_read_csv_non_utf8_raises_naming_the_path(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"1.0,2.0\r\n\xff\xfe,3\r\n")
+    with pytest.raises(TruncatedFile, match="latin.csv"):
+        read_csv(str(p))
+
+
+@pytest.mark.parametrize("text", [b'1,"2\r\n3,4\r\n', b'1,"2"x\r\n'])
+def test_read_csv_malformed_quoting_raises(tmp_path, text):
+    p = tmp_path / "q.csv"
+    p.write_bytes(text)
+    with pytest.raises(TruncatedFile, match="q.csv"):
         read_numeric_csv(str(p))
 
 

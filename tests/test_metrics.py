@@ -12,6 +12,8 @@ from diffusionlab.errors import (
     TooFewSamples,
 )
 from diffusionlab.metrics import (
+    SSIM_C1,
+    SSIM_C2,
     FeatureModel,
     MetricReport,
     discrete_kl,
@@ -135,6 +137,51 @@ def test_inception_score_empty_batch():
         inception_score(samples, IdentityFeatures(), batches=0)
 
 
+class TableClassifier:
+    """Row j of a fixed probability table for the sample whose first
+    coordinate is j."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def probs(self, x):
+        return self.table[np.asarray(x)[:, 0].astype(np.int64)]
+
+
+def _oracle_inception_score(samples, fm, batches):
+    """The per-row loop inception_score replaced: one discrete_kl per row."""
+    scores = []
+    for part in np.array_split(samples, batches):
+        p = np.asarray(fm.probs(part))
+        avg = p.mean(axis=0)
+        kls = [discrete_kl(row, avg) for row in p]
+        scores.append(math.exp(float(np.mean(kls))))
+    std = float(np.std(scores, ddof=1)) if batches >= 2 else 0.0
+    return float(np.mean(scores)), std
+
+
+def test_inception_score_matches_the_per_row_loop():
+    rng = RngStream(31)
+    for case in range(60):
+        rows = int(rng.integers(1, low=1, high=400)[0])
+        classes = int(rng.integers(1, low=2, high=17)[0])
+        batches = int(rng.integers(1, low=1, high=min(rows, 9) + 1)[0])
+        # sharp rows (down to ~1e-13 per entry) and flat ones
+        logits = (1.0 + 30.0 * (case % 3)) * rng.normals(rows * classes)
+        table = np.exp(logits - logits.max()).reshape(rows, classes)
+        table = (table + 1e-12) / (table + 1e-12).sum(axis=1, keepdims=True)
+        samples = np.arange(rows, dtype=np.float64)[:, None]
+        rep = inception_score(samples, TableClassifier(table), batches=batches)
+        value, std = _oracle_inception_score(samples, TableClassifier(table), batches)
+        assert (rep.value, rep.std) == (value, std), (rows, classes, batches)
+
+
+def test_inception_score_rejects_a_zero_probability():
+    table = np.array([[0.5, 0.5], [1.0, 0.0]])
+    with pytest.raises(NonpositiveEntry):
+        inception_score(np.array([[0.0], [1.0]]), TableClassifier(table))
+
+
 def test_metric_report_validates_counts():
     with pytest.raises(TooFewSamples):
         MetricReport("is", 1.0, k_samples=0)
@@ -254,6 +301,33 @@ def test_psnr_symmetry_and_shape_check():
         psnr(a, np.zeros((4, 4)))
 
 
+def _oracle_psnr(a, b):
+    """The per-image PSNR the stacked one replaced."""
+    mse = float(np.mean((a - b) ** 2))
+    return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
+
+
+def _random_stacks(seed, count, shape, same_every=0):
+    rng = RngStream(seed)
+    size = count * int(np.prod(shape))
+    a = rng.uniforms(size).reshape(count, *shape)
+    b = rng.uniforms(size).reshape(count, *shape)
+    if same_every:
+        b[::same_every] = a[::same_every]
+    return a, b
+
+
+@pytest.mark.parametrize("count, shape", [(1, (8, 8)), (7, (1, 5)), (40, (16, 16)),
+                                          (300, (1, 64)), (13, (6, 9))])
+def test_psnr_stack_matches_per_image_loop(count, shape):
+    a, b = _random_stacks(60 + count, count, shape, same_every=3)
+    got = psnr(a, b)
+    want = np.array([_oracle_psnr(x, y) for x, y in zip(a, b)])
+    assert got.shape == (count,) and got.tobytes() == want.tobytes()
+    assert np.all(got[::3] == math.inf)
+    assert psnr(a[0], b[0]) == _oracle_psnr(a[0], b[0])
+
+
 # ---------------------------------------------------------------- SSIM
 
 
@@ -307,3 +381,42 @@ def test_ssim_random_images_in_range_and_validated():
         ssim(a.ravel(), b.ravel(), window=4)
     with pytest.raises(ShapeMismatch):
         ssim(a, np.zeros((6, 6)), window=3)
+
+
+def _oracle_ssim(a, b, window, c1=SSIM_C1, c2=SSIM_C2):
+    """The per-image SSIM the stacked one replaced."""
+    h, w = a.shape
+    pa, pb = (x.reshape(h // window, window, w // window, window)
+              .transpose(0, 2, 1, 3).reshape(-1, window * window) for x in (a, b))
+    n = pa.shape[1]
+    mu_a, mu_b = pa.mean(axis=1), pb.mean(axis=1)
+    da, db = pa - mu_a[:, None], pb - mu_b[:, None]
+    var_a = np.sum(da * da, axis=1) / (n - 1)
+    var_b = np.sum(db * db, axis=1) / (n - 1)
+    cov = np.sum(da * db, axis=1) / (n - 1)
+    per_patch = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+    return float(np.mean(per_patch))
+
+
+@pytest.mark.parametrize("count, shape, window", [(1, (8, 8), 4), (5, (12, 12), 3),
+                                                  (300, (16, 16), 4), (9, (6, 10), 2),
+                                                  (20, (12, 18), 3), (30, (10, 15), 5),
+                                                  (4, (8, 8), 8)])
+def test_ssim_stack_matches_per_image_loop(count, shape, window):
+    a, b = _random_stacks(70 + count, count, shape, same_every=2)
+    got = ssim(a, b, window=window)
+    want = np.array([_oracle_ssim(x, y, window) for x, y in zip(a, b)])
+    assert got.shape == (count,) and got.tobytes() == want.tobytes()
+    assert np.all(got[::2] == 1.0)
+    assert ssim(a[-1], b[-1], window=window) == want[-1]
+
+
+def test_ssim_stack_validation():
+    a, b = _random_stacks(80, 3, (8, 8))
+    with pytest.raises(ShapeMismatch):
+        ssim(a, b[:2], window=4)
+    with pytest.raises(BadWindow):
+        ssim(a, b, window=3)
+    with pytest.raises(BadWindow):
+        ssim(a[None], b[None], window=4)
