@@ -6,10 +6,11 @@ modulates activations with class-driven adaptive group normalization.
 Heads: plain noise prediction, or a doubled output whose second half is a
 tanh-squashed interpolation coefficient for learned variances.
 
-All model math goes through the polymorphic ops in numerics.autodiff, so
-the same code path runs on plain arrays (sampling) and on tape Tensors
-(training gradients). The parameter layout is compiled once per
-architecture; each forward reads all blocks from it in one pass.
+The network is one plain-numpy forward for sampling and training alike.
+Given a tape Tensor of parameters, it keeps its activations and becomes
+a single tape node whose backward is written by hand. The parameter
+layout is compiled once per architecture; each forward reads all blocks
+from it in one pass.
 """
 
 import functools
@@ -24,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     StepOutOfRange,
 )
-from .numerics import ParamLayout, RngStream, ops
+from .numerics import ParamLayout, RngStream, Tensor, ops
 
 HEAD_NOISE = "noise-only"
 HEAD_DUAL = "noise+variance"
@@ -198,9 +199,9 @@ def adagn(x, y1, y2, beta: float = 0.0, gamma: float = 1.0, eps: float = 1e-5, g
     x is one feature vector or a batch of rows; y1/y2 are one modulation
     vector or matching batch rows.
     """
-    xv = x.value if hasattr(x, "value") else np.asarray(x, dtype=np.float64)
-    y1v = y1.value if hasattr(y1, "value") else np.asarray(y1, dtype=np.float64)
-    y2v = y2.value if hasattr(y2, "value") else np.asarray(y2, dtype=np.float64)
+    xv = np.asarray(x, dtype=np.float64)
+    y1v = np.asarray(y1, dtype=np.float64)
+    y2v = np.asarray(y2, dtype=np.float64)
     if xv.ndim not in (1, 2) or y1v.ndim not in (1, 2):
         raise ShapeMismatch("adagn expects vectors or row batches")
     if y1v.shape != y2v.shape:
@@ -214,19 +215,39 @@ def adagn(x, y1, y2, beta: float = 0.0, gamma: float = 1.0, eps: float = 1e-5, g
     if y1v.ndim == 2 and xv.ndim == 2 and y1v.shape[0] not in (1, xv.shape[0]):
         raise ShapeMismatch(f"batch sizes differ: {xv.shape[0]} vs {y1v.shape[0]}")
 
-    single = xv.ndim == 1
-    x2 = ops.reshape(x, (1, d_feat)) if single else x
-    y1r = ops.reshape(y1, (1, D)) if y1v.ndim == 1 else y1
-    y2r = ops.reshape(y2, (1, D)) if y2v.ndim == 1 else y2
+    out = _adagn_rows(xv.reshape(1, d_feat) if xv.ndim == 1 else xv,
+                      y1v.reshape(1, D) if y1v.ndim == 1 else y1v,
+                      y2v.reshape(1, D) if y2v.ndim == 1 else y2v,
+                      beta, gamma, eps, groups)
+    return out.reshape(d_feat) if xv.ndim == 1 else out
 
-    avg, ind, tile = _const_group_matrices(d_feat, D, groups)
-    m = ops.matmul(ops.matmul(x2, avg.T), ind)
-    centered = ops.sub(x2, m)
-    v = ops.matmul(ops.matmul(ops.mul(centered, centered), avg.T), ind)
-    normed = ops.div(centered, ops.sqrt(ops.add(v, eps)))
-    gn = ops.add(ops.mul(normed, gamma), beta)
-    out = ops.add(ops.mul(ops.matmul(y1r, tile.T), gn), ops.matmul(y2r, tile.T))
-    return ops.reshape(out, (d_feat,)) if single else out
+
+def _adagn_rows(x, y1, y2, beta, gamma, eps, groups, saved=None):
+    """adagn of row batches; appends what its backward reads to saved."""
+    avg, ind, tile = _const_group_matrices(x.shape[1], y1.shape[1], groups)
+    centered = np.subtract(x, np.matmul(np.matmul(x, avg.T), ind))
+    ve = np.add(np.matmul(np.matmul(np.multiply(centered, centered), avg.T), ind), eps)
+    sd = np.power(ve, 0.5)
+    gn = np.add(np.multiply(np.divide(centered, sd), gamma), beta)
+    y1t = np.matmul(y1, tile.T)
+    if saved is not None:
+        saved.append((centered, ve, sd, gn, y1t, float(gamma), groups))
+    # large batches (sampling) run faster with fewer arrays alive at once
+    del centered, ve, sd
+    return np.add(np.multiply(y1t, gn), np.matmul(y2, tile.T))
+
+
+def _adagn_backward(g, centered, ve, sd, gn, y1t, gamma, groups):
+    """Adjoints of adagn's input rows and of y1, y2, with the expressions
+    and summation order of the composed tape chain's VJPs."""
+    avg, ind, tile = _const_group_matrices(centered.shape[1], y1t.shape[1], groups)
+    g_y2 = g @ tile
+    g_y1 = (g * gn) @ tile
+    g_n = (g * y1t) * gamma
+    g_sd = -g_n * centered / (sd * sd)
+    g_sq = ((g_sd * 0.5 * np.power(ve, -0.5)) @ ind.T) @ avg
+    g_c = ((g_n / sd) + g_sq * centered) + g_sq * centered
+    return g_c + ((-g_c) @ ind.T) @ avg, g_y1, g_y2
 
 
 def _check_conditioning(arch: DenoiserArch, cond, batch: int):
@@ -247,13 +268,79 @@ def _check_conditioning(arch: DenoiserArch, cond, batch: int):
     return cv
 
 
+def _network(arch: DenoiserArch, p: dict, xb, emb, cv, saved=None):
+    """The network's head output for row batch xb; with saved (a list),
+    also keeps the activations _network_backward reads."""
+    h = np.add(np.matmul(xb, p["input.w"]), p["input.b"])
+    for k, w in enumerate(arch.hidden):
+        pre = f"block{k}."
+        if pre + "proj.w" in p:
+            if saved is not None:
+                saved.append(h)
+            h = np.add(np.matmul(h, p[pre + "proj.w"]), p[pre + "proj.b"])
+        h = np.add(h, np.add(np.matmul(emb, p[pre + "time.w"]), p[pre + "time.b"]))
+        if cv is not None:
+            ypair = np.add(np.matmul(cv, p[pre + "cls.w"]), p[pre + "cls.b"])
+            # contiguous halves: BLAS result bits may depend on operand layout
+            h = _adagn_rows(h, ypair[:, :w].copy(), ypair[:, w:].copy(),
+                            0.0, 1.0, 1e-5, 1, saved)
+        inner = np.tanh(np.add(np.matmul(h, p[pre + "core.w1"]), p[pre + "core.b1"]))
+        if saved is not None:
+            saved.append((h, inner))
+        h = np.add(h, np.add(np.matmul(inner, p[pre + "core.w2"]), p[pre + "core.b2"]))
+    if saved is not None:
+        saved.append(h)
+    return np.add(np.matmul(h, p["head.w"]), p["head.b"])
+
+
+def _network_backward(g, arch: DenoiserArch, plan: ParamLayout, p: dict, xb, emb, cv,
+                      saved: list) -> np.ndarray:
+    """Flat parameter adjoint of _network's head output adjoint g.
+
+    Runs the VJPs of the composed tape (one linear, add, tanh, slice and
+    AdaGN node each) in reverse tape order with the same expressions:
+    linear gives g @ w.T, x.T @ g (np.outer for the 1-D time embedding)
+    and g.sum(axis=0); a residual adjoint is the later use's plus the
+    earlier one's. The tape added each block adjoint into zeros (`view`)
+    and padded the class slices with zeros, so a -0.0 entry read +0.0;
+    one final + 0.0 gives the same bits, as IEEE addition commutes and a
+    zero's sign can only reach a result that is itself zero.
+    """
+    grads = {}
+    saved = list(saved)
+    h = saved.pop()
+    grads["head.w"], grads["head.b"] = h.T @ g, g.sum(axis=0)
+    gh = g @ p["head.w"].T
+    for k in range(len(arch.hidden) - 1, -1, -1):
+        pre = f"block{k}."
+        hc, inner = saved.pop()
+        grads[pre + "core.w2"], grads[pre + "core.b2"] = inner.T @ gh, gh.sum(axis=0)
+        g_pre = (gh @ p[pre + "core.w2"].T) * (1.0 - inner * inner)
+        grads[pre + "core.w1"], grads[pre + "core.b1"] = hc.T @ g_pre, g_pre.sum(axis=0)
+        gh = gh + g_pre @ p[pre + "core.w1"].T
+        if cv is not None:
+            gh, g_y1, g_y2 = _adagn_backward(gh, *saved.pop())
+            g_ypair = np.concatenate((g_y1, g_y2), axis=1)
+            grads[pre + "cls.w"], grads[pre + "cls.b"] = cv.T @ g_ypair, g_ypair.sum(axis=0)
+        g_time = gh.sum(axis=0)
+        grads[pre + "time.w"], grads[pre + "time.b"] = np.outer(emb, g_time), g_time
+        if pre + "proj.w" in p:
+            grads[pre + "proj.w"], grads[pre + "proj.b"] = saved.pop().T @ gh, gh.sum(axis=0)
+            gh = gh @ p[pre + "proj.w"].T
+    grads["input.w"], grads["input.b"] = xb.T @ gh, gh.sum(axis=0)
+
+    flat = np.concatenate([grads[name].reshape(-1) for name, _, _, _ in plan.plan])
+    flat += 0.0
+    return flat
+
+
 def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None):
     """Evaluate the network at (xt, t, cond).
 
     xt is one point (d,) or a batch (J, d). Returns (eps_hat, v2) with v2
     None for noise-only heads. params defaults to the model's own vector;
     passing a tape Tensor of the same layout makes the outputs
-    differentiable.
+    differentiable: the network is then one fused tape node.
     """
     if t < 1:
         raise StepOutOfRange(f"step must be >= 1, got {t}")
@@ -265,23 +352,16 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None):
     xb = xv.reshape(1, -1) if single else xv
     cv = _check_conditioning(arch, cond, xb.shape[0])
 
-    p = model.plan.blocks(model.params if params is None else params)
     emb = _embedding(t, arch.d_emb)
-    h = ops.linear(xb, p["input.w"], p["input.b"])
-    for k, w in enumerate(arch.hidden):
-        pre = f"block{k}."
-        if pre + "proj.w" in p:
-            h = ops.linear(h, p[pre + "proj.w"], p[pre + "proj.b"])
-        h = ops.add(h, ops.linear(emb, p[pre + "time.w"], p[pre + "time.b"]))
-        if cv is not None:
-            ypair = ops.linear(cv, p[pre + "cls.w"], p[pre + "cls.b"])
-            y1 = ops.slice_axis(ypair, 1, 0, w)
-            y2 = ops.slice_axis(ypair, 1, w, 2 * w)
-            h = adagn(h, y1, y2)
-        inner = ops.tanh(ops.linear(h, p[pre + "core.w1"], p[pre + "core.b1"]))
-        h = ops.add(h, ops.linear(inner, p[pre + "core.w2"], p[pre + "core.b2"]))
-
-    out = ops.linear(h, p["head.w"], p["head.b"])
+    if isinstance(params, Tensor):
+        p = model.plan.blocks(params.value)
+        saved = []
+        value = _network(arch, p, xb, emb, cv, saved)
+        out = ops.fused(params, value, lambda g: _network_backward(
+            g, arch, model.plan, p, xb, emb, cv, saved))
+    else:
+        p = model.plan.blocks(model.params if params is None else params)
+        out = _network(arch, p, xb, emb, cv)
     if arch.head == HEAD_DUAL:
         v1 = ops.slice_axis(out, 1, 0, arch.d)
         v2 = ops.tanh(ops.slice_axis(out, 1, arch.d, 2 * arch.d))

@@ -1,6 +1,7 @@
 """Bit-stable file formats: RFC-4180 CSV with 17-digit floats, binary PGM
 images, sorted-key JSON manifests, and the model checkpoint container. No
-timestamps anywhere."""
+timestamps anywhere. CSV, manifest and checkpoint files are replaced
+atomically; PGM images, written by the hundred, are written in place."""
 
 import csv
 import json
@@ -33,7 +34,25 @@ def write_csv(path: str, rows, header=None) -> None:
         lines.append(",".join(format_cell(h) for h in header))
     for row in rows:
         lines.append(",".join(format_cell(v) for v in row))
-    Path(path).write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    _write_atomic(path, (("\r\n".join(lines) + "\r\n").encode("utf-8"),))
+
+
+def _write_atomic(path, chunks) -> None:
+    """Write the byte chunks to a temp file next to path, then rename it
+    over path, so a failed or killed write leaves any old file intact.
+
+    No fsync: the rename is atomic against a failed write, not a power cut.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_csv(path: str) -> list[list[str]]:
@@ -122,7 +141,7 @@ def to_bytes_image(samples_row: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def write_manifest(path: str, payload: dict) -> None:
     blob = json.dumps(payload, sort_keys=True, indent=2)
-    Path(path).write_bytes((blob + "\n").encode("utf-8"))
+    _write_atomic(path, ((blob + "\n").encode("utf-8"),))
 
 
 def read_manifest(path: str) -> dict:
@@ -141,22 +160,14 @@ def write_container(path: str, meta: dict, params) -> None:
     """Magic, u32 version, u32-length-prefixed sorted-key JSON metadata, then
     the parameters as little-endian float32.
 
-    The metadata gains param_count. The file is written next to path and
-    renamed over it, so a failed or killed save leaves any old file intact.
+    The metadata gains param_count. The file is written atomically (see
+    _write_atomic).
     """
     block = np.asarray(params).astype("<f4")
     meta = {**meta, "param_count": int(block.size)}
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CONTAINER_MAGIC + _HEADER.pack(CONTAINER_VERSION, len(blob)) + blob)
-            f.write(block.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    _write_atomic(path, (CONTAINER_MAGIC + _HEADER.pack(CONTAINER_VERSION, len(blob)) + blob,
+                         block.tobytes()))
 
 
 def read_container(path: str, kind: str,

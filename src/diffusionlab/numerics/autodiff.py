@@ -19,7 +19,9 @@ Two primitives serve flat parameter vectors: `view` takes one contiguous
 block of a rank-1 leaf as an array of any shape, and `linear` is the fused
 x @ w + b of a dense layer. grad scatters the adjoint of every view in
 place into one flat buffer for its parent, so a backward pass costs O(P)
-in the parameter count however many blocks the model reads.
+in the parameter count however many blocks the model reads. `fused`
+records a whole function of one Tensor as a single node with a
+caller-written backward; the denoiser network is one such node.
 """
 
 from __future__ import annotations
@@ -333,6 +335,16 @@ def view(a, start: int, stop: int, shape):
     return Tensor(t, t.append("view", (a.index,), (start, stop), flat[start:stop].reshape(shape)))
 
 
+def fused(a: Tensor, value: np.ndarray, backward):
+    """One node for a function of a's value computed off the tape.
+
+    backward(g) takes the adjoint of `value` and returns a's full adjoint,
+    so a whole sub-network costs one node and one hand-written VJP.
+    """
+    t = a.tape
+    return Tensor(t, t.append("fused", (a.index,), (backward,), value))
+
+
 # ------------------------------------------------------------ backward
 
 def _vjp_add(g, out, pv, ctx):
@@ -382,6 +394,10 @@ def _vjp_linear(g, out, pv, ctx):
     return gx, gw, _unbroadcast(g, b.shape)
 
 
+def _vjp_fused(g, out, pv, ctx):
+    return (ctx[0](g),)
+
+
 def _vjp_exp(g, out, pv, ctx):
     return (g * out,)
 
@@ -411,7 +427,7 @@ def _vjp_power(g, out, pv, ctx):
 def _vjp_sum(g, out, pv, ctx):
     axis, in_shape = ctx
     if axis is None:
-        return (np.broadcast_to(g, in_shape).copy(),)
+        return (np.full(in_shape, g),)
     return (np.broadcast_to(np.expand_dims(g, axis), in_shape).copy(),)
 
 
@@ -447,6 +463,7 @@ _VJP = {
     "scale": _vjp_scale,
     "matmul": _vjp_matmul,
     "linear": _vjp_linear,
+    "fused": _vjp_fused,
     "exp": _vjp_exp,
     "ln": _vjp_ln,
     "tanh": _vjp_tanh,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import mix64
+from .kernels import _GOLDEN, _INV53, mix64
 
 _KEY_SALT = 0x7F4A7C159E3779B9
 _SPLIT_SALT = 0xD1B54A32D192ED03
@@ -58,6 +58,11 @@ class RngStream:
         """n ints uniform on {low, ..., high - 1}; one counter each."""
         if high <= low:
             raise ValueError("integers needs high > low")
+        if n == 1:
+            # raw_block's one word in Python ints, without the array kernel
+            z = mix64(_key(self.seed) + self.counter * _GOLDEN)
+            self.counter += 1
+            return np.array([low + min(int((z >> 11) * _INV53 * (high - low)), high - low - 1)])
         u = self.uniforms(n)
         return low + np.minimum((u * (high - low)).astype(np.int64), high - low - 1)
 

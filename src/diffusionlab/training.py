@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     DiffusionLabError,
     LengthMismatch,
+    NonFiniteLoss,
     NotDualHead,
     StepOutOfRange,
 )
@@ -129,7 +130,7 @@ def _decoder_term(x0b: np.ndarray, mean: np.ndarray, log_sigma2):
     return ops.mul(ops.total(log_probs), -1.0 / x0b.shape[0])
 
 
-def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray, x0, eps, t: int,
+def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps, t: int,
                 sched: NoiseSchedule, lam: float = 0.001, cond=None, params=None):
     """||eps - v1||^2 plus lam times the variational term with learned variance.
 
@@ -138,6 +139,8 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray, x0, eps, t: int
     (stopping the mean gradient) and whose diagonal variance comes from the
     live v2 head. For t = 1 it is the negative decoder log-likelihood with
     the same mean/variance split; x0 must sit on the data grid there.
+    frozen_params None takes the live parameters as the frozen copy, so the
+    mean reuses the live v1's value instead of a second forward.
     """
     if model.arch.head != HEAD_DUAL:
         raise NotDualHead("hybrid loss needs a noise+variance head")
@@ -152,7 +155,10 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray, x0, eps, t: int
     if lam == 0.0:
         return loss if hasattr(loss, "value") else float(loss)
 
-    frozen_v1, _ = denoise(model, xt, t, cond, params=frozen_params)
+    if frozen_params is None:
+        frozen_v1 = v1.value if hasattr(v1, "value") else v1
+    else:
+        frozen_v1, _ = denoise(model, xt, t, cond, params=frozen_params)
     mean_p = reverse_mean_from_eps(xt, np.asarray(frozen_v1), t, sched)
     log_sigma2 = log_variance_interpolation(v2, t, sched)
 
@@ -217,7 +223,8 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
     dual head with hybrid_loss, cfg trains a class-conditional model with
     conditioning dropped (zeroed) with probability p_uncond per sample.
     Deterministic: identical (model, source state, cfg) give identical
-    parameter trajectories.
+    parameter trajectories. Raises NonFiniteLoss, naming the step and t,
+    at the first loss that is not finite.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
@@ -234,7 +241,7 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
     params = model.params.copy()
     d = model.arch.d
     losses: list[float] = []
-    for _ in range(cfg.N):
+    for step in range(1, cfg.N + 1):
         t = int(t_stream.integers(1, low=1, high=sched.T + 1)[0])
         x0, labels = source.take(cfg.J)
         x0 = np.asarray(x0, dtype=np.float64).reshape(cfg.J, d)
@@ -252,13 +259,16 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
         tape = ADTape()
         leaf = tape.tensor(params)
         if variant == "improved":
-            loss = hybrid_loss(model, params, x0, eps, t, sched,
+            loss = hybrid_loss(model, None, x0, eps, t, sched,
                                lam=cfg.lam, cond=cond, params=leaf)
         else:
             loss = simple_loss(model, x0, eps, t, sched, cond=cond, params=leaf)
+        value = float(loss.value)
+        if not math.isfinite(value):
+            raise NonFiniteLoss(f"training loss became non-finite at step {step} (t = {t})")
         g = grad(loss, [leaf])[0]
         params = sgd_step(params, g, cfg.gamma)
-        losses.append(float(loss.value))
+        losses.append(value)
 
     counters = {"t": t_stream.counter, "eps": noise_stream.counter,
                 "mask": mask_stream.counter}

@@ -1,11 +1,12 @@
 """The flat-parameter tape primitives: `view` and the fused `linear` node
 give bit for bit the values and gradients of the slice/reshape and
-matmul/add chains they replace, and keep the training tape small."""
+matmul/add chains they replace; `fused` wraps a hand-written backward, and
+the denoiser's one fused node keeps the training tape small."""
 
 import numpy as np
 import pytest
 
-from diffusionlab.denoiser import DenoiserArch, DenoiserModel
+from diffusionlab.denoiser import ClassConditioning, DenoiserArch, DenoiserModel
 from diffusionlab.numerics import ADTape, ParamLayout, grad, ops
 from diffusionlab.schedule import cosine_schedule
 from diffusionlab.training import simple_loss
@@ -126,14 +127,34 @@ def test_plan_tiles_the_vector_and_gives_numpy_views():
     assert blocks["c"].tolist() == [[9.0, 10.0, 11.0, 12.0]]
 
 
-def test_ddpm_training_tape_is_small_and_reads_the_leaf_through_views():
-    model = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 4), 7)
+@pytest.mark.parametrize("cond", [None, ClassConditioning(8)], ids=["ddpm", "cfg"])
+def test_training_tape_is_small_and_reads_the_leaf_through_one_fused_node(cond):
+    # ddpm and cfg (AdaGN) steps: the network is one node, the loss a few more
+    model = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 8, conditioning=cond), 7)
     rng = np.random.default_rng(4)
     x0, eps = rng.normal(size=(16, 2)), rng.normal(size=(16, 2))
+    onehot = None if cond is None else np.eye(8)[rng.integers(0, 8, size=16)]
     tape = ADTape()
     leaf = tape.tensor(model.params)
-    loss = simple_loss(model, x0, eps, 9, cosine_schedule(50), params=leaf)
-    assert len(tape) <= 40
+    loss = simple_loss(model, x0, eps, 9, cosine_schedule(50), cond=onehot, params=leaf)
+    assert len(tape) <= 8
     from_leaf = [op for op, par in zip(tape.ops, tape.parents) if leaf.index in par]
-    assert from_leaf == ["view"] * len(model.plan.plan)
+    assert from_leaf == ["fused"]
     assert grad(loss, [leaf])[0].shape == model.params.shape
+
+
+def test_fused_node_backward_gets_the_adjoint_and_returns_the_parent_adjoint():
+    rng = np.random.default_rng(6)
+    a_val, w = rng.normal(size=4), rng.normal(size=(4, 3))
+    tape = ADTape()
+    a = tape.tensor(a_val)
+    seen = []
+
+    def backward(g):
+        seen.append(g)
+        return w @ g
+
+    y = ops.fused(a, a_val @ w, backward)
+    loss = ops.total(ops.mul(y, 2.0))
+    assert _bits(grad(loss, [a])[0]) == _bits(w @ np.full(3, 2.0))
+    assert len(seen) == 1 and _bits(seen[0]) == _bits(np.full(3, 2.0))

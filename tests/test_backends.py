@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from diffusionlab.backend import HAS_NUMBA
-from diffusionlab.numerics import kernels
+from diffusionlab.numerics import RngStream, kernels
 
 from conftest import child_env
 
@@ -120,6 +120,27 @@ def test_active_backend_matches_numpy_reference():
     ref = np.empty(1024, dtype=np.float64)
     kernels._normals_block_np(np.uint64(161803), np.uint64(10), np.int64(1024), ref)
     assert np.max(np.abs(normals_active - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("high", [2, 3, 6, 51, 1001, 2**31])
+def test_one_integer_matches_the_block_kernel(high):
+    # train draws its step index t from 1..T one at a time; more than one
+    # draw at once goes through raw_block
+    for seed in (0, 7, 2**63 + 5):
+        one, block = RngStream(seed), RngStream(seed)
+        got = [int(one.integers(1, 1, high)[0]) for _ in range(500)]
+        assert got == block.integers(500, 1, high).tolist()
+        assert one.counter == block.counter == 500
+
+
+@pytest.mark.parametrize("counter", [2**64 - 5, 2**64 - 2])
+def test_one_integer_matches_the_block_kernel_across_the_counter_wrap(counter):
+    # the block kernel's uint64 counters wrap to 0 after 2**64 - 1; the
+    # one-draw path keeps counting in Python ints and takes the product mod 2**64
+    one, block = RngStream(99, counter), RngStream(99, counter)
+    got = [int(one.integers(1, 1, 51)[0]) for _ in range(4)]
+    assert got == block.integers(4, 1, 51).tolist()
+    assert one.counter == counter + 4
 
 
 @pytest.mark.parametrize("apq", [1e-160, 1e-320])

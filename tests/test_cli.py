@@ -6,6 +6,7 @@ subprocesses; the sweeps over error classes and malformed checkpoints call
 import builtins
 import hashlib
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -214,6 +215,29 @@ def test_diverging_loss_is_exit_4(tmp_path):
     proc = run_cli("train", "boom.ini", cwd=tmp_path)
     assert proc.returncode == 4
     assert "non-finite" in proc.stderr
+
+
+def test_diverging_loss_stops_at_its_step_and_saves_nothing(tmp_path):
+    # 100 000 steps would take minutes; the run must stop at the first
+    # non-finite loss, name its step, and write no checkpoint or loss file
+    def config(name, steps):
+        write_ini(tmp_path / f"{name}.ini", steps=steps, out=name)
+        text = (tmp_path / f"{name}.ini").read_text().replace("gamma = 1e-3", "gamma = 1e12")
+        (tmp_path / f"{name}.ini").write_text(text)
+
+    config("boom", 100_000)
+    proc = run_cli("train", "boom.ini", cwd=tmp_path)
+    assert proc.returncode == 4
+    match = re.search(r"non-finite at step (\d+) \(t = \d+\)", proc.stderr)
+    assert match, proc.stderr
+    assert list((tmp_path / "boom").iterdir()) == []
+    step = int(match.group(1))
+    assert step > 1
+    # the steps before it all had finite losses
+    config("before", step - 1)
+    run_ok("train", "before.ini", cwd=tmp_path)
+    losses = read_numeric_csv(str(tmp_path / "before" / "loss.csv"), skip_header=True)
+    assert losses.shape == (step - 1, 2) and np.all(np.isfinite(losses))
 
 
 # ------------------------------------------------------------ sample

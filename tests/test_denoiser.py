@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from diffusionlab import training
+from diffusionlab.data import quantize_to_grid
 from diffusionlab.denoiser import (
     HEAD_DUAL,
     ClassConditioning,
     DenoiserArch,
     DenoiserModel,
     TimeEmbeddingSpec,
+    _check_conditioning,
+    _const_group_matrices,
+    _embedding,
     adagn,
     denoise,
     init_params,
@@ -23,6 +28,7 @@ from diffusionlab.errors import (
     StepOutOfRange,
 )
 from diffusionlab.numerics import ADTape, grad, ops
+from diffusionlab.schedule import cosine_schedule
 
 
 # ------------------------------------------------------------ time embedding
@@ -268,3 +274,131 @@ def test_varied_widths_use_projection():
     out, _ = denoise(model, np.array([0.3, 0.4]), 2)
     assert out.shape == (2,)
     assert np.all(np.isfinite(out))
+
+
+# ------------------------------------------------------------ the fused node
+
+# The network as it was composed from tape primitives, one node per linear,
+# add, tanh, slice and AdaGN step: the oracle for the fused node's values
+# and hand-written backward.
+
+
+def _oracle_adagn(x, y1, y2, beta=0.0, gamma=1.0, eps=1e-5, groups=1):
+    avg, ind, tile = _const_group_matrices(x.shape[-1], y1.shape[-1], groups)
+    m = ops.matmul(ops.matmul(x, avg.T), ind)
+    centered = ops.sub(x, m)
+    v = ops.matmul(ops.matmul(ops.mul(centered, centered), avg.T), ind)
+    normed = ops.div(centered, ops.sqrt(ops.add(v, eps)))
+    gn = ops.add(ops.mul(normed, gamma), beta)
+    return ops.add(ops.mul(ops.matmul(y1, tile.T), gn), ops.matmul(y2, tile.T))
+
+
+def _oracle_denoise(model, xt, t, cond=None, params=None):
+    arch = model.arch
+    xv = np.asarray(xt, dtype=np.float64)
+    single = xv.ndim == 1
+    xb = xv.reshape(1, -1) if single else xv
+    cv = _check_conditioning(arch, cond, xb.shape[0])
+    p = model.plan.blocks(model.params if params is None else params)
+    emb = _embedding(t, arch.d_emb)
+    h = ops.linear(xb, p["input.w"], p["input.b"])
+    for k, w in enumerate(arch.hidden):
+        pre = f"block{k}."
+        if pre + "proj.w" in p:
+            h = ops.linear(h, p[pre + "proj.w"], p[pre + "proj.b"])
+        h = ops.add(h, ops.linear(emb, p[pre + "time.w"], p[pre + "time.b"]))
+        if cv is not None:
+            ypair = ops.linear(cv, p[pre + "cls.w"], p[pre + "cls.b"])
+            y1 = ops.slice_axis(ypair, 1, 0, w)
+            y2 = ops.slice_axis(ypair, 1, w, 2 * w)
+            h = _oracle_adagn(h, y1, y2)
+        inner = ops.tanh(ops.linear(h, p[pre + "core.w1"], p[pre + "core.b1"]))
+        h = ops.add(h, ops.linear(inner, p[pre + "core.w2"], p[pre + "core.b2"]))
+    out = ops.linear(h, p["head.w"], p["head.b"])
+    if arch.head == HEAD_DUAL:
+        v1 = ops.slice_axis(out, 1, 0, arch.d)
+        v2 = ops.tanh(ops.slice_axis(out, 1, arch.d, 2 * arch.d))
+        if single:
+            return ops.reshape(v1, (arch.d,)), ops.reshape(v2, (arch.d,))
+        return v1, v2
+    return (ops.reshape(out, (arch.d,)) if single else out), None
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+_FUSED_ARCHS = {
+    "plain": DenoiserArch(2, (8, 8), 4),
+    "class": DenoiserArch(2, (8, 8), 6, conditioning=ClassConditioning(3)),
+    "class-dual-proj": DenoiserArch(3, (6, 10), 4, HEAD_DUAL, ClassConditioning(4)),
+    "dual-proj": DenoiserArch(3, (8, 4, 4), 8, HEAD_DUAL),
+}
+_SCHED = cosine_schedule(50)
+
+
+def _loss_and_grad(loss_fn, model, params):
+    tape = ADTape()
+    leaf = tape.tensor(params)
+    loss = loss_fn(leaf)
+    return loss.value, grad(loss, [leaf])[0], len(tape)
+
+
+def _cases(arch, seed):
+    """(x0, eps, cond) for 1-D single inputs and batches of 1, 5 and 16."""
+    rng = np.random.default_rng(seed)
+    for shape in ((arch.d,), (1, arch.d), (5, arch.d), (16, arch.d)):
+        x0 = quantize_to_grid(np.clip(0.5 * rng.normal(size=shape), -1.0, 1.0))
+        eps = rng.normal(size=shape)
+        cond = None
+        if arch.conditioning is not None:
+            onehot = np.eye(arch.conditioning.num_classes)[
+                rng.integers(0, arch.conditioning.num_classes, size=shape[:-1] or (1,))]
+            onehot[rng.random(onehot.shape[0]) < 0.3] = 0.0  # dropped conditioning
+            cond = onehot[0] if len(shape) == 1 else onehot
+        yield x0, eps, cond
+
+
+@pytest.mark.parametrize("name, loss", [(name, loss) for name in sorted(_FUSED_ARCHS)
+                                        for loss in ("simple", "hybrid")
+                                        if loss == "simple" or _FUSED_ARCHS[name].head == HEAD_DUAL])
+@pytest.mark.parametrize("zero_params", [False, True])
+def test_fused_network_matches_the_composed_tape_bit_for_bit(name, loss, zero_params,
+                                                             monkeypatch):
+    arch = _FUSED_ARCHS[name]
+    model = DenoiserModel.initialized(arch, 5)
+    if zero_params:  # exact zeros everywhere: the signs of zero adjoints must match
+        model = model.with_params(np.zeros(model.param_count))
+    frozen = DenoiserModel.initialized(arch, 6).params
+    for x0, eps, cond in _cases(arch, 9):
+        for t in (1, 2, _SCHED.T):
+            if loss == "simple":
+                fn = lambda p: training.simple_loss(model, x0, eps, t, _SCHED, cond, params=p)
+            else:
+                fn = lambda p: training.hybrid_loss(model, frozen, x0, eps, t, _SCHED,
+                                                    lam=0.3, cond=cond, params=p)
+            value, g, nodes = _loss_and_grad(fn, model, model.params)
+            with monkeypatch.context() as m:
+                m.setattr(training, "denoise", _oracle_denoise)
+                want_value, want_g, oracle_nodes = _loss_and_grad(fn, model, model.params)
+            assert nodes < oracle_nodes
+            assert _bits(value) == _bits(want_value), (x0.shape, t)
+            assert _bits(g) == _bits(want_g), (x0.shape, t)
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED_ARCHS))
+def test_fused_network_outputs_match_the_composed_tape(name):
+    arch = _FUSED_ARCHS[name]
+    model = DenoiserModel.initialized(arch, 3)
+    for x0, _, cond in _cases(arch, 4):
+        for t in (1, 2, _SCHED.T):
+            tape = ADTape()
+            got = denoise(model, x0, t, cond, params=tape.tensor(model.params))
+            plain = denoise(model, x0, t, cond)
+            want = _oracle_denoise(model, x0, t, cond, params=ADTape().tensor(model.params))
+            for a, b, c in zip(got, plain, want):
+                if c is None:
+                    assert a is None and b is None
+                    continue
+                assert a.shape == b.shape == c.shape
+                assert _bits(a.value) == _bits(b) == _bits(c.value)

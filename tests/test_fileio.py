@@ -1,11 +1,13 @@
 """CSV, PGM, and manifest round trips, plus the malformed-file error paths."""
 
+import errno
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from diffusionlab import fileio
 from diffusionlab.errors import BadMagic, LengthMismatch, TruncatedFile
 from diffusionlab.fileio import (
     format_cell,
@@ -313,3 +315,45 @@ def test_manifest_bytes_deterministic_and_sorted(tmp_path):
     keys = list(json.loads(a.read_text()).keys())
     assert keys == sorted(keys)
     assert a.read_bytes().endswith(b"}\n")
+
+
+# ------------------------------------------------------------ atomic replacement
+
+
+@pytest.mark.parametrize("name, write", [
+    ("loss.csv", lambda p, v: write_csv(p, [(1, v)], header=("step", "loss"))),
+    ("samples.csv", lambda p, v: write_samples_csv(p, np.full((3, 2), v))),
+    ("manifest.json", lambda p, v: write_manifest(p, {"seed": v})),
+])
+def test_failed_text_write_keeps_the_old_file(tmp_path, monkeypatch, name, write):
+    # the second write of the file runs out of space: the first file's bytes
+    # survive and no temp file is left beside it
+    path = tmp_path / name
+    write(path, 1.5)
+    old = path.read_bytes()
+
+    class DiskFull:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    opened = []
+
+    def failing_open(file, mode="r"):
+        opened.append(str(file))
+        return DiskFull(open(file, mode))
+
+    monkeypatch.setattr(fileio, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        write(path, 2.5)
+    assert len(opened) == 1 and opened[0].startswith(str(path) + ".")
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [name]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from diffusionlab import fileio
+from diffusionlab import data, fileio, metrics, sampler, training
 from diffusionlab.denoiser import (
     HEAD_DUAL,
     HEAD_NOISE,
@@ -20,13 +20,14 @@ from diffusionlab.errors import (
     ConfigError,
     DataExhausted,
     LengthMismatch,
+    NonFiniteLoss,
     NotDualHead,
     OffGridInput,
     StepOutOfRange,
     TruncatedFile,
 )
 from diffusionlab.forward import GRID_STEP, decoder_loglik, forward_sample, posterior_coefficients
-from diffusionlab.numerics import ADTape, RngStream, grad
+from diffusionlab.numerics import ADTape, RngStream, grad, kernels
 from diffusionlab.schedule import cosine_schedule, linear_schedule
 from diffusionlab.training import (
     Checkpoint,
@@ -220,6 +221,24 @@ def test_hybrid_loss_zero_weight_equals_simple_loss():
     got = hybrid_loss(model, model.params, x0, eps, 8, sched, lam=0.0)
     want = simple_loss(model, x0, eps, 8, sched)
     assert got == want
+
+
+@pytest.mark.parametrize("t", [1, 2, 7])
+def test_hybrid_loss_without_a_frozen_copy_takes_the_live_parameters(t):
+    # train passes None: the mean path then reuses the live forward's v1
+    model = _model(HEAD_DUAL, hidden=(8, 6), seed=14)
+    sched = linear_schedule(10)
+    rng = RngStream(6)
+    x0 = _quantize(0.5 * rng.normals(8).reshape(4, 2))
+    eps = rng.normals(8).reshape(4, 2)
+    results = []
+    for frozen in (model.params, None):
+        plain = hybrid_loss(model, frozen, x0, eps, t, sched, lam=0.4)
+        tape = ADTape()
+        leaf = tape.tensor(model.params)
+        loss = hybrid_loss(model, frozen, x0, eps, t, sched, lam=0.4, params=leaf)
+        results.append((plain, float(loss.value), grad(loss, [leaf])[0].tobytes()))
+    assert results[0] == results[1]
 
 
 def test_hybrid_loss_off_grid_x0_rejected_at_first_step():
@@ -466,6 +485,33 @@ def test_train_raises_when_source_runs_dry():
     src = ArraySource(np.zeros((7, 2)))
     with pytest.raises(DataExhausted):
         train(model, src, TrainConfig(gamma=0.01, J=4, N=2, seed=1), sched)
+
+
+def test_train_stops_at_the_first_non_finite_loss():
+    # the third batch holds a nan, so the loss of step 3 is nan
+    x = np.full((40, 2), 0.25)
+    x[9, 1] = np.nan
+    model = _model(seed=2)
+    cfg = TrainConfig(gamma=0.01, J=4, N=10, seed=5)
+    t3 = int(RngStream(5).split(1).integers(3, 1, 11)[2])
+    src = ArraySource(x)
+    with pytest.raises(NonFiniteLoss, match=rf"at step 3 \(t = {t3}\)"):
+        train(model, src, cfg, linear_schedule(10))
+    assert src.pos == 12  # no batch drawn after the failing step
+
+
+def test_train_names_the_benchmark_tracer_wraps_exist():
+    # perfbench's tracer times the train and sample layers by wrapping these
+    # attributes; a rename would leave their per-layer figures silently zero
+    wrapped = {training: ("denoise", "simple_loss", "hybrid_loss", "grad", "sgd_step"),
+               sampler: ("denoise", "ddpm_sample"),
+               RngStream: ("split", "normals", "raw"),
+               data.MixtureSampler: ("take",), data.DatasetCursor: ("take",),
+               metrics.FeatureModel: ("features", "probs"), metrics: ("spd_sqrt",),
+               kernels: ("jacobi_sweeps",)}
+    for owner, names in wrapped.items():
+        for name in names:
+            assert callable(getattr(owner, name, None)), (owner.__name__, name)
 
 
 def test_train_variant_validation():
