@@ -1,11 +1,12 @@
 """diffusionlab: a desk-scale denoising diffusion laboratory.
 
 Training, sampling, noise schedules, Gaussian closed forms, and evaluation
-metrics over a minimal numpy/numba numeric core. See README for the CLI.
+metrics over a minimal pure-numpy numeric core. See README for the CLI.
 """
 
 __version__ = "0.1.0"
 
-from .backend import BACKEND, HAS_NUMBA, USE_NUMBA
+# the one numeric implementation; run records name it
+BACKEND = "numpy"
 
-__all__ = ["BACKEND", "HAS_NUMBA", "USE_NUMBA", "__version__"]
+__all__ = ["BACKEND", "__version__"]

@@ -3,7 +3,6 @@ the discretized decoder likelihood for data on the 256-level grid.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +20,9 @@ GRID_STEP = 2.0 / 255.0
 HALF_BIN = 1.0 / 255.0
 
 
-@dataclass(frozen=True)
-class NoisedSample:
-    """One closed-form draw x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
-
-    x0: np.ndarray
-    t: int
-    eps: np.ndarray
-    xt: np.ndarray
-
-
-def forward_sample(x0, t: int, eps, sched: NoiseSchedule) -> NoisedSample:
-    """Jump straight to step t of the forward process using one normal draw."""
+def forward_sample(x0, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
+    """x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps: step t of the forward
+    process in one jump, from the normal draw eps."""
     if not (1 <= t <= sched.T):
         raise StepOutOfRange(f"step {t} outside 1..{sched.T}")
     x0 = np.asarray(x0, dtype=np.float64)
@@ -40,8 +30,7 @@ def forward_sample(x0, t: int, eps, sched: NoiseSchedule) -> NoisedSample:
     if x0.shape != eps.shape:
         raise DimensionMismatch(f"shapes {x0.shape} vs {eps.shape}")
     ab = sched.abar(t)
-    xt = math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
-    return NoisedSample(x0, t, eps, xt)
+    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
 
 
 def posterior_coefficients(t: int, sched: NoiseSchedule) -> tuple[float, float]:

@@ -282,17 +282,7 @@ def sqrt(a):
 
 def total(a):
     """Sum of every entry (scalar)."""
-    return _unary("sum", a, lambda v: np.asarray(np.sum(v)), (None, _value(a).shape))
-
-
-def sum_axis(a, axis: int):
-    return _unary("sum", a, lambda v: np.sum(v, axis=axis), (axis, _value(a).shape))
-
-
-def mean(a):
-    """Mean of every entry (scalar)."""
-    n = float(_value(a).size)
-    return _unary("mean", a, lambda v: np.asarray(np.mean(v)), (n, _value(a).shape))
+    return _unary("sum", a, lambda v: np.asarray(np.sum(v)), (_value(a).shape,))
 
 
 def softmax(a, axis: int = -1):
@@ -425,15 +415,7 @@ def _vjp_power(g, out, pv, ctx):
 
 
 def _vjp_sum(g, out, pv, ctx):
-    axis, in_shape = ctx
-    if axis is None:
-        return (np.full(in_shape, g),)
-    return (np.broadcast_to(np.expand_dims(g, axis), in_shape).copy(),)
-
-
-def _vjp_mean(g, out, pv, ctx):
-    n, in_shape = ctx
-    return (np.broadcast_to(g / n, in_shape).copy(),)
+    return (np.full(ctx[0], g),)
 
 
 def _vjp_softmax(g, out, pv, ctx):
@@ -471,7 +453,6 @@ _VJP = {
     "clip_min": _vjp_clip_min,
     "power": _vjp_power,
     "sum": _vjp_sum,
-    "mean": _vjp_mean,
     "softmax": _vjp_softmax,
     "reshape": _vjp_reshape,
     "slice": _vjp_slice,

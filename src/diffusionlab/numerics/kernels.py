@@ -1,15 +1,11 @@
-"""Hot kernels with numba scalar-loop and vectorized-numpy implementations.
-
-Public entry points (`raw_block`, `normals_block`, `normals_rows`,
-`jacobi_sweeps`) bind to one implementation at import time, per
-diffusionlab.backend. Both paths of the integer mixer are exact and bitwise
-identical; the float kernels agree to a few ulps (see backend module
-docstring).
+"""Hot numeric kernels: counter-stream words, Box-Muller normals, Jacobi.
 
 The generator is counter based: output j of a stream is a pure function
 mix(key + (counter + j) * GOLDEN) of the stream key and the absolute
 counter, so any prefix can be regenerated and streams never share state.
-mix is the splitmix64 finalizer.
+mix is the splitmix64 finalizer. Counters are taken mod 2**64 in python
+ints, because a uint64 scalar product raises numpy's overflow warning where
+the counter wraps; uint64 array arithmetic wraps silently.
 """
 
 import math
@@ -17,14 +13,11 @@ import sys
 
 import numpy as np
 
-from ..backend import USE_NUMBA, jit
-
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-# uint64 copies of the constants; numba freezes these with the right type
 _GOLDEN_U = np.uint64(_GOLDEN)
 _GOLDEN2_U = np.uint64(2 * _GOLDEN & _U64)
 _MIX1_U = np.uint64(_MIX1)
@@ -52,112 +45,58 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# ---------------------------------------------------------------- numba path
-
-def _raw_block_loop(key, counter, n, out):  # pragma: no cover - jit source
-    for i in range(n):
-        z = key + (counter + np.uint64(i)) * _GOLDEN_U
-        z = (z ^ (z >> _S30)) * _MIX1_U
-        z = (z ^ (z >> _S27)) * _MIX2_U
-        out[i] = z ^ (z >> _S31)
-
-
-def _normals_block_loop(key, counter, n, out):  # pragma: no cover - jit source
-    for i in range(n):
-        c = counter + np.uint64(2 * i)
-        z = key + c * _GOLDEN_U
-        z = (z ^ (z >> _S30)) * _MIX1_U
-        z = (z ^ (z >> _S27)) * _MIX2_U
-        z = z ^ (z >> _S31)
-        u1 = np.float64((z >> _S11) + _ONE_U) * _INV53  # (0, 1]
-        z = key + (c + _ONE_U) * _GOLDEN_U
-        z = (z ^ (z >> _S30)) * _MIX1_U
-        z = (z ^ (z >> _S27)) * _MIX2_U
-        z = z ^ (z >> _S31)
-        u2 = np.float64(z >> _S11) * _INV53  # [0, 1)
-        out[i] = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-
-
-def _jacobi_sweeps_loop(a, v, tol_abs, max_sweeps):  # pragma: no cover - jit source
-    d = a.shape[0]
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(d):
-            for j in range(i + 1, d):
-                off += 2.0 * a[i, j] * a[i, j]
-        if math.sqrt(off) <= tol_abs:
-            return sweep
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                tau = float(a[q, q] - a[p, p]) / (2.0 * float(apq))
-                if abs(tau) > _TAU_MAX:
-                    continue
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(d):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(d):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                for k in range(d):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    return max_sweeps
-
-
-# ---------------------------------------------------------------- numpy path
-
 def _mix_array(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _S30)) * _MIX1_U
     z = (z ^ (z >> _S27)) * _MIX2_U
     return z ^ (z >> _S31)
 
 
-def _raw_block_np(key, counter, n, out):
-    idx = np.arange(n, dtype=np.uint64)
-    z = key + (counter + idx) * _GOLDEN_U
-    out[:] = _mix_array(z)
+def raw_block(key: int, counter: int, n: int) -> np.ndarray:
+    """n raw uint64 words for absolute counters [counter, counter + n)."""
+    start = np.uint64((key + counter * _GOLDEN) & _U64)
+    return _mix_array(start + np.arange(n, dtype=np.uint64) * _GOLDEN_U)
 
 
-def _normals_block_np(key, counter, n, out):
-    """Box-Muller draws for counters (counter + 2i, counter + 2i + 1), i < n.
+def normals_block(key: int, counter: int, n: int) -> np.ndarray:
+    """n standard normals; draw i consumes counters (counter+2i, counter+2i+1).
 
-    key is one uint64 key, with out of length n, or a column of keys of
-    shape (rows, 1), with out of shape (rows, n): row r then holds what
-    key[r] alone would give, drawn in one pass over the whole grid. The
-    counter is taken mod 2**64 in python ints, because a uint64 scalar
-    product raises numpy's overflow warning where the counter wraps.
+    Box-Muller, cosine branch only, so every draw has a fixed counter cost
+    and concatenated calls reproduce one long call exactly.
     """
-    start = np.asarray(key, dtype=np.uint64).reshape(-1, 1)
-    start = start + np.uint64(int(counter) * _GOLDEN & _U64)  # key + counter * GOLDEN
-    step = np.arange(n, dtype=np.uint64) * _GOLDEN2_U
+    out = np.empty(n, dtype=np.float64)
+    normals_rows(np.array([key], dtype=np.uint64), counter, out.reshape(1, n))
+    return out
+
+
+def normals_rows(keys: np.ndarray, counter: int, out: np.ndarray) -> None:
+    """Fill out (rows, n) so that out[r] == normals_block(keys[r], counter, n).
+
+    keys is a uint64 array of one key per row and counter a python int. The
+    whole grid is drawn in one pass, with the keys as a column broadcast
+    against the row of counter offsets.
+    """
+    start = keys.reshape(-1, 1) + np.uint64(int(counter) * _GOLDEN & _U64)
+    step = np.arange(out.shape[1], dtype=np.uint64) * _GOLDEN2_U
     b1 = _mix_array(start + step)
     b2 = _mix_array((start + _GOLDEN_U) + step)
     u1 = ((b1 >> _S11) + _ONE_U).astype(np.float64) * _INV53  # (0, 1]
     u2 = (b2 >> _S11).astype(np.float64) * _INV53  # [0, 1)
-    np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(_TWO_PI * u2),
-                out=out.reshape(start.shape[0], n))
+    np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(_TWO_PI * u2), out=out)
 
 
-def _jacobi_sweeps_np(a, v, tol_abs, max_sweeps):
+def jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol_abs: float, max_sweeps: int) -> int:
+    """In-place cyclic Jacobi on symmetric a, accumulating rotations into v.
+
+    Sweeps until the off-diagonal Frobenius norm, sqrt(2 sum_{i<j} a_ij^2),
+    is at most tol_abs, and returns the number of sweeps run. The norm is
+    summed over the strict upper triangle: sum(a^2) - sum(diag^2) cancels
+    once the diagonal dominates and would stop with off-diagonal entries
+    far above tol_abs.
+    """
     d = a.shape[0]
+    upper = np.triu_indices(d, 1)
     for sweep in range(max_sweeps):
-        off = math.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if off <= tol_abs:
+        if math.sqrt(2.0 * float(np.sum(np.square(a[upper])))) <= tol_abs:
             return sweep
         for p in range(d - 1):
             for q in range(p + 1, d):
@@ -183,56 +122,3 @@ def _jacobi_sweeps_np(a, v, tol_abs, max_sweeps):
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
     return max_sweeps
-
-
-# ----------------------------------------------------------------- dispatch
-
-if USE_NUMBA:
-    _raw_block = jit(_raw_block_loop)
-    _normals_block = jit(_normals_block_loop)
-    _jacobi = jit(_jacobi_sweeps_loop)
-else:
-    _raw_block = _raw_block_np
-    _normals_block = _normals_block_np
-    _jacobi = _jacobi_sweeps_np
-
-
-def raw_block(key: int, counter: int, n: int) -> np.ndarray:
-    """n raw uint64 words for absolute counters [counter, counter + n)."""
-    out = np.empty(n, dtype=np.uint64)
-    if n:
-        _raw_block(np.uint64(key), np.uint64(counter), np.int64(n), out)
-    return out
-
-
-def normals_block(key: int, counter: int, n: int) -> np.ndarray:
-    """n standard normals; draw i consumes counters (counter+2i, counter+2i+1).
-
-    Box-Muller, cosine branch only, so every draw has a fixed counter cost
-    and concatenated calls reproduce one long call exactly.
-    """
-    out = np.empty(n, dtype=np.float64)
-    if n:
-        _normals_block(np.uint64(key), np.uint64(counter), np.int64(n), out)
-    return out
-
-
-def normals_rows(keys: np.ndarray, counter: int, out: np.ndarray) -> None:
-    """Fill out (rows, n) so that out[r] == normals_block(keys[r], counter, n).
-
-    keys is a uint64 array of one key per row and counter a python int
-    (taken mod 2**64). The numpy backend draws the whole grid in one
-    vectorised pass; the numba backend runs its jit kernel row by row, so
-    each backend keeps the bits of its single-stream kernel.
-    """
-    if USE_NUMBA:
-        c, n = np.uint64(int(counter) & _U64), np.int64(out.shape[1])
-        for r, key in enumerate(keys):
-            _normals_block(key, c, n, out[r])
-    else:
-        _normals_block_np(keys.reshape(-1, 1), counter, out.shape[1], out)
-
-
-def jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol_abs: float, max_sweeps: int) -> int:
-    """In-place cyclic Jacobi on symmetric a, accumulating rotations into v."""
-    return int(_jacobi(a, v, float(tol_abs), int(max_sweeps)))

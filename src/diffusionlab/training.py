@@ -82,7 +82,7 @@ def simple_loss(model: DenoiserModel, x0, eps, t: int, sched: NoiseSchedule,
     """
     x0b, _ = _batched(x0)
     epsb, _ = _batched(eps)
-    xt = forward_sample(x0b, t, epsb, sched).xt
+    xt = forward_sample(x0b, t, epsb, sched)
     eps_hat, _ = denoise(model, xt, t, cond, params=params)
     r = ops.sub(epsb, eps_hat)
     out = ops.mul(ops.total(ops.mul(r, r)), 1.0 / x0b.shape[0])
@@ -147,7 +147,7 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps,
     x0b, single = _batched(x0)
     epsb, _ = _batched(eps)
     J = x0b.shape[0]
-    xt = forward_sample(x0b, t, epsb, sched).xt
+    xt = forward_sample(x0b, t, epsb, sched)
 
     v1, v2 = denoise(model, xt, t, cond, params=params)
     r = ops.sub(epsb, v1)

@@ -11,13 +11,13 @@ import diffusionlab
 PACKAGE_ROOT = str(Path(diffusionlab.__file__).resolve().parents[1])
 
 
-def child_env(**overrides):
-    """os.environ plus `overrides`, with PACKAGE_ROOT first on PYTHONPATH.
+def child_env():
+    """os.environ with PACKAGE_ROOT first on PYTHONPATH.
 
     Existing PYTHONPATH entries are kept after it, so a relative entry such
     as `src` no longer decides what the child imports.
     """
-    env = dict(os.environ, **overrides)
+    env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
     return env

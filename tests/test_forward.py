@@ -37,26 +37,23 @@ def test_forward_sample_formula():
     sch = linear_schedule(100)
     x0 = np.array([0.5, -0.25])
     eps = np.array([1.0, 2.0])
-    ns = forward_sample(x0, 40, eps, sch)
+    xt = forward_sample(x0, 40, eps, sch)
     ab = sch.abar(40)
-    np.testing.assert_array_equal(
-        ns.xt, math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
-    )
-    assert ns.t == 40
+    np.testing.assert_array_equal(xt, math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps)
 
 
 def test_forward_sample_zero_noise_limit():
     # alpha_bar = 1 collapses the draw onto the datum
     sch = _probe_schedule([1.0, 1.0])
-    ns = forward_sample([0.3, -0.8], 2, [5.0, -5.0], sch)
-    np.testing.assert_array_equal(ns.xt, [0.3, -0.8])
+    xt = forward_sample([0.3, -0.8], 2, [5.0, -5.0], sch)
+    np.testing.assert_array_equal(xt, [0.3, -0.8])
 
 
 def test_forward_sample_pure_noise_limit():
     sch = _probe_schedule([1e-300, 1e-300])
     eps = np.array([1.5, -0.5])
-    ns = forward_sample([0.3, -0.8], 2, eps, sch)
-    np.testing.assert_allclose(ns.xt, eps, atol=1e-140)
+    xt = forward_sample([0.3, -0.8], 2, eps, sch)
+    np.testing.assert_allclose(xt, eps, atol=1e-140)
 
 
 def test_forward_sample_step_bounds():
@@ -131,7 +128,7 @@ def test_posterior_mean_in_noise_form():
     x0 = rng.normal(size=3)
     for t in range(2, 31):
         eps = rng.normal(size=3)
-        xt = forward_sample(x0, t, eps, sch).xt
+        xt = forward_sample(x0, t, eps, sch)
         mean, _ = posterior_mean_var(xt, x0, t, sch)
         a, ab = sch.a(t), sch.abar(t)
         direct = (xt - (1.0 - a) / math.sqrt(1.0 - ab) * eps) / math.sqrt(a)

@@ -1,0 +1,142 @@
+"""The numeric kernels and the SPD matrix root built on them.
+
+Counter-stream words are exact integer arithmetic, so the vectorised
+kernels must match a scalar reference loop bitwise; Box-Muller normals go
+through libm in the loop and numpy's ufuncs in the kernel, which may differ
+by a few ulps, bounded here at 1e-12.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from diffusionlab.errors import IndefiniteMatrix, NotSymmetric
+from diffusionlab.numerics import RngStream, kernels, spd_sqrt
+
+
+def _oracle_raw_block(key, counter, n):
+    """raw_block one word at a time, in uint64 scalars."""
+    out = np.empty(n, dtype=np.uint64)
+    key, counter = np.uint64(key), np.uint64(counter)
+    # the mixer wraps mod 2^64 on purpose; silence numpy's scalar warning
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            z = key + (counter + np.uint64(i)) * kernels._GOLDEN_U
+            z = (z ^ (z >> kernels._S30)) * kernels._MIX1_U
+            z = (z ^ (z >> kernels._S27)) * kernels._MIX2_U
+            out[i] = z ^ (z >> kernels._S31)
+    return out
+
+
+def _oracle_normals_block(key, counter, n):
+    """normals_block one draw at a time, with math.log and math.cos."""
+    words = _oracle_raw_block(key, counter, 2 * n)
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        u1 = float((words[2 * i] >> kernels._S11) + kernels._ONE_U) * kernels._INV53  # (0, 1]
+        u2 = float(words[2 * i + 1] >> kernels._S11) * kernels._INV53  # [0, 1)
+        out[i] = math.sqrt(-2.0 * math.log(u1)) * math.cos(kernels._TWO_PI * u2)
+    return out
+
+
+def test_scalar_loop_source_matches_vectorized_raw():
+    assert np.array_equal(_oracle_raw_block(31337, 77, 512), kernels.raw_block(31337, 77, 512))
+
+
+def test_scalar_loop_source_matches_vectorized_normals():
+    got = kernels.normals_block(5, 0, 512)
+    assert np.max(np.abs(_oracle_normals_block(5, 0, 512) - got)) <= 1e-12
+
+
+@pytest.mark.parametrize("high", [2, 3, 6, 51, 1001, 2**31])
+def test_one_integer_matches_the_block_kernel(high):
+    # train draws its step index t from 1..T one at a time; more than one
+    # draw at once goes through raw_block
+    for seed in (0, 7, 2**63 + 5):
+        one, block = RngStream(seed), RngStream(seed)
+        got = [int(one.integers(1, 1, high)[0]) for _ in range(500)]
+        assert got == block.integers(500, 1, high).tolist()
+        assert one.counter == block.counter == 500
+
+
+@pytest.mark.parametrize("counter", [2**64 - 5, 2**64 - 2])
+def test_one_integer_matches_the_block_kernel_across_the_counter_wrap(counter):
+    # the block kernel's uint64 counters wrap to 0 after 2**64 - 1; the
+    # one-draw path keeps counting in Python ints and takes the product mod 2**64
+    one, block = RngStream(99, counter), RngStream(99, counter)
+    got = [int(one.integers(1, 1, 51)[0]) for _ in range(4)]
+    assert got == block.integers(4, 1, 51).tolist()
+    assert one.counter == counter + 4
+
+
+# ---------------------------------------------------------------- Jacobi
+
+
+@pytest.mark.parametrize("apq", [1e-160, 1e-320])
+def test_jacobi_skips_rotations_whose_angle_underflows(apq):
+    # a tiny a_pq against a diagonal gap of 1 makes tau^2 (or, for a
+    # subnormal a_pq, tau itself) overflow; that rotation is the identity
+    # and must pass without a floating-point warning
+    m = np.array([[1.0, apq, 0.5], [apq, 2.0, 0.0], [0.5, 0.0, 3.0]])
+    a, v = m.copy(), np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels.jacobi_sweeps(a, v, 1e-12 * np.linalg.norm(m), 60)
+    np.testing.assert_allclose(np.sort(np.diag(a)), np.linalg.eigvalsh(m), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(v @ np.diag(np.diag(a)) @ v.T, m, rtol=0, atol=1e-14)
+
+
+def test_jacobi_converges_when_the_diagonal_dominates():
+    # sum(a^2) - sum(diag^2) cancels to zero here although every
+    # off-diagonal entry is 270x over the tolerance
+    m = np.array([[1.0, 1e-9, -1e-9], [1e-9, 2.0, 1e-9], [-1e-9, 1e-9, 3.0]])
+    tol_abs = 1e-12 * np.linalg.norm(m)
+    a, v = m.copy(), np.eye(3)
+    assert kernels.jacobi_sweeps(a, v, tol_abs, 60) >= 1
+    assert np.max(np.abs(a[~np.eye(3, dtype=bool)])) < tol_abs
+
+
+# ---------------------------------------------------------------- spd_sqrt
+
+
+def _residual_bound(m):
+    return 1e-8 * (1.0 + np.linalg.norm(m))
+
+
+@pytest.mark.parametrize("n,rank", [(1, 1), (3, 3), (8, 8), (16, 16), (6, 2), (16, 5)])
+def test_spd_sqrt_squares_back_to_its_input(n, rank):
+    a = np.random.default_rng(n * 31 + rank).normal(size=(n, rank))
+    m = a @ a.T
+    s = spd_sqrt(m)
+    assert np.array_equal(s, s.T)
+    assert np.linalg.norm(s @ s - m) <= _residual_bound(m)
+
+
+def test_spd_sqrt_clamps_slightly_negative_eigenvalues_to_zero():
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    m = q @ np.diag([4.0, 1.0, -5e-7]) @ q.T
+    m = 0.5 * (m + m.T)
+    want = q @ np.diag([2.0, 1.0, 0.0]) @ q.T
+    np.testing.assert_allclose(spd_sqrt(m), want, rtol=0, atol=1e-10)
+
+
+def test_spd_sqrt_rejects_an_indefinite_matrix():
+    with pytest.raises(IndefiniteMatrix):
+        spd_sqrt(np.diag([1.0, -2e-6]))
+
+
+@pytest.mark.parametrize("m", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))])
+def test_spd_sqrt_rejects_a_non_square_input(m):
+    with pytest.raises(NotSymmetric):
+        spd_sqrt(m)
+
+
+def test_spd_sqrt_rejects_asymmetry_above_1e_10():
+    m = np.eye(3)
+    m[0, 1] = 2e-10
+    with pytest.raises(NotSymmetric):
+        spd_sqrt(m)
+    m[0, 1] = 5e-11
+    np.testing.assert_allclose(spd_sqrt(m), np.eye(3), rtol=0, atol=1e-10)

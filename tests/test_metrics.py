@@ -16,6 +16,7 @@ from diffusionlab.metrics import (
     SSIM_C2,
     FeatureModel,
     MetricReport,
+    _feature_layout,
     discrete_kl,
     fid,
     inception_score,
@@ -231,6 +232,23 @@ def test_fid_symmetric_and_nonnegative():
     assert fid(x, y, IdentityFeatures()) == pytest.approx(
         fid(y, x, IdentityFeatures()), abs=1e-8)
     assert fid(x, y, IdentityFeatures()) >= -1e-8
+
+
+def test_fid_on_a_near_singular_16_feature_covariance():
+    # a 16-feature model whose feature covariance has a smallest eigenvalue
+    # of about 1e-5: the matrix roots must converge well past the point
+    # where the diagonal dominates. The reference is the same formula on
+    # the float64 features, in 50-digit mpmath (eigsy for both roots).
+    rng = np.random.default_rng(9)
+    plan = _feature_layout(2, (32,), 16, 8)
+    params = np.empty(plan.total)
+    for name, start, stop, shape in plan.plan:
+        fan_in = shape[0] if len(shape) == 2 else plan.offsets[name[:-2] + ".w"][1][0]
+        params[start:stop] = rng.uniform(-2.0, 2.0, stop - start) / math.sqrt(fan_in)
+    fm = FeatureModel(2, 8, 16, (32,), params)
+    gen = rng.normal(size=(1000, 2)) * 0.3 + 0.05
+    ref = rng.normal(size=(1000, 2)) * 0.3
+    assert abs(fid(gen, ref, fm) - 0.0421616342232647769036616006685) <= 1e-9
 
 
 def test_fid_too_few_samples():

@@ -463,20 +463,6 @@ def test_noise_block_across_the_counter_wrap():
         assert _same_bits(out[i, 2:], child.normals(1))
 
 
-@pytest.mark.parametrize("counter", [0, 6, 2**64 - 4, 2**64 + 6])
-def test_row_by_row_fill_matches_the_grid(monkeypatch, counter):
-    # the numba backend fills the grid one row at a time with its
-    # single-key kernel; run that branch with the numpy kernel in its place
-    keys = split_keys(11, np.arange(7, dtype=np.uint64))
-    grid = np.empty((7, 5))
-    kernels.normals_rows(keys, counter, grid)
-    monkeypatch.setattr(kernels, "USE_NUMBA", True)
-    monkeypatch.setattr(kernels, "_normals_block", kernels._normals_block_np)
-    rows = np.empty((7, 5))
-    kernels.normals_rows(keys, counter, rows)
-    assert _same_bits(rows, grid)
-
-
 def test_sampler_memory_is_flat_in_the_number_of_steps():
     model = _model(d=64, seed=3)
     req = SampleRequest(count=128, seed=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from diffusionlab import data, fileio, metrics, sampler, training
+from diffusionlab import BACKEND, data, fileio, metrics, sampler, training
 from diffusionlab.denoiser import (
     HEAD_DUAL,
     HEAD_NOISE,
@@ -125,7 +125,7 @@ def test_simple_loss_matches_hand_formula():
     x0 = rng.normals(6).reshape(3, 2)
     eps = rng.normals(6).reshape(3, 2)
     t = 7
-    xt = forward_sample(x0, t, eps, sched).xt
+    xt = forward_sample(x0, t, eps, sched)
     eps_hat, _ = denoise(model, xt, t)
     want = float(np.sum((eps - eps_hat) ** 2)) / 3
     assert simple_loss(model, x0, eps, t, sched) == pytest.approx(want, rel=1e-14)
@@ -260,7 +260,7 @@ def test_hybrid_loss_zero_network_kl_oracle():
     x0 = rng.normals(6).reshape(3, 2)
     eps = rng.normals(6).reshape(3, 2)
 
-    xt = forward_sample(x0, t, eps, sched).xt
+    xt = forward_sample(x0, t, eps, sched)
     c_xt, c_x0 = posterior_coefficients(t, sched)
     beta = sched.btilde(t)
     gap = c_xt * xt + c_x0 * x0 - xt / math.sqrt(sched.a(t))
@@ -297,7 +297,7 @@ def test_hybrid_loss_first_step_matches_exact_decoder_likelihood():
     eps = rng.normals(8).reshape(4, 2)
     lam = 0.5
 
-    x1 = forward_sample(x0, 1, eps, sched).xt
+    x1 = forward_sample(x0, 1, eps, sched)
     mean = x1 / math.sqrt(sched.a(1))
     var = sched.btilde(2)
     ll = sum(decoder_loglik(x0[j], mean[j], var) for j in range(4))
@@ -314,7 +314,7 @@ def test_hybrid_loss_boundary_bins_use_half_line_mass():
     sched = linear_schedule(50)
     x0 = np.array([[1.0, -1.0]])
     eps = np.zeros((1, 2))
-    x1 = forward_sample(x0, 1, eps, sched).xt
+    x1 = forward_sample(x0, 1, eps, sched)
     mean = x1 / math.sqrt(sched.a(1))
     sd = math.sqrt(sched.btilde(2))
     p_hi = 1.0 - norm.cdf((1.0 - GRID_STEP / 2 - mean[0, 0]) / sd)
@@ -512,6 +512,8 @@ def test_train_names_the_benchmark_tracer_wraps_exist():
     for owner, names in wrapped.items():
         for name in names:
             assert callable(getattr(owner, name, None)), (owner.__name__, name)
+    # and its run records name the numeric implementation
+    assert BACKEND == "numpy"
 
 
 def test_train_variant_validation():
