@@ -18,7 +18,8 @@ from .errors import (
     TruncatedFile,
 )
 from .forward import GRID_LEVELS, GRID_STEP
-from .numerics import RngStream
+from .numerics import RngStream, kernels
+from .numerics.rng import BLOCK_DRAWS, words_to_integers
 
 # refuse to allocate beyond this many pixels from an untrusted header
 MAX_IDX_ELEMENTS = 1 << 28
@@ -80,7 +81,12 @@ class DatasetCursor:
 
 
 class MixtureSampler:
-    """Endless stream from an isotropic Gaussian mixture with uniform weights."""
+    """Endless stream from an isotropic Gaussian mixture with uniform weights.
+
+    take(k) has the bits of rng.integers(k, 0, centers) then rng.normals(k*d).
+    A take that repeats the last k reads the next takes of that k ahead, up
+    to BLOCK_DRAWS draws in one pass; rng.counter reads what was consumed.
+    """
 
     def __init__(self, centers, sigma: float, rng: RngStream):
         centers = np.asarray(centers, dtype=np.float64)
@@ -91,13 +97,25 @@ class MixtureSampler:
         self.centers = centers
         self.sigma = float(sigma)
         self.rng = rng
+        # takes drawn ahead, the next one's row, the (k, seed, counter) they follow
+        self._x, self._idx, self._row, self._next = None, (), 0, (0, None, None)
 
     def take(self, k: int):
-        c = self.centers.shape[0]
-        d = self.centers.shape[1]
-        idx = self.rng.integers(k, low=0, high=c)
-        noise = self.rng.normals(k * d).reshape(k, d)
-        return self.centers[idx] + self.sigma * noise, idx
+        c, d = self.centers.shape
+        rng, stride = self.rng, k * (1 + 2 * d)
+        if self._row == len(self._idx) or (k, rng.seed, rng.counter) != self._next:
+            m = max(1, BLOCK_DRAWS // max(1, k * (1 + d))) if k == self._next[0] else 1
+            keys = rng.block_keys(m, stride)
+            offsets = np.arange(k, dtype=np.uint64) * kernels._GOLDEN_U
+            words = kernels._mix_array(keys[:, None] + offsets)
+            self._idx, self._row = words_to_integers(words, 0, c), 0
+            noise = np.empty((m, k * d))
+            kernels.normals_rows(keys, k, noise)
+            self._x = self.centers[self._idx] + self.sigma * noise.reshape(m, k, d)
+        rng.counter += stride
+        self._next = (k, rng.seed, rng.counter)
+        self._row += 1
+        return self._x[self._row - 1], self._idx[self._row - 1]
 
 
 def make_gaussian_mixture(centers, sigma: float, n: int, rng: RngStream) -> Dataset:

@@ -34,6 +34,10 @@ class IndefiniteMatrix(DiffusionLabError):
     """Matrix has an eigenvalue below the negative tolerance."""
 
 
+class NotConverged(DiffusionLabError):
+    """An iterative solve stopped at its iteration cap above its tolerance."""
+
+
 # schedule
 class StepCountTooSmall(DiffusionLabError):
     """Schedules need at least two steps."""

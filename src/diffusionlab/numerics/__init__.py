@@ -4,7 +4,7 @@ from . import autodiff as ops
 from .autodiff import ADTape, Tensor, grad
 from .layout import ParamLayout
 from .linalg import jacobi_eigh, spd_sqrt
-from .rng import RngStream, sample_standard_normal
+from .rng import RngStream
 
 __all__ = [
     "ADTape",
@@ -14,6 +14,5 @@ __all__ = [
     "grad",
     "jacobi_eigh",
     "ops",
-    "sample_standard_normal",
     "spd_sqrt",
 ]

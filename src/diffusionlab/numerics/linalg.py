@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ..errors import IndefiniteMatrix, NotSymmetric
+from ..errors import IndefiniteMatrix, NotConverged, NotSymmetric
 from . import kernels
 
 # eigenvalues below this are an error, between this and zero they clamp to 0
@@ -17,12 +17,16 @@ def jacobi_eigh(m: np.ndarray, tol: float = _OFFDIAG_TOL, max_sweeps: int = _MAX
 
     Cyclic Jacobi sweeps until the off-diagonal Frobenius norm drops below
     tol * max(1, ||m||_F). Columns of the returned matrix are eigenvectors.
+    Raises NotConverged if the norm is still above that after max_sweeps.
     """
     a = np.array(m, dtype=np.float64, copy=True)
     d = a.shape[0]
     v = np.eye(d)
     tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
-    kernels.jacobi_sweeps(a, v, tol_abs, max_sweeps)
+    sweeps = kernels.jacobi_sweeps(a, v, tol_abs, max_sweeps)
+    off = float(np.sqrt(2.0 * np.sum(np.square(a[np.triu_indices(d, 1)]))))
+    if off > tol_abs:  # the norm, not the count: the last sweep may converge
+        raise NotConverged(f"Jacobi stopped after {sweeps} sweeps, off-diagonal norm {off:.3e}")
     w = np.diag(a).copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import _GOLDEN, _INV53, mix64
+from .kernels import _GOLDEN, _U64, mix64
 
 _KEY_SALT = 0x7F4A7C159E3779B9
 _SPLIT_SALT = 0xD1B54A32D192ED03
+
+BLOCK_DRAWS = 8192  # draws per pass over a block of steps: 64 KB arrays
 
 
 def _key(seed: int) -> int:
@@ -28,9 +30,6 @@ class RngStream:
 
     seed: int
     counter: int = 0
-
-    def clone(self) -> "RngStream":
-        return RngStream(self.seed, self.counter)
 
     def split(self, tag: int) -> "RngStream":
         """Child stream at counter 0; distinct tags give independent streams."""
@@ -45,8 +44,7 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1); one counter each."""
-        bits = self.raw(n)
-        return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+        return _uniforms(self.raw(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal draws via Box-Muller; two counters each."""
@@ -58,17 +56,26 @@ class RngStream:
         """n ints uniform on {low, ..., high - 1}; one counter each."""
         if high <= low:
             raise ValueError("integers needs high > low")
-        if n == 1:
-            # raw_block's one word in Python ints, without the array kernel
-            z = mix64(_key(self.seed) + self.counter * _GOLDEN)
-            self.counter += 1
-            return np.array([low + min(int((z >> 11) * _INV53 * (high - low)), high - low - 1)])
-        u = self.uniforms(n)
-        return low + np.minimum((u * (high - low)).astype(np.int64), high - low - 1)
+        return words_to_integers(self.raw(n), low, high)
 
     def bernoulli(self, n: int, p_one: float) -> np.ndarray:
         """n draws in {0, 1} with P(1) = p_one; one counter each."""
         return (self.uniforms(n) < p_one).astype(np.int64)
+
+    def block_keys(self, m: int, stride: int) -> np.ndarray:
+        """Keys (key + (counter + s*stride) * GOLDEN) mod 2**64 for s < m, the
+        starts of m blocks of stride counters, for kernels.normals_rows."""
+        start = np.uint64((_key(self.seed) + self.counter * _GOLDEN) & _U64)
+        return start + np.arange(m, dtype=np.uint64) * np.uint64(stride * _GOLDEN & _U64)
+
+
+def _uniforms(bits: np.ndarray) -> np.ndarray:
+    return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def words_to_integers(bits: np.ndarray, low: int, high: int) -> np.ndarray:
+    """Raw words mapped onto {low, ..., high - 1}, as RngStream.integers does."""
+    return low + np.minimum((_uniforms(bits) * (high - low)).astype(np.int64), high - low - 1)
 
 
 def split_keys(seed: int, tags: np.ndarray) -> np.ndarray:
@@ -81,9 +88,3 @@ def split_keys(seed: int, tags: np.ndarray) -> np.ndarray:
     z = kernels._mix_array(z ^ np.uint64(_key(seed)))
     return kernels._mix_array(z ^ np.uint64(_KEY_SALT))
 
-
-def sample_standard_normal(rng: RngStream, n: int) -> np.ndarray:
-    """n independent standard normal draws from the stream (flat float64)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return rng.normals(n)

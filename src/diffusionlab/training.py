@@ -30,6 +30,7 @@ from .errors import (
 from .fileio import read_container, write_container
 from .forward import GRID_LEVELS, HALF_BIN, forward_sample, grid_index, posterior_mean_var
 from .numerics import ADTape, RngStream, grad, ops
+from .numerics.rng import BLOCK_DRAWS
 from .schedule import NoiseSchedule, cosine_schedule, linear_schedule
 
 VARIANTS = ("ddpm", "improved", "cfg")
@@ -222,6 +223,9 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
     variant ddpm trains the noise head with simple_loss, improved trains a
     dual head with hybrid_loss, cfg trains a class-conditional model with
     conditioning dropped (zeroed) with probability p_uncond per sample.
+    Step s takes t-stream counter s-1, noise counters from 2Jd(s-1) and cfg
+    mask counters from J(s-1), drawn a block of steps (BLOCK_DRAWS noise
+    values) at a time with the bits of per-step draws; data are per step.
     Deterministic: identical (model, source state, cfg) give identical
     parameter trajectories. Raises NonFiniteLoss, naming the step and t,
     at the first loss that is not finite.
@@ -241,34 +245,42 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
     params = model.params.copy()
     d = model.arch.d
     losses: list[float] = []
-    for step in range(1, cfg.N + 1):
-        t = int(t_stream.integers(1, low=1, high=sched.T + 1)[0])
-        x0, labels = source.take(cfg.J)
-        x0 = np.asarray(x0, dtype=np.float64).reshape(cfg.J, d)
-        eps = noise_stream.normals(cfg.J * d).reshape(cfg.J, d)
 
-        cond = None
+    def run_steps(first: int, m: int) -> None:
+        # steps first .. first + m - 1; their draws and tapes are freed on return
+        nonlocal params
+        ts = t_stream.integers(m, 1, sched.T + 1).tolist()
+        eps_block = noise_stream.normals(m * cfg.J * d).reshape(m, cfg.J, d)
         if variant == "cfg":
-            if labels is None:
-                raise ConfigError("variant cfg needs labeled data")
-            onehot = _one_hot(np.asarray(labels), model.arch.conditioning.num_classes)
-            keep = mask_stream.bernoulli(cfg.J, 1.0 - cfg.p_uncond)
-            # row j is cfg_mask(onehot[j], keep[j])
-            cond = np.where(keep[:, None] == 1, onehot, 0.0)
+            keep_block = mask_stream.bernoulli(m * cfg.J, 1.0 - cfg.p_uncond).reshape(m, cfg.J)
+        for i, t in enumerate(ts):
+            x0, labels = source.take(cfg.J)
+            x0 = np.asarray(x0, dtype=np.float64).reshape(cfg.J, d)
 
-        tape = ADTape()
-        leaf = tape.tensor(params)
-        if variant == "improved":
-            loss = hybrid_loss(model, None, x0, eps, t, sched,
-                               lam=cfg.lam, cond=cond, params=leaf)
-        else:
-            loss = simple_loss(model, x0, eps, t, sched, cond=cond, params=leaf)
-        value = float(loss.value)
-        if not math.isfinite(value):
-            raise NonFiniteLoss(f"training loss became non-finite at step {step} (t = {t})")
-        g = grad(loss, [leaf])[0]
-        params = sgd_step(params, g, cfg.gamma)
-        losses.append(value)
+            cond = None
+            if variant == "cfg":
+                if labels is None:
+                    raise ConfigError("variant cfg needs labeled data")
+                onehot = _one_hot(np.asarray(labels), model.arch.conditioning.num_classes)
+                # row j is cfg_mask(onehot[j], keep[j])
+                cond = np.where(keep_block[i][:, None] == 1, onehot, 0.0)
+
+            leaf = ADTape().tensor(params)
+            if variant == "improved":
+                loss = hybrid_loss(model, None, x0, eps_block[i], t, sched,
+                                   lam=cfg.lam, cond=cond, params=leaf)
+            else:
+                loss = simple_loss(model, x0, eps_block[i], t, sched, cond=cond, params=leaf)
+            value = float(loss.value)
+            if not math.isfinite(value):
+                raise NonFiniteLoss(
+                    f"training loss became non-finite at step {first + i} (t = {t})")
+            params = sgd_step(params, grad(loss, [leaf])[0], cfg.gamma)
+            losses.append(value)
+
+    chunk = max(1, BLOCK_DRAWS // (cfg.J * d))
+    for first in range(1, cfg.N + 1, chunk):
+        run_steps(first, min(cfg.N + 1 - first, chunk))
 
     counters = {"t": t_stream.counter, "eps": noise_stream.counter,
                 "mask": mask_stream.counter}

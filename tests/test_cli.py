@@ -619,6 +619,7 @@ EXIT_CODES = {
     "NonScalarOutput": 4, "UnsupportedPrimitive": 4, "NotSymmetric": 4,
     "IndefiniteMatrix": 4, "SingularCovariance": 4, "StepOutOfRange": 4,
     "NonpositiveVariance": 4, "DegenerateEmbedding": 4, "BadWindow": 4, "NonFiniteLoss": 4,
+    "NotConverged": 4,
     "ConfigError": 2, "EmptyBatch": 2, "InvalidK": 2, "InvalidPlan": 2,
     "OffsetOutOfRange": 2, "SigmaConstraintViolated": 2, "StepCountTooSmall": 2,
     "BadMagic": 3, "BadMetadata": 3, "DataExhausted": 3, "DimensionMismatch": 3,

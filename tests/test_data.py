@@ -120,6 +120,43 @@ def test_mixture_sampler_is_endless_and_sequential():
     assert not np.array_equal(x1, x2)
 
 
+def _oracle_take(rng, centers, sigma, k):
+    """One take drawn on its own: k index words, then k*d normals."""
+    idx = rng.integers(k, 0, centers.shape[0])
+    noise = rng.normals(k * centers.shape[1]).reshape(k, centers.shape[1])
+    return centers[idx] + sigma * noise, idx
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("centers", [_CIRCLE, np.linspace(-1, 1, 15).reshape(3, 5)])
+def test_mixture_read_ahead_matches_one_take_at_a_time(centers):
+    # a changing k drops the read-ahead; 400 takes of 16 cross its blocks;
+    # 700 draws at d = 2 are beyond one block
+    centers = np.asarray(centers)
+    s = MixtureSampler(centers, 0.3, RngStream(12))
+    oracle = RngStream(12)
+    for k in [3, 3, 5, 3, 700, 700, 700, 1, 1] + [16] * 400:
+        x, labels = s.take(k)
+        want_x, want_labels = _oracle_take(oracle, centers, 0.3, k)
+        assert _same_bits(x, want_x) and _same_bits(labels, want_labels), k
+        assert s.rng.counter == oracle.counter
+    # a counter moved by hand drops what was drawn ahead
+    s.rng.counter = oracle.counter = 5
+    for k in (16, 16):
+        assert _same_bits(s.take(k)[0], _oracle_take(oracle, centers, 0.3, k)[0])
+
+
+def test_gaussian_mixture_draws_no_further_than_its_points():
+    rng = RngStream(6)
+    ds = make_gaussian_mixture(_CIRCLE, 0.2, 5000, rng)
+    assert rng.counter == 5000 * (1 + 2 * 2)
+    want_x, want_labels = _oracle_take(RngStream(6), np.asarray(_CIRCLE), 0.2, 5000)
+    assert _same_bits(ds.samples, want_x) and _same_bits(ds.labels, want_labels)
+
+
 # ---------------------------------------------------------------- grid
 
 

@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from diffusionlab.errors import IndefiniteMatrix, NotSymmetric
-from diffusionlab.numerics import RngStream, kernels, spd_sqrt
+from diffusionlab.errors import IndefiniteMatrix, NotConverged, NotSymmetric
+from diffusionlab.numerics import RngStream, jacobi_eigh, kernels, spd_sqrt
 
 
 def _oracle_raw_block(key, counter, n):
@@ -52,8 +52,8 @@ def test_scalar_loop_source_matches_vectorized_normals():
 
 @pytest.mark.parametrize("high", [2, 3, 6, 51, 1001, 2**31])
 def test_one_integer_matches_the_block_kernel(high):
-    # train draws its step index t from 1..T one at a time; more than one
-    # draw at once goes through raw_block
+    # train draws the step indices t of a block of steps in one call; the
+    # draws must not depend on how many steps a call covers
     for seed in (0, 7, 2**63 + 5):
         one, block = RngStream(seed), RngStream(seed)
         got = [int(one.integers(1, 1, high)[0]) for _ in range(500)]
@@ -63,8 +63,8 @@ def test_one_integer_matches_the_block_kernel(high):
 
 @pytest.mark.parametrize("counter", [2**64 - 5, 2**64 - 2])
 def test_one_integer_matches_the_block_kernel_across_the_counter_wrap(counter):
-    # the block kernel's uint64 counters wrap to 0 after 2**64 - 1; the
-    # one-draw path keeps counting in Python ints and takes the product mod 2**64
+    # the block kernel's uint64 counters wrap to 0 after 2**64 - 1, while the
+    # stream keeps counting in Python ints and takes the product mod 2**64
     one, block = RngStream(99, counter), RngStream(99, counter)
     got = [int(one.integers(1, 1, 51)[0]) for _ in range(4)]
     assert got == block.integers(4, 1, 51).tolist()
@@ -96,6 +96,28 @@ def test_jacobi_converges_when_the_diagonal_dominates():
     a, v = m.copy(), np.eye(3)
     assert kernels.jacobi_sweeps(a, v, tol_abs, 60) >= 1
     assert np.max(np.abs(a[~np.eye(3, dtype=bool)])) < tol_abs
+
+
+def test_jacobi_eigh_raises_when_the_sweep_cap_stops_it():
+    a = np.random.default_rng(11).normal(size=(6, 6))
+    m = a + a.T
+    with pytest.raises(NotConverged, match="after 1 sweeps"):
+        jacobi_eigh(m, max_sweeps=1)
+    w, v = jacobi_eigh(m)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
+
+
+def test_jacobi_eigh_accepts_convergence_in_the_last_sweep():
+    # the solve that needs s sweeps passes with a cap of exactly s
+    m = np.diag([1.0, 2.0, 3.0]) + 0.1
+    a, v = m.copy(), np.eye(3)
+    sweeps = kernels.jacobi_sweeps(a, v, 1e-12 * np.linalg.norm(m), 60)
+    assert sweeps >= 1
+    # at a cap of s the kernel returns the cap, as it does when it gives up
+    assert kernels.jacobi_sweeps(m.copy(), np.eye(3), 1e-12 * np.linalg.norm(m), sweeps) == sweeps
+    with pytest.raises(NotConverged):
+        jacobi_eigh(m, max_sweeps=sweeps - 1)
+    np.testing.assert_array_equal(jacobi_eigh(m, max_sweeps=sweeps)[0], jacobi_eigh(m)[0])
 
 
 # ---------------------------------------------------------------- spd_sqrt

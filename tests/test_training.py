@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from diffusionlab.errors import (
 )
 from diffusionlab.forward import GRID_STEP, decoder_loglik, forward_sample, posterior_coefficients
 from diffusionlab.numerics import ADTape, RngStream, grad, kernels
+from diffusionlab.numerics.rng import BLOCK_DRAWS
 from diffusionlab.schedule import cosine_schedule, linear_schedule
 from diffusionlab.training import (
     Checkpoint,
@@ -514,6 +516,81 @@ def test_train_names_the_benchmark_tracer_wraps_exist():
             assert callable(getattr(owner, name, None)), (owner.__name__, name)
     # and its run records name the numeric implementation
     assert BACKEND == "numpy"
+
+
+def _oracle_train(model, source, cfg, sched, variant):
+    """train one step at a time: every step draws its own t, noise and mask."""
+    root = RngStream(cfg.seed)
+    t_stream, noise_stream, mask_stream = root.split(1), root.split(2), root.split(3)
+    params, d, losses = model.params.copy(), model.arch.d, []
+    for _ in range(cfg.N):
+        t = int(t_stream.integers(1, 1, sched.T + 1)[0])
+        x0, labels = source.take(cfg.J)
+        x0 = np.asarray(x0, dtype=np.float64).reshape(cfg.J, d)
+        eps = noise_stream.normals(cfg.J * d).reshape(cfg.J, d)
+        cond = None
+        if variant == "cfg":
+            onehot = np.eye(model.arch.conditioning.num_classes)[np.asarray(labels)]
+            keep = mask_stream.bernoulli(cfg.J, 1.0 - cfg.p_uncond)
+            cond = np.stack([cfg_mask(onehot[j], int(keep[j])) for j in range(cfg.J)])
+        leaf = ADTape().tensor(params)
+        if variant == "improved":
+            loss = hybrid_loss(model, None, x0, eps, t, sched, lam=cfg.lam, cond=cond,
+                               params=leaf)
+        else:
+            loss = simple_loss(model, x0, eps, t, sched, cond=cond, params=leaf)
+        losses.append(float(loss.value))
+        params = sgd_step(params, grad(loss, [leaf])[0], cfg.gamma)
+    counters = {"t": t_stream.counter, "eps": noise_stream.counter,
+                "mask": mask_stream.counter}
+    return params, losses, counters
+
+
+def _oracle_case(variant, d):
+    """A model and a factory of identical fresh data sources for a variant."""
+    centers = np.linspace(-0.9, 0.9, 3 * d).reshape(3, d)
+    if variant == "improved":
+        x = _quantize(0.4 * RngStream(8).normals(300 * d).reshape(300, d))
+        return _model(HEAD_DUAL, hidden=(5,), d=d, seed=3), lambda: ArraySource(x)
+    cond = ClassConditioning(3) if variant == "cfg" else None
+    return (_model(hidden=(5,), d=d, cond=cond, seed=3),
+            lambda: data.MixtureSampler(centers, 0.2, RngStream(4)))
+
+
+@pytest.mark.parametrize("variant", ["ddpm", "cfg", "improved"])
+@pytest.mark.parametrize("J, d, N, chunk", [
+    (8, 64, 1, 16), (8, 64, 15, 16), (8, 64, 16, 16), (8, 64, 17, 16), (8, 64, 35, 16),
+    (16, 576, 3, 1),  # J*d > BLOCK_DRAWS: a block is one step
+], ids=["1", "chunk-1", "chunk", "chunk+1", "2chunk+3", "beyond-the-block"])
+def test_train_draws_blocks_of_steps_with_the_bits_of_one_step_at_a_time(variant, J, d, N,
+                                                                          chunk):
+    assert max(1, BLOCK_DRAWS // (J * d)) == chunk
+    model, source = _oracle_case(variant, d)
+    cfg = TrainConfig(gamma=0.01, J=J, N=N, p_uncond=0.3, seed=17)
+    sched = cosine_schedule(20)
+    res = train(model, source(), cfg, sched, variant)
+    params, losses, counters = _oracle_train(model, source(), cfg, sched, variant)
+    assert res.model.params.tobytes() == params.tobytes()
+    assert np.array(res.losses).tobytes() == np.array(losses).tobytes()
+    assert res.rng_counters == counters
+
+
+def test_train_memory_is_flat_in_the_step_count():
+    # the draws of a block are bounded by BLOCK_DRAWS, not by N
+    model = _model(hidden=(8,), d=64, seed=3)
+    sched = cosine_schedule(20)
+    peaks = []
+    for N in (10, 400):
+        cfg = TrainConfig(gamma=0.001, J=16, N=N, seed=2)
+        src = GaussianSource(3, center=np.zeros(64))
+        train(model, src, TrainConfig(gamma=0.001, J=16, N=2, seed=2), sched)  # warm caches
+        tracemalloc.start()
+        try:
+            train(model, src, cfg, sched)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_train_variant_validation():
