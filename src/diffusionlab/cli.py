@@ -109,11 +109,14 @@ def load_run_config(path: str) -> RunConfig:
     """Parse and validate the INI run description; unknown keys are fatal."""
     if not Path(path).is_file():
         raise FileNotFoundError(f"config file {path} not found")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value is plain text, not a syntax error
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
     except configparser.Error as e:
         raise ConfigError(f"cannot parse {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text: {e}") from None
 
     for section in parser.sections():
         if section not in _CONFIG_SCHEMA:
@@ -464,15 +467,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _error(e: Exception) -> None:
+    # one line, even when the message quotes a multi-line parser report
+    print("error: " + " ".join(str(e).splitlines()), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.handler(args)
     except DiffusionLabError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _error(e)
         return e.exit_code
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _error(e)
         return OS_ERROR_EXIT_CODE
     return 0
 

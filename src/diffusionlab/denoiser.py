@@ -8,7 +8,8 @@ tanh-squashed interpolation coefficient for learned variances.
 
 The network is one plain-numpy forward for sampling and training alike.
 Given a tape Tensor of parameters, it keeps its activations and becomes
-a single tape node whose backward is written by hand. The parameter
+a single tape node whose backward is written by hand; the losses put one
+more node with their own hand-written adjoint on top of it. The parameter
 layout is compiled once per architecture; each forward reads all blocks
 from it in one pass.
 """
@@ -25,39 +26,18 @@ from .errors import (
     ShapeMismatch,
     StepOutOfRange,
 )
-from .numerics import ParamLayout, RngStream, Tensor, ops
+from .numerics import ParamLayout, RngStream, Tensor, fused
 
 HEAD_NOISE = "noise-only"
 HEAD_DUAL = "noise+variance"
 
 
-@dataclass(frozen=True)
-class TimeEmbeddingSpec:
-    """Sinusoidal embedding width; d_emb = 2c with c >= 2."""
-
-    d_emb: int
-
-    def __post_init__(self):
-        if self.d_emb < 4 or self.d_emb % 2 != 0:
-            raise DegenerateEmbedding(f"embedding dim must be even and >= 4, got {self.d_emb}")
-
-    @property
-    def c(self) -> int:
-        return self.d_emb // 2
-
-
-def time_embedding(t: int, spec: TimeEmbeddingSpec) -> np.ndarray:
-    """c sines then c cosines of t / 10000^(i/(c-1)), i = 1..c.
-
-    The array is cached per (t, d_emb) and shared, so it is read-only.
-    """
-    if t < 0:
-        raise StepOutOfRange(f"step must be >= 0, got {t}")
-    return _embedding(t, spec.d_emb)
-
-
 @functools.lru_cache(maxsize=8192)
 def _embedding(t: int, d_emb: int) -> np.ndarray:
+    """c = d_emb/2 sines then c cosines of t / 10000^(i/(c-1)), i = 1..c.
+
+    Cached per (t, d_emb) and shared, so read-only.
+    """
     c = d_emb // 2
     i = np.arange(1, c + 1, dtype=np.float64)
     angles = t * np.power(10000.0, -i / (c - 1))
@@ -86,15 +66,13 @@ class DenoiserArch:
             raise ShapeMismatch(f"unknown head mode {self.head!r}")
         if not self.hidden:
             raise ShapeMismatch("at least one hidden block required")
-        TimeEmbeddingSpec(self.d_emb)  # validates
+        # the sinusoidal time embedding needs c = d_emb/2 >= 2 frequencies
+        if self.d_emb < 4 or self.d_emb % 2 != 0:
+            raise DegenerateEmbedding(f"embedding dim must be even and >= 4, got {self.d_emb}")
 
     @property
     def out_dim(self) -> int:
         return 2 * self.d if self.head == HEAD_DUAL else self.d
-
-    @property
-    def emb_spec(self) -> TimeEmbeddingSpec:
-        return TimeEmbeddingSpec(self.d_emb)
 
 
 def param_layout(arch: DenoiserArch) -> ParamLayout:
@@ -192,38 +170,11 @@ def _const_group_matrices(d_feat: int, D: int, groups: int):
     return out
 
 
-def adagn(x, y1, y2, beta: float = 0.0, gamma: float = 1.0, eps: float = 1e-5, groups: int = 1):
-    """Group-normalize x, apply the gamma/beta affine, then scale by y1 and
-    shift by y2, each tiled with period D = len(y1) over the coordinates.
-
-    x is one feature vector or a batch of rows; y1/y2 are one modulation
-    vector or matching batch rows.
-    """
-    xv = np.asarray(x, dtype=np.float64)
-    y1v = np.asarray(y1, dtype=np.float64)
-    y2v = np.asarray(y2, dtype=np.float64)
-    if xv.ndim not in (1, 2) or y1v.ndim not in (1, 2):
-        raise ShapeMismatch("adagn expects vectors or row batches")
-    if y1v.shape != y2v.shape:
-        raise ShapeMismatch(f"modulation shapes differ: {y1v.shape} vs {y2v.shape}")
-    d_feat = xv.shape[-1]
-    D = y1v.shape[-1]
-    if D == 0 or d_feat % D != 0:
-        raise ShapeMismatch(f"modulation width {D} must divide feature width {d_feat}")
-    if groups < 1 or D % groups != 0:
-        raise ShapeMismatch(f"groups {groups} must divide channel count {D}")
-    if y1v.ndim == 2 and xv.ndim == 2 and y1v.shape[0] not in (1, xv.shape[0]):
-        raise ShapeMismatch(f"batch sizes differ: {xv.shape[0]} vs {y1v.shape[0]}")
-
-    out = _adagn_rows(xv.reshape(1, d_feat) if xv.ndim == 1 else xv,
-                      y1v.reshape(1, D) if y1v.ndim == 1 else y1v,
-                      y2v.reshape(1, D) if y2v.ndim == 1 else y2v,
-                      beta, gamma, eps, groups)
-    return out.reshape(d_feat) if xv.ndim == 1 else out
-
-
 def _adagn_rows(x, y1, y2, beta, gamma, eps, groups, saved=None):
-    """adagn of row batches; appends what its backward reads to saved."""
+    """Adaptive group normalization of the rows of x: group-normalize, apply
+    the gamma/beta affine, then scale by y1 and shift by y2, each tiled
+    with period D = y1.shape[1] over the coordinates. y1 and y2 hold one
+    row, or one per row of x. Appends what its backward reads to saved."""
     avg, ind, tile = _const_group_matrices(x.shape[1], y1.shape[1], groups)
     centered = np.subtract(x, np.matmul(np.matmul(x, avg.T), ind))
     ve = np.add(np.matmul(np.matmul(np.multiply(centered, centered), avg.T), ind), eps)
@@ -334,13 +285,23 @@ def _network_backward(g, arch: DenoiserArch, plan: ParamLayout, p: dict, xb, emb
     return flat
 
 
+def split_head(arch: DenoiserArch, out: np.ndarray):
+    """(eps_hat, v2) from head output rows: a dual head's first d columns
+    and the tanh of its last d; v2 is None for a noise-only head."""
+    if arch.head == HEAD_DUAL:
+        # contiguous, as a strided view may change the bits of sums and BLAS calls on it
+        return out[:, :arch.d].copy(), np.tanh(out[:, arch.d:])
+    return out, None
+
+
 def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None):
     """Evaluate the network at (xt, t, cond).
 
     xt is one point (d,) or a batch (J, d). Returns (eps_hat, v2) with v2
-    None for noise-only heads. params defaults to the model's own vector;
-    passing a tape Tensor of the same layout makes the outputs
-    differentiable: the network is then one fused tape node.
+    None for noise-only heads. params defaults to the model's own vector.
+    Given a tape Tensor of the same layout instead, denoise returns the
+    head output rows (J, out_dim) as one fused tape node whose backward is
+    _network_backward; split_head splits its value.
     """
     if t < 1:
         raise StepOutOfRange(f"step must be >= 1, got {t}")
@@ -357,16 +318,10 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None):
         p = model.plan.blocks(params.value)
         saved = []
         value = _network(arch, p, xb, emb, cv, saved)
-        out = ops.fused(params, value, lambda g: _network_backward(
+        return fused(params, value, lambda g: _network_backward(
             g, arch, model.plan, p, xb, emb, cv, saved))
-    else:
-        p = model.plan.blocks(model.params if params is None else params)
-        out = _network(arch, p, xb, emb, cv)
-    if arch.head == HEAD_DUAL:
-        v1 = ops.slice_axis(out, 1, 0, arch.d)
-        v2 = ops.tanh(ops.slice_axis(out, 1, arch.d, 2 * arch.d))
-        if single:
-            return ops.reshape(v1, (arch.d,)), ops.reshape(v2, (arch.d,))
-        return v1, v2
-    eps_hat = ops.reshape(out, (arch.d,)) if single else out
-    return eps_hat, None
+    p = model.plan.blocks(model.params if params is None else params)
+    eps_hat, v2 = split_head(arch, _network(arch, p, xb, emb, cv))
+    if single:
+        return eps_hat.reshape(arch.d), None if v2 is None else v2.reshape(arch.d)
+    return eps_hat, v2

@@ -22,10 +22,6 @@ class NonScalarOutput(DiffusionLabError):
     """grad target must evaluate to a single scalar."""
 
 
-class UnsupportedPrimitive(DiffusionLabError):
-    """An operation outside the supported differentiable primitive set."""
-
-
 class NotSymmetric(DiffusionLabError):
     """Matrix expected to be symmetric within tolerance."""
 

@@ -60,6 +60,8 @@ def posterior_mean_var(xt, x0, t: int, sched: NoiseSchedule) -> tuple[np.ndarray
 def grid_index(x0) -> np.ndarray:
     """Indices k with x0 = -1 + 2k/255; raises when any coordinate is off-grid."""
     x0 = np.asarray(x0, dtype=np.float64)
+    if not np.all(np.isfinite(x0)):
+        raise OffGridInput("coordinate is not finite")
     k = np.rint((x0 + 1.0) / GRID_STEP)
     if np.any(k < 0) or np.any(k > GRID_LEVELS - 1):
         raise OffGridInput("coordinate outside [-1, 1]")

@@ -21,7 +21,7 @@ from .errors import (
     TooFewSamples,
 )
 from .fileio import read_container, write_container
-from .numerics import ADTape, ParamLayout, RngStream, grad, ops, spd_sqrt
+from .numerics import ParamLayout, RngStream, spd_sqrt
 
 # classifier probabilities are floored by smoothing so KL terms stay finite
 PROB_SMOOTHING = 1e-12
@@ -76,29 +76,58 @@ class FeatureModel:
             params[start:stop] = bound * (2.0 * rng.uniforms(stop - start) - 1.0)
         return FeatureModel(d, num_classes, feature_dim, hidden, params)
 
-    def _trunk(self, x: np.ndarray, p: dict):
+    def _trunk(self, x: np.ndarray, p: dict, inputs: list | None = None) -> np.ndarray:
+        """The feature rows of x; with inputs (a list), also keeps each tanh
+        layer's input rows for the backward."""
         h = np.asarray(x, dtype=np.float64)
         if h.ndim == 1:
             h = h.reshape(1, -1)
         if h.shape[1] != self.d:
             raise ShapeMismatch(f"input width {h.shape[1]}, expected {self.d}")
-        for i in range(len(self.hidden)):
-            h = ops.tanh(ops.linear(h, p[f"h{i}.w"], p[f"h{i}.b"]))
-        return ops.tanh(ops.linear(h, p["feat.w"], p["feat.b"]))
+        for name in self._tanh_layers():
+            if inputs is not None:
+                inputs.append(h)
+            h = np.tanh(np.add(np.matmul(h, p[name + ".w"]), p[name + ".b"]))
+        return h
 
-    def _logits(self, x: np.ndarray, params):
-        p = self._plan.blocks(params)
-        return ops.linear(self._trunk(x, p), p["cls.w"], p["cls.b"])
+    def _tanh_layers(self) -> list[str]:
+        return [f"h{i}" for i in range(len(self.hidden))] + ["feat"]
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """(J, feature_dim) activations of the last hidden layer."""
-        return np.asarray(self._trunk(x, self._plan.blocks(self.params)))
+        return self._trunk(x, self._plan.blocks(self.params))
 
     def probs(self, x: np.ndarray) -> np.ndarray:
         """(J, num_classes) smoothed class probabilities, strictly positive."""
-        p = np.asarray(ops.softmax(self._logits(x, self.params), axis=-1))
+        blk = self._plan.blocks(self.params)
+        p = _softmax(np.add(np.matmul(self._trunk(x, blk), blk["cls.w"]), blk["cls.b"]))
         p = (p + PROB_SMOOTHING) / (1.0 + self.num_classes * PROB_SMOOTHING)
         return p
+
+    def cross_entropy_grad(self, x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+        """Flat gradient of the batch-mean softmax cross-entropy at onehot labels.
+
+        The logits' adjoint is (softmax - onehot) / J; the rest backpropagates
+        it through the classifier and tanh layers.
+        """
+        p = self._plan.blocks(self.params)
+        inputs: list[np.ndarray] = []
+        h = self._trunk(x, p, inputs)
+        logits = np.add(np.matmul(h, p["cls.w"]), p["cls.b"])
+        g = (_softmax(logits) - onehot) / h.shape[0]
+        grads = {"cls.w": h.T @ g, "cls.b": g.sum(axis=0)}
+        g = g @ p["cls.w"].T
+        for name in reversed(self._tanh_layers()):
+            g = g * (1.0 - h * h)
+            h = inputs.pop()
+            grads[name + ".w"], grads[name + ".b"] = h.T @ g, g.sum(axis=0)
+            g = g @ p[name + ".w"].T
+        return np.concatenate([grads[name].reshape(-1) for name, _, _, _ in self._plan.plan])
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def train_feature_model(x: np.ndarray, labels: np.ndarray, num_classes: int,
@@ -114,21 +143,15 @@ def train_feature_model(x: np.ndarray, labels: np.ndarray, num_classes: int,
         raise TooFewSamples("need at least one training point")
     fm = FeatureModel.initialized(x.shape[1], num_classes, feature_dim, hidden, seed)
     rng = RngStream(seed).split(1)
-    params = fm.params.copy()
     n = x.shape[0]
     for _ in range(steps):
         idx = rng.integers(min(batch, n), low=0, high=n)
         xb, yb = x[idx], labels[idx]
         onehot = np.zeros((xb.shape[0], num_classes))
         onehot[np.arange(xb.shape[0]), yb] = 1.0
-        tape = ADTape()
-        leaf = tape.tensor(params)
-        work = FeatureModel(fm.d, num_classes, feature_dim, hidden, params)
-        p = ops.softmax(work._logits(xb, leaf), axis=-1)
-        loss = ops.mul(ops.total(ops.mul(ops.ln(p), onehot)), -1.0 / xb.shape[0])
-        g = grad(loss, [leaf])[0]
-        params = params - gamma * g
-    return FeatureModel(fm.d, num_classes, feature_dim, hidden, params)
+        params = fm.params - gamma * fm.cross_entropy_grad(xb, onehot)
+        fm = FeatureModel(fm.d, num_classes, feature_dim, hidden, params)
+    return fm
 
 
 def save_feature_model(path: str, fm: FeatureModel) -> None:

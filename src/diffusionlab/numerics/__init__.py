@@ -1,7 +1,6 @@
-"""Core numerics: tensors with reverse-mode AD, SPD linear algebra, RNG."""
+"""Core numerics: a tape of fused nodes, SPD linear algebra, RNG."""
 
-from . import autodiff as ops
-from .autodiff import ADTape, Tensor, grad
+from .autodiff import ADTape, Tensor, fused, grad
 from .layout import ParamLayout
 from .linalg import jacobi_eigh, spd_sqrt
 from .rng import RngStream
@@ -11,8 +10,8 @@ __all__ = [
     "ParamLayout",
     "RngStream",
     "Tensor",
+    "fused",
     "grad",
     "jacobi_eigh",
-    "ops",
     "spd_sqrt",
 ]

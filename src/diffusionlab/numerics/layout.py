@@ -2,9 +2,9 @@
 
 A ParamLayout compiles an ordered list of (name, shape) entries into a plan
 of (name, start, stop, shape) rows that tile the vector in row-major order.
-`blocks` then reads every block in one pass: numpy views of a plain vector,
-or one `view` node each when the vector is a tape Tensor, so gradients
-flow back into the flat vector through a single scatter per block.
+`blocks` then reads every block in one pass as numpy views of the vector;
+a hand-written backward gathers its block adjoints back into one flat
+vector in plan order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, view
+from ..errors import ShapeMismatch
 
 
 class ParamLayout:
@@ -37,7 +37,8 @@ class ParamLayout:
 
     def blocks(self, params) -> dict:
         """Every block of params by name, shaped as its entry."""
-        if isinstance(params, Tensor):
-            return {name: view(params, a, b, shape) for name, a, b, shape in self.plan}
         flat = np.asarray(params)
+        if flat.shape != (self.total,):
+            raise ShapeMismatch(f"parameter vector of shape {flat.shape}, "
+                                f"layout needs ({self.total},)")
         return {name: flat[a:b].reshape(shape) for name, a, b, shape in self.plan}

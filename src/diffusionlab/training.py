@@ -17,6 +17,7 @@ from .denoiser import (
     DenoiserArch,
     DenoiserModel,
     denoise,
+    split_head,
 )
 from .errors import (
     BadMetadata,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .fileio import read_container, write_container
 from .forward import GRID_LEVELS, HALF_BIN, forward_sample, grid_index, posterior_mean_var
-from .numerics import ADTape, RngStream, grad, ops
+from .numerics import ADTape, RngStream, Tensor, fused, grad
 from .numerics.rng import BLOCK_DRAWS
 from .schedule import NoiseSchedule, cosine_schedule, linear_schedule
 
@@ -38,6 +39,8 @@ VARIANTS = ("ddpm", "improved", "cfg")
 # log-probabilities in the optimization objective are clamped here; the
 # measurement-grade decoder likelihood in forward.py is exact instead
 _DECODER_PROB_FLOOR = 1e-12
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 # stream tags for the independent draw sequences of one training run
 _TAG_STEP = 1
@@ -67,27 +70,67 @@ class TrainConfig:
             raise ConfigError(f"dropout probability must be in [0,1], got {self.p_uncond}")
 
 
-def _batched(x) -> tuple[np.ndarray, bool]:
+def _batched(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr.reshape(1, -1), True
-    return arr, False
+    return arr.reshape(1, -1) if arr.ndim == 1 else arr
+
+
+def _head(model: DenoiserModel, xt: np.ndarray, t: int, cond, params):
+    """(eps_hat, v2, node): the network's outputs at xt, and the fused tape
+    node of its head output when params is a tape Tensor (else None)."""
+    out = denoise(model, xt, t, cond, params=params)
+    if isinstance(params, Tensor):
+        return (*split_head(model.arch, out.value), out)
+    return (*out, None)
+
+
+def _head_adjoint(arch: DenoiserArch, g_eps: np.ndarray, g_pre: np.ndarray | None):
+    """The head output's adjoint from those of eps_hat and of v2's tanh input.
+
+    The composed tape padded each half's adjoint with zeros and added the
+    two; the concatenation differs from that sum at most in the sign of a
+    zero, which _network_backward's final + 0.0 settles.
+    """
+    if arch.head != HEAD_DUAL:
+        return g_eps
+    return np.concatenate((g_eps, np.zeros_like(g_eps) if g_pre is None else g_pre), axis=1)
+
+
+def _noise_term(epsb: np.ndarray, eps_hat: np.ndarray):
+    """(sum ||eps - eps_hat||^2 / J, the adjoint map to eps_hat's adjoint)."""
+    r = epsb - eps_hat
+    scale = 1.0 / epsb.shape[0]
+
+    def backward(g):
+        # the scale, sum, r*r (two uses of r) and sub VJPs of the composed tape
+        c = g * scale
+        return -(c * r + c * r)
+
+    return np.sum(r * r) * scale, backward
 
 
 def simple_loss(model: DenoiserModel, x0, eps, t: int, sched: NoiseSchedule,
                 cond=None, params=None):
     """Mean over the batch of ||eps - V(sqrt(abar_t) x0 + sqrt(1-abar_t) eps, t)||^2.
 
-    Single samples (1-D inputs) give the plain squared norm. Differentiable
-    when params is a tape Tensor.
+    Single samples (1-D inputs) give the plain squared norm. Given a tape
+    Tensor of parameters, the loss is one fused node on top of the
+    network's, with a hand-written adjoint.
     """
-    x0b, _ = _batched(x0)
-    epsb, _ = _batched(eps)
+    x0b, epsb = _batched(x0), _batched(eps)
     xt = forward_sample(x0b, t, epsb, sched)
-    eps_hat, _ = denoise(model, xt, t, cond, params=params)
-    r = ops.sub(epsb, eps_hat)
-    out = ops.mul(ops.total(ops.mul(r, r)), 1.0 / x0b.shape[0])
-    return out if hasattr(out, "value") else float(out)
+    eps_hat, _, node = _head(model, xt, t, cond, params)
+    loss, noise_backward = _noise_term(epsb, eps_hat)
+    if node is None:
+        return float(loss)
+    return fused(node, loss, lambda g: _head_adjoint(model.arch, noise_backward(g), None))
+
+
+def _log_variance_range(t: int, sched: NoiseSchedule) -> tuple[float, float]:
+    if not (1 <= t <= sched.T):
+        raise StepOutOfRange(f"step {t} outside 1..{sched.T}")
+    bt = sched.btilde(t) if t >= 2 else sched.btilde(2)
+    return math.log(1.0 - sched.a(t)), math.log(bt)
 
 
 def log_variance_interpolation(v2, t: int, sched: NoiseSchedule):
@@ -97,12 +140,8 @@ def log_variance_interpolation(v2, t: int, sched: NoiseSchedule):
     step-1 variance keeps the same interpolation range as step 2 instead of
     collapsing, and sampling still uses exactly zero noise at the last step.
     """
-    if not (1 <= t <= sched.T):
-        raise StepOutOfRange(f"step {t} outside 1..{sched.T}")
-    log_hi = math.log(1.0 - sched.a(t))
-    bt = sched.btilde(t) if t >= 2 else sched.btilde(2)
-    log_lo = math.log(bt)
-    return ops.add(ops.mul(v2, log_hi), ops.mul(ops.sub(1.0, v2), log_lo))
+    log_hi, log_lo = _log_variance_range(t, sched)
+    return v2 * log_hi + (1.0 - v2) * log_lo
 
 
 def reverse_mean_from_eps(xt: np.ndarray, eps_hat: np.ndarray, t: int,
@@ -112,23 +151,61 @@ def reverse_mean_from_eps(xt: np.ndarray, eps_hat: np.ndarray, t: int,
     return (xt - (1.0 - a) / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(a)
 
 
-def _normal_cdf(z):
-    return ops.mul(ops.add(ops.erf(ops.mul(z, 1.0 / math.sqrt(2.0))), 1.0), 0.5)
+def _kl_term(xt: np.ndarray, x0b: np.ndarray, mean: np.ndarray, log_sigma2: np.ndarray,
+             t: int, sched: NoiseSchedule):
+    """(0.5/J sum of [ln sigma^2 - ln beta - 1 + (beta + gap^2)/sigma^2], the
+    adjoint map to ln sigma^2's adjoint), for t >= 2."""
+    mu_q, beta_t = posterior_mean_var(xt, x0b, t, sched)
+    sigma2 = np.exp(log_sigma2)
+    coef = (mu_q - mean) ** 2 + beta_t
+    kl = (log_sigma2 + (-math.log(beta_t) - 1.0)) + (1.0 / sigma2) * coef
+    scale = 0.5 / x0b.shape[0]
+
+    def backward(g):
+        # scale and sum, then 1/sigma^2 (a div node) through exp, plus the
+        # direct ln sigma^2 term, as the composed tape accumulated them
+        g_kl = g * scale
+        g_sigma2 = -(g_kl * coef) / (sigma2 * sigma2)
+        return g_kl + g_sigma2 * sigma2
+
+    return np.sum(kl) * scale, backward
 
 
-def _decoder_term(x0b: np.ndarray, mean: np.ndarray, log_sigma2):
-    """-(1/J) sum of clamped per-bin log-probabilities, gradient via sigma only."""
+def _cdf_sigma_adjoint(g: np.ndarray, z: np.ndarray, a: np.ndarray, sigma: np.ndarray):
+    """sigma's adjoint from that of Phi(a/sigma) = (erf(z) + 1)/2, z = a/sigma/sqrt 2."""
+    g_z = ((g * 0.5) * _TWO_OVER_SQRT_PI) * np.exp(-z * z)
+    return -(g_z * _INV_SQRT2) * a / (sigma * sigma)
+
+
+def _decoder_term(x0b: np.ndarray, mean: np.ndarray, log_sigma2: np.ndarray):
+    """(-(1/J) sum of clamped per-bin log-probabilities, the adjoint map to
+    ln sigma^2's adjoint); the gradient flows through sigma only."""
+    from scipy.special import erf  # lazy: ~0.3 s to import
+
     k = grid_index(x0b)
-    sigma = ops.exp(ops.mul(log_sigma2, 0.5))
+    sigma = np.exp(log_sigma2 * 0.5)
     interior_hi = (k < GRID_LEVELS - 1).astype(np.float64)
     interior_lo = (k > 0).astype(np.float64)
+    a_hi = x0b + HALF_BIN - mean
+    a_lo = x0b - HALF_BIN - mean
+    z_hi = (a_hi / sigma) * _INV_SQRT2
+    z_lo = (a_lo / sigma) * _INV_SQRT2
     # boundary bins extend to the half-line: their CDF factor is the constant 1 or 0
-    cdf_hi = _normal_cdf(ops.div(x0b + HALF_BIN - mean, sigma))
-    cdf_lo = _normal_cdf(ops.div(x0b - HALF_BIN - mean, sigma))
-    cdf_hi = ops.add(ops.mul(cdf_hi, interior_hi), 1.0 - interior_hi)
-    cdf_lo = ops.mul(cdf_lo, interior_lo)
-    log_probs = ops.ln(ops.clip_min(ops.sub(cdf_hi, cdf_lo), _DECODER_PROB_FLOOR))
-    return ops.mul(ops.total(log_probs), -1.0 / x0b.shape[0])
+    cdf_hi = ((erf(z_hi) + 1.0) * 0.5) * interior_hi + (1.0 - interior_hi)
+    cdf_lo = ((erf(z_lo) + 1.0) * 0.5) * interior_lo
+    diff = cdf_hi - cdf_lo
+    clipped = np.maximum(diff, _DECODER_PROB_FLOOR)
+    scale = -1.0 / x0b.shape[0]
+
+    def backward(g):
+        # scale, sum, ln and clip, then the lower bin edge's chain before the
+        # upper one's, as the composed tape ran them
+        g_diff = ((g * scale) / clipped) * (diff > _DECODER_PROB_FLOOR)
+        g_sigma = _cdf_sigma_adjoint((-g_diff) * interior_lo, z_lo, a_lo, sigma)
+        g_sigma = g_sigma + _cdf_sigma_adjoint(g_diff * interior_hi, z_hi, a_hi, sigma)
+        return (g_sigma * sigma) * 0.5
+
+    return np.sum(np.log(clipped)) * scale, backward
 
 
 def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps, t: int,
@@ -141,65 +218,52 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps,
     live v2 head. For t = 1 it is the negative decoder log-likelihood with
     the same mean/variance split; x0 must sit on the data grid there.
     frozen_params None takes the live parameters as the frozen copy, so the
-    mean reuses the live v1's value instead of a second forward.
+    mean reuses the live v1's value instead of a second forward. Given a
+    tape Tensor of parameters, the loss is one fused node on top of the
+    network's; its adjoint runs the composed tape's VJPs in reverse order.
     """
-    if model.arch.head != HEAD_DUAL:
+    arch = model.arch
+    if arch.head != HEAD_DUAL:
         raise NotDualHead("hybrid loss needs a noise+variance head")
-    x0b, single = _batched(x0)
-    epsb, _ = _batched(eps)
-    J = x0b.shape[0]
+    x0b, epsb = _batched(x0), _batched(eps)
     xt = forward_sample(x0b, t, epsb, sched)
 
-    v1, v2 = denoise(model, xt, t, cond, params=params)
-    r = ops.sub(epsb, v1)
-    loss = ops.mul(ops.total(ops.mul(r, r)), 1.0 / J)
-    if lam == 0.0:
-        return loss if hasattr(loss, "value") else float(loss)
+    v1, v2, node = _head(model, xt, t, cond, params)
+    loss, noise_backward = _noise_term(epsb, v1)
+    if lam != 0.0:
+        if frozen_params is None:
+            frozen_v1 = v1
+        else:
+            frozen_v1, _ = denoise(model, xt, t, cond, params=frozen_params)
+        mean_p = reverse_mean_from_eps(xt, frozen_v1, t, sched)
+        log_hi, log_lo = _log_variance_range(t, sched)
+        log_sigma2 = log_variance_interpolation(v2, t, sched)
+        if t >= 2:
+            term, term_backward = _kl_term(xt, x0b, mean_p, log_sigma2, t, sched)
+        else:
+            term, term_backward = _decoder_term(x0b, mean_p, log_sigma2)
+        loss = loss + term * lam
+    if node is None:
+        return float(loss)
 
-    if frozen_params is None:
-        frozen_v1 = v1.value if hasattr(v1, "value") else v1
-    else:
-        frozen_v1, _ = denoise(model, xt, t, cond, params=frozen_params)
-    mean_p = reverse_mean_from_eps(xt, np.asarray(frozen_v1), t, sched)
-    log_sigma2 = log_variance_interpolation(v2, t, sched)
+    def backward(g):
+        g_pre = None
+        if lam != 0.0:
+            g_log = term_backward(g * lam)
+            # v2 log_hi + (1 - v2) log_lo, the (1 - v2) recorded as -(v2 - 1)
+            g_v2 = (g_log * log_lo) * -1.0 + g_log * log_hi
+            g_pre = g_v2 * (1.0 - v2 * v2)
+        return _head_adjoint(arch, noise_backward(g), g_pre)
 
-    if t >= 2:
-        mu_q, beta_t = posterior_mean_var(xt, x0b, t, sched)
-        gap2 = (mu_q - mean_p) ** 2
-        sigma2 = ops.exp(log_sigma2)
-        inv = ops.div(1.0, sigma2)
-        # 0.5 [ln sigma^2 - ln beta - 1 + beta/sigma^2 + gap^2/sigma^2] per coordinate
-        kl = ops.add(
-            ops.add(log_sigma2, -math.log(beta_t) - 1.0),
-            ops.mul(inv, gap2 + beta_t),
-        )
-        term = ops.mul(ops.total(kl), 0.5 / J)
-    else:
-        term = _decoder_term(x0b, mean_p, log_sigma2)
-    out = ops.add(loss, ops.mul(term, lam))
-    return out if hasattr(out, "value") else float(out)
-
-
-def cfg_mask(c: np.ndarray, bern: int) -> np.ndarray:
-    """The conditioning actually trained on: c when bern is 1, else zeros."""
-    c = np.asarray(c, dtype=np.float64)
-    return c if bern == 1 else np.zeros_like(c)
+    return fused(node, loss, backward)
 
 
 def sgd_step(params: np.ndarray, grads, gamma: float) -> np.ndarray:
-    """theta - gamma * (batch-mean gradient); grads is one vector or a list."""
+    """theta - gamma * grads, the batch-mean gradient."""
     params = np.asarray(params, dtype=np.float64)
-    if isinstance(grads, (list, tuple)):
-        if not grads:
-            raise LengthMismatch("empty gradient list")
-        for g in grads:
-            if np.asarray(g).shape != params.shape:
-                raise LengthMismatch(f"gradient shape {np.asarray(g).shape} vs {params.shape}")
-        g = np.mean(np.stack([np.asarray(g, dtype=np.float64) for g in grads]), axis=0)
-    else:
-        g = np.asarray(grads, dtype=np.float64)
-        if g.shape != params.shape:
-            raise LengthMismatch(f"gradient shape {g.shape} vs {params.shape}")
+    g = np.asarray(grads, dtype=np.float64)
+    if g.shape != params.shape:
+        raise LengthMismatch(f"gradient shape {g.shape} vs {params.shape}")
     return params - gamma * g
 
 
@@ -262,7 +326,7 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
                 if labels is None:
                     raise ConfigError("variant cfg needs labeled data")
                 onehot = _one_hot(np.asarray(labels), model.arch.conditioning.num_classes)
-                # row j is cfg_mask(onehot[j], keep[j])
+                # a dropped row trains the unconditional model: zero conditioning
                 cond = np.where(keep_block[i][:, None] == 1, onehot, 0.0)
 
             leaf = ADTape().tensor(params)

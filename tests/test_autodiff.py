@@ -1,15 +1,20 @@
-"""The flat-parameter tape primitives: `view` and the fused `linear` node
-give bit for bit the values and gradients of the slice/reshape and
-matmul/add chains they replace; `fused` wraps a hand-written backward, and
-the denoiser's one fused node keeps the training tape small."""
+"""The program's tape and the oracle op set it is checked against.
+
+The program's tape holds a parameter leaf and `fused` nodes with
+hand-written backwards; a training step is three nodes. The oracle's
+flat-parameter primitives (tests/tape_oracle.py): `view` and the `linear`
+node give bit for bit the values and gradients of the slice/reshape and
+matmul/add chains they stand for."""
 
 import numpy as np
 import pytest
+import tape_oracle as ops
 
-from diffusionlab.denoiser import ClassConditioning, DenoiserArch, DenoiserModel
-from diffusionlab.numerics import ADTape, ParamLayout, grad, ops
+from diffusionlab.denoiser import HEAD_DUAL, ClassConditioning, DenoiserArch, DenoiserModel
+from diffusionlab.errors import ShapeMismatch
+from diffusionlab.numerics import ADTape, ParamLayout, fused, grad
 from diffusionlab.schedule import cosine_schedule
-from diffusionlab.training import simple_loss
+from diffusionlab.training import hybrid_loss, simple_loss
 
 
 def _bits(a):
@@ -36,7 +41,7 @@ def test_linear_matches_matmul_add(x_shape, x_on_tape):
         ws, bs = tape.tensor(w), tape.tensor(b)
         y = ops.linear(xs, ws, bs) if fused else ops.add(ops.matmul(xs, ws), bs)
         leaves = [ws, bs] + ([xs] if x_on_tape else [])
-        results.append([y.value] + grad(_loss(y, target), leaves))
+        results.append([y.value] + ops.grad(_loss(y, target), leaves))
     for fused, plain in zip(*results):
         assert _bits(fused) == _bits(plain)
     assert _bits(ops.linear(x, w, b)) == _bits(results[1][0])
@@ -61,7 +66,7 @@ def test_view_matches_reshaped_slice():
         leaf = tape.tensor(flat)
         blk = ops.view(leaf, 5, 17, (3, 4)) if new else \
             ops.reshape(ops.slice_axis(leaf, 0, 5, 17), (3, 4))
-        results.append((blk.value, grad(_loss(blk, target), [leaf])[0]))
+        results.append((blk.value, ops.grad(_loss(blk, target), [leaf])[0]))
     (v_new, g_new), (v_old, g_old) = results
     assert _bits(v_new) == _bits(v_old)
     assert _bits(g_new) == _bits(g_old)
@@ -90,13 +95,13 @@ def test_views_tiling_a_leaf_give_the_flat_gradient():
 
     tape = ADTape()
     leaf = tape.tensor(flat)
-    g_new = grad(_loss(net(plan.blocks(leaf), True), target), [leaf])[0]
+    g_new = ops.grad(_loss(net(ops.blocks(plan, leaf), True), target), [leaf])[0]
 
     tape = ADTape()
     leaf = tape.tensor(flat)
     old = {name: ops.reshape(ops.slice_axis(leaf, 0, a, b), shape)
            for name, a, b, shape in plan.plan}
-    g_old = grad(_loss(net(old, False), target), [leaf])[0]
+    g_old = ops.grad(_loss(net(old, False), target), [leaf])[0]
     assert _bits(g_new) == _bits(g_old)
     assert np.all(g_new != 0.0)
 
@@ -111,7 +116,7 @@ def test_view_scatter_adds_to_other_uses_of_the_flat_vector():
     a, b = tape.tensor(a_val), tape.tensor(b_val)
     loss = ops.add(ops.total(ops.mul(ops.view(a, 0, 6, (2, 3)), w)),
                    ops.total(ops.mul(ops.add(a, b), c)))
-    g_a, g_b = grad(loss, [a, b])
+    g_a, g_b = ops.grad(loss, [a, b])
     assert _bits(g_b) == _bits(c)
     assert _bits(g_a) == _bits(c + w.reshape(-1))
 
@@ -127,19 +132,29 @@ def test_plan_tiles_the_vector_and_gives_numpy_views():
     assert blocks["c"].tolist() == [[9.0, 10.0, 11.0, 12.0]]
 
 
-@pytest.mark.parametrize("cond", [None, ClassConditioning(8)], ids=["ddpm", "cfg"])
-def test_training_tape_is_small_and_reads_the_leaf_through_one_fused_node(cond):
-    # ddpm and cfg (AdaGN) steps: the network is one node, the loss a few more
-    model = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 8, conditioning=cond), 7)
+def test_blocks_rejects_a_vector_of_the_wrong_length():
+    plan = ParamLayout([("a", (2, 3)), ("b", (3,))])
+    for bad in (np.zeros(8), np.zeros(10), np.zeros((3, 3))):
+        with pytest.raises(ShapeMismatch):
+            plan.blocks(bad)
+
+
+@pytest.mark.parametrize("cond, head", [(None, "noise-only"), (ClassConditioning(8), "noise-only"),
+                                        (None, HEAD_DUAL)], ids=["ddpm", "cfg", "improved"])
+def test_training_tape_is_small_and_reads_the_leaf_through_one_fused_node(cond, head):
+    # ddpm, cfg (AdaGN) and improved steps: the leaf, the network, the loss
+    model = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 8, head, cond), 7)
     rng = np.random.default_rng(4)
     x0, eps = rng.normal(size=(16, 2)), rng.normal(size=(16, 2))
     onehot = None if cond is None else np.eye(8)[rng.integers(0, 8, size=16)]
     tape = ADTape()
     leaf = tape.tensor(model.params)
-    loss = simple_loss(model, x0, eps, 9, cosine_schedule(50), cond=onehot, params=leaf)
-    assert len(tape) <= 8
-    from_leaf = [op for op, par in zip(tape.ops, tape.parents) if leaf.index in par]
-    assert from_leaf == ["fused"]
+    if head == HEAD_DUAL:
+        loss = hybrid_loss(model, None, x0, eps, 9, cosine_schedule(50), lam=0.1, params=leaf)
+    else:
+        loss = simple_loss(model, x0, eps, 9, cosine_schedule(50), cond=onehot, params=leaf)
+    assert tape.ops == ["leaf", "fused", "fused"]
+    assert tape.parents == [(), (0,), (1,)]
     assert grad(loss, [leaf])[0].shape == model.params.shape
 
 
@@ -148,13 +163,16 @@ def test_fused_node_backward_gets_the_adjoint_and_returns_the_parent_adjoint():
     a_val, w = rng.normal(size=4), rng.normal(size=(4, 3))
     tape = ADTape()
     a = tape.tensor(a_val)
+    other = tape.tensor(np.ones(2))
     seen = []
 
     def backward(g):
         seen.append(g)
         return w @ g
 
-    y = ops.fused(a, a_val @ w, backward)
-    loss = ops.total(ops.mul(y, 2.0))
-    assert _bits(grad(loss, [a])[0]) == _bits(w @ np.full(3, 2.0))
+    y = fused(a, a_val @ w, backward)
+    loss = fused(y, np.sum(y.value * 2.0), lambda g: np.full(3, 2.0) * g)
+    g_a, g_other = grad(loss, [a, other])
+    assert _bits(g_a) == _bits(w @ np.full(3, 2.0))
+    assert _bits(g_other) == _bits(np.zeros(2))
     assert len(seen) == 1 and _bits(seen[0]) == _bits(np.full(3, 2.0))

@@ -190,6 +190,20 @@ def test_unknown_config_key_is_exit_2(tmp_path):
     assert "bogus" in proc.stderr
 
 
+@pytest.mark.parametrize("body, message", [
+    (b"[train]\nsteps = 5\xff\n", "not UTF-8"),
+    (b"[train]\nsteps = %\n", "bad value"),
+    (b"[train]\nsteps\n", "cannot parse"),
+])
+def test_damaged_config_text_is_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                           body, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.ini").write_bytes(body)
+    assert cli.main(["train", "bad.ini"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
+
+
 def test_unknown_config_section_is_exit_2(tmp_path):
     (tmp_path / "bad.ini").write_text("[mystery]\nx = 1\n")
     proc = run_cli("train", "bad.ini", cwd=tmp_path)
@@ -616,7 +630,7 @@ def test_info_on_garbage_is_exit_3(tmp_path):
 
 EXIT_CODES = {
     "DiffusionLabError": 4,
-    "NonScalarOutput": 4, "UnsupportedPrimitive": 4, "NotSymmetric": 4,
+    "NonScalarOutput": 4, "NotSymmetric": 4,
     "IndefiniteMatrix": 4, "SingularCovariance": 4, "StepOutOfRange": 4,
     "NonpositiveVariance": 4, "DegenerateEmbedding": 4, "BadWindow": 4, "NonFiniteLoss": 4,
     "NotConverged": 4,

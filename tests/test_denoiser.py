@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import tape_oracle as ops
 from scipy.spatial import cKDTree
 
 from diffusionlab import training
@@ -11,15 +12,11 @@ from diffusionlab.denoiser import (
     ClassConditioning,
     DenoiserArch,
     DenoiserModel,
-    TimeEmbeddingSpec,
-    _check_conditioning,
-    _const_group_matrices,
+    _adagn_rows,
     _embedding,
-    adagn,
     denoise,
     init_params,
     param_layout,
-    time_embedding,
 )
 from diffusionlab.errors import (
     ConditioningMismatch,
@@ -27,21 +24,21 @@ from diffusionlab.errors import (
     ShapeMismatch,
     StepOutOfRange,
 )
-from diffusionlab.numerics import ADTape, grad, ops
+from diffusionlab.numerics import ADTape, grad
 from diffusionlab.schedule import cosine_schedule
 
 
 # ------------------------------------------------------------ time embedding
 
 def test_time_embedding_zero_probe():
-    emb = time_embedding(0, TimeEmbeddingSpec(8))
+    emb = _embedding(0, 8)
     np.testing.assert_array_equal(emb[:4], np.zeros(4))
     np.testing.assert_array_equal(emb[4:], np.ones(4))
 
 
 def test_time_embedding_unit_angle():
     # c=2: first frequency exponent is 1/(c-1) = 1, so t=10000 gives sin(1)
-    emb = time_embedding(10000, TimeEmbeddingSpec(4))
+    emb = _embedding(10000, 4)
     assert emb[0] == pytest.approx(math.sin(1.0), abs=1e-12)
     assert emb[2] == pytest.approx(math.cos(1.0), abs=1e-12)
 
@@ -51,7 +48,7 @@ def test_time_embedding_range():
     for _ in range(200):
         t = int(rng.integers(0, 10**6))
         d_emb = 2 * int(rng.integers(2, 40))
-        emb = time_embedding(t, TimeEmbeddingSpec(d_emb))
+        emb = _embedding(t, d_emb)
         assert emb.shape == (d_emb,)
         assert np.all(emb >= -1.0) and np.all(emb <= 1.0)
 
@@ -59,20 +56,26 @@ def test_time_embedding_range():
 def test_time_embedding_degenerate():
     for d_emb in (2, 3, 0, 7):
         with pytest.raises(DegenerateEmbedding):
-            TimeEmbeddingSpec(d_emb)
+            DenoiserArch(2, (4,), d_emb)
+    model = DenoiserModel.initialized(DenoiserArch(2, (4,), 4), 0)
     with pytest.raises(StepOutOfRange):
-        time_embedding(-1, TimeEmbeddingSpec(4))
+        denoise(model, np.zeros(2), -1)
 
 
 def test_time_embedding_injective_at_desk_scale():
-    spec = TimeEmbeddingSpec(64)
-    table = np.stack([time_embedding(t, spec) for t in range(1, 10_001)])
+    table = np.stack([_embedding(t, 64) for t in range(1, 10_001)])
     tree = cKDTree(table)
     dist, _ = tree.query(table, k=2, p=np.inf)
     assert float(np.min(dist[:, 1])) > 1e-6
 
 
 # ------------------------------------------------------------ adagn
+
+def adagn(x, y1, y2, beta=0.0, gamma=1.0, eps=1e-5, groups=1):
+    """_adagn_rows of one feature vector or a batch of rows."""
+    rows = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (x, y1, y2)]
+    return _adagn_rows(*rows, beta, gamma, eps, groups).reshape(np.shape(x))
+
 
 def test_adagn_identity_modulation_is_group_norm():
     rng = np.random.default_rng(5)
@@ -116,18 +119,6 @@ def test_adagn_gamma_beta_affine():
     plain = adagn(x, np.ones(8), np.zeros(8), beta=0.0, gamma=1.0, eps=1e-12)
     scaled = adagn(x, np.ones(8), np.zeros(8), beta=0.25, gamma=2.0, eps=1e-12)
     np.testing.assert_allclose(scaled, 2.0 * plain + 0.25, rtol=1e-12)
-
-
-def test_adagn_shape_validation():
-    x = np.zeros(6)
-    with pytest.raises(ShapeMismatch):
-        adagn(x, np.ones(4), np.zeros(4))  # 4 does not divide 6
-    with pytest.raises(ShapeMismatch):
-        adagn(x, np.ones(6), np.zeros(5))
-    with pytest.raises(ShapeMismatch):
-        adagn(x, np.ones(6), np.zeros(6), groups=4)  # 4 does not divide 6
-    with pytest.raises(ShapeMismatch):
-        adagn(np.zeros((2, 6)), np.ones((3, 6)), np.zeros((3, 6)))
 
 
 # ------------------------------------------------------------ model
@@ -215,6 +206,9 @@ def test_denoise_rejects_bad_step_and_params():
         DenoiserModel(model.arch, np.zeros(model.param_count + 1))
     with pytest.raises(ShapeMismatch):
         denoise(model, np.zeros(3), 1)
+    for params in (np.zeros(3), np.zeros(model.param_count + 1), ADTape().tensor(np.zeros(3))):
+        with pytest.raises(ShapeMismatch):
+            denoise(model, np.zeros(2), 1, params=params)
 
 
 def _fd_vs_ad(arch, cond, seed):
@@ -230,9 +224,9 @@ def _fd_vs_ad(arch, cond, seed):
 
     tape = ADTape()
     leaf = tape.tensor(model.params)
-    e_hat, _ = denoise(model, x, 4, cond, params=leaf)
+    e_hat, _ = ops.denoise_on_fused(model, x, 4, cond, params=leaf)
     r = ops.sub(eps, e_hat)
-    g = grad(ops.total(ops.mul(r, r)), [leaf])[0]
+    g = ops.grad(ops.total(ops.mul(r, r)), [leaf])[0]
 
     h = 1e-6
     fd = np.zeros_like(model.params)
@@ -278,50 +272,9 @@ def test_varied_widths_use_projection():
 
 # ------------------------------------------------------------ the fused node
 
-# The network as it was composed from tape primitives, one node per linear,
-# add, tanh, slice and AdaGN step: the oracle for the fused node's values
-# and hand-written backward.
-
-
-def _oracle_adagn(x, y1, y2, beta=0.0, gamma=1.0, eps=1e-5, groups=1):
-    avg, ind, tile = _const_group_matrices(x.shape[-1], y1.shape[-1], groups)
-    m = ops.matmul(ops.matmul(x, avg.T), ind)
-    centered = ops.sub(x, m)
-    v = ops.matmul(ops.matmul(ops.mul(centered, centered), avg.T), ind)
-    normed = ops.div(centered, ops.sqrt(ops.add(v, eps)))
-    gn = ops.add(ops.mul(normed, gamma), beta)
-    return ops.add(ops.mul(ops.matmul(y1, tile.T), gn), ops.matmul(y2, tile.T))
-
-
-def _oracle_denoise(model, xt, t, cond=None, params=None):
-    arch = model.arch
-    xv = np.asarray(xt, dtype=np.float64)
-    single = xv.ndim == 1
-    xb = xv.reshape(1, -1) if single else xv
-    cv = _check_conditioning(arch, cond, xb.shape[0])
-    p = model.plan.blocks(model.params if params is None else params)
-    emb = _embedding(t, arch.d_emb)
-    h = ops.linear(xb, p["input.w"], p["input.b"])
-    for k, w in enumerate(arch.hidden):
-        pre = f"block{k}."
-        if pre + "proj.w" in p:
-            h = ops.linear(h, p[pre + "proj.w"], p[pre + "proj.b"])
-        h = ops.add(h, ops.linear(emb, p[pre + "time.w"], p[pre + "time.b"]))
-        if cv is not None:
-            ypair = ops.linear(cv, p[pre + "cls.w"], p[pre + "cls.b"])
-            y1 = ops.slice_axis(ypair, 1, 0, w)
-            y2 = ops.slice_axis(ypair, 1, w, 2 * w)
-            h = _oracle_adagn(h, y1, y2)
-        inner = ops.tanh(ops.linear(h, p[pre + "core.w1"], p[pre + "core.b1"]))
-        h = ops.add(h, ops.linear(inner, p[pre + "core.w2"], p[pre + "core.b2"]))
-    out = ops.linear(h, p["head.w"], p["head.b"])
-    if arch.head == HEAD_DUAL:
-        v1 = ops.slice_axis(out, 1, 0, arch.d)
-        v2 = ops.tanh(ops.slice_axis(out, 1, arch.d, 2 * arch.d))
-        if single:
-            return ops.reshape(v1, (arch.d,)), ops.reshape(v2, (arch.d,))
-        return v1, v2
-    return (ops.reshape(out, (arch.d,)) if single else out), None
+# The oracle (tests/tape_oracle.py) composes the network from tape ops, one
+# node per linear, add, tanh, slice and AdaGN step, and the losses on top
+# of it; the program's fused nodes must give its values and gradients.
 
 
 def _bits(a):
@@ -337,7 +290,8 @@ _FUSED_ARCHS = {
 _SCHED = cosine_schedule(50)
 
 
-def _loss_and_grad(loss_fn, model, params):
+def _loss_and_grad(loss_fn, params):
+    """(value, gradient, tape length) of a program loss, by the program's grad."""
     tape = ADTape()
     leaf = tape.tensor(params)
     loss = loss_fn(leaf)
@@ -363,8 +317,7 @@ def _cases(arch, seed):
                                         for loss in ("simple", "hybrid")
                                         if loss == "simple" or _FUSED_ARCHS[name].head == HEAD_DUAL])
 @pytest.mark.parametrize("zero_params", [False, True])
-def test_fused_network_matches_the_composed_tape_bit_for_bit(name, loss, zero_params,
-                                                             monkeypatch):
+def test_fused_network_matches_the_composed_tape_bit_for_bit(name, loss, zero_params):
     arch = _FUSED_ARCHS[name]
     model = DenoiserModel.initialized(arch, 5)
     if zero_params:  # exact zeros everywhere: the signs of zero adjoints must match
@@ -373,15 +326,15 @@ def test_fused_network_matches_the_composed_tape_bit_for_bit(name, loss, zero_pa
     for x0, eps, cond in _cases(arch, 9):
         for t in (1, 2, _SCHED.T):
             if loss == "simple":
-                fn = lambda p: training.simple_loss(model, x0, eps, t, _SCHED, cond, params=p)
+                fns = [lambda p, m=m: m.simple_loss(model, x0, eps, t, _SCHED, cond, params=p)
+                       for m in (training, ops)]
             else:
-                fn = lambda p: training.hybrid_loss(model, frozen, x0, eps, t, _SCHED,
-                                                    lam=0.3, cond=cond, params=p)
-            value, g, nodes = _loss_and_grad(fn, model, model.params)
-            with monkeypatch.context() as m:
-                m.setattr(training, "denoise", _oracle_denoise)
-                want_value, want_g, oracle_nodes = _loss_and_grad(fn, model, model.params)
-            assert nodes < oracle_nodes
+                fns = [lambda p, m=m: m.hybrid_loss(model, frozen, x0, eps, t, _SCHED, lam=0.3,
+                                                    cond=cond, params=p)
+                       for m in (training, ops)]
+            value, g, nodes = _loss_and_grad(fns[0], model.params)
+            want_value, want_g, oracle_nodes = ops.loss_and_grad(fns[1], model.params)
+            assert nodes == 3 < oracle_nodes
             assert _bits(value) == _bits(want_value), (x0.shape, t)
             assert _bits(g) == _bits(want_g), (x0.shape, t)
 
@@ -393,9 +346,9 @@ def test_fused_network_outputs_match_the_composed_tape(name):
     for x0, _, cond in _cases(arch, 4):
         for t in (1, 2, _SCHED.T):
             tape = ADTape()
-            got = denoise(model, x0, t, cond, params=tape.tensor(model.params))
+            got = ops.denoise_on_fused(model, x0, t, cond, params=tape.tensor(model.params))
             plain = denoise(model, x0, t, cond)
-            want = _oracle_denoise(model, x0, t, cond, params=ADTape().tensor(model.params))
+            want = ops.denoise(model, x0, t, cond, params=ADTape().tensor(model.params))
             for a, b, c in zip(got, plain, want):
                 if c is None:
                     assert a is None and b is None

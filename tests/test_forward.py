@@ -150,6 +150,15 @@ def test_grid_index_roundtrip():
             grid_index([bad])
 
 
+def test_non_finite_coordinates_are_off_grid():
+    # nan fails both range tests, so it must be caught before them
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OffGridInput):
+            grid_index([-1.0, bad])
+        with pytest.raises(OffGridInput):
+            decoder_loglik(np.array([bad, -1.0]), np.zeros(2), 0.5)
+
+
 def test_decoder_saturated_boundary_bin():
     # mean far above 1 with tiny sigma: the top bin catches everything
     val = decoder_loglik([1.0], [2.0], 1e-6)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import tape_oracle
 
 from diffusionlab.errors import (
     BadWindow,
@@ -24,7 +25,7 @@ from diffusionlab.metrics import (
     ssim,
     train_feature_model,
 )
-from diffusionlab.numerics import RngStream
+from diffusionlab.numerics import ADTape, RngStream
 
 
 class IdentityFeatures:
@@ -284,6 +285,23 @@ def test_feature_model_zero_params_is_uniform():
     assert np.allclose(p, 0.2, atol=1e-12)
     rep = inception_score(RngStream(1).normals(20).reshape(10, 2), fm, batches=2)
     assert rep.value == 1.0
+
+
+@pytest.mark.parametrize("hidden", [(), (6,), (8, 5)])
+def test_feature_model_gradient_matches_the_composed_tape(hidden):
+    # the closed-form cross-entropy adjoint (p - onehot)/J against the
+    # composed softmax, ln, mul and sum nodes of the oracle tape
+    rng = np.random.default_rng(3)
+    fm = FeatureModel.initialized(3, 4, 5, hidden, seed=2)
+    for batch in (1, 16):
+        x = rng.normal(size=(batch, 3))
+        onehot = np.eye(4)[rng.integers(0, 4, size=batch)]
+        tape = ADTape()
+        leaf = tape.tensor(fm.params)
+        want = tape_oracle.grad(tape_oracle.feature_cross_entropy(fm, x, onehot, leaf), [leaf])[0]
+        got = fm.cross_entropy_grad(x, onehot)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_feature_model_shape_validation():

@@ -1,10 +1,12 @@
 """Damaged input files end in a named error, never a traceback.
 
-Four fixtures are cut at about ten offsets and hit by 25 seeded single-bit
+Five fixtures are cut at about ten offsets and hit by 25 seeded single-bit
 flips each, and every damaged copy is read through `cli.main` in-process:
 a denoiser checkpoint by `info` and `sample`, a CSV file by `eval --metrics
-kl`, a one-image PGM directory by `eval --metrics psnr`, and an IDX file by
-a 5-step improved `train`. A damaged file may still be valid (a flipped
+kl`, a one-image PGM directory by `eval --metrics psnr`, an IDX file by a
+5-step improved `train`, and that run's INI config by `train`. The config
+names its files relative to the test's directory, so a damaged path or a
+dropped [output] section still writes there. A damaged file may still be valid (a flipped
 pixel is a different picture), so exit 0 is allowed; any other outcome must
 be a documented exit code with exactly one `error:` line on stderr.
 """
@@ -36,8 +38,9 @@ def _damaged(raw: bytes, seed: int):
 
 
 @pytest.fixture
-def fixtures(tmp_path):
+def fixtures(tmp_path, monkeypatch):
     """name -> (fixture file, file the damaged copy is written to, argvs)."""
+    monkeypatch.chdir(tmp_path)
     save_checkpoint(str(tmp_path / "model.ckpt"),
                     DenoiserModel.initialized(DenoiserArch(2, (4,), 4), 3),
                     linear_schedule(10), step=0)
@@ -48,12 +51,13 @@ def fixtures(tmp_path):
               np.arange(16, dtype=np.uint8).reshape(4, 4) * 16)
     images = np.random.default_rng(5).integers(0, 256, size=(12, 16))
     idx_write(str(tmp_path / "x.idx"), -1.0 + images * (2.0 / 255.0), 4, 4)
-    (tmp_path / "train.ini").write_text(
-        f"[dataset]\nkind = idx\npath = {tmp_path / 'bad.idx'}\n"
-        "[schedule]\ntype = linear\nt = 10\n"
-        "[model]\nhidden = 4\nd_emb = 4\nhead = noise+variance\n"
-        "[train]\nvariant = improved\ngamma = 0.01\nbatch = 2\nsteps = 5\nseed = 1\n"
-        f"[output]\ndir = {tmp_path / 'run'}\n")
+    config = ("[dataset]\nkind = idx\npath = {}\n"
+              "[schedule]\ntype = linear\nt = 10\n"
+              "[model]\nhidden = 4\nd_emb = 4\nhead = noise+variance\n"
+              "[train]\nvariant = improved\ngamma = 0.01\nbatch = 2\nsteps = 5\nseed = 1\n"
+              "[output]\ndir = run\n")
+    (tmp_path / "train.ini").write_text(config.format("bad.idx"))
+    (tmp_path / "x.ini").write_text(config.format("x.idx"))
     out = str(tmp_path / "out")
     bad_ckpt, bad_csv, bad_pgm = (str(tmp_path / n) for n in ("bad.ckpt", "bad.csv", "gen"))
     eval_args = ["--out", str(tmp_path / "m.csv")]
@@ -69,10 +73,12 @@ def fixtures(tmp_path):
              *eval_args]]),
         "idx": (tmp_path / "x.idx", tmp_path / "bad.idx", [
             ["train", str(tmp_path / "train.ini")]]),
+        "ini": (tmp_path / "x.ini", tmp_path / "bad.ini", [
+            ["train", str(tmp_path / "bad.ini")]]),
     }
 
 
-@pytest.mark.parametrize("name", ["checkpoint", "csv", "pgm", "idx"])
+@pytest.mark.parametrize("name", ["checkpoint", "csv", "pgm", "idx", "ini"])
 def test_damaged_fixture_ends_in_a_named_error(fixtures, capsys, name):
     good, bad, argvs = fixtures[name]
     raw = good.read_bytes()

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import tape_oracle
 from scipy.stats import norm
 
 from diffusionlab import BACKEND, data, fileio, metrics, sampler, training
@@ -24,6 +25,7 @@ from diffusionlab.errors import (
     NonFiniteLoss,
     NotDualHead,
     OffGridInput,
+    ShapeMismatch,
     StepOutOfRange,
     TruncatedFile,
 )
@@ -34,7 +36,6 @@ from diffusionlab.schedule import cosine_schedule, linear_schedule
 from diffusionlab.training import (
     Checkpoint,
     TrainConfig,
-    cfg_mask,
     hybrid_loss,
     load_checkpoint,
     log_variance_interpolation,
@@ -251,6 +252,29 @@ def test_hybrid_loss_off_grid_x0_rejected_at_first_step():
         hybrid_loss(model, model.params, x0, np.zeros(2), 1, sched, lam=0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hybrid_loss_non_finite_x0_rejected_at_first_step(bad):
+    model = _model(HEAD_DUAL)
+    sched = linear_schedule(10)
+    x0 = np.array([bad, -1.0])
+    for params in (None, ADTape().tensor(model.params)):
+        with pytest.raises(OffGridInput), np.errstate(invalid="ignore"):  # inf - inf in the net
+            hybrid_loss(model, None, x0, np.zeros(2), 1, sched, lam=0.1, params=params)
+
+
+def test_losses_reject_a_parameter_vector_of_the_wrong_length():
+    model = _model(HEAD_DUAL)
+    sched = linear_schedule(10)
+    x = np.zeros((2, 2))
+    for bad in (np.zeros(3), np.zeros(model.param_count + 1)):
+        with pytest.raises(ShapeMismatch):
+            hybrid_loss(model, bad, x, x, 3, sched)
+        with pytest.raises(ShapeMismatch):
+            simple_loss(model, x, x, 3, sched, params=bad)
+        with pytest.raises(ShapeMismatch):
+            hybrid_loss(model, None, x, x, 3, sched, params=ADTape().tensor(bad))
+
+
 def test_hybrid_loss_zero_network_kl_oracle():
     # zero parameters: v1 = 0, v2 = 0, so the reverse mean is xt/sqrt(alpha)
     # and the learned variance lands exactly on beta_tilde
@@ -381,13 +405,56 @@ def test_hybrid_loss_gradient_matches_finite_differences(t):
     assert np.linalg.norm(fd - g) / np.linalg.norm(fd) < 1e-4
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+_ADJOINT_CASES = [
+    (loss, head, cond, frozen)
+    for loss, head in (("simple", HEAD_NOISE), ("simple", HEAD_DUAL), ("hybrid", HEAD_DUAL))
+    for cond in (None, ClassConditioning(3))
+    for frozen in ((None, "explicit") if loss == "hybrid" else (None,))
+]
+
+
+@pytest.mark.parametrize("loss, head, cond, frozen", _ADJOINT_CASES)
+def test_loss_adjoints_match_the_composed_tape_bit_for_bit(loss, head, cond, frozen):
+    # the program's loss node against the losses composed from tape ops
+    # (tests/tape_oracle.py), over the program's fused network node and
+    # over the network composed from ops as well
+    model = _model(head, hidden=(8, 8), d_emb=6, cond=cond, seed=41)
+    frozen_params = None if frozen is None else _model(head, (8, 8), 2, 6, cond, 42).params
+    sched = cosine_schedule(40)
+    rng = np.random.default_rng(43)
+    for batch in (1, 16):
+        x0 = _quantize(0.6 * rng.normal(size=(batch, 2)))
+        x0[0, 0], x0[-1, -1] = -1.0, 1.0  # both boundary bins at t = 1
+        eps = rng.normal(size=(batch, 2))
+        c = None if cond is None else np.eye(3)[rng.integers(0, 3, size=batch)]
+        for t in (1, 2, sched.T):
+            for lam in ((0.3, 0.0) if loss == "hybrid" else (None,)):
+                def fn(p, m, network=None):
+                    kw = {} if network is None else {"network": network}
+                    if loss == "simple":
+                        return m.simple_loss(model, x0, eps, t, sched, c, params=p, **kw)
+                    return m.hybrid_loss(model, frozen_params, x0, eps, t, sched, lam=lam,
+                                         cond=c, params=p, **kw)
+
+                tape = ADTape()
+                leaf = tape.tensor(model.params)
+                got = fn(leaf, training)
+                g = grad(got, [leaf])[0]
+                assert len(tape) == 3
+                assert _bits(fn(model.params, training)) == _bits(got.value)
+                for network in (tape_oracle.denoise_on_fused, tape_oracle.denoise):
+                    want, want_g, _ = tape_oracle.loss_and_grad(
+                        lambda p: fn(p, tape_oracle, network), model.params)
+                    where = (batch, t, lam, network.__name__)
+                    assert _bits(got.value) == _bits(want), where
+                    assert _bits(g) == _bits(want_g), where
+
+
 # ---------------------------------------------------------------- cfg mask
-
-
-def test_cfg_mask_keeps_or_zeroes():
-    c = np.array([0.0, 1.0, 0.0])
-    assert np.array_equal(cfg_mask(c, 1), c)
-    assert np.array_equal(cfg_mask(c, 0), np.zeros(3))
 
 
 def test_cfg_mask_dropout_rates():
@@ -426,21 +493,12 @@ def test_sgd_step_quadratic_oracle():
     assert p[0] == pytest.approx(0.9**100, rel=1e-12)
 
 
-def test_sgd_step_averages_gradient_lists():
-    p = np.zeros(2)
-    g = np.array([1.0, 2.0])
-    out = sgd_step(p, [g, 3 * g], 0.5)
-    assert np.allclose(out, -0.5 * 2 * g, rtol=1e-15)
-
-
 def test_sgd_step_length_mismatch():
     p = np.zeros(3)
     with pytest.raises(LengthMismatch):
         sgd_step(p, np.zeros(4), 0.1)
     with pytest.raises(LengthMismatch):
-        sgd_step(p, [np.zeros(3), np.zeros(2)], 0.1)
-    with pytest.raises(LengthMismatch):
-        sgd_step(p, [], 0.1)
+        sgd_step(p, np.zeros((1, 3)), 0.1)
 
 
 # ---------------------------------------------------------------- train loop
@@ -514,6 +572,22 @@ def test_train_names_the_benchmark_tracer_wraps_exist():
     for owner, names in wrapped.items():
         for name in names:
             assert callable(getattr(owner, name, None)), (owner.__name__, name)
+    # the tracer's grad wrapper reads the tape a loss builds: f.tape, its
+    # ops and parents, len(tape), and the leaf's index and value
+    for head in (HEAD_NOISE, HEAD_DUAL):
+        model = _model(head, seed=3)
+        tape = ADTape()
+        leaf = tape.tensor(model.params)
+        x0 = np.zeros((4, 2))
+        if head == HEAD_DUAL:
+            f = hybrid_loss(model, None, x0, x0, 3, linear_schedule(10), params=leaf)
+        else:
+            f = simple_loss(model, x0, x0, 3, linear_schedule(10), params=leaf)
+        leaves = [leaf]
+        assert f.tape is tape and leaves[0].value.nbytes == 8 * model.param_count
+        assert sum(1 for op, par in zip(f.tape.ops, f.tape.parents)
+                   if op == "slice" and par[0] == leaves[0].index) == 0
+        assert len(f.tape) == 3
     # and its run records name the numeric implementation
     assert BACKEND == "numpy"
 
@@ -532,7 +606,8 @@ def _oracle_train(model, source, cfg, sched, variant):
         if variant == "cfg":
             onehot = np.eye(model.arch.conditioning.num_classes)[np.asarray(labels)]
             keep = mask_stream.bernoulli(cfg.J, 1.0 - cfg.p_uncond)
-            cond = np.stack([cfg_mask(onehot[j], int(keep[j])) for j in range(cfg.J)])
+            cond = np.stack([onehot[j] if keep[j] == 1 else np.zeros_like(onehot[j])
+                             for j in range(cfg.J)])
         leaf = ADTape().tensor(params)
         if variant == "improved":
             loss = hybrid_loss(model, None, x0, eps, t, sched, lam=cfg.lam, cond=cond,
