@@ -12,6 +12,14 @@ a single tape node whose backward is written by hand; the losses put one
 more node with their own hand-written adjoint on top of it. The parameter
 layout is compiled once per architecture; each forward reads all blocks
 from it in one pass.
+
+A sampler makes one workspace per call, a dict of buffers keyed by role
+and shape, and passes it to every network evaluation. The forward then
+writes each (rows, width) intermediate into the same few buffers step
+after step, with the same ufuncs in the same order, so the bits are those
+of fresh arrays; a large batch no longer frees and re-faults its
+temporaries on every step. Training passes none: its saved activations
+must stay intact until the backward.
 """
 
 import functools
@@ -152,53 +160,60 @@ class DenoiserModel:
         return DenoiserModel(self.arch, params)
 
 
-@functools.lru_cache(maxsize=64)
-def _const_group_matrices(d_feat: int, D: int, groups: int):
-    # averaging matrix (groups x d_feat), its indicator transpose, and the
-    # (d_feat x D) tiling matrix for modulation signals; coordinate i + D*j
-    # has channel i. Shared between calls, so read-only.
-    ch = np.arange(d_feat) % D
-    grp = ch // (D // groups)
-    avg = np.zeros((groups, d_feat))
-    avg[grp, np.arange(d_feat)] = 1.0
-    counts = avg.sum(axis=1, keepdims=True)
-    tile = np.zeros((d_feat, D))
-    tile[np.arange(d_feat), ch] = 1.0
-    out = (avg / counts, (avg > 0).astype(np.float64), tile)
-    for m in out:
-        m.flags.writeable = False
-    return out
+def _buf(ws, role: str, shape: tuple) -> np.ndarray | None:
+    """ws's buffer for role at shape, made on first use; None without ws,
+    so an out= of it gives a fresh array."""
+    if ws is None:
+        return None
+    key = (role, shape)
+    b = ws.get(key)
+    if b is None:
+        b = ws[key] = np.empty(shape)
+    return b
 
 
-def _adagn_rows(x, y1, y2, beta, gamma, eps, groups, saved=None):
-    """Adaptive group normalization of the rows of x: group-normalize, apply
-    the gamma/beta affine, then scale by y1 and shift by y2, each tiled
-    with period D = y1.shape[1] over the coordinates. y1 and y2 hold one
-    row, or one per row of x. Appends what its backward reads to saved."""
-    avg, ind, tile = _const_group_matrices(x.shape[1], y1.shape[1], groups)
-    centered = np.subtract(x, np.matmul(np.matmul(x, avg.T), ind))
-    ve = np.add(np.matmul(np.matmul(np.multiply(centered, centered), avg.T), ind), eps)
-    sd = np.power(ve, 0.5)
-    gn = np.add(np.multiply(np.divide(centered, sd), gamma), beta)
-    y1t = np.matmul(y1, tile.T)
+def _adagn_rows(x, y1, y2, eps, saved=None, ws=None):
+    """Adaptive normalization of the rows of x with one group: normalize each
+    row, then scale by y1 and shift by y2, which hold one row, or one per
+    row of x. Appends what its backward reads to saved; with ws, writes
+    the result over x.
+
+    A row mean is one matrix-vector product against a column of 1/w. The
+    `+ 0.0` terms keep the bits of the general form's averaging and tiling
+    matmuls (kept in tests/tape_oracle.py): they turn -0.0 into +0.0, as a
+    BLAS sum started at zero does.
+    """
+    n, w = x.shape
+    mean_col = np.full((w, 1), 1.0 / w)
+    col = _buf(ws, "col", (n, 1))
+    m = np.add(np.matmul(x, mean_col, out=col), 0.0, out=col)
+    centered = np.subtract(x, m, out=_buf(ws, "s1", x.shape))
+    sq = np.multiply(centered, centered, out=_buf(ws, "s2", x.shape))
+    ve = np.add(np.matmul(sq, mean_col, out=col), eps, out=col)
+    sd = np.power(ve, 0.5, out=col)
+    # gn * 1.0 + 0.0 in the general form; the sign of a zero gn reaches no
+    # result, as gn only enters y1t * gn + (y2 + 0.0) and (g * gn) + 0.0
+    gn = np.divide(centered, sd, out=_buf(ws, "s2", x.shape))
+    y1t = np.add(y1, 0.0, out=_buf(ws, "y1", y1.shape))
     if saved is not None:
-        saved.append((centered, ve, sd, gn, y1t, float(gamma), groups))
-    # large batches (sampling) run faster with fewer arrays alive at once
-    del centered, ve, sd
-    return np.add(np.multiply(y1t, gn), np.matmul(y2, tile.T))
+        saved.append((centered, ve, sd, gn, y1t))
+    out = np.multiply(y1t, gn, out=_buf(ws, "h", x.shape))
+    return np.add(out, np.add(y2, 0.0, out=_buf(ws, "y2", y2.shape)), out=out)
 
 
-def _adagn_backward(g, centered, ve, sd, gn, y1t, gamma, groups):
+def _adagn_backward(g, centered, ve, sd, gn, y1t):
     """Adjoints of adagn's input rows and of y1, y2, with the expressions
-    and summation order of the composed tape chain's VJPs."""
-    avg, ind, tile = _const_group_matrices(centered.shape[1], y1t.shape[1], groups)
-    g_y2 = g @ tile
-    g_y1 = (g * gn) @ tile
-    g_n = (g * y1t) * gamma
+    and summation order of the composed tape chain's VJPs; a row sum is one
+    matrix-vector product against a column of ones."""
+    w = centered.shape[1]
+    avg, ones_col = np.full((1, w), 1.0 / w), np.ones((w, 1))
+    g_y2 = g + 0.0
+    g_y1 = (g * gn) + 0.0
+    g_n = g * y1t
     g_sd = -g_n * centered / (sd * sd)
-    g_sq = ((g_sd * 0.5 * np.power(ve, -0.5)) @ ind.T) @ avg
+    g_sq = ((g_sd * 0.5 * np.power(ve, -0.5)) @ ones_col) * avg + 0.0
     g_c = ((g_n / sd) + g_sq * centered) + g_sq * centered
-    return g_c + ((-g_c) @ ind.T) @ avg, g_y1, g_y2
+    return g_c + (((-g_c) @ ones_col) * avg + 0.0), g_y1, g_y2
 
 
 def _check_conditioning(arch: DenoiserArch, cond, batch: int):
@@ -219,29 +234,48 @@ def _check_conditioning(arch: DenoiserArch, cond, batch: int):
     return cv
 
 
-def _network(arch: DenoiserArch, p: dict, xb, emb, cv, saved=None):
+def _network(arch: DenoiserArch, p: dict, xb, emb, cv, saved=None, ws=None):
     """The network's head output for row batch xb; with saved (a list),
-    also keeps the activations _network_backward reads."""
-    h = np.add(np.matmul(xb, p["input.w"]), p["input.b"])
+    also keeps the activations _network_backward reads.
+
+    With ws (a dict, for forwards without saved), every row-batch result
+    but the returned head output is written into ws's buffers, kept by
+    role and shape; the values and their bits are those of fresh arrays.
+    """
+    n = xb.shape[0]
+    if cv is not None and cv.strides[0] == 0:
+        # one class vector for every row: its modulation is one row. numpy
+        # multiplies a stride-0 batch of two or more rows as a contiguous
+        # copy through gemm, so two rows keep the whole batch's bits
+        cv = cv[:2]
+    hb = _buf(ws, "h", (n, arch.hidden[0]))
+    h = np.add(np.matmul(xb, p["input.w"], out=hb), p["input.b"], out=hb)
     for k, w in enumerate(arch.hidden):
         pre = f"block{k}."
+        hb = _buf(ws, "h", (n, w))
         if pre + "proj.w" in p:
             if saved is not None:
                 saved.append(h)
-            h = np.add(np.matmul(h, p[pre + "proj.w"]), p[pre + "proj.b"])
-        h = np.add(h, np.add(np.matmul(emb, p[pre + "time.w"]), p[pre + "time.b"]))
+            h = np.add(np.matmul(h, p[pre + "proj.w"], out=hb), p[pre + "proj.b"], out=hb)
+        h = np.add(h, np.add(np.matmul(emb, p[pre + "time.w"]), p[pre + "time.b"]), out=hb)
         if cv is not None:
-            ypair = np.add(np.matmul(cv, p[pre + "cls.w"]), p[pre + "cls.b"])
-            # contiguous halves: BLAS result bits may depend on operand layout
-            h = _adagn_rows(h, ypair[:, :w].copy(), ypair[:, w:].copy(),
-                            0.0, 1.0, 1e-5, 1, saved)
-        inner = np.tanh(np.add(np.matmul(h, p[pre + "core.w1"]), p[pre + "core.b1"]))
+            yb = _buf(ws, "ypair", (cv.shape[0], 2 * w))
+            ypair = np.add(np.matmul(cv, p[pre + "cls.w"], out=yb), p[pre + "cls.b"], out=yb)
+            if cv.strides[0] == 0:
+                ypair = ypair[:1]
+            h = _adagn_rows(h, ypair[:, :w], ypair[:, w:], 1e-5, saved, ws)
+        s1 = _buf(ws, "s1", (n, w))
+        inner = np.tanh(np.add(np.matmul(h, p[pre + "core.w1"], out=s1), p[pre + "core.b1"],
+                               out=s1), out=s1)
         if saved is not None:
             saved.append((h, inner))
-        h = np.add(h, np.add(np.matmul(inner, p[pre + "core.w2"]), p[pre + "core.b2"]))
+        s2 = _buf(ws, "s2", (n, w))
+        h = np.add(h, np.add(np.matmul(inner, p[pre + "core.w2"], out=s2), p[pre + "core.b2"],
+                             out=s2), out=hb)
     if saved is not None:
         saved.append(h)
-    return np.add(np.matmul(h, p["head.w"]), p["head.b"])
+    out = np.matmul(h, p["head.w"])
+    return np.add(out, p["head.b"], out=out)
 
 
 def _network_backward(g, arch: DenoiserArch, plan: ParamLayout, p: dict, xb, emb, cv,
@@ -294,7 +328,7 @@ def split_head(arch: DenoiserArch, out: np.ndarray):
     return out, None
 
 
-def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None):
+def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
     """Evaluate the network at (xt, t, cond).
 
     xt is one point (d,) or a batch (J, d). Returns (eps_hat, v2) with v2
@@ -302,6 +336,11 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None):
     Given a tape Tensor of the same layout instead, denoise returns the
     head output rows (J, out_dim) as one fused tape node whose backward is
     _network_backward; split_head splits its value.
+
+    ws is an optional workspace, a dict that one caller keeps across calls
+    (a sampler, for all its steps): the forward then reuses its buffers
+    instead of allocating its intermediates afresh. The returned arrays
+    never share memory with it. A tape Tensor ignores ws.
     """
     if t < 1:
         raise StepOutOfRange(f"step must be >= 1, got {t}")
@@ -321,7 +360,7 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None):
         return fused(params, value, lambda g: _network_backward(
             g, arch, model.plan, p, xb, emb, cv, saved))
     p = model.plan.blocks(model.params if params is None else params)
-    eps_hat, v2 = split_head(arch, _network(arch, p, xb, emb, cv))
+    eps_hat, v2 = split_head(arch, _network(arch, p, xb, emb, cv, ws=ws))
     if single:
         return eps_hat.reshape(arch.d), None if v2 is None else v2.reshape(arch.d)
     return eps_hat, v2

@@ -86,8 +86,13 @@ def read_numeric_csv(path: str, skip_header: bool = False) -> np.ndarray:
 
 
 def write_samples_csv(path: str, samples: np.ndarray) -> None:
-    """Sample matrices are written headerless, one row per sample."""
-    write_csv(path, np.asarray(samples, dtype=np.float64))
+    """Sample matrices are written headerless, one row per sample, in
+    write_csv's bytes; a float's text never needs quoting, so each row is
+    formatted in one step."""
+    m = np.asarray(samples, dtype=np.float64)
+    row = ",".join(["%.17g"] * m.shape[1])
+    text = "\r\n".join(row % tuple(r) for r in m.tolist()) + "\r\n"
+    _write_atomic(path, (text.encode("ascii"),))
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:

@@ -149,8 +149,8 @@ def train_feature_model(x: np.ndarray, labels: np.ndarray, num_classes: int,
         xb, yb = x[idx], labels[idx]
         onehot = np.zeros((xb.shape[0], num_classes))
         onehot[np.arange(xb.shape[0]), yb] = 1.0
-        params = fm.params - gamma * fm.cross_entropy_grad(xb, onehot)
-        fm = FeatureModel(fm.d, num_classes, feature_dim, hidden, params)
+        # one model and layout for the whole fit: its own vector steps in place
+        np.subtract(fm.params, gamma * fm.cross_entropy_grad(xb, onehot), out=fm.params)
     return fm
 
 

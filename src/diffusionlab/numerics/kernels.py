@@ -45,10 +45,15 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _MIX1_U
-    z = (z ^ (z >> _S27)) * _MIX2_U
-    return z ^ (z >> _S31)
+def _mix_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """mix64 of every word of the uint64 array z, written over z and
+    returned; scratch (z's shape) takes the shifted words."""
+    if scratch is None:
+        scratch = np.empty_like(z)
+    for shift, mult in ((_S30, _MIX1_U), (_S27, _MIX2_U)):
+        np.bitwise_xor(z, np.right_shift(z, shift, out=scratch), out=z)
+        np.multiply(z, mult, out=z)
+    return np.bitwise_xor(z, np.right_shift(z, _S31, out=scratch), out=z)
 
 
 def raw_block(key: int, counter: int, n: int) -> np.ndarray:
@@ -73,15 +78,29 @@ def normals_rows(keys: np.ndarray, counter: int, out: np.ndarray) -> None:
 
     keys is a uint64 array of one key per row and counter a python int. The
     whole grid is drawn in one pass, with the keys as a column broadcast
-    against the row of counter offsets.
+    against the row of counter offsets. Every stage is written in place
+    into out (first holding the second words, as uint64) and two uint64
+    work arrays, each read as the float scratch of one Box-Muller factor
+    once its words are used.
     """
     start = keys.reshape(-1, 1) + np.uint64(int(counter) * _GOLDEN & _U64)
-    step = np.arange(out.shape[1], dtype=np.uint64) * _GOLDEN2_U
-    b1 = _mix_array(start + step)
-    b2 = _mix_array((start + _GOLDEN_U) + step)
-    u1 = ((b1 >> _S11) + _ONE_U).astype(np.float64) * _INV53  # (0, 1]
-    u2 = (b2 >> _S11).astype(np.float64) * _INV53  # [0, 1)
-    np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(_TWO_PI * u2), out=out)
+    step = np.arange(out.shape[1], dtype=np.uint64)
+    a = np.add(start, np.multiply(step, _GOLDEN2_U, out=step))
+    del step
+    b = out.view(np.uint64)
+    np.add(a, _GOLDEN_U, out=b)
+    c = np.empty(out.shape, np.uint64)
+    _mix_array(a, c)
+    radius = c.view(np.float64)
+    np.copyto(radius, np.add(np.right_shift(a, _S11, out=a), _ONE_U, out=a), casting="unsafe")
+    np.multiply(radius, _INV53, out=radius)  # u1 in (0, 1]
+    np.sqrt(np.multiply(-2.0, np.log(radius, out=radius), out=radius), out=radius)
+    _mix_array(b, a)
+    angle = a.view(np.float64)
+    np.copyto(angle, np.right_shift(b, _S11, out=b), casting="unsafe")
+    np.multiply(angle, _INV53, out=angle)  # u2 in [0, 1)
+    np.cos(np.multiply(_TWO_PI, angle, out=angle), out=angle)
+    np.multiply(radius, angle, out=out)
 
 
 def jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol_abs: float, max_sweeps: int) -> int:

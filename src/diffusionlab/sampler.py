@@ -102,7 +102,8 @@ def ddpm_sample(model: DenoiserModel, sched: NoiseSchedule, req: SampleRequest,
     if eps_fn is None:
         if model.arch.head != HEAD_NOISE:
             raise HeadMismatch("ancestral sampling needs a noise-only head")
-        eps_fn = lambda x, t: denoise(model, x, t, cond)[0]
+        ws = {}
+        eps_fn = lambda x, t: denoise(model, x, t, cond, ws=ws)[0]
 
     def step(x, t):
         a, ab = sched.a(t), sched.abar(t)
@@ -125,12 +126,13 @@ def improved_sample(model: DenoiserModel, sched: NoiseSchedule, plan: StridePlan
         raise HeadMismatch("strided learned-variance sampling needs a dual head")
     _validate_plan(plan, sched)
     steps = plan.steps
+    ws = {}
 
     def step(x, k):
         t_k, t_prev = steps[k], steps[k - 1]
         ab_k, ab_prev = sched.abar(t_k), sched.abar(t_prev)
         a_eff = ab_k / ab_prev
-        v1, v2 = denoise(model, x, t_k)
+        v1, v2 = denoise(model, x, t_k, ws=ws)
         mean = (x - (1.0 - a_eff) / math.sqrt(1.0 - ab_k) * v1) / math.sqrt(a_eff)
         sigma = None
         if k >= 2:
@@ -164,7 +166,8 @@ def ddim_sample(model: DenoiserModel, sched: NoiseSchedule, plan: StridePlan,
     """
     _validate_plan(plan, sched)
     if eps_fn is None:
-        eps_fn = lambda x, t: denoise(model, x, t, cond)[0]
+        ws = {}
+        eps_fn = lambda x, t: denoise(model, x, t, cond, ws=ws)[0]
     steps = plan.steps
     sigmas = {k: ddim_sigma(sched, steps[k], steps[k - 1], eta)
               for k in range(plan.K, 0, -1)}
@@ -197,10 +200,11 @@ def guided_sample(model: DenoiserModel, sched: NoiseSchedule, w: float, c,
     if not (np.all((c == 0.0) | (c == 1.0)) and c.sum() in (0.0, 1.0)):
         raise ConditioningMismatch("class vector must be one-hot or all zeros")
     zero = np.zeros(C)
+    ws = {}
 
     def guided_eps(x, t):
-        vc = denoise(model, x, t, c)[0]
-        vu = denoise(model, x, t, zero)[0]
+        vc = denoise(model, x, t, c, ws=ws)[0]
+        vu = denoise(model, x, t, zero, ws=ws)[0]
         return (1.0 + w) * vc - w * vu
 
     return ddpm_sample(model, sched, req, eps_fn=guided_eps)

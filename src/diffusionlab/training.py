@@ -177,12 +177,12 @@ def _cdf_sigma_adjoint(g: np.ndarray, z: np.ndarray, a: np.ndarray, sigma: np.nd
     return -(g_z * _INV_SQRT2) * a / (sigma * sigma)
 
 
-def _decoder_term(x0b: np.ndarray, mean: np.ndarray, log_sigma2: np.ndarray):
+def _decoder_term(x0b: np.ndarray, k: np.ndarray, mean: np.ndarray, log_sigma2: np.ndarray):
     """(-(1/J) sum of clamped per-bin log-probabilities, the adjoint map to
-    ln sigma^2's adjoint); the gradient flows through sigma only."""
+    ln sigma^2's adjoint), with k the grid indices of x0b; the gradient
+    flows through sigma only."""
     from scipy.special import erf  # lazy: ~0.3 s to import
 
-    k = grid_index(x0b)
     sigma = np.exp(log_sigma2 * 0.5)
     interior_hi = (k < GRID_LEVELS - 1).astype(np.float64)
     interior_lo = (k > 0).astype(np.float64)
@@ -226,6 +226,9 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps,
     if arch.head != HEAD_DUAL:
         raise NotDualHead("hybrid loss needs a noise+variance head")
     x0b, epsb = _batched(x0), _batched(eps)
+    # the decoder's grid check comes before any forward, which an off-grid
+    # (say, infinite) x0 would run on
+    k = grid_index(x0b) if lam != 0.0 and t == 1 else None
     xt = forward_sample(x0b, t, epsb, sched)
 
     v1, v2, node = _head(model, xt, t, cond, params)
@@ -241,7 +244,7 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps,
         if t >= 2:
             term, term_backward = _kl_term(xt, x0b, mean_p, log_sigma2, t, sched)
         else:
-            term, term_backward = _decoder_term(x0b, mean_p, log_sigma2)
+            term, term_backward = _decoder_term(x0b, k, mean_p, log_sigma2)
         loss = loss + term * lam
     if node is None:
         return float(loss)

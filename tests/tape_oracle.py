@@ -26,8 +26,7 @@ import numpy as np
 from scipy.special import erf as _scipy_erf
 
 from diffusionlab import training
-from diffusionlab.denoiser import HEAD_DUAL, _check_conditioning, _const_group_matrices, \
-    _embedding
+from diffusionlab.denoiser import HEAD_DUAL, _check_conditioning, _embedding
 from diffusionlab.errors import NonScalarOutput
 from diffusionlab.forward import GRID_LEVELS, HALF_BIN, forward_sample, grid_index, \
     posterior_mean_var
@@ -412,7 +411,25 @@ def loss_and_grad(loss_fn, params: np.ndarray):
 
 # ------------------------------------------------------------ the network
 
+def _const_group_matrices(d_feat: int, D: int, groups: int):
+    """The averaging matrix (groups x d_feat), its indicator transpose, and
+    the (d_feat x D) tiling matrix for modulation signals; coordinate
+    i + D*j has channel i."""
+    ch = np.arange(d_feat) % D
+    grp = ch // (D // groups)
+    avg = np.zeros((groups, d_feat))
+    avg[grp, np.arange(d_feat)] = 1.0
+    counts = avg.sum(axis=1, keepdims=True)
+    tile = np.zeros((d_feat, D))
+    tile[np.arange(d_feat), ch] = 1.0
+    return avg / counts, (avg > 0).astype(np.float64), tile
+
+
 def _adagn(x, y1, y2, beta=0.0, gamma=1.0, eps=1e-5, groups=1):
+    """Adaptive group normalization in its general form: `groups` groups,
+    modulation signals of period D = y1.shape[-1] tiled over the
+    coordinates, and a gamma/beta affine; the network uses one group,
+    D equal to the width, gamma 1 and beta 0."""
     avg, ind, tile = _const_group_matrices(x.shape[-1], y1.shape[-1], groups)
     m = matmul(matmul(x, avg.T), ind)
     centered = sub(x, m)

@@ -12,6 +12,7 @@ from diffusionlab.denoiser import (
     ClassConditioning,
     DenoiserArch,
     DenoiserModel,
+    _adagn_backward,
     _adagn_rows,
     _embedding,
     denoise,
@@ -71,27 +72,18 @@ def test_time_embedding_injective_at_desk_scale():
 
 # ------------------------------------------------------------ adagn
 
-def adagn(x, y1, y2, beta=0.0, gamma=1.0, eps=1e-5, groups=1):
+def adagn(x, y1, y2, eps=1e-5):
     """_adagn_rows of one feature vector or a batch of rows."""
     rows = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (x, y1, y2)]
-    return _adagn_rows(*rows, beta, gamma, eps, groups).reshape(np.shape(x))
+    return _adagn_rows(*rows, eps).reshape(np.shape(x))
 
 
 def test_adagn_identity_modulation_is_group_norm():
     rng = np.random.default_rng(5)
     x = rng.normal(size=12)
-    out = adagn(x, np.ones(12), np.zeros(12), beta=0.0, gamma=1.0, eps=0.0, groups=1)
+    out = adagn(x, np.ones(12), np.zeros(12), eps=0.0)
     want = (x - x.mean()) / x.std()
     np.testing.assert_allclose(out, want, rtol=1e-12)
-
-
-def test_adagn_normalizes_per_group():
-    rng = np.random.default_rng(6)
-    x = rng.normal(loc=3.0, scale=2.0, size=(4, 24))
-    out = adagn(x, np.ones(24), np.zeros(24), eps=1e-12, groups=4)
-    grouped = out.reshape(4, 4, 6)  # rows x groups x in-group
-    np.testing.assert_allclose(grouped.mean(axis=2), 0.0, atol=1e-10)
-    np.testing.assert_allclose(grouped.std(axis=2) ** 2, 1.0, rtol=1e-6)
 
 
 def test_adagn_elementwise_when_no_repetition():
@@ -104,21 +96,73 @@ def test_adagn_elementwise_when_no_repetition():
     np.testing.assert_allclose(out, y1 * gn + y2, rtol=1e-12)
 
 
+# The next three check the oracle's general AdaGN (groups, a tiling period,
+# a gamma/beta affine), the reference the network's one-group form is
+# checked against bit for bit.
+
+def test_adagn_normalizes_per_group():
+    rng = np.random.default_rng(6)
+    x = rng.normal(loc=3.0, scale=2.0, size=(4, 24))
+    out = ops._adagn(x, np.ones((1, 24)), np.zeros((1, 24)), eps=1e-12, groups=4)
+    grouped = out.reshape(4, 4, 6)  # rows x groups x in-group
+    np.testing.assert_allclose(grouped.mean(axis=2), 0.0, atol=1e-10)
+    np.testing.assert_allclose(grouped.std(axis=2) ** 2, 1.0, rtol=1e-6)
+
+
 def test_adagn_tiling_period():
     # coordinate i + D*j is modulated by signal entry i
-    x = np.zeros(6)
-    y1 = np.zeros(2)
-    y2 = np.array([10.0, 20.0])
-    out = adagn(x, y1, y2, eps=1.0)
-    np.testing.assert_array_equal(out, [10.0, 20.0, 10.0, 20.0, 10.0, 20.0])
+    out = ops._adagn(np.zeros((1, 6)), np.zeros((1, 2)), np.array([[10.0, 20.0]]), eps=1.0)
+    np.testing.assert_array_equal(out, [[10.0, 20.0, 10.0, 20.0, 10.0, 20.0]])
 
 
 def test_adagn_gamma_beta_affine():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=8)
-    plain = adagn(x, np.ones(8), np.zeros(8), beta=0.0, gamma=1.0, eps=1e-12)
-    scaled = adagn(x, np.ones(8), np.zeros(8), beta=0.25, gamma=2.0, eps=1e-12)
+    x = np.random.default_rng(8).normal(size=(1, 8))
+    ones, zeros = np.ones((1, 8)), np.zeros((1, 8))
+    plain = ops._adagn(x, ones, zeros, beta=0.0, gamma=1.0, eps=1e-12)
+    scaled = ops._adagn(x, ones, zeros, beta=0.25, gamma=2.0, eps=1e-12)
     np.testing.assert_allclose(scaled, 2.0 * plain + 0.25, rtol=1e-12)
+
+
+def _adagn_matmul_form(x, y1, y2, g):
+    """_adagn_rows and _adagn_backward as the one-group averaging and tiling
+    matmuls, with the composed tape's expressions."""
+    avg, ind, tile = ops._const_group_matrices(x.shape[1], y1.shape[1], 1)
+    centered = x - (x @ avg.T) @ ind
+    ve = ((centered * centered) @ avg.T) @ ind + 1e-5
+    sd = np.power(ve, 0.5)
+    gn = (centered / sd) * 1.0 + 0.0
+    y1t = y1 @ tile.T
+    out = y1t * gn + y2 @ tile.T
+    g_n = (g * y1t) * 1.0
+    g_sd = -g_n * centered / (sd * sd)
+    g_sq = ((g_sd * 0.5 * np.power(ve, -0.5)) @ ind.T) @ avg
+    g_c = ((g_n / sd) + g_sq * centered) + g_sq * centered
+    return out, g_c + ((-g_c) @ ind.T) @ avg, (g * gn) @ tile, g @ tile
+
+
+@pytest.mark.parametrize("w", [8, 12, 32, 33])
+def test_adagn_rows_match_the_matmul_form_bit_for_bit(w):
+    rng = np.random.default_rng(w)
+    for B in (1, 2, 17, 300):
+        for scale in (1e-300, 1e-8, 1.0, 1e8):
+            x = scale * rng.normal(size=(B, w))
+            x[0, :2] = (0.0, -0.0)
+            if B > 1:
+                x[1] = -0.0  # a row of negative zeros
+            y = rng.normal(size=(B, 2 * w))
+            y[:, :3] = (0.0, -0.0, 1.0)
+            g = scale * rng.normal(size=(B, w))
+            g[0, :2] = -0.0
+            for rows in (B, 1):  # per-row modulation, and one row for the batch
+                y1, y2 = y[:rows, :w], y[:rows, w:]
+                saved = []
+                out = _adagn_rows(x, y1, y2, 1e-5, saved)
+                with np.errstate(all="ignore"):
+                    got = (out, *_adagn_backward(g, *saved[0]))
+                    want = _adagn_matmul_form(x, np.broadcast_to(y1, (B, w)).copy(),
+                                              np.broadcast_to(y2, (B, w)).copy(), g)
+                for a, b in zip(got, want):
+                    assert _bits(a) == _bits(b), (B, scale, rows)
 
 
 # ------------------------------------------------------------ model
@@ -268,6 +312,64 @@ def test_varied_widths_use_projection():
     out, _ = denoise(model, np.array([0.3, 0.4]), 2)
     assert out.shape == (2,)
     assert np.all(np.isfinite(out))
+
+
+# ------------------------------------------------------------ workspace
+
+_WS_ARCHS = {
+    "plain": DenoiserArch(2, (32, 32), 8),
+    "class": DenoiserArch(2, (32, 32), 8, conditioning=ClassConditioning(8)),
+    "class-dual-proj": DenoiserArch(3, (16, 24, 24), 6, HEAD_DUAL, ClassConditioning(12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WS_ARCHS))
+def test_denoise_with_a_workspace_gives_the_bits_of_fresh_arrays(name):
+    # against the same forward without one, and the oracle's matmul form,
+    # which modulates every row of a batch with the class vector broadcast
+    arch = _WS_ARCHS[name]
+    model = DenoiserModel.initialized(arch, 12)
+    rng = np.random.default_rng(13)
+    ws = {}
+    for B in (1, 16, 1000):
+        x = rng.normal(size=(B, arch.d))
+        conds = [None]
+        if arch.conditioning is not None:
+            C = arch.conditioning.num_classes
+            # one-hot and zero rows are exact in any summation order; a dense
+            # class vector's modulation row has the bits of the batch's only
+            # if numpy runs the same loop for both
+            conds = [np.eye(C)[2], np.zeros(C), rng.normal(size=C),
+                     np.eye(C)[rng.integers(0, C, size=B)]]
+        for cond in conds:
+            for t in (1, 37):
+                got = denoise(model, x, t, cond, ws=ws)
+                fresh = denoise(model, x, t, cond)
+                want = ops.denoise(model, x, t, cond)
+                for a, b, c in zip(got, fresh, want):
+                    if c is None:
+                        assert a is None and b is None
+                        continue
+                    assert _bits(a) == _bits(b) == _bits(c), (B, t)
+
+
+@pytest.mark.parametrize("name", ["class", "class-dual-proj"])
+def test_workspace_calls_return_arrays_of_their_own(name):
+    # guided sampling's conditional and unconditional passes share one workspace
+    arch = _WS_ARCHS[name]
+    model = DenoiserModel.initialized(arch, 14)
+    x = np.random.default_rng(15).normal(size=(64, arch.d))
+    C = arch.conditioning.num_classes
+    ws = {}
+    vc = denoise(model, x, 5, np.eye(C)[1], ws=ws)
+    kept = [a.copy() for a in vc if a is not None]
+    vu = denoise(model, x, 5, np.zeros(C), ws=ws)
+    outs = [a for a in vc + vu if a is not None]
+    assert ws
+    for i, a in enumerate(outs):
+        assert not any(np.shares_memory(a, buf) for buf in ws.values())
+        assert not any(np.shares_memory(a, b) for b in outs[i + 1:])
+    assert all(_bits(a) == _bits(b) for a, b in zip(kept, vc))
 
 
 # ------------------------------------------------------------ the fused node

@@ -75,6 +75,17 @@ def test_numeric_csv_round_trip_bitwise(tmp_path):
     assert np.array_equal(back, m)
 
 
+@pytest.mark.parametrize("shape", [(6, 2), (3, 1), (2, 5), (0, 2)])
+def test_samples_csv_has_the_bytes_of_write_csv(tmp_path, shape):
+    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1.2e17, 1e16,
+                0.1, -1.0 / 3.0, 123456789.0]
+    m = np.resize(np.concatenate([specials, 1e3 * RngStream(4).normals(5)]), shape)
+    got, want = tmp_path / "fast.csv", tmp_path / "cells.csv"
+    write_samples_csv(str(got), m)
+    write_csv(str(want), m)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_numeric_csv_skip_header(tmp_path):
     p = tmp_path / "h.csv"
     write_csv(p, [(1.0, 2.0)], header=("x", "y"))

@@ -7,6 +7,7 @@ by a few ulps, bounded here at 1e-12.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,6 +49,48 @@ def test_scalar_loop_source_matches_vectorized_raw():
 def test_scalar_loop_source_matches_vectorized_normals():
     got = kernels.normals_block(5, 0, 512)
     assert np.max(np.abs(_oracle_normals_block(5, 0, 512) - got)) <= 1e-12
+
+
+def _allocating_mix(z):
+    z = (z ^ (z >> kernels._S30)) * kernels._MIX1_U
+    z = (z ^ (z >> kernels._S27)) * kernels._MIX2_U
+    return z ^ (z >> kernels._S31)
+
+
+def _allocating_normals_rows(keys, counter, out):
+    """normals_rows as whole-array expressions, one fresh array per stage."""
+    start = keys.reshape(-1, 1) + np.uint64(int(counter) * kernels._GOLDEN & kernels._U64)
+    step = np.arange(out.shape[1], dtype=np.uint64) * kernels._GOLDEN2_U
+    b1 = _allocating_mix(start + step)
+    b2 = _allocating_mix((start + kernels._GOLDEN_U) + step)
+    u1 = ((b1 >> kernels._S11) + kernels._ONE_U).astype(np.float64) * kernels._INV53
+    u2 = (b2 >> kernels._S11).astype(np.float64) * kernels._INV53
+    np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(kernels._TWO_PI * u2), out=out)
+
+
+@pytest.mark.parametrize("counter", [0, 12345, 2**63 + 7, 2**64 - 3])
+def test_normals_rows_in_place_matches_the_allocating_form_bit_for_bit(counter):
+    keys = np.array([0, 5, 2**64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    for n in (1, 7, 300):
+        got, want = np.empty((4, n)), np.empty((4, n))
+        kernels.normals_rows(keys, counter, got)
+        _allocating_normals_rows(keys, counter, want)
+        assert got.tobytes() == want.tobytes()
+        strided = np.empty((4, 2 * n))[:, ::2]  # a caller's non-contiguous out
+        kernels.normals_rows(keys, counter, strided)
+        assert np.ascontiguousarray(strided).tobytes() == want.tobytes()
+
+
+def test_normals_working_memory_is_about_three_outputs():
+    # out and two work arrays of its size: 197 KB for a 64 KB result
+    RngStream(1).normals(8192)
+    tracemalloc.start()
+    try:
+        RngStream(1).normals(8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300_000, peak
 
 
 @pytest.mark.parametrize("high", [2, 3, 6, 51, 1001, 2**31])

@@ -278,6 +278,21 @@ def test_feature_model_training_separates_clusters():
     assert fm.features(x).shape == (n, 4)
 
 
+def test_feature_model_training_steps_one_vector_with_the_bits_of_fresh_models():
+    # the fit keeps one model and steps its vector in place; the reference
+    # builds a new model from a new vector every step
+    rng = np.random.default_rng(3)
+    x, labels = rng.normal(size=(200, 2)), rng.integers(0, 4, size=200)
+    got = train_feature_model(x, labels, 4, feature_dim=3, hidden=(8, 5), steps=60, seed=5)
+    fm = FeatureModel.initialized(2, 4, 3, (8, 5), 5)
+    stream = RngStream(5).split(1)
+    for _ in range(60):
+        idx = stream.integers(32, low=0, high=200)
+        step = 0.05 * fm.cross_entropy_grad(x[idx], np.eye(4)[labels[idx]])
+        fm = FeatureModel(2, 4, 3, (8, 5), fm.params - step)
+    assert got.params.tobytes() == fm.params.tobytes()
+
+
 def test_feature_model_zero_params_is_uniform():
     fm = FeatureModel.initialized(2, 5, 4, (6,), 0)
     fm = FeatureModel(2, 5, 4, (6,), np.zeros_like(fm.params))

@@ -464,19 +464,25 @@ def test_noise_block_across_the_counter_wrap():
 
 
 def test_sampler_memory_is_flat_in_the_number_of_steps():
-    model = _model(d=64, seed=3)
+    plain = _model(d=64, seed=3)
+    cls = _model(d=64, cond=ClassConditioning(4), seed=3)
+    runs = {
+        "ddpm": lambda sched, req: ddpm_sample(plain, sched, req),
+        "guided": lambda sched, req: guided_sample(cls, sched, 2.0, np.eye(4)[1], req),
+    }
     req = SampleRequest(count=128, seed=1)
-    peaks = {}
-    for T in (50, 1000):
-        sched = linear_schedule(T)
-        # a first call fills the denoiser's per-t time-embedding cache, which
-        # outlives the call (one small array per t); the peak of the second
-        # call is the sampler's own working memory
-        ddpm_sample(model, sched, req)
-        tracemalloc.start()
-        try:
-            ddpm_sample(model, sched, req)
-            peaks[T] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[1000] <= 1.1 * peaks[50], peaks
+    for name, run in runs.items():
+        peaks = {}
+        for T in (50, 1000):
+            sched = linear_schedule(T)
+            # a first call fills the denoiser's per-t time-embedding cache, which
+            # outlives the call (one small array per t); the peak of the second
+            # call is the sampler's own working memory
+            run(sched, req)
+            tracemalloc.start()
+            try:
+                run(sched, req)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1000] <= 1.1 * peaks[50], (name, peaks)
