@@ -53,6 +53,7 @@ from .metrics import (
 )
 from .numerics import RngStream
 from .sampler import (
+    SAMPLER_VARIANTS,
     SampleRequest,
     ddim_sample,
     ddpm_sample,
@@ -72,12 +73,35 @@ from .training import (
 # stream tag for data-source draws, distinct from the loop's internal tags
 _TAG_DATA = 4
 
-_CONFIG_SCHEMA = {
-    "dataset": {"kind", "center", "sigma", "radius", "path", "labels"},
-    "schedule": {"type", "t", "s"},
-    "model": {"hidden", "d_emb", "head", "num_classes"},
-    "train": {"variant", "gamma", "batch", "steps", "lambda", "p_uncond", "seed"},
-    "output": {"dir"},
+
+def _numbers(cast):
+    return lambda text: tuple(cast(v) for v in text.split(","))
+
+
+# section -> key -> (parser, default text, allowed values); the one list of
+# keys, defaults and choices. No default text: the key is None when absent.
+_CONFIG = {
+    "dataset": {"kind": (str, "gaussian", ("gaussian", "mixture8", "idx")),
+                "center": (_numbers(float), "1.0,-1.0", None),
+                "sigma": (float, "0.5", None),
+                "radius": (float, "1.0", None),
+                "path": (str, None, None),
+                "labels": (str, None, None)},
+    "schedule": {"type": (str, "linear", ("linear", "cosine")),
+                 "t": (int, "50", None),
+                 "s": (float, "0.008", None)},
+    "model": {"hidden": (_numbers(int), "32,32", None),
+              "d_emb": (int, "8", None),
+              "head": (str, HEAD_NOISE, (HEAD_NOISE, HEAD_DUAL)),
+              "num_classes": (int, "0", None)},
+    "train": {"variant": (str, "ddpm", None),
+              "gamma": (float, "1e-3", None),
+              "batch": (int, "64", None),
+              "steps": (int, "1000", None),
+              "lambda": (float, "0.001", None),
+              "p_uncond": (float, "0.1", None),
+              "seed": (int, "0", None)},
+    "output": {"dir": (str, "run-output", None)},
 }
 
 
@@ -119,63 +143,37 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(f"{path} is not UTF-8 text: {e}") from None
 
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in _CONFIG:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _CONFIG_SCHEMA[section]:
+            if key not in _CONFIG[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
+    v = {section: {} for section in _CONFIG}
     try:
-        kind = get("dataset", "kind", "gaussian")
-        if kind not in ("gaussian", "mixture8", "idx"):
-            raise ConfigError(f"dataset kind must be gaussian, mixture8, or idx, got {kind!r}")
-        center = tuple(float(v) for v in get("dataset", "center", "1.0,-1.0").split(","))
-        sigma = float(get("dataset", "sigma", "0.5"))
-        radius = float(get("dataset", "radius", "1.0"))
-        data_path = get("dataset", "path")
-        labels_path = get("dataset", "labels")
-
-        schedule_type = get("schedule", "type", "linear")
-        if schedule_type not in ("linear", "cosine"):
-            raise ConfigError(f"schedule type must be linear or cosine, got {schedule_type!r}")
-        T = int(get("schedule", "t", "50"))
-        s = float(get("schedule", "s", "0.008"))
-
-        hidden = tuple(int(v) for v in get("model", "hidden", "32,32").split(","))
-        d_emb = int(get("model", "d_emb", "8"))
-        head = get("model", "head", HEAD_NOISE)
-        if head not in (HEAD_NOISE, HEAD_DUAL):
-            raise ConfigError(f"model head must be {HEAD_NOISE!r} or {HEAD_DUAL!r}, got {head!r}")
-        num_classes = int(get("model", "num_classes", "0"))
-
-        variant = get("train", "variant", "ddpm")
-        train_cfg = TrainConfig(
-            gamma=float(get("train", "gamma", "1e-3")),
-            J=int(get("train", "batch", "64")),
-            N=int(get("train", "steps", "1000")),
-            lam=float(get("train", "lambda", "0.001")),
-            p_uncond=float(get("train", "p_uncond", "0.1")),
-            seed=int(get("train", "seed", "0")),
-        )
-        out_dir = get("output", "dir", "run-output")
+        for section, keys in _CONFIG.items():
+            for key, (parse, default, allowed) in keys.items():
+                text = parser.get(section, key, fallback=default)
+                value = v[section][key] = None if text is None else parse(text)
+                if allowed is not None and value not in allowed:
+                    raise ConfigError(f"[{section}] {key} must be one of "
+                                      f"{', '.join(allowed)}, got {value!r}")
+        d, sc, m, tr = v["dataset"], v["schedule"], v["model"], v["train"]
+        train_cfg = TrainConfig(gamma=tr["gamma"], J=tr["batch"], N=tr["steps"],
+                                lam=tr["lambda"], p_uncond=tr["p_uncond"], seed=tr["seed"])
     except ValueError as e:
         raise ConfigError(f"bad value in {path}: {e}") from None
 
-    if kind == "idx":
-        if data_path is None:
+    if d["kind"] == "idx":
+        if d["path"] is None:
             raise ConfigError("dataset kind idx needs a path key")
-        if not Path(data_path).is_file():
-            raise FileNotFoundError(f"dataset file {data_path} not found")
-        if labels_path is not None and not Path(labels_path).is_file():
-            raise FileNotFoundError(f"labels file {labels_path} not found")
-    return RunConfig(kind, center, sigma, radius, data_path, labels_path,
-                     schedule_type, T, s, hidden, d_emb, head, num_classes,
-                     variant, train_cfg, out_dir)
+        if not Path(d["path"]).is_file():
+            raise FileNotFoundError(f"dataset file {d['path']} not found")
+        if d["labels"] is not None and not Path(d["labels"]).is_file():
+            raise FileNotFoundError(f"labels file {d['labels']} not found")
+    return RunConfig(d["kind"], d["center"], d["sigma"], d["radius"], d["path"], d["labels"],
+                     sc["type"], sc["t"], sc["s"], m["hidden"], m["d_emb"], m["head"],
+                     m["num_classes"], tr["variant"], train_cfg, v["output"]["dir"])
 
 
 def build_schedule(kind: str, T: int, s: float):
@@ -245,9 +243,7 @@ def cmd_sample(args) -> None:
     ck = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ck)
     sched = schedule_from_meta(ck.schedule)
-    if args.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {args.count}")
-    req = SampleRequest(count=args.count, seed=args.seed, variant=args.variant)
+    req = SampleRequest(count=args.count, seed=args.seed)
 
     needs_k = args.variant in ("improved", "ddim")
     ignored = [flag for flag, value, used in (("--k", args.k, needs_k),
@@ -258,13 +254,9 @@ def cmd_sample(args) -> None:
         raise ConfigError(f"--variant {args.variant} does not use {', '.join(ignored)}")
     eta = 0.0 if args.eta is None else args.eta
     w = 0.0 if args.w is None else args.w
-    if needs_k:
-        if args.k is None:
-            raise ConfigError(f"--variant {args.variant} requires --k")
-        if not (2 <= args.k <= sched.T):
-            raise ConfigError(f"--k must satisfy 2 <= k <= T={sched.T}, got {args.k}")
-    if not (0.0 <= eta <= 1.0):
-        raise ConfigError(f"--eta must lie in [0, 1], got {eta}")
+    if needs_k and args.k is None:
+        raise ConfigError(f"--variant {args.variant} requires --k")
+    # the --w range is checked here: guided_sample's OutOfRange is a data error
     if w < 0.0:
         raise ConfigError(f"--w must be >= 0, got {w}")
 
@@ -336,10 +328,10 @@ def _load_eval_matrix(path: str) -> np.ndarray:
     """Samples as a finite (count, d) matrix from a CSV/IDX file or a PGM directory."""
     p = Path(path)
     if p.is_dir():
-        names = sorted(p.glob("*.pgm"))
+        names = sorted(str(n) for n in p.glob("*.pgm"))
         if not names:
             raise FileNotFoundError(f"no PGM files in directory {path}")
-        return _pgm_rows([str(n) for n in names])
+        return _pgm_rows(names)
     if not p.is_file():
         raise FileNotFoundError(f"input {path} not found")
     if p.suffix == ".idx":
@@ -431,8 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sample", help="draw samples from a checkpoint")
     ps.add_argument("checkpoint")
-    ps.add_argument("--variant", default="ddpm",
-                    choices=("ddpm", "improved", "ddim", "guided"))
+    ps.add_argument("--variant", default="ddpm", choices=SAMPLER_VARIANTS)
     ps.add_argument("--count", type=int, default=16)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--k", type=int, default=None, help="stride count, improved/ddim only")

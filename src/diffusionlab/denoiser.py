@@ -23,7 +23,6 @@ must stay intact until the backward.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     StepOutOfRange,
 )
-from .numerics import ParamLayout, RngStream, Tensor, fused
+from .numerics import ParamLayout, Tensor, fused
 
 HEAD_NOISE = "noise-only"
 HEAD_DUAL = "noise+variance"
@@ -86,8 +85,8 @@ class DenoiserArch:
 def param_layout(arch: DenoiserArch) -> ParamLayout:
     """The compiled block plan tiling arch's flat parameter vector.
 
-    Entries carry an implicit fan-in (their initialization scale); see
-    init_params.
+    Each bias follows its weight matrix, so ParamLayout.init_uniform gives
+    every entry its initialization scale.
     """
     entries: list[tuple[str, tuple[int, ...]]] = []
     entries.append(("input.w", (arch.d, arch.hidden[0])))
@@ -112,25 +111,9 @@ def param_layout(arch: DenoiserArch) -> ParamLayout:
     return ParamLayout(entries)
 
 
-def _fan_in(name: str, shape: tuple[int, ...], layout) -> int:
-    if len(shape) == 2:
-        return shape[0]
-    # biases inherit the fan-in of their sibling weight matrix
-    sibling = name[:-2] + ".w" if name.endswith(".b") else name
-    if name.endswith(".b1") or name.endswith(".b2"):
-        sibling = name[:-3] + ".w" + name[-1]
-    return layout[sibling][1][0]
-
-
 def init_params(arch: DenoiserArch, seed: int) -> np.ndarray:
     """Uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per entry, fixed seed."""
-    plan = param_layout(arch)
-    stream = RngStream(seed)
-    params = np.empty(plan.total, dtype=np.float64)
-    for name, start, stop, shape in plan.plan:
-        bound = 1.0 / math.sqrt(_fan_in(name, shape, plan.offsets))
-        params[start:stop] = bound * (2.0 * stream.uniforms(stop - start) - 1.0)
-    return params
+    return param_layout(arch).init_uniform(seed)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ atomically; PGM images, written by the hundred, are written in place."""
 import csv
 import json
 import os
+import re
 import struct
 from itertools import chain
 from pathlib import Path
@@ -110,29 +111,23 @@ def write_pgm(path: str, image: np.ndarray) -> None:
         f.write(img.tobytes())
 
 
+_PGM_HEADER = re.compile(rb"P5\s+(\S+)\s+(\S+)\s+(\S+)\s")
+
+
 def read_pgm(path: str) -> np.ndarray:
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P5"):
         raise BadMagic(f"{path}: not a binary PGM file")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise TruncatedFile(f"{path}: header ends early")
-        try:
-            fields.append(int(raw[start:pos]))
-        except ValueError:
-            raise BadMagic(f"{path}: malformed header token {raw[start:pos]!r}") from None
-    pos += 1
-    w, h, maxval = fields
+    m = _PGM_HEADER.match(raw)
+    if m is None:
+        raise TruncatedFile(f"{path}: header ends early")
+    try:
+        w, h, maxval = (int(v) for v in m.groups())
+    except ValueError:
+        raise BadMagic(f"{path}: malformed header tokens {m.groups()}") from None
     if maxval != 255:
         raise BadMagic(f"{path}: only 8-bit images supported, maxval {maxval}")
-    data = raw[pos:]
+    data = raw[m.end():]
     if len(data) != w * h:
         raise TruncatedFile(f"{path}: {len(data)} pixel bytes, header promises {w * h}")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w)

@@ -67,13 +67,7 @@ class FeatureModel:
     @staticmethod
     def initialized(d: int, num_classes: int, feature_dim: int,
                     hidden: tuple[int, ...], seed: int) -> "FeatureModel":
-        plan = _feature_layout(d, hidden, feature_dim, num_classes)
-        rng = RngStream(seed)
-        params = np.empty(plan.total, dtype=np.float64)
-        for name, start, stop, shape in plan.plan:
-            fan_in = shape[0] if len(shape) == 2 else plan.offsets[name[:-2] + ".w"][1][0]
-            bound = 1.0 / math.sqrt(fan_in)
-            params[start:stop] = bound * (2.0 * rng.uniforms(stop - start) - 1.0)
+        params = _feature_layout(d, hidden, feature_dim, num_classes).init_uniform(seed)
         return FeatureModel(d, num_classes, feature_dim, hidden, params)
 
     def _trunk(self, x: np.ndarray, p: dict, inputs: list | None = None) -> np.ndarray:

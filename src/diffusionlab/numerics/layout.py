@@ -5,6 +5,10 @@ of (name, start, stop, shape) rows that tile the vector in row-major order.
 `blocks` then reads every block in one pass as numpy views of the vector;
 a hand-written backward gathers its block adjoints back into one flat
 vector in plan order.
+
+Every layout lists each bias directly after its weight matrix. That order
+is the one rule `init_uniform` needs for its scales: a weight's fan-in is
+its row count, and a bias takes the fan-in of the weight before it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ShapeMismatch
+from .rng import RngStream
 
 
 class ParamLayout:
@@ -42,3 +47,13 @@ class ParamLayout:
             raise ShapeMismatch(f"parameter vector of shape {flat.shape}, "
                                 f"layout needs ({self.total},)")
         return {name: flat[a:b].reshape(shape) for name, a, b, shape in self.plan}
+
+    def init_uniform(self, seed: int) -> np.ndarray:
+        """Each block uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn in
+        plan order from one RngStream(seed)."""
+        stream, params, fan_in = RngStream(seed), np.empty(self.total), 1
+        for _, start, stop, shape in self.plan:
+            fan_in = shape[0] if len(shape) == 2 else fan_in
+            bound = 1.0 / math.sqrt(fan_in)
+            params[start:stop] = bound * (2.0 * stream.uniforms(stop - start) - 1.0)
+        return params

@@ -7,11 +7,11 @@ Indexing helpers take the 1-based step index used everywhere else.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidK, OffsetOutOfRange, StepCountTooSmall
+from .errors import InvalidK, InvalidPlan, OffsetOutOfRange, StepCountTooSmall
 
 # largest admissible noise increment per step
 _MAX_ONE_MINUS_ALPHA = 0.999
@@ -92,31 +92,23 @@ def cosine_schedule(T: int, s: float = DEFAULT_COSINE_OFFSET) -> NoiseSchedule:
 
 @dataclass(frozen=True)
 class StridePlan:
-    """Strictly increasing sampling steps t_0 = 0 < t_1 < ... < t_K = T."""
+    """Strictly increasing sampling steps t_0 = 0 < t_1 < ... < t_K."""
 
     K: int
-    steps: tuple[int, ...] = field(default_factory=tuple)
+    steps: tuple[int, ...]
 
     def __post_init__(self):
-        if self.steps[0] != 0 or len(self.steps) != self.K + 1:
-            raise InvalidK("stride plan endpoints inconsistent")
+        s = self.steps
+        if not s or len(s) != self.K + 1 or s[0] != 0 or any(b <= a for a, b in zip(s, s[1:])):
+            raise InvalidPlan(f"plan {s} is not {self.K} + 1 strictly increasing steps from 0")
 
 
 def stride_steps(T: int, K: int) -> StridePlan:
     """Evenly spaced sampling subsequence t_k = 1 + floor((k-1)(T-1)/(K-1)).
 
-    Collisions (possible only through future formula changes; the floor
-    formula is strictly increasing for 2 <= K <= T) advance to the next
-    unused integer so the plan stays strictly monotone.
+    For 2 <= K <= T the step (T-1)/(K-1) is at least 1, so t_k rises by at
+    least one per k and ends at t_K = T.
     """
     if not (2 <= K <= T):
-        raise InvalidK(f"need 2 <= K <= T, got K={K}, T={T}")
-    steps = [0]
-    for k in range(1, K + 1):
-        t = 1 + ((k - 1) * (T - 1)) // (K - 1)
-        while t <= steps[-1]:
-            t += 1
-        steps.append(t)
-    if steps[-1] != T:
-        raise InvalidK(f"stride plan ends at {steps[-1]}, expected {T}")
-    return StridePlan(K, tuple(steps))
+        raise InvalidK(f"need 2 <= k <= T, got k={K}, T={T}")
+    return StridePlan(K, (0,) + tuple(1 + ((k - 1) * (T - 1)) // (K - 1) for k in range(1, K + 1)))

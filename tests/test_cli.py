@@ -210,6 +210,87 @@ def test_unknown_config_section_is_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+# the 21 defaults of the run-config table, as RunConfig fields
+_CONFIG_DEFAULTS = {
+    "dataset_kind": "gaussian", "center": (1.0, -1.0), "sigma": 0.5, "radius": 1.0,
+    "data_path": None, "labels_path": None, "schedule_type": "linear", "T": 50, "s": 0.008,
+    "hidden": (32, 32), "d_emb": 8, "head": "noise-only", "num_classes": 0, "variant": "ddpm",
+    "out_dir": "run-output",
+}
+_TRAIN_DEFAULTS = {"gamma": 1e-3, "J": 64, "N": 1000, "lam": 0.001, "p_uncond": 0.1, "seed": 0}
+
+
+def _config_fields(rc):
+    fields = {name: getattr(rc, name) for name in _CONFIG_DEFAULTS}
+    return fields, {name: getattr(rc.train_cfg, name) for name in _TRAIN_DEFAULTS}
+
+
+def test_run_config_defaults(tmp_path):
+    (tmp_path / "min.ini").write_text("[train]\n")
+    rc = cli.load_run_config(str(tmp_path / "min.ini"))
+    assert _config_fields(rc) == (_CONFIG_DEFAULTS, _TRAIN_DEFAULTS)
+    sched = cli.build_schedule(rc.schedule_type, rc.T, rc.s)
+    assert (sched.kind, sched.T) == ("linear", 50)
+
+
+def test_run_config_reads_every_key(tmp_path):
+    (tmp_path / "x.idx").write_bytes(b"")
+    (tmp_path / "y.idx").write_bytes(b"")
+    body = """\
+[dataset]
+kind = idx
+center = 0.5,2,-3
+sigma = 0.25
+radius = 2.5
+path = {x}
+labels = {y}
+[schedule]
+type = cosine
+t = 7
+s = 0.02
+[model]
+hidden = 16,8,4
+d_emb = 6
+head = noise+variance
+num_classes = 3
+[train]
+variant = improved
+gamma = 0.5
+batch = 9
+steps = 11
+lambda = 0.25
+p_uncond = 0.75
+seed = 13
+[output]
+dir = elsewhere
+""".format(x=tmp_path / "x.idx", y=tmp_path / "y.idx")
+    (tmp_path / "full.ini").write_text(body)
+    rc = cli.load_run_config(str(tmp_path / "full.ini"))
+    assert _config_fields(rc) == ({
+        "dataset_kind": "idx", "center": (0.5, 2.0, -3.0), "sigma": 0.25, "radius": 2.5,
+        "data_path": str(tmp_path / "x.idx"), "labels_path": str(tmp_path / "y.idx"),
+        "schedule_type": "cosine", "T": 7, "s": 0.02, "hidden": (16, 8, 4), "d_emb": 6,
+        "head": "noise+variance", "num_classes": 3, "variant": "improved", "out_dir": "elsewhere",
+    }, {"gamma": 0.5, "J": 9, "N": 11, "lam": 0.25, "p_uncond": 0.75, "seed": 13})
+    sched = cli.build_schedule(rc.schedule_type, rc.T, rc.s)
+    assert (sched.kind, sched.T, sched.s) == ("cosine", 7, 0.02)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("dataset", "kind", "uniform"),
+    ("schedule", "type", "sigmoid"),
+    ("model", "head", "noise"),
+])
+def test_config_choice_outside_its_values_is_exit_2(tmp_path, monkeypatch, capsys,
+                                                     section, key, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.ini").write_text(f"[{section}]\n{key} = {value}\n")
+    assert cli.main(["train", "bad.ini"]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}] {key} must be one of" in err and repr(value) in err, err
+    assert not (tmp_path / "run-output").exists()
+
+
 def test_missing_dataset_file_is_exit_3(tmp_path):
     body = "[dataset]\nkind = idx\npath = nowhere.idx\n"
     (tmp_path / "m.ini").write_text(body)
@@ -305,6 +386,27 @@ def test_sample_flag_validation_is_exit_2(work):
                    cwd=work).returncode == 2
     assert run_cli("sample", "cond/model.ckpt", "--variant", "guided", "--w", 1,
                    "--class", 9, cwd=work).returncode == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--count", 0), "count must be >= 1, got 0"),
+    (("--variant", "improved", "--k", 1), "need 2 <= k <= T, got k=1, T=5"),
+    (("--variant", "ddim", "--k", 3, "--eta", 1.5), "eta 1.5 outside [0,1]"),
+])
+def test_sample_flags_the_library_checks_are_exit_2_before_any_file(work, flags, message):
+    ck = "dual/model.ckpt" if "improved" in flags else "base/model.ckpt"
+    proc = run_cli("sample", ck, *flags, "--out", "refused", cwd=work)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not (work / "refused").exists()
+
+
+def test_unknown_sample_variant_is_exit_2(work):
+    proc = run_cli("sample", "base/model.ckpt", "--variant", "euler", "--out", "euler",
+                   cwd=work)
+    assert proc.returncode == 2
+    assert "invalid choice: 'euler'" in proc.stderr
+    assert not (work / "euler").exists()
 
 
 @pytest.mark.parametrize("variant, flags", [

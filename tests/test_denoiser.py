@@ -25,7 +25,8 @@ from diffusionlab.errors import (
     ShapeMismatch,
     StepOutOfRange,
 )
-from diffusionlab.numerics import ADTape, grad
+from diffusionlab.metrics import FeatureModel, _feature_layout
+from diffusionlab.numerics import ADTape, RngStream, grad
 from diffusionlab.schedule import cosine_schedule
 
 
@@ -188,6 +189,45 @@ def test_init_params_deterministic_and_bounded():
     assert not np.array_equal(p1, init_params(arch, 100))
     off, shape = param_layout(arch).offsets["input.w"]
     assert np.max(np.abs(p1[off : off + 16])) <= 1.0 / math.sqrt(2)
+
+
+def _oracle_init(layout, seed):
+    """The per-name initialization rule ParamLayout.init_uniform replaced: a
+    bias named x.b (or x.bN) takes the row count of the weight x.w (x.wN)."""
+    def fan_in(name, shape):
+        if len(shape) == 2:
+            return shape[0]
+        sibling = name[:-2] + ".w" if name.endswith(".b") else name
+        if name.endswith(".b1") or name.endswith(".b2"):
+            sibling = name[:-3] + ".w" + name[-1]
+        return layout.offsets[sibling][1][0]
+
+    stream = RngStream(seed)
+    params = np.empty(layout.total, dtype=np.float64)
+    for name, start, stop, shape in layout.plan:
+        bound = 1.0 / math.sqrt(fan_in(name, shape))
+        params[start:stop] = bound * (2.0 * stream.uniforms(stop - start) - 1.0)
+    return params
+
+
+@pytest.mark.parametrize("arch", [
+    DenoiserArch(d=3, hidden=(16, 32), d_emb=4),  # with a projection block
+    DenoiserArch(d=2, hidden=(8, 8), d_emb=6, conditioning=ClassConditioning(5)),
+    DenoiserArch(d=4, hidden=(12,), d_emb=4, head=HEAD_DUAL),
+], ids=["projection", "class-conditional", "dual-head"])
+def test_init_uniform_matches_the_per_name_rule(arch):
+    layout = param_layout(arch)
+    for seed in (0, 7):
+        expected = _oracle_init(layout, seed)
+        assert init_params(arch, seed).tobytes() == expected.tobytes()
+        assert DenoiserModel.initialized(arch, seed).params.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
+def test_feature_model_init_matches_the_per_name_rule(hidden):
+    fm = FeatureModel.initialized(5, 3, 4, hidden, 11)
+    expected = _oracle_init(_feature_layout(5, hidden, 4, 3), 11)
+    assert fm.params.tobytes() == expected.tobytes()
 
 
 def test_zero_params_give_zero_output():

@@ -277,6 +277,17 @@ def test_pgm_truncated_header(tmp_path):
         read_pgm(str(p))
 
 
+def test_pgm_header_whitespace_is_any_run_of_blanks(tmp_path):
+    # one whitespace byte ends the header; pixels that look like blanks stay pixels
+    img = np.array([[9, 10, 13], [32, 0, 255]], dtype=np.uint8)
+    p = tmp_path / "ws.pgm"
+    p.write_bytes(b"P5\t\r\n 3  \t2\r\r   255\r" + img.tobytes())
+    back = read_pgm(str(p))
+    write_pgm(str(tmp_path / "plain.pgm"), img)
+    assert back.tobytes() == read_pgm(str(tmp_path / "plain.pgm")).tobytes() == img.tobytes()
+    assert back.shape == (2, 3)
+
+
 def test_write_pgm_validates_input():
     with pytest.raises(LengthMismatch):
         write_pgm("/tmp/never.pgm", np.zeros(6))

@@ -57,8 +57,6 @@ def test_sample_request_validation():
     SampleRequest(count=1, seed=0)
     with pytest.raises(ConfigError):
         SampleRequest(count=0, seed=0)
-    with pytest.raises(ConfigError):
-        SampleRequest(count=1, seed=0, variant="euler")
 
 
 # ---------------------------------------------------------------- ancestral

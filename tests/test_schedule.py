@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from diffusionlab.errors import InvalidK, OffsetOutOfRange, StepCountTooSmall
+from diffusionlab.errors import InvalidK, InvalidPlan, OffsetOutOfRange, StepCountTooSmall
 from diffusionlab.schedule import (
     NoiseSchedule,
+    StridePlan,
     cosine_schedule,
     linear_schedule,
     stride_steps,
@@ -169,6 +170,34 @@ def test_stride_rejects_bad_K():
     for T, K in ((10, 1), (10, 11), (10, 0), (10, -3)):
         with pytest.raises(InvalidK):
             stride_steps(T, K)
+
+
+def test_stride_formula_is_a_plan_for_every_admissible_K():
+    # why stride_steps needs no collision loop: (T-1)/(K-1) >= 1 for
+    # 2 <= K <= T, so the floor formula rises by at least one per step
+    for T in range(2, 301):
+        for K in range(2, T + 1):
+            steps = stride_steps(T, K).steps
+            assert len(steps) == K + 1 and steps[:2] == (0, 1) and steps[-1] == T, (T, K)
+            assert all(b > a for a, b in zip(steps, steps[1:])), (T, K)
+
+
+@pytest.mark.parametrize("K, steps", [
+    (2, (0, 5)),          # K + 1 steps needed
+    (2, (0, 3, 7, 9)),
+    (2, (1, 3, 7)),       # must start at 0
+    (2, (0, 7, 7)),       # strictly increasing
+    (3, (0, 5, 4, 9)),
+    (1, ()),
+])
+def test_stride_plan_rejects_a_bad_shape(K, steps):
+    with pytest.raises(InvalidPlan):
+        StridePlan(K, steps)
+
+
+def test_stride_plan_accepts_any_end():
+    # where a plan ends is checked against the schedule by the samplers
+    assert StridePlan(2, (0, 3, 7)).steps == (0, 3, 7)
 
 
 def test_schedule_arrays_read_only():
