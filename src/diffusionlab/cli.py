@@ -41,7 +41,7 @@ from .fileio import (
     write_pgm,
     write_samples_csv,
 )
-from .forward import GRID_STEP
+from .forward import grid_value
 from .metrics import (
     discrete_kl,
     fid,
@@ -60,7 +60,7 @@ from .sampler import (
     guided_sample,
     improved_sample,
 )
-from .schedule import cosine_schedule, linear_schedule, stride_steps
+from .schedule import SCHEDULE_KINDS, build_schedule, stride_steps
 from .training import (
     TrainConfig,
     load_checkpoint,
@@ -87,7 +87,7 @@ _CONFIG = {
                 "radius": (float, "1.0", None),
                 "path": (str, None, None),
                 "labels": (str, None, None)},
-    "schedule": {"type": (str, "linear", ("linear", "cosine")),
+    "schedule": {"type": (str, "linear", tuple(SCHEDULE_KINDS)),
                  "t": (int, "50", None),
                  "s": (float, "0.008", None)},
     "model": {"hidden": (_numbers(int), "32,32", None),
@@ -176,12 +176,6 @@ def load_run_config(path: str) -> RunConfig:
                      m["num_classes"], tr["variant"], train_cfg, v["output"]["dir"])
 
 
-def build_schedule(kind: str, T: int, s: float):
-    if kind == "linear":
-        return linear_schedule(T)
-    return cosine_schedule(T, s)
-
-
 class _QuantizingSource:
     """Clip to [-1, 1] and snap onto the byte grid, as the hybrid loss needs."""
 
@@ -257,8 +251,12 @@ def cmd_sample(args) -> None:
     if needs_k and args.k is None:
         raise ConfigError(f"--variant {args.variant} requires --k")
     # the --w range is checked here: guided_sample's OutOfRange is a data error
-    if w < 0.0:
-        raise ConfigError(f"--w must be >= 0, got {w}")
+    if not (math.isfinite(w) and w >= 0.0):
+        raise ConfigError(f"--w must be finite and >= 0, got {w}")
+    d = model.arch.d
+    rows = args.rows if args.rows else int(math.isqrt(d))
+    if args.format == "pgm" and (rows < 1 or d % rows != 0):
+        raise ConfigError(f"dimension {d} does not tile into {rows}-pixel rows")
 
     onehot = None
     if args.cls is not None:
@@ -267,8 +265,7 @@ def cmd_sample(args) -> None:
         C = model.arch.conditioning.num_classes
         if not (0 <= args.cls < C):
             raise ConfigError(f"--class must lie in 0..{C - 1}, got {args.cls}")
-        onehot = np.zeros(C)
-        onehot[args.cls] = 1.0
+        onehot = np.eye(C)[args.cls]
 
     if args.variant == "ddpm":
         res = ddpm_sample(model, sched, req, cond=onehot)
@@ -288,10 +285,6 @@ def cmd_sample(args) -> None:
         target = str(out / "samples.csv")
         write_samples_csv(target, res.samples)
     else:
-        d = model.arch.d
-        rows = args.rows if args.rows else int(math.isqrt(d))
-        if rows < 1 or d % rows != 0:
-            raise ConfigError(f"dimension {d} does not tile into {rows}-pixel rows")
         cols = d // rows
         for i in range(res.samples.shape[0]):
             write_pgm(str(out / f"sample_{i:05d}.pgm"),
@@ -320,8 +313,8 @@ def _pgm_rows(paths: list[str]) -> np.ndarray:
         if img.shape != images[0].shape:
             raise ShapeMismatch(f"{p} is {img.shape[1]}x{img.shape[0]} pixels, "
                                 f"{paths[0]} is {images[0].shape[1]}x{images[0].shape[0]}")
-    # bytes land on the same grid the quantizer uses, b -> -1 + (2/255) b
-    return -1.0 + GRID_STEP * np.stack(images).reshape(len(images), -1).astype(np.float64)
+    # bytes land on the same grid the quantizer uses
+    return grid_value(np.stack(images).reshape(len(images), -1))
 
 
 def _load_eval_matrix(path: str) -> np.ndarray:
@@ -446,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(handler=cmd_eval)
 
     pc = sub.add_parser("schedule", help="dump a noise schedule as CSV")
-    pc.add_argument("--type", default="linear", choices=("linear", "cosine"))
+    pc.add_argument("--type", default="linear", choices=tuple(SCHEDULE_KINDS))
     pc.add_argument("--t", type=int, default=1000)
     pc.add_argument("--s", type=float, default=0.008)
     pc.add_argument("--out", default="schedule.csv")

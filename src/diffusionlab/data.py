@@ -17,7 +17,7 @@ from .errors import (
     OutOfRange,
     TruncatedFile,
 )
-from .forward import GRID_LEVELS, GRID_STEP
+from .forward import grid_level, grid_value
 from .numerics import RngStream, kernels
 from .numerics.rng import BLOCK_DRAWS, words_to_integers
 
@@ -135,8 +135,7 @@ def quantize_to_grid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < -1.0) or np.any(x > 1.0) or not np.all(np.isfinite(x)):
         raise OutOfRange("quantization input must lie in [-1, 1]")
-    k = np.rint((x + 1.0) * ((GRID_LEVELS - 1) / 2.0))
-    return -1.0 + GRID_STEP * k
+    return grid_value(grid_level(x))
 
 
 # ------------------------------------------------------------ IDX files
@@ -169,8 +168,7 @@ def idx_read(path: str, labels_path: str | None = None) -> Dataset:
     raw = Path(path).read_bytes()
     dims, payload = _read_header(raw, path, _IDX_IMAGE_MAGIC)
     count, rows, cols = dims
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-    samples = (-1.0 + GRID_STEP * pixels).reshape(count, rows * cols)
+    samples = grid_value(np.frombuffer(payload, dtype=np.uint8)).reshape(count, rows * cols)
 
     labels = None
     num_classes = 0
@@ -189,8 +187,7 @@ def idx_write(path: str, samples: np.ndarray, rows: int, cols: int) -> None:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != rows * cols:
         raise LengthMismatch(f"samples {samples.shape} do not tile {rows}x{cols} images")
-    onto = quantize_to_grid(samples)
-    pixels = np.rint((onto + 1.0) * ((GRID_LEVELS - 1) / 2.0)).astype(np.uint8)
+    pixels = grid_level(quantize_to_grid(samples)).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", _IDX_IMAGE_MAGIC, samples.shape[0], rows, cols))
         f.write(pixels.tobytes())

@@ -9,9 +9,9 @@ tanh-squashed interpolation coefficient for learned variances.
 The network is one plain-numpy forward for sampling and training alike.
 Given a tape Tensor of parameters, it keeps its activations and becomes
 a single tape node whose backward is written by hand; the losses put one
-more node with their own hand-written adjoint on top of it. The parameter
-layout is compiled once per architecture; each forward reads all blocks
-from it in one pass.
+more node with their own hand-written adjoint on top of it. A model
+compiles its parameter layout and takes its block views once, when it is
+made; a forward of the model's own parameters reads those views.
 
 A sampler makes one workspace per call, a dict of buffers keyed by role
 and shape, and passes it to every network evaluation. The forward then
@@ -83,32 +83,22 @@ class DenoiserArch:
 
 
 def param_layout(arch: DenoiserArch) -> ParamLayout:
-    """The compiled block plan tiling arch's flat parameter vector.
-
-    Each bias follows its weight matrix, so ParamLayout.init_uniform gives
-    every entry its initialization scale.
-    """
-    entries: list[tuple[str, tuple[int, ...]]] = []
-    entries.append(("input.w", (arch.d, arch.hidden[0])))
-    entries.append(("input.b", (arch.hidden[0],)))
+    """The compiled block plan tiling arch's flat parameter vector, one
+    ParamLayout.affine map after another."""
+    affine = ParamLayout.affine
+    entries = affine("input.w", "input.b", arch.d, arch.hidden[0])
     prev = arch.hidden[0]
     for k, w in enumerate(arch.hidden):
+        pre = f"block{k}."
         if k > 0 and prev != w:
-            entries.append((f"block{k}.proj.w", (prev, w)))
-            entries.append((f"block{k}.proj.b", (w,)))
-        entries.append((f"block{k}.time.w", (arch.d_emb, w)))
-        entries.append((f"block{k}.time.b", (w,)))
+            entries += affine(pre + "proj.w", pre + "proj.b", prev, w)
+        entries += affine(pre + "time.w", pre + "time.b", arch.d_emb, w)
         if arch.conditioning is not None:
-            entries.append((f"block{k}.cls.w", (arch.conditioning.num_classes, 2 * w)))
-            entries.append((f"block{k}.cls.b", (2 * w,)))
-        entries.append((f"block{k}.core.w1", (w, w)))
-        entries.append((f"block{k}.core.b1", (w,)))
-        entries.append((f"block{k}.core.w2", (w, w)))
-        entries.append((f"block{k}.core.b2", (w,)))
+            entries += affine(pre + "cls.w", pre + "cls.b", arch.conditioning.num_classes, 2 * w)
+        entries += affine(pre + "core.w1", pre + "core.b1", w, w)
+        entries += affine(pre + "core.w2", pre + "core.b2", w, w)
         prev = w
-    entries.append(("head.w", (prev, arch.out_dim)))
-    entries.append(("head.b", (arch.out_dim,)))
-    return ParamLayout(entries)
+    return ParamLayout(entries + affine("head.w", "head.b", prev, arch.out_dim))
 
 
 def init_params(arch: DenoiserArch, seed: int) -> np.ndarray:
@@ -122,10 +112,8 @@ class DenoiserModel:
     params: np.ndarray
 
     def __post_init__(self):
-        plan = param_layout(self.arch)
-        if self.params.shape != (plan.total,):
-            raise ShapeMismatch(f"params shape {self.params.shape}, layout needs ({plan.total},)")
-        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "plan", param_layout(self.arch))
+        object.__setattr__(self, "blocks", self.plan.blocks(self.params))  # checks the length
 
     @staticmethod
     def initialized(arch: DenoiserArch, seed: int) -> "DenoiserModel":
@@ -297,7 +285,7 @@ def _network_backward(g, arch: DenoiserArch, plan: ParamLayout, p: dict, xb, emb
             gh = gh @ p[pre + "proj.w"].T
     grads["input.w"], grads["input.b"] = xb.T @ gh, gh.sum(axis=0)
 
-    flat = np.concatenate([grads[name].reshape(-1) for name, _, _, _ in plan.plan])
+    flat = plan.gather(grads)
     flat += 0.0
     return flat
 
@@ -342,7 +330,7 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
         value = _network(arch, p, xb, emb, cv, saved)
         return fused(params, value, lambda g: _network_backward(
             g, arch, model.plan, p, xb, emb, cv, saved))
-    p = model.plan.blocks(model.params if params is None else params)
+    p = model.blocks if params is None else model.plan.blocks(params)
     eps_hat, v2 = split_head(arch, _network(arch, p, xb, emb, cv, ws=ws))
     if single:
         return eps_hat.reshape(arch.d), None if v2 is None else v2.reshape(arch.d)

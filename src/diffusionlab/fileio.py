@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadMagic, BadMetadata, ConfigError, LengthMismatch, TruncatedFile
+from .forward import grid_level
 
 
 def format_cell(value) -> str:
@@ -136,7 +137,7 @@ def read_pgm(path: str) -> np.ndarray:
 def to_bytes_image(samples_row: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """De-quantize one [-1, 1] sample vector to an 8-bit image."""
     x = np.clip(np.asarray(samples_row, dtype=np.float64), -1.0, 1.0)
-    return np.rint((x + 1.0) * 127.5).astype(np.uint8).reshape(rows, cols)
+    return grid_level(x).astype(np.uint8).reshape(rows, cols)
 
 
 def write_manifest(path: str, payload: dict) -> None:

@@ -1,5 +1,5 @@
-"""Forward diffusion: closed-form noising, its reverse-time posterior, and
-the discretized decoder likelihood for data on the 256-level grid.
+"""Forward diffusion: closed-form noising, its reverse-time posterior and mean,
+the 256-level byte grid's two maps, and the discretized decoder likelihood.
 """
 
 import math
@@ -57,15 +57,31 @@ def posterior_mean_var(xt, x0, t: int, sched: NoiseSchedule) -> tuple[np.ndarray
     return c_xt * xt + c_x0 * x0, sched.btilde(t)
 
 
+def reverse_mean_from_eps(x, eps_hat, a: float, abar: float):
+    """The reverse step's mean from x and its noise estimate, for a = alpha_t
+    and abar = alpha_bar_t; a stride takes abar_t / abar_prev as a."""
+    return (x - (1.0 - a) / math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(a)
+
+
+def grid_level(x) -> np.ndarray:
+    """Each value's nearest level as a float, unchecked: x outside [-1, 1] is off 0..255."""
+    return np.rint((np.asarray(x, dtype=np.float64) + 1.0) * 127.5)
+
+
+def grid_value(k) -> np.ndarray:
+    """Each level's value on the grid."""
+    return -1.0 + GRID_STEP * np.asarray(k, dtype=np.float64)
+
+
 def grid_index(x0) -> np.ndarray:
     """Indices k with x0 = -1 + 2k/255; raises when any coordinate is off-grid."""
     x0 = np.asarray(x0, dtype=np.float64)
     if not np.all(np.isfinite(x0)):
         raise OffGridInput("coordinate is not finite")
-    k = np.rint((x0 + 1.0) / GRID_STEP)
+    k = grid_level(x0)
     if np.any(k < 0) or np.any(k > GRID_LEVELS - 1):
         raise OffGridInput("coordinate outside [-1, 1]")
-    if np.max(np.abs(x0 - (-1.0 + k * GRID_STEP))) > 1e-12:
+    if np.max(np.abs(x0 - grid_value(k))) > 1e-12:
         raise OffGridInput("coordinate not on the 256-level grid")
     return k.astype(np.int64)
 

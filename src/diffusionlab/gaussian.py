@@ -1,10 +1,8 @@
-"""Closed-form Gaussian machinery.
-
-Log-densities, KL divergence, marginalization through affine-Gaussian
-kernels, and the Gaussian Bayes rule. Covariances come in two forms, a
-scalar multiple of the identity (the fast path every diffusion kernel
-uses) and a full SPD matrix (needed for KL / posterior generality and
-distribution-distance metrics).
+"""Closed-form Gaussian machinery: log-densities, KL divergence,
+marginalization through affine-Gaussian kernels, and the Gaussian Bayes
+rule, for scalar*I or full SPD covariances. No other module imports it; it
+is the closed-form reference of acceptance criteria 2 (KL against
+quadrature) and 3 (forward.py's reverse posterior against the Bayes rule).
 """
 
 import math

@@ -35,17 +35,12 @@ SSIM_C2 = 0.03**2
 
 def _feature_layout(d: int, hidden: tuple[int, ...], feature_dim: int,
                     num_classes: int) -> ParamLayout:
-    entries = []
-    prev = d
+    affine, entries, prev = ParamLayout.affine, [], d
     for i, w in enumerate(hidden):
-        entries.append((f"h{i}.w", (prev, w)))
-        entries.append((f"h{i}.b", (w,)))
+        entries += affine(f"h{i}.w", f"h{i}.b", prev, w)
         prev = w
-    entries.append(("feat.w", (prev, feature_dim)))
-    entries.append(("feat.b", (feature_dim,)))
-    entries.append(("cls.w", (feature_dim, num_classes)))
-    entries.append(("cls.b", (num_classes,)))
-    return ParamLayout(entries)
+    return ParamLayout(entries + affine("feat.w", "feat.b", prev, feature_dim)
+                       + affine("cls.w", "cls.b", feature_dim, num_classes))
 
 
 @dataclass(frozen=True)
@@ -60,9 +55,8 @@ class FeatureModel:
 
     def __post_init__(self):
         plan = _feature_layout(self.d, self.hidden, self.feature_dim, self.num_classes)
-        if self.params.shape != (plan.total,):
-            raise ShapeMismatch(f"parameter vector {self.params.shape}, expected ({plan.total},)")
         object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_blocks", plan.blocks(self.params))  # checks the length
 
     @staticmethod
     def initialized(d: int, num_classes: int, feature_dim: int,
@@ -70,7 +64,7 @@ class FeatureModel:
         params = _feature_layout(d, hidden, feature_dim, num_classes).init_uniform(seed)
         return FeatureModel(d, num_classes, feature_dim, hidden, params)
 
-    def _trunk(self, x: np.ndarray, p: dict, inputs: list | None = None) -> np.ndarray:
+    def _trunk(self, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
         """The feature rows of x; with inputs (a list), also keeps each tanh
         layer's input rows for the backward."""
         h = np.asarray(x, dtype=np.float64)
@@ -81,7 +75,7 @@ class FeatureModel:
         for name in self._tanh_layers():
             if inputs is not None:
                 inputs.append(h)
-            h = np.tanh(np.add(np.matmul(h, p[name + ".w"]), p[name + ".b"]))
+            h = np.tanh(np.add(np.matmul(h, self._blocks[name + ".w"]), self._blocks[name + ".b"]))
         return h
 
     def _tanh_layers(self) -> list[str]:
@@ -89,12 +83,12 @@ class FeatureModel:
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """(J, feature_dim) activations of the last hidden layer."""
-        return self._trunk(x, self._plan.blocks(self.params))
+        return self._trunk(x)
 
     def probs(self, x: np.ndarray) -> np.ndarray:
         """(J, num_classes) smoothed class probabilities, strictly positive."""
-        blk = self._plan.blocks(self.params)
-        p = _softmax(np.add(np.matmul(self._trunk(x, blk), blk["cls.w"]), blk["cls.b"]))
+        blk = self._blocks
+        p = _softmax(np.add(np.matmul(self._trunk(x), blk["cls.w"]), blk["cls.b"]))
         p = (p + PROB_SMOOTHING) / (1.0 + self.num_classes * PROB_SMOOTHING)
         return p
 
@@ -104,9 +98,9 @@ class FeatureModel:
         The logits' adjoint is (softmax - onehot) / J; the rest backpropagates
         it through the classifier and tanh layers.
         """
-        p = self._plan.blocks(self.params)
+        p = self._blocks
         inputs: list[np.ndarray] = []
-        h = self._trunk(x, p, inputs)
+        h = self._trunk(x, inputs)
         logits = np.add(np.matmul(h, p["cls.w"]), p["cls.b"])
         g = (_softmax(logits) - onehot) / h.shape[0]
         grads = {"cls.w": h.T @ g, "cls.b": g.sum(axis=0)}
@@ -116,7 +110,7 @@ class FeatureModel:
             h = inputs.pop()
             grads[name + ".w"], grads[name + ".b"] = h.T @ g, g.sum(axis=0)
             g = g @ p[name + ".w"].T
-        return np.concatenate([grads[name].reshape(-1) for name, _, _, _ in self._plan.plan])
+        return self._plan.gather(grads)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -141,8 +135,7 @@ def train_feature_model(x: np.ndarray, labels: np.ndarray, num_classes: int,
     for _ in range(steps):
         idx = rng.integers(min(batch, n), low=0, high=n)
         xb, yb = x[idx], labels[idx]
-        onehot = np.zeros((xb.shape[0], num_classes))
-        onehot[np.arange(xb.shape[0]), yb] = 1.0
+        onehot = np.eye(num_classes)[yb]
         # one model and layout for the whole fit: its own vector steps in place
         np.subtract(fm.params, gamma * fm.cross_entropy_grad(xb, onehot), out=fm.params)
     return fm
@@ -264,8 +257,7 @@ def psnr(a: np.ndarray, b: np.ndarray):
     return float(vals[0]) if single else vals
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int = 4,
-         constants: tuple[float, float] = (SSIM_C1, SSIM_C2)):
+def ssim(a: np.ndarray, b: np.ndarray, window: int = 4):
     """Mean over non-overlapping patches of the three-term similarity
     ((2 mu_a mu_b + c1)(2 cov + c2)) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2)).
 
@@ -279,7 +271,6 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 4,
     count, h, w = a.shape
     if window < 2 or h % window or w % window:
         raise BadWindow(f"window {window} must tile image dims {(h, w)}")
-    c1, c2 = constants
     # (N, patches, window * window)
     pa, pb = (x.reshape(count, h // window, window, w // window, window)
               .transpose(0, 1, 3, 2, 4).reshape(count, -1, window * window) for x in (a, b))
@@ -291,7 +282,7 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 4,
     var_a = np.sum(pa * pa, axis=2) / (n - 1)
     var_b = np.sum(pb * pb, axis=2) / (n - 1)
     cov = np.sum(pa * pb, axis=2) / (n - 1)
-    per_patch = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+    per_patch = ((2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)) / (
+        (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2))
     vals = np.mean(per_patch, axis=1)
     return float(vals[0]) if single else vals

@@ -2,13 +2,14 @@
 
 A ParamLayout compiles an ordered list of (name, shape) entries into a plan
 of (name, start, stop, shape) rows that tile the vector in row-major order.
-`blocks` then reads every block in one pass as numpy views of the vector;
-a hand-written backward gathers its block adjoints back into one flat
-vector in plan order.
+`blocks` then reads every block in one pass as numpy views of the vector,
+and `gather`, its inverse, joins a hand-written backward's block adjoints
+into one flat vector in plan order. No other module reads the plan's rows.
 
-Every layout lists each bias directly after its weight matrix. That order
-is the one rule `init_uniform` needs for its scales: a weight's fan-in is
-its row count, and a bias takes the fan-in of the weight before it.
+Every layout is a list of `affine` maps, each a weight matrix directly
+followed by its bias. That order is the one rule `init_uniform` needs for
+its scales: a weight's fan-in is its row count, and a bias takes the
+fan-in of the weight before it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ class ParamLayout:
         # name -> (offset, shape)
         self.offsets = {name: (a, shape) for name, a, _, shape in plan}
 
+    @staticmethod
+    def affine(weight: str, bias: str, n_in: int, n_out: int) -> list:
+        """The entries of one affine map: the (n_in, n_out) weight, then its bias."""
+        return [(weight, (n_in, n_out)), (bias, (n_out,))]
+
     def blocks(self, params) -> dict:
         """Every block of params by name, shaped as its entry."""
         flat = np.asarray(params)
@@ -47,6 +53,10 @@ class ParamLayout:
             raise ShapeMismatch(f"parameter vector of shape {flat.shape}, "
                                 f"layout needs ({self.total},)")
         return {name: flat[a:b].reshape(shape) for name, a, b, shape in self.plan}
+
+    def gather(self, grads: dict) -> np.ndarray:
+        """The named blocks as one flat vector in plan order: blocks' inverse."""
+        return np.concatenate([grads[name].reshape(-1) for name, _, _, _ in self.plan])
 
     def init_uniform(self, seed: int) -> np.ndarray:
         """Each block uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn in

@@ -24,6 +24,7 @@ from .errors import (
     OutOfRange,
     SigmaConstraintViolated,
 )
+from .forward import reverse_mean_from_eps
 from .numerics.kernels import normals_rows
 from .numerics.rng import split_keys
 from .schedule import NoiseSchedule, StridePlan
@@ -87,7 +88,7 @@ def ddpm_sample(model: DenoiserModel, sched: NoiseSchedule, req: SampleRequest,
                 cond=None, eps_fn=None) -> SampleResult:
     """Ancestral chain from pure noise down to a sample.
 
-    X_{t-1} = (X_t - (1-a_t)/sqrt(1-abar_t) * eps_hat) / sqrt(a_t)
+    X_{t-1} = reverse_mean_from_eps(X_t, eps_hat, a_t, abar_t)
               + sqrt(beta_tilde_t) Z, noiseless at t = 1.
     eps_fn(X, t) overrides the network, for analytic predictors.
     """
@@ -98,8 +99,7 @@ def ddpm_sample(model: DenoiserModel, sched: NoiseSchedule, req: SampleRequest,
         eps_fn = lambda x, t: denoise(model, x, t, cond, ws=ws)[0]
 
     def step(x, t):
-        a, ab = sched.a(t), sched.abar(t)
-        mean = (x - (1.0 - a) / math.sqrt(1.0 - ab) * eps_fn(x, t)) / math.sqrt(a)
+        mean = reverse_mean_from_eps(x, eps_fn(x, t), sched.a(t), sched.abar(t))
         return mean, (math.sqrt(sched.btilde(t)) if t >= 2 else None)
 
     return _run_chain(step, model.arch.d, req, range(sched.T, 0, -1), lambda t: t >= 2)
@@ -125,7 +125,7 @@ def improved_sample(model: DenoiserModel, sched: NoiseSchedule, plan: StridePlan
         ab_k, ab_prev = sched.abar(t_k), sched.abar(t_prev)
         a_eff = ab_k / ab_prev
         v1, v2 = denoise(model, x, t_k, ws=ws)
-        mean = (x - (1.0 - a_eff) / math.sqrt(1.0 - ab_k) * v1) / math.sqrt(a_eff)
+        mean = reverse_mean_from_eps(x, v1, a_eff, ab_k)
         sigma = None
         if k >= 2:
             beta_eff = (1.0 - ab_prev) / (1.0 - ab_k) * (1.0 - a_eff)
@@ -183,8 +183,8 @@ def guided_sample(model: DenoiserModel, sched: NoiseSchedule, w: float, c,
         raise ConditioningMismatch("guided sampling needs a class-conditional model")
     if model.arch.head != HEAD_NOISE:
         raise HeadMismatch("guided sampling needs a noise-only head")
-    if w < 0.0:
-        raise OutOfRange(f"guidance weight must be >= 0, got {w}")
+    if not (math.isfinite(w) and w >= 0.0):
+        raise OutOfRange(f"guidance weight must be finite and >= 0, got {w}")
     c = np.asarray(c, dtype=np.float64)
     if not (np.all((c == 0.0) | (c == 1.0)) and c.sum() in (0.0, 1.0)):
         raise ConditioningMismatch("class vector must be one-hot or all zeros")

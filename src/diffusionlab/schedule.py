@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidK, InvalidPlan, OffsetOutOfRange, StepCountTooSmall
+from .errors import ConfigError, InvalidK, InvalidPlan, OffsetOutOfRange, StepCountTooSmall
 
 # largest admissible noise increment per step
 _MAX_ONE_MINUS_ALPHA = 0.999
@@ -90,17 +90,31 @@ def cosine_schedule(T: int, s: float = DEFAULT_COSINE_OFFSET) -> NoiseSchedule:
     return _finish("cosine", alpha, s)
 
 
+# the one list of schedule kinds: kind -> constructor of (T, s)
+SCHEDULE_KINDS = {"linear": lambda T, s: linear_schedule(T), "cosine": cosine_schedule}
+
+
+def build_schedule(kind: str, T: int, s: float) -> NoiseSchedule:
+    """The schedule of the named kind for T steps; s is the cosine offset."""
+    if kind not in SCHEDULE_KINDS:
+        raise ConfigError(f"unknown schedule kind {kind!r}")
+    return SCHEDULE_KINDS[kind](T, s)
+
+
 @dataclass(frozen=True)
 class StridePlan:
     """Strictly increasing sampling steps t_0 = 0 < t_1 < ... < t_K."""
 
-    K: int
     steps: tuple[int, ...]
 
     def __post_init__(self):
         s = self.steps
-        if not s or len(s) != self.K + 1 or s[0] != 0 or any(b <= a for a, b in zip(s, s[1:])):
-            raise InvalidPlan(f"plan {s} is not {self.K} + 1 strictly increasing steps from 0")
+        if not s or s[0] != 0 or any(b <= a for a, b in zip(s, s[1:])):
+            raise InvalidPlan(f"plan {s} is not strictly increasing steps from 0")
+
+    @property
+    def K(self) -> int:  # the number of strides
+        return len(self.steps) - 1
 
 
 def stride_steps(T: int, K: int) -> StridePlan:
@@ -111,4 +125,4 @@ def stride_steps(T: int, K: int) -> StridePlan:
     """
     if not (2 <= K <= T):
         raise InvalidK(f"need 2 <= k <= T, got k={K}, T={T}")
-    return StridePlan(K, (0,) + tuple(1 + ((k - 1) * (T - 1)) // (K - 1) for k in range(1, K + 1)))
+    return StridePlan((0,) + tuple(1 + ((k - 1) * (T - 1)) // (K - 1) for k in range(1, K + 1)))

@@ -29,10 +29,11 @@ from .errors import (
     StepOutOfRange,
 )
 from .fileio import read_container, write_container
-from .forward import GRID_LEVELS, HALF_BIN, forward_sample, grid_index, posterior_mean_var
+from .forward import (GRID_LEVELS, HALF_BIN, forward_sample, grid_index, posterior_mean_var,
+                      reverse_mean_from_eps)
 from .numerics import ADTape, RngStream, Tensor, fused, grad
 from .numerics.rng import BLOCK_DRAWS
-from .schedule import NoiseSchedule, cosine_schedule, linear_schedule
+from .schedule import NoiseSchedule, build_schedule
 
 VARIANTS = ("ddpm", "improved", "cfg")
 
@@ -144,13 +145,6 @@ def log_variance_interpolation(v2, t: int, sched: NoiseSchedule):
     return v2 * log_hi + (1.0 - v2) * log_lo
 
 
-def reverse_mean_from_eps(xt: np.ndarray, eps_hat: np.ndarray, t: int,
-                          sched: NoiseSchedule) -> np.ndarray:
-    """(xt - (1-alpha_t)/sqrt(1-abar_t) * eps_hat) / sqrt(alpha_t)."""
-    a, ab = sched.a(t), sched.abar(t)
-    return (xt - (1.0 - a) / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(a)
-
-
 def _kl_term(xt: np.ndarray, x0b: np.ndarray, mean: np.ndarray, log_sigma2: np.ndarray,
              t: int, sched: NoiseSchedule):
     """(0.5/J sum of [ln sigma^2 - ln beta - 1 + (beta + gap^2)/sigma^2], the
@@ -238,7 +232,7 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps,
             frozen_v1 = v1
         else:
             frozen_v1, _ = denoise(model, xt, t, cond, params=frozen_params)
-        mean_p = reverse_mean_from_eps(xt, frozen_v1, t, sched)
+        mean_p = reverse_mean_from_eps(xt, frozen_v1, sched.a(t), sched.abar(t))
         log_hi, log_lo = _log_variance_range(t, sched)
         log_sigma2 = log_variance_interpolation(v2, t, sched)
         if t >= 2:
@@ -275,12 +269,6 @@ class TrainResult:
     model: DenoiserModel
     losses: list[float]
     rng_counters: dict[str, int] = field(default_factory=dict)
-
-
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, num_classes), dtype=np.float64)
-    out[np.arange(labels.size), labels.astype(np.int64)] = 1.0
-    return out
 
 
 def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
@@ -328,7 +316,7 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
             if variant == "cfg":
                 if labels is None:
                     raise ConfigError("variant cfg needs labeled data")
-                onehot = _one_hot(np.asarray(labels), model.arch.conditioning.num_classes)
+                onehot = np.eye(model.arch.conditioning.num_classes)[np.asarray(labels)]
                 # a dropped row trains the unconditional model: zero conditioning
                 cond = np.where(keep_block[i][:, None] == 1, onehot, 0.0)
 
@@ -399,13 +387,9 @@ def schedule_to_meta(sched: NoiseSchedule) -> dict:
 
 def schedule_from_meta(meta: dict) -> NoiseSchedule:
     try:
-        if meta["kind"] == "linear":
-            return linear_schedule(int(meta["T"]))
-        if meta["kind"] == "cosine":
-            return cosine_schedule(int(meta["T"]), float(meta["s"]))
+        return build_schedule(meta["kind"], int(meta["T"]), meta.get("s"))
     except _META_ERRORS as e:
         raise BadMetadata(f"schedule metadata unusable: {type(e).__name__}: {e}") from None
-    raise BadMetadata(f"unknown schedule kind {meta['kind']!r}")
 
 
 _CHECKPOINT_KEYS = {"arch": dict, "rng": dict, "schedule": dict, "step": int}

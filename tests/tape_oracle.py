@@ -29,7 +29,7 @@ from diffusionlab import training
 from diffusionlab.denoiser import HEAD_DUAL, _check_conditioning, _embedding
 from diffusionlab.errors import NonScalarOutput
 from diffusionlab.forward import GRID_LEVELS, HALF_BIN, forward_sample, grid_index, \
-    posterior_mean_var
+    posterior_mean_var, reverse_mean_from_eps
 from diffusionlab.numerics import ADTape, Tensor
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
@@ -538,7 +538,7 @@ def hybrid_loss(model, frozen_params, x0, eps, t, sched, lam=0.001, cond=None, p
         frozen_v1 = _value(v1)
     else:
         frozen_v1, _ = training.denoise(model, xt, t, cond, params=frozen_params)
-    mean_p = training.reverse_mean_from_eps(xt, np.asarray(frozen_v1), t, sched)
+    mean_p = reverse_mean_from_eps(xt, np.asarray(frozen_v1), sched.a(t), sched.abar(t))
     log_sigma2 = _log_variance(v2, t, sched)
     if t >= 2:
         mu_q, beta_t = posterior_mean_var(xt, x0b, t, sched)

@@ -409,6 +409,27 @@ def test_unknown_sample_variant_is_exit_2(work):
     assert not (work / "euler").exists()
 
 
+@pytest.mark.parametrize("w", ["nan", "inf", "-inf", "-1"])
+def test_guidance_weight_must_be_finite_and_non_negative(work, w):
+    proc = run_cli("sample", "cond/model.ckpt", "--variant", "guided", f"--w={w}",
+                   "--class", 1, "--count", 2, "--out", f"w_{w}", cwd=work)
+    assert proc.returncode == 2, proc.stderr
+    assert "--w must be finite and >= 0" in proc.stderr
+    assert not (work / f"w_{w}").exists()
+
+
+def test_untileable_rows_are_exit_2_before_the_sampler_runs(work, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(cli, "ddpm_sample", no_sampling)
+    out = work / "rows3"
+    assert cli.main(["sample", str(work / "d4" / "model.ckpt"), "--format", "pgm",
+                     "--rows", "3", "--out", str(out)]) == 2
+    assert "dimension 4 does not tile into 3-pixel rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("variant, flags", [
     ("guided", ("--w", 1, "--class", 2, "--k", 5, "--eta", 0.5)),
     ("ddpm", ("--w", 1)),
@@ -607,10 +628,14 @@ def test_import_cli_does_not_load_scipy_special():
 
 
 def test_eval_names_the_benchmark_tracer_wraps_exist():
-    # perfbench's tracer times eval's layers by wrapping these attributes of
-    # diffusionlab.cli; a rename would leave its spans silently empty
+    # perfbench's tracer times the layers of all three workloads by wrapping
+    # these attributes of diffusionlab.cli, and its checks call some of them;
+    # a rename would leave its spans silently empty or its checks broken
     for name in ("read_numeric_csv", "read_pgm", "inception_score", "fid", "ssim", "psnr",
-                 "load_feature_model"):
+                 "load_feature_model", "train", "save_checkpoint", "load_checkpoint",
+                 "write_csv", "write_samples_csv", "write_pgm", "ddpm_sample",
+                 "ddim_sample", "improved_sample", "guided_sample", "build_schedule",
+                 "load_run_config", "main"):
         assert callable(getattr(cli, name, None)), name
 
 

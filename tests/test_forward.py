@@ -16,9 +16,13 @@ from diffusionlab.forward import (
     decoder_loglik,
     forward_sample,
     grid_index,
+    grid_level,
+    grid_value,
     posterior_coefficients,
     posterior_mean_var,
 )
+from diffusionlab.fileio import to_bytes_image
+from diffusionlab.numerics import RngStream
 from diffusionlab.gaussian import GaussianSpec, gaussian_posterior
 from diffusionlab.schedule import NoiseSchedule, linear_schedule
 
@@ -148,6 +152,68 @@ def test_grid_index_roundtrip():
     for bad in (0.5, -1.2, 1.0001, 1.0 / 256.0):
         with pytest.raises(OffGridInput):
             grid_index([bad])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _old_grid_index(x0):
+    """grid_index as written before the grid maps: level by division by
+    the step, value as -1 + k * step."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    if not np.all(np.isfinite(x0)):
+        raise OffGridInput("coordinate is not finite")
+    k = np.rint((x0 + 1.0) / GRID_STEP)
+    if np.any(k < 0) or np.any(k > GRID_LEVELS - 1):
+        raise OffGridInput("coordinate outside [-1, 1]")
+    if np.max(np.abs(x0 - (-1.0 + k * GRID_STEP))) > 1e-12:
+        raise OffGridInput("coordinate not on the 256-level grid")
+    return k.astype(np.int64)
+
+
+def _grid_probes():
+    """Every level, each moved by +-1e-13, and the half-way points between
+    levels (and beyond both ends) with their neighbours 1 and 2 ulps away."""
+    k = np.arange(GRID_LEVELS, dtype=np.float64)
+    levels = -1.0 + GRID_STEP * k
+    mids = -1.0 + GRID_STEP * (np.arange(-1, GRID_LEVELS, dtype=np.float64) + 0.5)
+    near, up, down = [mids], mids, mids
+    for _ in range(2):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    return np.concatenate([levels, levels + 1e-13, levels - 1e-13, *near])
+
+
+def test_grid_maps_give_the_bits_of_the_expressions_they_replaced():
+    k = np.arange(GRID_LEVELS, dtype=np.float64)
+    # value from level: data.quantize_to_grid, data.idx_read and cli._pgm_rows
+    assert _same_bits(grid_value(k), -1.0 + GRID_STEP * k)
+    pixels = np.arange(GRID_LEVELS, dtype=np.uint8)
+    assert _same_bits(grid_value(pixels), -1.0 + GRID_STEP * pixels.astype(np.float64))
+    # every level maps back to itself, so idx_write's bytes round-trip
+    assert _same_bits(grid_level(grid_value(k)), k)
+    # level from value: data.quantize_to_grid and data.idx_write
+    probes = _grid_probes()
+    inside = probes[(probes >= -1.0) & (probes <= 1.0)]
+    assert _same_bits(grid_level(inside), np.rint((inside + 1.0) * ((GRID_LEVELS - 1) / 2.0)))
+    # fileio.to_bytes_image clips first, then rounds
+    x = np.concatenate([probes, 3.0 * RngStream(41).uniforms(4096) - 1.5])
+    want = np.rint((np.clip(x, -1.0, 1.0) + 1.0) * 127.5).astype(np.uint8)
+    assert np.array_equal(to_bytes_image(x, 1, x.size), want.reshape(1, -1))
+
+
+def test_grid_index_accepts_what_it_accepted_before_with_the_same_levels():
+    rng = RngStream(42)
+    for v in np.concatenate([_grid_probes(), 3.0 * rng.uniforms(2048) - 1.5]):
+        try:
+            want = _old_grid_index([v])
+        except OffGridInput:
+            with pytest.raises(OffGridInput):
+                grid_index([v])
+        else:
+            assert np.array_equal(grid_index([v]), want), v
 
 
 def test_non_finite_coordinates_are_off_grid():

@@ -170,9 +170,9 @@ def test_improved_rejects_noise_head_and_bad_plans():
         improved_sample(_model(HEAD_NOISE), sched, stride_steps(10, 5), req)
     dual = _model(HEAD_DUAL)
     with pytest.raises(InvalidPlan):
-        improved_sample(dual, sched, StridePlan(2, (0, 3, 7)), req)
+        improved_sample(dual, sched, StridePlan((0, 3, 7)), req)
     with pytest.raises(InvalidPlan):
-        improved_sample(dual, sched, StridePlan(2, (0, 10, 10)), req)
+        improved_sample(dual, sched, StridePlan((0, 10, 10)), req)
 
 
 def test_improved_full_stride_zero_v2_matches_ancestral():
@@ -272,7 +272,7 @@ def test_ddim_invalid_plan():
     model = _model()
     sched = linear_schedule(10)
     with pytest.raises(InvalidPlan):
-        ddim_sample(model, sched, StridePlan(2, (0, 4, 9)), 0.0, SampleRequest(1, 0))
+        ddim_sample(model, sched, StridePlan((0, 4, 9)), 0.0, SampleRequest(1, 0))
 
 
 # ---------------------------------------------------------------- guided
@@ -290,8 +290,9 @@ def test_guided_validation():
         guided_sample(_model(), sched, 0.5, np.array([1.0, 0.0]), req)
     with pytest.raises(HeadMismatch):
         guided_sample(_model(HEAD_DUAL, cond=ClassConditioning(3)), sched, 0.5, c, req)
-    with pytest.raises(OutOfRange):
-        guided_sample(_class_model(), sched, -0.5, c, req)
+    for w in (-0.5, math.nan, math.inf):
+        with pytest.raises(OutOfRange):
+            guided_sample(_class_model(), sched, w, c, req)
     with pytest.raises(ConditioningMismatch):
         guided_sample(_class_model(), sched, 0.5, np.array([1.0, 0.0]), req)
     with pytest.raises(ConditioningMismatch):

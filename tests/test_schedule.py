@@ -182,22 +182,25 @@ def test_stride_formula_is_a_plan_for_every_admissible_K():
             assert all(b > a for a, b in zip(steps, steps[1:])), (T, K)
 
 
-@pytest.mark.parametrize("K, steps", [
-    (2, (0, 5)),          # K + 1 steps needed
-    (2, (0, 3, 7, 9)),
-    (2, (1, 3, 7)),       # must start at 0
-    (2, (0, 7, 7)),       # strictly increasing
-    (3, (0, 5, 4, 9)),
-    (1, ()),
+@pytest.mark.parametrize("steps", [
+    (1, 3, 7),       # must start at 0
+    (0, 7, 7),       # strictly increasing
+    (0, 5, 4, 9),
+    (),
 ])
-def test_stride_plan_rejects_a_bad_shape(K, steps):
+def test_stride_plan_rejects_a_bad_shape(steps):
     with pytest.raises(InvalidPlan):
-        StridePlan(K, steps)
+        StridePlan(steps)
 
 
 def test_stride_plan_accepts_any_end():
     # where a plan ends is checked against the schedule by the samplers
-    assert StridePlan(2, (0, 3, 7)).steps == (0, 3, 7)
+    assert StridePlan((0, 3, 7)).steps == (0, 3, 7)
+
+
+@pytest.mark.parametrize("steps", [(0,), (0, 5), (0, 3, 7, 9)])
+def test_stride_plan_counts_its_strides(steps):
+    assert StridePlan(steps).K == len(steps) - 1
 
 
 def test_schedule_arrays_read_only():
