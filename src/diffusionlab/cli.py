@@ -210,7 +210,8 @@ def cmd_train(args) -> None:
     rc = load_run_config(args.config)
     sched = build_schedule(rc.schedule_type, rc.T, rc.s)
     source, d, data_classes = _build_source(rc)
-    if rc.variant == "improved":
+    if rc.variant == "improved" and rc.dataset_kind != "idx":
+        # idx_read already puts IDX rows on the grid; mixture draws can leave it
         source = _QuantizingSource(source)
     if rc.variant == "cfg" and rc.num_classes != data_classes:
         raise ConfigError(

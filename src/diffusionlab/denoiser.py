@@ -11,7 +11,13 @@ Given a tape Tensor of parameters, it keeps its activations and becomes
 a single tape node whose backward is written by hand; the losses put one
 more node with their own hand-written adjoint on top of it. A model
 compiles its parameter layout and takes its block views once, when it is
-made; a forward of the model's own parameters reads those views.
+made; a forward of the model's own parameters, plain or as the value of a
+tape Tensor, reads those views.
+
+During training, `train` owns the parameter and gradient buffers: its own
+model holds both, with block views of each taken once, and the backward
+writes its block adjoints into the gradient's views. Any other backward
+returns a fresh vector. AdaGN's constant columns are made once per model.
 
 A sampler makes one workspace per call, a dict of buffers keyed by role
 and shape, and passes it to every network evaluation. The forward then
@@ -23,7 +29,7 @@ must stay intact until the backward.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,14 +112,31 @@ def init_params(arch: DenoiserArch, seed: int) -> np.ndarray:
     return param_layout(arch).init_uniform(seed)
 
 
+def _adagn_consts(w: int) -> tuple:
+    """AdaGN's constants at width w: the (w, 1) mean column and (1, w)
+    average row of 1/w, and the (w, 1) column of ones."""
+    return np.full((w, 1), 1.0 / w), np.full((1, w), 1.0 / w), np.ones((w, 1))
+
+
 @dataclass(frozen=True)
 class DenoiserModel:
+    """The network's shape and its flat parameter vector. grads, given only
+    by `train` to the model it keeps to itself, is where a tape forward of
+    params writes its parameter adjoint instead of a fresh vector."""
+
     arch: DenoiserArch
     params: np.ndarray
+    grads: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "plan", param_layout(self.arch))
-        object.__setattr__(self, "blocks", self.plan.blocks(self.params))  # checks the length
+        plan = param_layout(self.arch)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "blocks", plan.blocks(self.params))  # checks the length
+        object.__setattr__(self, "grad_blocks",
+                           None if self.grads is None else plan.blocks(self.grads))
+        adagn = {} if self.arch.conditioning is None else {
+            w: _adagn_consts(w) for w in set(self.arch.hidden)}
+        object.__setattr__(self, "adagn_consts", adagn)
 
     @staticmethod
     def initialized(arch: DenoiserArch, seed: int) -> "DenoiserModel":
@@ -143,11 +166,12 @@ def _buf(ws, role: str, shape: tuple) -> np.ndarray | None:
     return b
 
 
-def _adagn_rows(x, y1, y2, eps, saved=None, ws=None):
+def _adagn_rows(x, y1, y2, eps, saved=None, ws=None, consts=None):
     """Adaptive normalization of the rows of x with one group: normalize each
     row, then scale by y1 and shift by y2, which hold one row, or one per
     row of x. Appends what its backward reads to saved; with ws, writes
-    the result over x.
+    the result over x. consts are _adagn_consts of x's width, made here
+    when not given.
 
     A row mean is one matrix-vector product against a column of 1/w. The
     `+ 0.0` terms keep the bits of the general form's averaging and tiling
@@ -155,7 +179,8 @@ def _adagn_rows(x, y1, y2, eps, saved=None, ws=None):
     BLAS sum started at zero does.
     """
     n, w = x.shape
-    mean_col = np.full((w, 1), 1.0 / w)
+    consts = _adagn_consts(w) if consts is None else consts
+    mean_col = consts[0]
     col = _buf(ws, "col", (n, 1))
     m = np.add(np.matmul(x, mean_col, out=col), 0.0, out=col)
     centered = np.subtract(x, m, out=_buf(ws, "s1", x.shape))
@@ -167,17 +192,16 @@ def _adagn_rows(x, y1, y2, eps, saved=None, ws=None):
     gn = np.divide(centered, sd, out=_buf(ws, "s2", x.shape))
     y1t = np.add(y1, 0.0, out=_buf(ws, "y1", y1.shape))
     if saved is not None:
-        saved.append((centered, ve, sd, gn, y1t))
+        saved.append((centered, ve, sd, gn, y1t, consts))
     out = np.multiply(y1t, gn, out=_buf(ws, "h", x.shape))
     return np.add(out, np.add(y2, 0.0, out=_buf(ws, "y2", y2.shape)), out=out)
 
 
-def _adagn_backward(g, centered, ve, sd, gn, y1t):
+def _adagn_backward(g, centered, ve, sd, gn, y1t, consts):
     """Adjoints of adagn's input rows and of y1, y2, with the expressions
     and summation order of the composed tape chain's VJPs; a row sum is one
     matrix-vector product against a column of ones."""
-    w = centered.shape[1]
-    avg, ones_col = np.full((1, w), 1.0 / w), np.ones((w, 1))
+    _, avg, ones_col = consts
     g_y2 = g + 0.0
     g_y1 = (g * gn) + 0.0
     g_n = g * y1t
@@ -205,7 +229,7 @@ def _check_conditioning(arch: DenoiserArch, cond, batch: int):
     return cv
 
 
-def _network(arch: DenoiserArch, p: dict, xb, emb, cv, saved=None, ws=None):
+def _network(model: DenoiserModel, p: dict, xb, emb, cv, saved=None, ws=None):
     """The network's head output for row batch xb; with saved (a list),
     also keeps the activations _network_backward reads.
 
@@ -213,6 +237,7 @@ def _network(arch: DenoiserArch, p: dict, xb, emb, cv, saved=None, ws=None):
     but the returned head output is written into ws's buffers, kept by
     role and shape; the values and their bits are those of fresh arrays.
     """
+    arch = model.arch
     n = xb.shape[0]
     if cv is not None and cv.strides[0] == 0:
         # one class vector for every row: its modulation is one row. numpy
@@ -234,7 +259,8 @@ def _network(arch: DenoiserArch, p: dict, xb, emb, cv, saved=None, ws=None):
             ypair = np.add(np.matmul(cv, p[pre + "cls.w"], out=yb), p[pre + "cls.b"], out=yb)
             if cv.strides[0] == 0:
                 ypair = ypair[:1]
-            h = _adagn_rows(h, ypair[:, :w], ypair[:, w:], 1e-5, saved, ws)
+            h = _adagn_rows(h, ypair[:, :w], ypair[:, w:], 1e-5, saved, ws,
+                            model.adagn_consts[w])
         s1 = _buf(ws, "s1", (n, w))
         inner = np.tanh(np.add(np.matmul(h, p[pre + "core.w1"], out=s1), p[pre + "core.b1"],
                                out=s1), out=s1)
@@ -249,45 +275,50 @@ def _network(arch: DenoiserArch, p: dict, xb, emb, cv, saved=None, ws=None):
     return np.add(out, p["head.b"], out=out)
 
 
-def _network_backward(g, arch: DenoiserArch, plan: ParamLayout, p: dict, xb, emb, cv,
-                      saved: list) -> np.ndarray:
-    """Flat parameter adjoint of _network's head output adjoint g.
+def _network_backward(g, model: DenoiserModel, p: dict, xb, emb, cv, saved: list,
+                      into_grads: bool = False) -> np.ndarray:
+    """Flat parameter adjoint of _network's head output adjoint g: a fresh
+    vector, or with into_grads model.grads, its block views overwritten.
 
     Runs the VJPs of the composed tape (one linear, add, tanh, slice and
     AdaGN node each) in reverse tape order with the same expressions:
-    linear gives g @ w.T, x.T @ g (np.outer for the 1-D time embedding)
-    and g.sum(axis=0); a residual adjoint is the later use's plus the
-    earlier one's. The tape added each block adjoint into zeros (`view`)
-    and padded the class slices with zeros, so a -0.0 entry read +0.0;
-    one final + 0.0 gives the same bits, as IEEE addition commutes and a
-    zero's sign can only reach a result that is itself zero.
+    linear gives g @ w.T, x.T @ g (an outer product for the 1-D time
+    embedding) and g.sum(axis=0) (np.add.reduce, the same reduction without
+    the method's Python wrapper), each written into its block with out=;
+    a residual adjoint is the later use's plus the earlier one's. The tape
+    added each block adjoint into zeros (`view`) and padded the class
+    slices with zeros, so a -0.0 entry read +0.0; one final + 0.0 gives
+    the same bits, as IEEE addition commutes and a zero's sign can only
+    reach a result that is itself zero.
     """
-    grads = {}
+    flat = model.grads if into_grads else np.empty(model.plan.total)
+    gb = model.grad_blocks if into_grads else model.plan.blocks(flat)
+
+    def affine(name_w, name_b, x, gy):
+        # the weight and bias adjoints of x @ w + b for output adjoint gy
+        np.matmul(x.T, gy, out=gb[name_w])
+        np.add.reduce(gy, axis=0, out=gb[name_b])
+
     saved = list(saved)
-    h = saved.pop()
-    grads["head.w"], grads["head.b"] = h.T @ g, g.sum(axis=0)
+    affine("head.w", "head.b", saved.pop(), g)
     gh = g @ p["head.w"].T
-    for k in range(len(arch.hidden) - 1, -1, -1):
+    for k in range(len(model.arch.hidden) - 1, -1, -1):
         pre = f"block{k}."
         hc, inner = saved.pop()
-        grads[pre + "core.w2"], grads[pre + "core.b2"] = inner.T @ gh, gh.sum(axis=0)
+        affine(pre + "core.w2", pre + "core.b2", inner, gh)
         g_pre = (gh @ p[pre + "core.w2"].T) * (1.0 - inner * inner)
-        grads[pre + "core.w1"], grads[pre + "core.b1"] = hc.T @ g_pre, g_pre.sum(axis=0)
+        affine(pre + "core.w1", pre + "core.b1", hc, g_pre)
         gh = gh + g_pre @ p[pre + "core.w1"].T
         if cv is not None:
             gh, g_y1, g_y2 = _adagn_backward(gh, *saved.pop())
-            g_ypair = np.concatenate((g_y1, g_y2), axis=1)
-            grads[pre + "cls.w"], grads[pre + "cls.b"] = cv.T @ g_ypair, g_ypair.sum(axis=0)
-        g_time = gh.sum(axis=0)
-        grads[pre + "time.w"], grads[pre + "time.b"] = np.outer(emb, g_time), g_time
+            affine(pre + "cls.w", pre + "cls.b", cv, np.concatenate((g_y1, g_y2), axis=1))
+        g_time = np.add.reduce(gh, axis=0, out=gb[pre + "time.b"])
+        np.multiply(emb[:, None], g_time, out=gb[pre + "time.w"])
         if pre + "proj.w" in p:
-            grads[pre + "proj.w"], grads[pre + "proj.b"] = saved.pop().T @ gh, gh.sum(axis=0)
+            affine(pre + "proj.w", pre + "proj.b", saved.pop(), gh)
             gh = gh @ p[pre + "proj.w"].T
-    grads["input.w"], grads["input.b"] = xb.T @ gh, gh.sum(axis=0)
-
-    flat = plan.gather(grads)
-    flat += 0.0
-    return flat
+    affine("input.w", "input.b", xb, gh)
+    return np.add(flat, 0.0, out=flat)
 
 
 def split_head(arch: DenoiserArch, out: np.ndarray):
@@ -306,7 +337,9 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
     None for noise-only heads. params defaults to the model's own vector.
     Given a tape Tensor of the same layout instead, denoise returns the
     head output rows (J, out_dim) as one fused tape node whose backward is
-    _network_backward; split_head splits its value.
+    _network_backward; split_head splits its value. A Tensor whose value
+    is model.params reads the model's block views, and its backward writes
+    into model.grads when the model has them.
 
     ws is an optional workspace, a dict that one caller keeps across calls
     (a sampler, for all its steps): the forward then reuses its buffers
@@ -325,13 +358,15 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
 
     emb = _embedding(t, arch.d_emb)
     if isinstance(params, Tensor):
-        p = model.plan.blocks(params.value)
+        own = params.value is model.params
+        p = model.blocks if own else model.plan.blocks(params.value)
+        into_grads = own and model.grads is not None
         saved = []
-        value = _network(arch, p, xb, emb, cv, saved)
+        value = _network(model, p, xb, emb, cv, saved)
         return fused(params, value, lambda g: _network_backward(
-            g, arch, model.plan, p, xb, emb, cv, saved))
+            g, model, p, xb, emb, cv, saved, into_grads))
     p = model.blocks if params is None else model.plan.blocks(params)
-    eps_hat, v2 = split_head(arch, _network(arch, p, xb, emb, cv, ws=ws))
+    eps_hat, v2 = split_head(arch, _network(model, p, xb, emb, cv, ws=ws))
     if single:
         return eps_hat.reshape(arch.d), None if v2 is None else v2.reshape(arch.d)
     return eps_hat, v2

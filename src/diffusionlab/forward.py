@@ -63,6 +63,13 @@ def reverse_mean_from_eps(x, eps_hat, a: float, abar: float):
     return (x - (1.0 - a) / math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(a)
 
 
+def log_variance_interpolation(v2, log_hi: float, log_lo: float):
+    """ln Sigma = v2 log_hi + (1 - v2) log_lo elementwise: the learned
+    variance's log-linear mix of its two ends, which the hybrid loss and
+    the strided sampler each take at their own step."""
+    return v2 * log_hi + (1.0 - v2) * log_lo
+
+
 def grid_level(x) -> np.ndarray:
     """Each value's nearest level as a float, unchecked: x outside [-1, 1] is off 0..255."""
     return np.rint((np.asarray(x, dtype=np.float64) + 1.0) * 127.5)

@@ -4,7 +4,9 @@ A ParamLayout compiles an ordered list of (name, shape) entries into a plan
 of (name, start, stop, shape) rows that tile the vector in row-major order.
 `blocks` then reads every block in one pass as numpy views of the vector,
 and `gather`, its inverse, joins a hand-written backward's block adjoints
-into one flat vector in plan order. No other module reads the plan's rows.
+into one flat vector in plan order (the feature model's; the denoiser's
+backward writes into the views of a gradient vector instead). No other
+module reads the plan's rows.
 
 Every layout is a list of `affine` maps, each a weight matrix directly
 followed by its bias. That order is the one rule `init_uniform` needs for

@@ -24,7 +24,7 @@ from .errors import (
     OutOfRange,
     SigmaConstraintViolated,
 )
-from .forward import reverse_mean_from_eps
+from .forward import log_variance_interpolation, reverse_mean_from_eps
 from .numerics.kernels import normals_rows
 from .numerics.rng import split_keys
 from .schedule import NoiseSchedule, StridePlan
@@ -129,7 +129,7 @@ def improved_sample(model: DenoiserModel, sched: NoiseSchedule, plan: StridePlan
         sigma = None
         if k >= 2:
             beta_eff = (1.0 - ab_prev) / (1.0 - ab_k) * (1.0 - a_eff)
-            logv = v2 * math.log(1.0 - a_eff) + (1.0 - v2) * math.log(beta_eff)
+            logv = log_variance_interpolation(v2, math.log(1.0 - a_eff), math.log(beta_eff))
             sigma = np.exp(0.5 * logv)
         return mean, sigma
 

@@ -29,8 +29,8 @@ from .errors import (
     StepOutOfRange,
 )
 from .fileio import read_container, write_container
-from .forward import (GRID_LEVELS, HALF_BIN, forward_sample, grid_index, posterior_mean_var,
-                      reverse_mean_from_eps)
+from .forward import (GRID_LEVELS, HALF_BIN, forward_sample, grid_index,
+                      log_variance_interpolation, posterior_mean_var, reverse_mean_from_eps)
 from .numerics import ADTape, RngStream, Tensor, fused, grad
 from .numerics.rng import BLOCK_DRAWS
 from .schedule import NoiseSchedule, build_schedule
@@ -127,22 +127,18 @@ def simple_loss(model: DenoiserModel, x0, eps, t: int, sched: NoiseSchedule,
     return fused(node, loss, lambda g: _head_adjoint(model.arch, noise_backward(g), None))
 
 
-def _log_variance_range(t: int, sched: NoiseSchedule) -> tuple[float, float]:
-    if not (1 <= t <= sched.T):
-        raise StepOutOfRange(f"step {t} outside 1..{sched.T}")
-    bt = sched.btilde(t) if t >= 2 else sched.btilde(2)
-    return math.log(1.0 - sched.a(t)), math.log(bt)
-
-
-def log_variance_interpolation(v2, t: int, sched: NoiseSchedule):
-    """ln Sigma = v2 ln(1-alpha_t) + (1-v2) ln beta_tilde_t, elementwise.
+def log_variance_range(t: int, sched: NoiseSchedule) -> tuple[float, float]:
+    """(ln(1-alpha_t), ln beta_tilde_t), the ends the learned log variance
+    interpolates between at step t.
 
     beta_tilde_1 is zero, so its log is replaced by ln beta_tilde_2: the
     step-1 variance keeps the same interpolation range as step 2 instead of
     collapsing, and sampling still uses exactly zero noise at the last step.
     """
-    log_hi, log_lo = _log_variance_range(t, sched)
-    return v2 * log_hi + (1.0 - v2) * log_lo
+    if not (1 <= t <= sched.T):
+        raise StepOutOfRange(f"step {t} outside 1..{sched.T}")
+    bt = sched.btilde(t) if t >= 2 else sched.btilde(2)
+    return math.log(1.0 - sched.a(t)), math.log(bt)
 
 
 def _kl_term(xt: np.ndarray, x0b: np.ndarray, mean: np.ndarray, log_sigma2: np.ndarray,
@@ -233,8 +229,8 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps,
         else:
             frozen_v1, _ = denoise(model, xt, t, cond, params=frozen_params)
         mean_p = reverse_mean_from_eps(xt, frozen_v1, sched.a(t), sched.abar(t))
-        log_hi, log_lo = _log_variance_range(t, sched)
-        log_sigma2 = log_variance_interpolation(v2, t, sched)
+        log_hi, log_lo = log_variance_range(t, sched)
+        log_sigma2 = log_variance_interpolation(v2, log_hi, log_lo)
         if t >= 2:
             term, term_backward = _kl_term(xt, x0b, mean_p, log_sigma2, t, sched)
         else:
@@ -256,12 +252,14 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps,
 
 
 def sgd_step(params: np.ndarray, grads, gamma: float) -> np.ndarray:
-    """theta - gamma * grads, the batch-mean gradient."""
+    """theta <- theta - gamma * grads, the batch-mean gradient, in place:
+    a float64 array params is overwritten and returned (anything else is
+    converted to a new array first)."""
     params = np.asarray(params, dtype=np.float64)
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != params.shape:
         raise LengthMismatch(f"gradient shape {g.shape} vs {params.shape}")
-    return params - gamma * g
+    return np.subtract(params, gamma * g, out=params)
 
 
 @dataclass
@@ -284,6 +282,9 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
     Deterministic: identical (model, source state, cfg) give identical
     parameter trajectories. Raises NonFiniteLoss, naming the step and t,
     at the first loss that is not finite.
+    The run owns one parameter and one gradient vector, both in a model of
+    its own; the caller's model is never written, and the result holds a
+    copy.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
@@ -297,13 +298,15 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
     noise_stream = root.split(_TAG_NOISE)
     mask_stream = root.split(_TAG_MASK)
 
-    params = model.params.copy()
+    work = DenoiserModel(model.arch, np.array(model.params, dtype=np.float64),
+                         np.empty(model.param_count))
+    params = work.params
     d = model.arch.d
     losses: list[float] = []
+    onehots = np.eye(model.arch.conditioning.num_classes) if variant == "cfg" else None
 
     def run_steps(first: int, m: int) -> None:
         # steps first .. first + m - 1; their draws and tapes are freed on return
-        nonlocal params
         ts = t_stream.integers(m, 1, sched.T + 1).tolist()
         eps_block = noise_stream.normals(m * cfg.J * d).reshape(m, cfg.J, d)
         if variant == "cfg":
@@ -316,21 +319,20 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
             if variant == "cfg":
                 if labels is None:
                     raise ConfigError("variant cfg needs labeled data")
-                onehot = np.eye(model.arch.conditioning.num_classes)[np.asarray(labels)]
                 # a dropped row trains the unconditional model: zero conditioning
-                cond = np.where(keep_block[i][:, None] == 1, onehot, 0.0)
+                cond = np.where(keep_block[i][:, None] == 1, onehots[np.asarray(labels)], 0.0)
 
             leaf = ADTape().tensor(params)
             if variant == "improved":
-                loss = hybrid_loss(model, None, x0, eps_block[i], t, sched,
+                loss = hybrid_loss(work, None, x0, eps_block[i], t, sched,
                                    lam=cfg.lam, cond=cond, params=leaf)
             else:
-                loss = simple_loss(model, x0, eps_block[i], t, sched, cond=cond, params=leaf)
+                loss = simple_loss(work, x0, eps_block[i], t, sched, cond=cond, params=leaf)
             value = float(loss.value)
             if not math.isfinite(value):
                 raise NonFiniteLoss(
                     f"training loss became non-finite at step {first + i} (t = {t})")
-            params = sgd_step(params, grad(loss, [leaf])[0], cfg.gamma)
+            sgd_step(params, grad(loss, [leaf])[0], cfg.gamma)
             losses.append(value)
 
     chunk = max(1, BLOCK_DRAWS // (cfg.J * d))
@@ -339,7 +341,7 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
 
     counters = {"t": t_stream.counter, "eps": noise_stream.counter,
                 "mask": mask_stream.counter}
-    return TrainResult(model.with_params(params), losses, counters)
+    return TrainResult(model.with_params(params.copy()), losses, counters)
 
 
 # ------------------------------------------------------------ checkpoints

@@ -23,7 +23,7 @@ from diffusionlab.errors import (
     OutOfRange,
     TruncatedFile,
 )
-from diffusionlab.forward import GRID_STEP, grid_index
+from diffusionlab.forward import GRID_STEP, grid_index, grid_level, grid_value
 from diffusionlab.numerics import RngStream
 
 _CIRCLE = [(math.cos(2 * math.pi * i / 8), math.sin(2 * math.pi * i / 8))
@@ -169,6 +169,14 @@ def test_quantize_fixed_points_and_idempotence():
     x = 2.0 * rng.uniforms(500) - 1.0
     q1 = quantize_to_grid(x)
     assert np.array_equal(quantize_to_grid(q1), q1)
+
+
+def test_quantizing_grid_values_is_a_no_op_bit_for_bit():
+    # the train command does not wrap an IDX source in the quantizer: the
+    # values idx_read makes lie in [-1, 1] and snap back to their own bits
+    v = grid_value(np.arange(256))
+    assert _same_bits(grid_value(grid_level(v)), v)
+    assert _same_bits(quantize_to_grid(np.clip(v, -1.0, 1.0)), v)
 
 
 def test_quantize_nearest_level_example():

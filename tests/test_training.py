@@ -35,6 +35,7 @@ from diffusionlab.forward import (
     GRID_STEP,
     decoder_loglik,
     forward_sample,
+    log_variance_interpolation,
     posterior_coefficients,
     reverse_mean_from_eps,
 )
@@ -46,7 +47,7 @@ from diffusionlab.training import (
     TrainConfig,
     hybrid_loss,
     load_checkpoint,
-    log_variance_interpolation,
+    log_variance_range,
     model_from_checkpoint,
     save_checkpoint,
     schedule_from_meta,
@@ -187,18 +188,18 @@ def test_log_variance_interpolation_endpoints():
     sched = linear_schedule(40)
     t = 9
     one = np.ones((3, 2))
-    hi = log_variance_interpolation(one, t, sched)
+    hi = log_variance_interpolation(one, *log_variance_range(t, sched))
     assert np.allclose(np.exp(hi), 1.0 - sched.a(t), rtol=1e-15)
-    lo = log_variance_interpolation(np.zeros((3, 2)), t, sched)
+    lo = log_variance_interpolation(np.zeros((3, 2)), *log_variance_range(t, sched))
     assert np.allclose(np.exp(lo), sched.btilde(t), rtol=1e-15)
 
 
 def test_log_variance_first_step_borrows_second_posterior_variance():
     sched = linear_schedule(40)
-    lo = log_variance_interpolation(np.zeros(2), 1, sched)
+    lo = log_variance_interpolation(np.zeros(2), *log_variance_range(1, sched))
     assert np.allclose(lo, math.log(sched.btilde(2)))
     with pytest.raises(StepOutOfRange):
-        log_variance_interpolation(np.zeros(2), 0, sched)
+        log_variance_range(0, sched)
 
 
 def test_reverse_mean_from_eps_formula():
@@ -488,7 +489,7 @@ def test_cfg_mask_dropout_rate_binomial():
 
 def test_sgd_step_zero_gradient_is_identity():
     p = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(sgd_step(p, np.zeros(3), 0.5), p)
+    assert np.array_equal(sgd_step(p.copy(), np.zeros(3), 0.5), p)
 
 
 def test_sgd_step_quadratic_oracle():
@@ -500,6 +501,13 @@ def test_sgd_step_quadratic_oracle():
     for _ in range(100):
         p = sgd_step(p, p, 0.1)
     assert p[0] == pytest.approx(0.9**100, rel=1e-12)
+
+
+def test_sgd_step_updates_in_place_with_the_bits_of_the_expression():
+    p, g = RngStream(12).normals(50), RngStream(13).normals(50)
+    want = p - 0.3 * g
+    assert sgd_step(p, g, 0.3) is p
+    assert p.tobytes() == want.tobytes()
 
 
 def test_sgd_step_length_mismatch():
@@ -569,7 +577,67 @@ def test_train_stops_at_the_first_non_finite_loss():
     assert src.pos == 12  # no batch drawn after the failing step
 
 
-def test_train_names_the_benchmark_tracer_wraps_exist():
+def test_train_leaves_the_callers_parameters_alone():
+    model = _model(seed=2)
+    before = model.params.copy()
+    sched = linear_schedule(10)
+    res = train(model, GaussianSource(1), TrainConfig(gamma=0.1, J=4, N=5, seed=1), sched)
+    assert model.params.tobytes() == before.tobytes()
+    assert not np.shares_memory(res.model.params, model.params)
+    assert not np.array_equal(res.model.params, before)
+    # also when a later step fails: steps 1 and 2 have updated train's own copy
+    x = np.full((40, 2), 0.25)
+    x[9, 1] = np.nan
+    with pytest.raises(NonFiniteLoss):
+        train(model, ArraySource(x), TrainConfig(gamma=0.01, J=4, N=10, seed=5), sched)
+    assert model.params.tobytes() == before.tobytes()
+
+
+def test_grad_outside_train_returns_a_fresh_array_each_call():
+    model = _model(hidden=(8, 5), cond=ClassConditioning(3), seed=4)
+    x0, eps = RngStream(5).normals(8).reshape(4, 2), RngStream(6).normals(8).reshape(4, 2)
+    cond = np.eye(3)[[0, 1, 2, 0]]
+    grads = []
+    for _ in range(2):
+        leaf = ADTape().tensor(model.params)
+        loss = simple_loss(model, x0, eps, 3, linear_schedule(10), cond=cond, params=leaf)
+        grads.append(grad(loss, [leaf])[0])
+    assert not np.shares_memory(grads[0], grads[1])
+    assert not any(np.shares_memory(g, model.params) for g in grads)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+@pytest.mark.parametrize("head, cond, hidden", [
+    (HEAD_NOISE, None, (6,)),
+    (HEAD_DUAL, None, (8, 5)),
+    (HEAD_NOISE, ClassConditioning(3), (8, 5)),
+    (HEAD_DUAL, ClassConditioning(3), (5, 8)),
+], ids=["noise", "dual-proj", "adagn-proj", "dual-adagn-proj"])
+def test_backward_into_the_run_buffers_has_the_bits_of_a_fresh_backward(head, cond, hidden):
+    model = _model(head, hidden=hidden, d=3, cond=cond, seed=6)
+    # train's own kind of model; its gradient buffer starts as nan, so a
+    # block the backward left unwritten would show
+    own = DenoiserModel(model.arch, model.params.copy(), np.full(model.param_count, np.nan))
+    sched = cosine_schedule(20)
+    rng = RngStream(31)
+    for t in (1, 2, 13):  # the hybrid loss takes its decoder term at t = 1
+        x0 = _quantize(0.5 * rng.normals(18).reshape(6, 3))
+        eps = rng.normals(18).reshape(6, 3)
+        keep = (rng.uniforms(6) < 0.7)[:, None]  # some rows dropped, as cfg does
+        c = None if cond is None else np.eye(3)[[0, 1, 2, 0, 1, 2]] * keep
+        got = []
+        for m in (own, model):
+            leaf = ADTape().tensor(m.params)
+            if head == HEAD_DUAL:
+                loss = hybrid_loss(m, None, x0, eps, t, sched, cond=c, params=leaf)
+            else:
+                loss = simple_loss(m, x0, eps, t, sched, cond=c, params=leaf)
+            got.append(grad(loss, [leaf])[0])
+        assert got[0] is own.grads
+        assert got[0].tobytes() == got[1].tobytes(), t
+
+
+def test_train_names_the_benchmark_tracer_wraps_exist(monkeypatch):
     # perfbench's tracer times the train and sample layers by wrapping these
     # attributes, and its checks import the rest; a rename would leave their
     # per-layer figures silently zero or the checks broken
@@ -604,6 +672,21 @@ def test_train_names_the_benchmark_tracer_wraps_exist():
         assert len(f.tape) == 3
     # and its run records name the numeric implementation
     assert BACKEND == "numpy"
+    # the tracer counts steps by sgd_step calls and divides its per-step
+    # figures by that count: each step makes one call of every wrapped name
+    calls = {}
+    for name in ("denoise", "simple_loss", "hybrid_loss", "grad", "sgd_step"):
+        def counted(*args, _fn=getattr(training, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(training, name, counted)
+    for variant in ("ddpm", "cfg", "improved"):
+        model, source = _oracle_case(variant, 2)
+        calls.clear()
+        train(model, source(), TrainConfig(gamma=0.01, J=4, N=7, p_uncond=0.3, seed=3),
+              linear_schedule(10), variant)
+        loss = "hybrid_loss" if variant == "improved" else "simple_loss"
+        assert calls == {"denoise": 7, loss: 7, "grad": 7, "sgd_step": 7}, variant
 
 
 def _oracle_train(model, source, cfg, sched, variant):
