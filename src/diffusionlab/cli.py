@@ -33,6 +33,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fileio import (
+    float32_params,
     read_numeric_csv,
     read_pgm,
     to_bytes_image,
@@ -60,8 +61,10 @@ from .sampler import (
     guided_sample,
     improved_sample,
 )
-from .schedule import SCHEDULE_KINDS, build_schedule, stride_steps
+from .schedule import DEFAULT_COSINE_OFFSET, SCHEDULE_KINDS, build_schedule, stride_steps
 from .training import (
+    HYBRID_LAMBDA,
+    VARIANTS,
     TrainConfig,
     load_checkpoint,
     model_from_checkpoint,
@@ -89,16 +92,16 @@ _CONFIG = {
                 "labels": (str, None, None)},
     "schedule": {"type": (str, "linear", tuple(SCHEDULE_KINDS)),
                  "t": (int, "50", None),
-                 "s": (float, "0.008", None)},
+                 "s": (float, str(DEFAULT_COSINE_OFFSET), None)},
     "model": {"hidden": (_numbers(int), "32,32", None),
               "d_emb": (int, "8", None),
               "head": (str, HEAD_NOISE, (HEAD_NOISE, HEAD_DUAL)),
               "num_classes": (int, "0", None)},
-    "train": {"variant": (str, "ddpm", None),
+    "train": {"variant": (str, "ddpm", VARIANTS),
               "gamma": (float, "1e-3", None),
               "batch": (int, "64", None),
               "steps": (int, "1000", None),
-              "lambda": (float, "0.001", None),
+              "lambda": (float, str(HYBRID_LAMBDA), None),
               "p_uncond": (float, "0.1", None),
               "seed": (int, "0", None)},
     "output": {"dir": (str, "run-output", None)},
@@ -218,15 +221,16 @@ def cmd_train(args) -> None:
             f"model num_classes {rc.num_classes} != dataset classes {data_classes}")
     model = _build_model(rc, d)
 
-    out = Path(rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _progress(f"training variant={rc.variant} steps={rc.train_cfg.N} "
               f"batch={rc.train_cfg.J} schedule={rc.schedule_type} T={rc.T}")
     # divergence is reported by train's NonFiniteLoss, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         result = train(model, source, rc.train_cfg, sched, rc.variant)
 
+    out = Path(rc.out_dir)
     ckpt = out / "model.ckpt"
+    float32_params(result.model.params, str(ckpt))  # a refused run makes no directory
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(str(ckpt), result.model, sched, rc.train_cfg.N, result.rng_counters)
     write_csv(out / "loss.csv",
               [(i + 1, v) for i, v in enumerate(result.losses)],
@@ -251,9 +255,6 @@ def cmd_sample(args) -> None:
     w = 0.0 if args.w is None else args.w
     if needs_k and args.k is None:
         raise ConfigError(f"--variant {args.variant} requires --k")
-    # the --w range is checked here: guided_sample's OutOfRange is a data error
-    if not (math.isfinite(w) and w >= 0.0):
-        raise ConfigError(f"--w must be finite and >= 0, got {w}")
     d = model.arch.d
     rows = args.rows if args.rows else int(math.isqrt(d))
     if args.format == "pgm" and (rows < 1 or d % rows != 0):
@@ -339,6 +340,7 @@ def _load_eval_matrix(path: str) -> np.ndarray:
     return m
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
 def cmd_eval(args) -> None:
     gen = _load_eval_matrix(args.gen)
     ref = _load_eval_matrix(args.ref)
@@ -357,8 +359,8 @@ def cmd_eval(args) -> None:
             value = fid(gen, ref, fm)
             rows.append(("fid", value, gen.shape[0], ref.shape[0], 1, 0.0))
         elif name == "is":
-            rep = inception_score(gen, fm, batches=args.batches)
-            rows.append(("is", rep.value, rep.k_samples, 0, rep.batches, rep.std))
+            value, std = inception_score(gen, fm, batches=args.batches)
+            rows.append(("is", value, gen.shape[0], 0, args.batches, std))
         elif name in ("psnr", "ssim"):
             if gen.shape != ref.shape:
                 raise DimensionMismatch(f"{name} needs equal shapes, {gen.shape} vs {ref.shape}")
@@ -381,6 +383,9 @@ def cmd_eval(args) -> None:
         else:
             raise ConfigError(f"unknown metric {name!r}")
 
+    for name, value, _, _, _, std in rows:
+        if not (math.isfinite(value) and math.isfinite(std)):
+            raise OutOfRange(f"{name} is not finite on these inputs")
     write_csv(args.out, rows,
               header=("metric", "value", "k_samples", "m_samples", "batches", "std"))
     _progress(f"wrote {args.out} with {len(rows)} metric rows")
@@ -442,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("schedule", help="dump a noise schedule as CSV")
     pc.add_argument("--type", default="linear", choices=tuple(SCHEDULE_KINDS))
     pc.add_argument("--t", type=int, default=1000)
-    pc.add_argument("--s", type=float, default=0.008)
+    pc.add_argument("--s", type=float, default=DEFAULT_COSINE_OFFSET)
     pc.add_argument("--out", default="schedule.csv")
     pc.set_defaults(handler=cmd_schedule)
 

@@ -106,9 +106,7 @@ class MixtureSampler:
         if self._row == len(self._idx) or (k, rng.seed, rng.counter) != self._next:
             m = max(1, BLOCK_DRAWS // max(1, k * (1 + d))) if k == self._next[0] else 1
             keys = rng.block_keys(m, stride)
-            offsets = np.arange(k, dtype=np.uint64) * kernels._GOLDEN_U
-            words = kernels._mix_array(keys[:, None] + offsets)
-            self._idx, self._row = words_to_integers(words, 0, c), 0
+            self._idx, self._row = words_to_integers(kernels.words(keys, k), 0, c), 0
             noise = np.empty((m, k * d))
             kernels.normals_rows(keys, k, noise)
             self._x = self.centers[self._idx] + self.sigma * noise.reshape(m, k, d)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, BadMetadata, ConfigError, LengthMismatch, TruncatedFile
+from .errors import BadMagic, BadMetadata, ConfigError, LengthMismatch, OutOfRange, TruncatedFile
 from .forward import grid_level
 
 
@@ -164,7 +164,7 @@ def write_container(path: str, meta: dict, params) -> None:
     The metadata gains param_count. The file is written atomically (see
     _write_atomic).
     """
-    block = np.asarray(params).astype("<f4")
+    block = float32_params(params, path)
     meta = {**meta, "param_count": int(block.size)}
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     _write_atomic(path, (CONTAINER_MAGIC + _HEADER.pack(CONTAINER_VERSION, len(blob)) + blob,
@@ -203,7 +203,18 @@ def read_container(path: str, kind: str,
     if len(raw) > stop:
         raise BadMetadata(f"checkpoint {path} has {len(raw) - stop} bytes after its "
                           f"{meta['param_count']} parameters")
-    return version, meta, np.frombuffer(raw[start:stop], dtype="<f4").copy()
+    return version, meta, float32_params(np.frombuffer(raw[start:stop], dtype="<f4"), path)
+
+
+def float32_params(params, path: str) -> np.ndarray:
+    """A new copy of params as the container's <f4 block; a value not finite
+    there (NaN, inf, beyond 3.4e38) is refused by writer and reader alike."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = np.asarray(params).astype("<f4")
+    bad = np.flatnonzero(~np.isfinite(block))
+    if bad.size:
+        raise OutOfRange(f"{path}: parameter {bad[0]} is {block[bad[0]]}, not finite as float32")
+    return block
 
 
 def read_metadata(blob: bytes, path: str) -> dict:

@@ -17,6 +17,7 @@ from .errors import (
     EmptyBatch,
     LengthMismatch,
     NonpositiveEntry,
+    OutOfRange,
     ShapeMismatch,
     TooFewSamples,
 )
@@ -157,24 +158,6 @@ def load_feature_model(path: str) -> FeatureModel:
                         tuple(meta["hidden"]), params32.astype(np.float64))
 
 
-# ------------------------------------------------------------ report type
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    metric: str
-    value: float
-    k_samples: int
-    m_samples: int = 0
-    batches: int = 1
-    std: float = 0.0
-
-    def __post_init__(self):
-        if self.k_samples < 1 or self.m_samples < 0 or self.batches < 1:
-            raise TooFewSamples(
-                f"invalid counts k={self.k_samples} m={self.m_samples} b={self.batches}")
-
-
 # ------------------------------------------------------------ divergences
 
 
@@ -189,9 +172,9 @@ def discrete_kl(v: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(np.log(v / w) * v))
 
 
-def inception_score(samples: np.ndarray, fm, batches: int = 1) -> MetricReport:
+def inception_score(samples: np.ndarray, fm, batches: int = 1) -> tuple[float, float]:
     """Per batch exp of the mean KL from each classifier output to the batch
-    average; reported as mean and std across batches."""
+    average; returns (mean, std) across batches, std 0 for one batch."""
     samples = np.asarray(samples, dtype=np.float64)
     count = samples.shape[0]
     if batches < 1 or count < batches:
@@ -205,9 +188,7 @@ def inception_score(samples: np.ndarray, fm, batches: int = 1) -> MetricReport:
         # each row's discrete_kl(row, avg), as one row sum
         kls = np.sum(np.log(p / avg) * p, axis=1)
         scores.append(math.exp(float(np.mean(kls))))
-    value = float(np.mean(scores))
-    std = float(np.std(scores, ddof=1)) if batches >= 2 else 0.0
-    return MetricReport("is", value, k_samples=count, batches=batches, std=std)
+    return float(np.mean(scores)), (float(np.std(scores, ddof=1)) if batches >= 2 else 0.0)
 
 
 def fid(gen: np.ndarray, ref: np.ndarray, fm) -> float:
@@ -251,6 +232,8 @@ def psnr(a: np.ndarray, b: np.ndarray):
     float for one image, an (N,) array for an (N, h, w) stack."""
     a, b, single = _image_stacks(a, b)
     mse = np.mean(((a - b) ** 2).reshape(a.shape[0], -1), axis=1)
+    if not np.all(np.isfinite(mse)):
+        raise OutOfRange("psnr: the squared error of an image pair is not finite")
     # math.log10, not np.log10, which can differ in the last bit
     vals = np.array([10.0 * math.log10(1.0 / m) if m != 0.0 else math.inf
                      for m in mse.tolist()])

@@ -56,25 +56,16 @@ def _mix_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return np.bitwise_xor(z, np.right_shift(z, _S31, out=scratch), out=z)
 
 
-def raw_block(key: int, counter: int, n: int) -> np.ndarray:
-    """n raw uint64 words for absolute counters [counter, counter + n)."""
-    start = np.uint64((key + counter * _GOLDEN) & _U64)
-    return _mix_array(start + np.arange(n, dtype=np.uint64) * _GOLDEN_U)
-
-
-def normals_block(key: int, counter: int, n: int) -> np.ndarray:
-    """n standard normals; draw i consumes counters (counter+2i, counter+2i+1).
-
-    Box-Muller, cosine branch only, so every draw has a fixed counter cost
-    and concatenated calls reproduce one long call exactly.
-    """
-    out = np.empty(n, dtype=np.float64)
-    normals_rows(np.array([key], dtype=np.uint64), counter, out.reshape(1, n))
-    return out
+def words(starts: np.ndarray, n: int) -> np.ndarray:
+    """(len(starts), n) raw words, row r mix(starts[r] + j * GOLDEN) for j < n:
+    the n words of the stream block that begins at the uint64 starts[r]."""
+    return _mix_array(starts.reshape(-1, 1) + np.arange(n, dtype=np.uint64) * _GOLDEN_U)
 
 
 def normals_rows(keys: np.ndarray, counter: int, out: np.ndarray) -> None:
-    """Fill out (rows, n) so that out[r] == normals_block(keys[r], counter, n).
+    """Fill out (rows, n) with the normals of stream keys[r] from counter on:
+    draw i uses counters counter+2i and counter+2i+1 (Box-Muller, cosine
+    branch only, so concatenated calls reproduce one long call exactly).
 
     keys is a uint64 array of one key per row and counter a python int. The
     whole grid is drawn in one pass, with the keys as a column broadcast

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
 from . import kernels
-from .kernels import _GOLDEN, _U64, mix64
+from .kernels import _GOLDEN, _INV53, _S11, _U64, mix64
 
 _KEY_SALT = 0x7F4A7C159E3779B9
 _SPLIT_SALT = 0xD1B54A32D192ED03
@@ -20,8 +21,14 @@ _SPLIT_SALT = 0xD1B54A32D192ED03
 BLOCK_DRAWS = 8192  # draws per pass over a block of steps: 64 KB arrays
 
 
+def require_seed(seed: int) -> None:
+    """Refuse a run seed outside 0 ... 2**64 - 1, which RngStream would mask."""
+    if not 0 <= seed <= _U64:
+        raise ConfigError(f"seed must lie in 0 ... 2**64 - 1, got {seed}")
+
+
 def _key(seed: int) -> int:
-    return mix64((seed & 0xFFFFFFFFFFFFFFFF) ^ _KEY_SALT)
+    return mix64((seed & _U64) ^ _KEY_SALT)
 
 
 @dataclass
@@ -33,12 +40,12 @@ class RngStream:
 
     def split(self, tag: int) -> "RngStream":
         """Child stream at counter 0; distinct tags give independent streams."""
-        child_seed = mix64(_key(self.seed) ^ mix64((tag & 0xFFFFFFFFFFFFFFFF) ^ _SPLIT_SALT))
+        child_seed = mix64(_key(self.seed) ^ mix64((tag & _U64) ^ _SPLIT_SALT))
         return RngStream(child_seed, 0)
 
     def raw(self, n: int) -> np.ndarray:
         """n raw uint64 words; advances the counter by n."""
-        out = kernels.raw_block(_key(self.seed), self.counter, n)
+        out = kernels.words(self.block_keys(1, n), n)[0]
         self.counter += n
         return out
 
@@ -48,7 +55,8 @@ class RngStream:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal draws via Box-Muller; two counters each."""
-        out = kernels.normals_block(_key(self.seed), self.counter, n)
+        out = np.empty(n, dtype=np.float64)
+        kernels.normals_rows(self.block_keys(1, 0), 0, out.reshape(1, n))
         self.counter += 2 * n
         return out
 
@@ -64,13 +72,13 @@ class RngStream:
 
     def block_keys(self, m: int, stride: int) -> np.ndarray:
         """Keys (key + (counter + s*stride) * GOLDEN) mod 2**64 for s < m, the
-        starts of m blocks of stride counters, for kernels.normals_rows."""
+        starts of m blocks of stride counters, for kernels.words and normals_rows."""
         start = np.uint64((_key(self.seed) + self.counter * _GOLDEN) & _U64)
         return start + np.arange(m, dtype=np.uint64) * np.uint64(stride * _GOLDEN & _U64)
 
 
 def _uniforms(bits: np.ndarray) -> np.ndarray:
-    return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return (bits >> _S11).astype(np.float64) * _INV53
 
 
 def words_to_integers(bits: np.ndarray, low: int, high: int) -> np.ndarray:

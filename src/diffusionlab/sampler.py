@@ -21,12 +21,11 @@ from .errors import (
     ConfigError,
     HeadMismatch,
     InvalidPlan,
-    OutOfRange,
     SigmaConstraintViolated,
 )
 from .forward import log_variance_interpolation, reverse_mean_from_eps
 from .numerics.kernels import normals_rows
-from .numerics.rng import split_keys
+from .numerics.rng import require_seed, split_keys
 from .schedule import NoiseSchedule, StridePlan
 
 SAMPLER_VARIANTS = ("ddpm", "improved", "ddim", "guided")
@@ -41,6 +40,7 @@ class SampleRequest:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.count}")
+        require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def guided_sample(model: DenoiserModel, sched: NoiseSchedule, w: float, c,
     if model.arch.head != HEAD_NOISE:
         raise HeadMismatch("guided sampling needs a noise-only head")
     if not (math.isfinite(w) and w >= 0.0):
-        raise OutOfRange(f"guidance weight must be finite and >= 0, got {w}")
+        raise ConfigError(f"guidance weight w must be finite and >= 0, got {w}")
     c = np.asarray(c, dtype=np.float64)
     if not (np.all((c == 0.0) | (c == 1.0)) and c.sum() in (0.0, 1.0)):
         raise ConditioningMismatch("class vector must be one-hot or all zeros")

@@ -32,10 +32,11 @@ from .fileio import read_container, write_container
 from .forward import (GRID_LEVELS, HALF_BIN, forward_sample, grid_index,
                       log_variance_interpolation, posterior_mean_var, reverse_mean_from_eps)
 from .numerics import ADTape, RngStream, Tensor, fused, grad
-from .numerics.rng import BLOCK_DRAWS
+from .numerics.rng import BLOCK_DRAWS, require_seed
 from .schedule import NoiseSchedule, build_schedule
 
 VARIANTS = ("ddpm", "improved", "cfg")
+HYBRID_LAMBDA = 0.001  # default weight of the hybrid loss's variational term
 
 # log-probabilities in the optimization objective are clamped here; the
 # measurement-grade decoder likelihood in forward.py is exact instead
@@ -54,7 +55,7 @@ class TrainConfig:
     gamma: float
     J: int
     N: int
-    lam: float = 0.001
+    lam: float = HYBRID_LAMBDA
     p_uncond: float = 0.0
     seed: int = 0
 
@@ -69,6 +70,7 @@ class TrainConfig:
             raise ConfigError(f"hybrid weight must be >= 0, got {self.lam}")
         if not (0.0 <= self.p_uncond <= 1.0):
             raise ConfigError(f"dropout probability must be in [0,1], got {self.p_uncond}")
+        require_seed(self.seed)
 
 
 def _batched(x) -> np.ndarray:
@@ -199,7 +201,7 @@ def _decoder_term(x0b: np.ndarray, k: np.ndarray, mean: np.ndarray, log_sigma2: 
 
 
 def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps, t: int,
-                sched: NoiseSchedule, lam: float = 0.001, cond=None, params=None):
+                sched: NoiseSchedule, lam: float = HYBRID_LAMBDA, cond=None, params=None):
     """||eps - v1||^2 plus lam times the variational term with learned variance.
 
     For t > 1 the variational term is the Gaussian KL between the forward

@@ -325,14 +325,41 @@ def test_diverging_loss_stops_at_its_step_and_saves_nothing(tmp_path):
     assert proc.returncode == 4
     match = re.search(r"non-finite at step (\d+) \(t = \d+\)", proc.stderr)
     assert match, proc.stderr
-    assert list((tmp_path / "boom").iterdir()) == []
+    assert not (tmp_path / "boom").exists()
     step = int(match.group(1))
     assert step > 1
-    # the steps before it all had finite losses
+    # the steps before it all had finite losses (their parameters may pass
+    # float32's range, which the checkpoint refuses, so the run is in process)
     config("before", step - 1)
-    run_ok("train", "before.ini", cwd=tmp_path)
-    losses = read_numeric_csv(str(tmp_path / "before" / "loss.csv"), skip_header=True)
-    assert losses.shape == (step - 1, 2) and np.all(np.isfinite(losses))
+    rc = cli.load_run_config(str(tmp_path / "before.ini"))
+    source, d, _ = cli._build_source(rc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = cli.train(cli._build_model(rc, d), source, rc.train_cfg,
+                           cli.build_schedule(rc.schedule_type, rc.T, rc.s)).losses
+    assert len(losses) == step - 1 and np.all(np.isfinite(losses))
+
+
+@pytest.mark.parametrize("change, code, message", [
+    (lambda t: t.replace("variant = ddpm", "variant = bogus"), 2,
+     "[train] variant must be one of ddpm, improved, cfg, got 'bogus'"),
+    (lambda t: t.replace("variant = ddpm", "variant = improved"), 5, "noise+variance head"),
+    (lambda t: t.replace("gamma = 1e-3", "gamma = 1e12").replace("steps = 3", "steps = 50"),
+     4, "non-finite at step"),
+    (lambda t: t.replace("gamma = 1e-3", "gamma = 1e12"), 3, "not finite as float32"),
+    (lambda t: t.replace("kind = gaussian", "kind = idx\npath = four.idx"), 3, "need 4 points"),
+    (lambda t: t.replace("seed = 0", "seed = -1"), 2, "seed must lie in 0 ... 2**64 - 1"),
+], ids=["bogus-variant", "improved-noise-head", "non-finite-loss", "float32-overflow",
+        "data-exhausted", "negative-seed"])
+def test_refused_train_leaves_no_run_directory(tmp_path, monkeypatch, capsys, change, code,
+                                               message):
+    monkeypatch.chdir(tmp_path)
+    idx_write(str(tmp_path / "four.idx"), np.zeros((3, 4)), 2, 2)
+    write_ini(tmp_path / "r.ini", steps=3, out="run")
+    (tmp_path / "r.ini").write_text(change((tmp_path / "r.ini").read_text()))
+    assert cli.main(["train", "r.ini"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert not (tmp_path / "run").exists()
 
 
 # ------------------------------------------------------------ sample
@@ -414,8 +441,17 @@ def test_guidance_weight_must_be_finite_and_non_negative(work, w):
     proc = run_cli("sample", "cond/model.ckpt", "--variant", "guided", f"--w={w}",
                    "--class", 1, "--count", 2, "--out", f"w_{w}", cwd=work)
     assert proc.returncode == 2, proc.stderr
-    assert "--w must be finite and >= 0" in proc.stderr
+    assert "guidance weight w must be finite and >= 0" in proc.stderr
     assert not (work / f"w_{w}").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sample_seed_outside_64_bits_is_exit_2(work, seed):
+    # a masked -1 would draw exactly what seed 2**64 - 1 draws
+    proc = run_cli("sample", "base/model.ckpt", "--seed", seed, "--out", "badseed", cwd=work)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: seed must lie in 0 ... 2**64 - 1, got {seed}\n"
+    assert not (work / "badseed").exists()
 
 
 def test_untileable_rows_are_exit_2_before_the_sampler_runs(work, monkeypatch, capsys):
@@ -608,6 +644,27 @@ def test_eval_non_finite_input_is_exit_3(work, tmp_path, flag):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "nan.csv: row 3 " in proc.stderr
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [("--metrics", "psnr"), ("--metrics", "ssim", "--window", 2)],
+                         ids=["psnr", "ssim"])
+def test_eval_overflowing_metric_is_exit_3_without_a_report(tmp_path, flags):
+    # finite cells whose squares overflow: no traceback, warning or NaN report
+    rows = np.full((2, 4), 0.5)
+    write_samples_csv(str(tmp_path / "a.csv"), np.where(np.eye(2, 4) == 1, 1e200, rows))
+    write_samples_csv(str(tmp_path / "b.csv"), np.where(np.eye(2, 4) == 1, -1e200, rows))
+    proc = run_cli("eval", "--gen", "a.csv", "--ref", "b.csv", *flags, "--out", "m.csv",
+                   cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "not finite" in proc.stderr
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_successful_eval_leaves_stderr_empty(work):
+    proc = run_cli("eval", "--gen", "same.csv", "--ref", "same.csv", "--metrics",
+                   "fid,is", "--features", "features.ckpt", "--out", "quiet.csv", cwd=work)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_eval_feature_checkpoint_kind_is_enforced(work):
@@ -828,6 +885,20 @@ def test_wrong_version_or_trailing_bytes_is_exit_3(tiny, tmp_path, capsys, comma
     assert cli.main(argv(str(bad))) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err and message in err, err
+
+
+@pytest.mark.parametrize("command", ["info", "sample", "eval"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_parameter_is_exit_3(tiny, tmp_path, capsys, command, value):
+    name, argv = tiny[command]
+    raw = (tmp_path / name).read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:-8] + np.array([value], dtype="<f4").tobytes() + raw[-4:])
+    assert cli.main(argv(str(bad))) == 3
+    err = capsys.readouterr()
+    assert err.err.startswith("error: ") and err.err.count("\n") == 1, err.err
+    assert "not finite as float32" in err.err and err.out == ""
+    assert not (tmp_path / "s").exists() and not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["info", "eval"])

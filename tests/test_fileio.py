@@ -2,13 +2,14 @@
 
 import errno
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diffusionlab import fileio
-from diffusionlab.errors import BadMagic, LengthMismatch, TruncatedFile
+from diffusionlab.errors import BadMagic, LengthMismatch, OutOfRange, TruncatedFile
 from diffusionlab.fileio import (
     format_cell,
     read_csv,
@@ -337,6 +338,29 @@ def test_manifest_bytes_deterministic_and_sorted(tmp_path):
     keys = list(json.loads(a.read_text()).keys())
     assert keys == sorted(keys)
     assert a.read_bytes().endswith(b"}\n")
+
+
+# ------------------------------------------------------------ checkpoint container
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 3.5e38, -1e39])
+def test_container_writer_refuses_what_its_reader_would(tmp_path, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast-overflow warning either
+        with pytest.raises(OutOfRange, match="parameter 1 is .*not finite as float32"):
+            fileio.write_container(str(tmp_path / "c.ckpt"), {}, np.array([0.5, value]))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_container_reader_refuses_a_non_finite_parameter(tmp_path, value):
+    path = tmp_path / "c.ckpt"
+    fileio.write_container(str(path), {}, np.array([0.5, 1.0, -2.0]))
+    assert fileio.read_container(str(path), "denoiser", {})[2].tolist() == [0.5, 1.0, -2.0]
+    path.write_bytes(path.read_bytes()[:-8] + np.array([value], dtype="<f4").tobytes()
+                     + path.read_bytes()[-4:])
+    with pytest.raises(OutOfRange, match="parameter 1 is"):
+        fileio.read_container(str(path), "denoiser", {})
 
 
 # ------------------------------------------------------------ atomic replacement

@@ -6,6 +6,7 @@ through libm in the loop and numpy's ufuncs in the kernel, which may differ
 by a few ulps, bounded here at 1e-12.
 """
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -13,12 +14,15 @@ import warnings
 import numpy as np
 import pytest
 
+from diffusionlab.data import MixtureSampler
 from diffusionlab.errors import IndefiniteMatrix, NotConverged, NotSymmetric
 from diffusionlab.numerics import RngStream, jacobi_eigh, kernels, spd_sqrt
+from diffusionlab.numerics.rng import split_keys
 
 
 def _oracle_raw_block(key, counter, n):
-    """raw_block one word at a time, in uint64 scalars."""
+    """The n words of stream key from counter on, one word at a time, in
+    uint64 scalars."""
     out = np.empty(n, dtype=np.uint64)
     key, counter = np.uint64(key), np.uint64(counter)
     # the mixer wraps mod 2^64 on purpose; silence numpy's scalar warning
@@ -32,7 +36,8 @@ def _oracle_raw_block(key, counter, n):
 
 
 def _oracle_normals_block(key, counter, n):
-    """normals_block one draw at a time, with math.log and math.cos."""
+    """The n normals of stream key from counter on, one draw at a time, with
+    math.log and math.cos."""
     words = _oracle_raw_block(key, counter, 2 * n)
     out = np.empty(n, dtype=np.float64)
     for i in range(n):
@@ -43,12 +48,14 @@ def _oracle_normals_block(key, counter, n):
 
 
 def test_scalar_loop_source_matches_vectorized_raw():
-    assert np.array_equal(_oracle_raw_block(31337, 77, 512), kernels.raw_block(31337, 77, 512))
+    start = np.array([(31337 + 77 * kernels._GOLDEN) & kernels._U64], dtype=np.uint64)
+    assert np.array_equal(_oracle_raw_block(31337, 77, 512), kernels.words(start, 512)[0])
 
 
 def test_scalar_loop_source_matches_vectorized_normals():
-    got = kernels.normals_block(5, 0, 512)
-    assert np.max(np.abs(_oracle_normals_block(5, 0, 512) - got)) <= 1e-12
+    got = np.empty((1, 512))
+    kernels.normals_rows(np.array([5], dtype=np.uint64), 0, got)
+    assert np.max(np.abs(_oracle_normals_block(5, 0, 512) - got[0])) <= 1e-12
 
 
 def _allocating_mix(z):
@@ -91,6 +98,71 @@ def test_normals_working_memory_is_about_three_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 300_000, peak
+
+
+_NEAR_WRAP = 2**64 - 3
+_TAGS = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+
+# Draws pinned per seed: sha256 prefixes of the exact integer outputs, and
+# Box-Muller values, which pass through libm, to 1e-12. Each kind is drawn
+# from counter 0 and from _NEAR_WRAP, where the uint64 counters wrap.
+_PINNED = {
+    0: {"raw": "ff48c96a173d734d", "integers": "2f9ef36bd6a2d282",
+        "split": "b24271ee7e91ffa0", "split_keys": "78c46a16ec92eb08",
+        "mixture_idx": "bf8c029e8e18251d",
+        "normals": [-0.43438523635822995, 0.01657397640262135,
+                    0.918997554711084, 1.8541132207520163],
+        "mixture_sums": [-17.177381690000026, -5.872995333813838, -6.012373057794168,
+                         -6.068086329382433, -8.443209655201983]},
+    7: {"raw": "0af6239f3b21f891", "integers": "7ac1d87169349e98",
+        "split": "d3fa92852dc1ccef", "split_keys": "8fb2dd99111f7e4c",
+        "mixture_idx": "0f8c52777c2221ca",
+        "normals": [1.76049382300923, -0.26220834690354355,
+                    0.3548633489371315, 0.7232182490743342],
+        "mixture_sums": [-9.642099533752695, -8.072231946441304, -11.466758814494147,
+                         -5.775773875039513, -4.687996444575663]},
+    2**63 + 5: {"raw": "186a31069b2092bf", "integers": "b7b1a88b6f890083",
+                "split": "e77cb13678ebd4a4", "split_keys": "09cb64e7da43d1ad",
+                "mixture_idx": "225a78fb6f39c44d",
+                "normals": [-0.32547557234874713, -1.2526944063516305,
+                            -0.5868846258330748, -1.7242809918056592],
+                "mixture_sums": [-0.9128922142002969, -8.525506330743033, -4.086923526396328,
+                                 -8.10964174524162, -4.262159317945454]},
+    2**64 - 1: {"raw": "56104d544788f280", "integers": "bccdb1e0beebe82d",
+                "split": "c88e0f6f47f3da9d", "split_keys": "454b1c69adf292b3",
+                "mixture_idx": "a98c9e3725346dcd",
+                "normals": [-1.2882245601873918, -0.7631134028111066,
+                            1.1321047603287304, -0.06524996473498404],
+                "mixture_sums": [-4.829921322786278, -6.636542105739429, -7.545418104392224,
+                                 -6.4113807458188035, -5.8090956470641375]},
+}
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED))
+def test_generator_outputs_match_pinned_values(seed):
+    pinned = _PINNED[seed]
+    mix = MixtureSampler([[0.0, 0.0], [1.0, -1.0], [-2.0, 0.5]], 0.5, RngStream(seed, _NEAR_WRAP))
+    takes = [mix.take(16) for _ in range(5)]  # the second on draw blocks ahead
+    children = [RngStream(seed).split(int(t)).seed for t in _TAGS]
+    assert {
+        "raw": _digest(RngStream(seed).raw(16), RngStream(seed, _NEAR_WRAP).raw(5)),
+        "integers": _digest(RngStream(seed).integers(16, -3, 1001),
+                            RngStream(seed, _NEAR_WRAP).integers(5, 0, 7)),
+        "split": _digest(np.array(children, dtype=np.uint64)),
+        "split_keys": _digest(split_keys(seed, _TAGS)),
+        "mixture_idx": _digest(*(idx for _, idx in takes)),
+    } == {k: v for k, v in pinned.items() if isinstance(v, str)}
+    normals = np.concatenate((RngStream(seed).normals(2), RngStream(seed, _NEAR_WRAP).normals(2)))
+    assert np.max(np.abs(normals - pinned["normals"])) <= 1e-12
+    sums = [float(x.sum()) for x, _ in takes]
+    assert np.max(np.abs(np.subtract(sums, pinned["mixture_sums"]))) <= 1e-12
 
 
 @pytest.mark.parametrize("high", [2, 3, 6, 51, 1001, 2**31])

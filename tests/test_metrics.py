@@ -9,6 +9,7 @@ from diffusionlab.errors import (
     EmptyBatch,
     LengthMismatch,
     NonpositiveEntry,
+    OutOfRange,
     ShapeMismatch,
     TooFewSamples,
 )
@@ -16,7 +17,6 @@ from diffusionlab.metrics import (
     SSIM_C1,
     SSIM_C2,
     FeatureModel,
-    MetricReport,
     _feature_layout,
     discrete_kl,
     fid,
@@ -101,16 +101,11 @@ def test_discrete_kl_validation():
 
 def test_inception_score_uniform_classifier_is_exactly_one():
     samples = RngStream(1).normals(40).reshape(20, 2)
-    rep = inception_score(samples, IdentityFeatures(), batches=4)
-    assert rep.value == 1.0
-    assert rep.std == 0.0
-    assert rep.k_samples == 20
-    assert rep.batches == 4
+    assert inception_score(samples, IdentityFeatures(), batches=4) == (1.0, 0.0)
 
 
 def test_inception_score_single_sample_is_one():
-    rep = inception_score(np.array([[0.3, -0.2]]), SignClassifier(), batches=1)
-    assert rep.value == 1.0
+    assert inception_score(np.array([[0.3, -0.2]]), SignClassifier(), batches=1) == (1.0, 0.0)
 
 
 def test_inception_score_two_sample_hand_oracle():
@@ -118,17 +113,17 @@ def test_inception_score_two_sample_hand_oracle():
     # (1-e) ln 2(1-e) + e ln 2e, and the score exponentiates their mean
     eps = 1e-6
     samples = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    rep = inception_score(samples, SignClassifier(eps), batches=1)
+    value, _ = inception_score(samples, SignClassifier(eps), batches=1)
     kl = (1 - eps) * math.log(2 * (1 - eps)) + eps * math.log(2 * eps)
-    assert rep.value == pytest.approx(math.exp(kl), abs=1e-9)
+    assert value == pytest.approx(math.exp(kl), abs=1e-9)
 
 
 def test_inception_score_at_least_one_for_any_classifier():
     fm = train_feature_model(np.array([[1.0, 0.0], [-1.0, 0.0]] * 10),
                              np.array([0, 1] * 10), num_classes=2, steps=20, seed=3)
     samples = RngStream(9).normals(60).reshape(30, 2)
-    rep = inception_score(samples, fm, batches=3)
-    assert rep.value >= 1.0 - 1e-12
+    value, _ = inception_score(samples, fm, batches=3)
+    assert value >= 1.0 - 1e-12
 
 
 def test_inception_score_empty_batch():
@@ -173,22 +168,15 @@ def test_inception_score_matches_the_per_row_loop():
         table = np.exp(logits - logits.max()).reshape(rows, classes)
         table = (table + 1e-12) / (table + 1e-12).sum(axis=1, keepdims=True)
         samples = np.arange(rows, dtype=np.float64)[:, None]
-        rep = inception_score(samples, TableClassifier(table), batches=batches)
-        value, std = _oracle_inception_score(samples, TableClassifier(table), batches)
-        assert (rep.value, rep.std) == (value, std), (rows, classes, batches)
+        got = inception_score(samples, TableClassifier(table), batches=batches)
+        want = _oracle_inception_score(samples, TableClassifier(table), batches)
+        assert got == want, (rows, classes, batches)
 
 
 def test_inception_score_rejects_a_zero_probability():
     table = np.array([[0.5, 0.5], [1.0, 0.0]])
     with pytest.raises(NonpositiveEntry):
         inception_score(np.array([[0.0], [1.0]]), TableClassifier(table))
-
-
-def test_metric_report_validates_counts():
-    with pytest.raises(TooFewSamples):
-        MetricReport("is", 1.0, k_samples=0)
-    with pytest.raises(TooFewSamples):
-        MetricReport("fid", 1.0, k_samples=5, batches=0)
 
 
 # ---------------------------------------------------------------- FID
@@ -298,8 +286,8 @@ def test_feature_model_zero_params_is_uniform():
     fm = FeatureModel(2, 5, 4, (6,), np.zeros_like(fm.params))
     p = fm.probs(np.array([[0.4, -1.0]]))
     assert np.allclose(p, 0.2, atol=1e-12)
-    rep = inception_score(RngStream(1).normals(20).reshape(10, 2), fm, batches=2)
-    assert rep.value == 1.0
+    value, _ = inception_score(RngStream(1).normals(20).reshape(10, 2), fm, batches=2)
+    assert value == 1.0
 
 
 @pytest.mark.parametrize("hidden", [(), (6,), (8, 5)])
@@ -341,6 +329,12 @@ def test_psnr_constant_offset_twenty_db():
     a = np.full((8, 8), 0.3)
     b = np.full((8, 8), 0.4)
     assert psnr(a, b) == pytest.approx(20.0, rel=1e-12)
+
+
+def test_psnr_refuses_an_overflowing_squared_error():
+    a = np.array([[1e200, 0.5]])
+    with np.errstate(over="ignore"), pytest.raises(OutOfRange, match="squared error"):
+        psnr(a, -a)
 
 
 def test_psnr_symmetry_and_shape_check():

@@ -20,7 +20,6 @@ from diffusionlab.errors import (
     ConfigError,
     HeadMismatch,
     InvalidPlan,
-    OutOfRange,
     SigmaConstraintViolated,
 )
 from diffusionlab.numerics import RngStream, kernels
@@ -57,6 +56,10 @@ def test_sample_request_validation():
     SampleRequest(count=1, seed=0)
     with pytest.raises(ConfigError):
         SampleRequest(count=0, seed=0)
+    SampleRequest(count=1, seed=2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed must lie in 0"):
+            SampleRequest(count=1, seed=seed)
 
 
 # ---------------------------------------------------------------- ancestral
@@ -291,7 +294,7 @@ def test_guided_validation():
     with pytest.raises(HeadMismatch):
         guided_sample(_model(HEAD_DUAL, cond=ClassConditioning(3)), sched, 0.5, c, req)
     for w in (-0.5, math.nan, math.inf):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ConfigError):
             guided_sample(_class_model(), sched, w, c, req)
     with pytest.raises(ConditioningMismatch):
         guided_sample(_class_model(), sched, 0.5, np.array([1.0, 0.0]), req)

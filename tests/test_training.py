@@ -114,6 +114,10 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(gamma=0.1, J=4, N=10, p_uncond=1.5)
     assert TrainConfig(gamma=0.1, J=4, N=10).lam == 0.001
+    TrainConfig(gamma=0.1, J=4, N=10, seed=2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed must lie in 0"):
+            TrainConfig(gamma=0.1, J=4, N=10, seed=seed)
 
 
 # ---------------------------------------------------------------- simple loss
