@@ -8,7 +8,9 @@ code per failure family.
 
 import argparse
 import configparser
+import errno
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -220,6 +222,11 @@ def cmd_train(args) -> None:
         raise ConfigError(
             f"model num_classes {rc.num_classes} != dataset classes {data_classes}")
     model = _build_model(rc, d)
+    out = Path(rc.out_dir)
+    # the directory is made after training; a file in its way is refused now
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
 
     _progress(f"training variant={rc.variant} steps={rc.train_cfg.N} "
               f"batch={rc.train_cfg.J} schedule={rc.schedule_type} T={rc.T}")
@@ -227,7 +234,6 @@ def cmd_train(args) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         result = train(model, source, rc.train_cfg, sched, rc.variant)
 
-    out = Path(rc.out_dir)
     ckpt = out / "model.ckpt"
     float32_params(result.model.params, str(ckpt))  # a refused run makes no directory
     out.mkdir(parents=True, exist_ok=True)
@@ -238,6 +244,7 @@ def cmd_train(args) -> None:
     _progress(f"saved {ckpt} and {out / 'loss.csv'}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is refused by the sampler
 def cmd_sample(args) -> None:
     ck = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ck)
@@ -323,7 +330,10 @@ def _load_eval_matrix(path: str) -> np.ndarray:
     """Samples as a finite (count, d) matrix from a CSV/IDX file or a PGM directory."""
     p = Path(path)
     if p.is_dir():
-        names = sorted(str(n) for n in p.glob("*.pgm"))
+        # every entry named *.pgm, spelled as pathlib spells p / name
+        base = str(p)
+        prefix = "" if base == "." else os.path.join(base, "")
+        names = sorted(prefix + e.name for e in os.scandir(base) if e.name.endswith(".pgm"))
         if not names:
             raise FileNotFoundError(f"no PGM files in directory {path}")
         return _pgm_rows(names)

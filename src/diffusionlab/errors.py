@@ -125,6 +125,10 @@ class SigmaConstraintViolated(DiffusionLabError):
     exit_code = 2
 
 
+class NonFiniteSample(DiffusionLabError):
+    """A sampling step left a chain's state NaN or infinite."""
+
+
 # metrics
 class NonpositiveEntry(DiffusionLabError):
     """Discrete distributions must have strictly positive entries."""

@@ -4,11 +4,12 @@ timestamps anywhere. CSV, manifest and checkpoint files are replaced
 atomically; PGM images, written by the hundred, are written in place."""
 
 import csv
+import io
 import json
 import os
 import re
 import struct
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -57,31 +58,53 @@ def _write_atomic(path, chunks) -> None:
         raise
 
 
-def read_csv(path: str) -> list[list[str]]:
-    """Rows of string cells read by the csv module in strict mode, empty records
-    dropped; quoted cells may embed commas, quotes and line breaks."""
+def _read_bytes(path) -> bytes:
+    with open(path, "rb", buffering=0) as f:
+        return f.readall()
+
+
+def _read_text(path) -> str:
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            return [row for row in csv.reader(f, strict=True) if row]
+        return _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError:
         raise TruncatedFile(f"{path}: not UTF-8 text") from None
+
+
+def _csv_rows(text: str, path) -> list[list[str]]:
+    try:
+        return [row for row in csv.reader(io.StringIO(text, newline=""), strict=True) if row]
     except csv.Error as e:
         raise TruncatedFile(f"{path}: malformed CSV ({e})") from None
 
 
+def read_csv(path: str) -> list[list[str]]:
+    """Rows of string cells read by the csv module in strict mode, empty records
+    dropped; quoted cells may embed commas, quotes and line breaks."""
+    return _csv_rows(_read_text(path), path)
+
+
 def read_numeric_csv(path: str, skip_header: bool = False) -> np.ndarray:
-    """(rows, cols) float matrix; raises on ragged or non-numeric content."""
-    rows = read_csv(path)
-    if skip_header and rows:
-        rows = rows[1:]
+    """(rows, cols) float matrix of read_csv's cells; raises on ragged or
+    non-numeric content. Quote-free text whose lines fit the csv module's field
+    size limit is split at each CR, LF and comma, which gives the same cells."""
+    text = _read_text(path)
+    lines = [] if '"' in text else list(filter(None, text.replace("\r", "\n").split("\n")))
+    if lines and max(map(len, lines)) <= csv.field_size_limit():
+        rows = lines[1:] if skip_header else lines
+        commas = set(map(str.count, rows, repeat(",")))
+        cells = ",".join(rows).split(",")
+    else:
+        rows = _csv_rows(text, path)
+        rows = rows[1:] if skip_header else rows
+        commas = {len(r) - 1 for r in rows}
+        cells = chain.from_iterable(rows)
     if not rows:
         raise TruncatedFile(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if len(commas) > 1:
         raise LengthMismatch(f"{path}: ragged rows")
+    width = commas.pop() + 1
     try:
-        cells = np.fromiter(map(float, chain.from_iterable(rows)), dtype=np.float64,
-                            count=len(rows) * width)
+        cells = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * width)
     except ValueError as e:
         raise TruncatedFile(f"{path}: non-numeric cell ({e})") from None
     return cells.reshape(len(rows), width)
@@ -116,7 +139,7 @@ _PGM_HEADER = re.compile(rb"P5\s+(\S+)\s+(\S+)\s+(\S+)\s")
 
 
 def read_pgm(path: str) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    raw = _read_bytes(path)
     if not raw.startswith(b"P5"):
         raise BadMagic(f"{path}: not a binary PGM file")
     m = _PGM_HEADER.match(raw)
@@ -179,7 +202,7 @@ def read_container(path: str, kind: str,
     The magic, version, lengths and kind are checked, then each required
     metadata key and its JSON type; the parameter block must end the file.
     """
-    raw = Path(path).read_bytes()
+    raw = _read_bytes(path)
     head = len(CONTAINER_MAGIC) + _HEADER.size
     if len(raw) < head:
         raise TruncatedFile(f"checkpoint {path} too short for its header")

@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     HeadMismatch,
     InvalidPlan,
+    NonFiniteSample,
     SigmaConstraintViolated,
 )
 from .forward import log_variance_interpolation, reverse_mean_from_eps
@@ -49,7 +50,7 @@ class SampleResult:
     trajectory: np.ndarray | None = None
 
 
-def _run_chain(step_fn, d: int, req: SampleRequest, times, noisy):
+def _run_chain(step_fn, d: int, req: SampleRequest, times, noisy, where: str):
     """Walk the batch down `times` from a standard normal start.
 
     step_fn(x, time) -> (mean, sigma) returns a fresh mean array, which is
@@ -57,6 +58,10 @@ def _run_chain(step_fn, d: int, req: SampleRequest, times, noisy):
     is applied only where noisy(time) holds. The k-th noisy step draws
     block k of every chain, when it comes, into one reused (count, d)
     buffer; the start is block 0 (see the module docstring).
+
+    The first step whose new state holds a NaN or an infinity raises
+    NonFiniteSample; `where` names the sampler and its loop variable in the
+    message, for example "ddim sampling, stride k".
     """
     keys = split_keys(req.seed, np.arange(req.count, dtype=np.uint64))
     x = np.empty((req.count, d))
@@ -72,6 +77,10 @@ def _run_chain(step_fn, d: int, req: SampleRequest, times, noisy):
             np.multiply(sigma, z, out=z)
             np.add(mean, z, out=mean)
         x = mean
+        if not np.isfinite(x).all():
+            bad = np.count_nonzero(~np.isfinite(x).all(axis=1))
+            raise NonFiniteSample(f"{where}={time}: {bad} of {req.count} chains hold "
+                                  "a NaN or an infinity")
         if frames is not None:
             frames.append(x)
     traj = np.stack(frames) if frames is not None else None
@@ -97,12 +106,19 @@ def ddpm_sample(model: DenoiserModel, sched: NoiseSchedule, req: SampleRequest,
             raise HeadMismatch("ancestral sampling needs a noise-only head")
         ws = {}
         eps_fn = lambda x, t: denoise(model, x, t, cond, ws=ws)[0]
+    return _ancestral("ddpm", model, sched, req, eps_fn)
+
+
+def _ancestral(name: str, model: DenoiserModel, sched: NoiseSchedule, req: SampleRequest,
+               eps_fn) -> SampleResult:
+    """The ancestral chain of the `name` sampler, driven by eps_fn(X, t)."""
 
     def step(x, t):
         mean = reverse_mean_from_eps(x, eps_fn(x, t), sched.a(t), sched.abar(t))
         return mean, (math.sqrt(sched.btilde(t)) if t >= 2 else None)
 
-    return _run_chain(step, model.arch.d, req, range(sched.T, 0, -1), lambda t: t >= 2)
+    return _run_chain(step, model.arch.d, req, range(sched.T, 0, -1), lambda t: t >= 2,
+                      f"{name} sampling, step t")
 
 
 def improved_sample(model: DenoiserModel, sched: NoiseSchedule, plan: StridePlan,
@@ -133,7 +149,8 @@ def improved_sample(model: DenoiserModel, sched: NoiseSchedule, plan: StridePlan
             sigma = np.exp(0.5 * logv)
         return mean, sigma
 
-    return _run_chain(step, model.arch.d, req, range(plan.K, 0, -1), lambda k: k >= 2)
+    return _run_chain(step, model.arch.d, req, range(plan.K, 0, -1), lambda k: k >= 2,
+                      "improved sampling, stride k")
 
 
 def ddim_sigma(sched: NoiseSchedule, t_k: int, t_prev: int, eta: float) -> float:
@@ -172,7 +189,8 @@ def ddim_sample(model: DenoiserModel, sched: NoiseSchedule, plan: StridePlan,
         drift = math.sqrt(max(1.0 - ab_prev - sigmas[k] ** 2, 0.0))
         return math.sqrt(ab_prev) * x0_hat + drift * eps_hat, sigmas[k]
 
-    return _run_chain(step, model.arch.d, req, range(plan.K, 0, -1), lambda k: sigmas[k] > 0.0)
+    return _run_chain(step, model.arch.d, req, range(plan.K, 0, -1), lambda k: sigmas[k] > 0.0,
+                      "ddim sampling, stride k")
 
 
 def guided_sample(model: DenoiserModel, sched: NoiseSchedule, w: float, c,
@@ -196,4 +214,4 @@ def guided_sample(model: DenoiserModel, sched: NoiseSchedule, w: float, c,
         vu = denoise(model, x, t, zero, ws=ws)[0]
         return (1.0 + w) * vc - w * vu
 
-    return ddpm_sample(model, sched, req, eps_fn=guided_eps)
+    return _ancestral("guided", model, sched, req, guided_eps)

@@ -19,6 +19,7 @@ from diffusionlab.data import idx_write, idx_write_labels
 from diffusionlab.fileio import (read_csv, read_manifest, read_numeric_csv,
                                  write_pgm, write_samples_csv)
 from diffusionlab.denoiser import DenoiserArch, DenoiserModel
+from diffusionlab.forward import grid_value
 from diffusionlab.metrics import (FeatureModel, discrete_kl, save_feature_model,
                                   train_feature_model)
 from diffusionlab.numerics import RngStream
@@ -339,6 +340,22 @@ def test_diverging_loss_stops_at_its_step_and_saves_nothing(tmp_path):
     assert len(losses) == step - 1 and np.all(np.isfinite(losses))
 
 
+@pytest.mark.parametrize("out", ["runfile", "runfile/sub"])
+def test_train_refuses_a_file_as_output_dir_before_its_first_step(tmp_path, monkeypatch,
+                                                                  capsys, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runfile").write_text("a file, not a directory\n")
+    write_ini(tmp_path / "t.ini", steps=3000, out=out)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    assert cli.main(["train", "t.ini"]) == 3
+    assert capsys.readouterr().err == "error: [Errno 20] Not a directory: 'runfile'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runfile", "t.ini"]
+
+
 @pytest.mark.parametrize("change, code, message", [
     (lambda t: t.replace("variant = ddpm", "variant = bogus"), 2,
      "[train] variant must be one of ddpm, improved, cfg, got 'bogus'"),
@@ -443,6 +460,23 @@ def test_guidance_weight_must_be_finite_and_non_negative(work, w):
     assert proc.returncode == 2, proc.stderr
     assert "guidance weight w must be finite and >= 0" in proc.stderr
     assert not (work / f"w_{w}").exists()
+
+
+@pytest.mark.parametrize("w", ["1e308", "1e300"])
+def test_guided_overflow_is_exit_4_or_finite_and_quiet(work, w):
+    # a huge weight overflows the extrapolated noise estimate: the run writes
+    # finite rows and nothing on stderr, or stops at its step with exit 4
+    out = work / f"big_{w}"
+    proc = run_cli("sample", "cond/model.ckpt", "--variant", "guided", f"--w={w}",
+                   "--class", 1, "--count", 4, "--out", out.name, cwd=work)
+    if w == "1e308" or proc.returncode != 0:
+        assert proc.returncode == 4, proc.stderr
+        assert re.fullmatch(r"error: guided sampling, step t=\d+: [1-4] of 4 chains hold "
+                            r"a NaN or an infinity\n", proc.stderr), proc.stderr
+        assert not out.exists()
+    else:
+        assert proc.stderr == ""
+        assert np.isfinite(read_numeric_csv(str(out / "samples.csv"))).all()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -621,6 +655,36 @@ def test_eval_pgm_directory_of_mixed_sizes_is_exit_3(work, tmp_path):
     assert "b.pgm is 4x2 pixels" in proc.stderr
 
 
+def test_eval_pgm_directory_lists_every_entry_named_pgm(tmp_path, monkeypatch, capsys):
+    # dotfiles, symlinks and directories named *.pgm are listed, in name
+    # order; B.PGM and c.pgmx are not; "d", "d/" and "." in d name each file alike
+    d = tmp_path / "d"
+    d.mkdir()
+    write_pgm(str(d / ".h.pgm"), np.full((2, 2), 10, dtype=np.uint8))
+    write_pgm(str(d / "a.pgm"), np.full((2, 2), 20, dtype=np.uint8))
+    (d / "link.pgm").symlink_to("a.pgm")
+    for name in ("B.PGM", "c.pgmx"):  # another size: listing either would fail
+        write_pgm(str(d / name), np.zeros((3, 3), dtype=np.uint8))
+    want = grid_value(np.repeat(np.array([[10], [20], [20]], dtype=np.uint8), 4, axis=1))
+    spellings = [(tmp_path, "d", "d/"), (tmp_path, "d/", "d/"), (d, ".", "")]
+    for cwd, path, prefix in spellings:
+        monkeypatch.chdir(cwd)
+        assert cli._load_eval_matrix(path).tobytes() == want.tobytes()
+    write_pgm(str(d / "z.pgm"), np.zeros((3, 3), dtype=np.uint8))
+    for cwd, path, prefix in spellings:
+        monkeypatch.chdir(cwd)
+        with pytest.raises(errors.ShapeMismatch) as e:
+            cli._load_eval_matrix(path)
+        assert str(e.value) == f"{prefix}z.pgm is 3x3 pixels, {prefix}.h.pgm is 2x2"
+    (d / "z.pgm").unlink()
+    (d / "sub.pgm").mkdir()
+    for cwd, path, prefix in spellings:
+        monkeypatch.chdir(cwd)
+        assert cli.main(["eval", "--gen", path, "--ref", path, "--metrics", "psnr",
+                         "--out", str(tmp_path / "m.csv")]) == 3
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{prefix}sub.pgm'\n"
+
+
 @pytest.mark.parametrize("raw", [b"0.5,1.0\r\n\xff,2.0\r\n", b'0.5,"1.0\r\n0.25,2.0\r\n'],
                          ids=["non_utf8", "unterminated_quote"])
 def test_eval_unreadable_csv_text_is_exit_3(work, tmp_path, raw):
@@ -684,7 +748,7 @@ def test_import_cli_does_not_load_scipy_special():
     assert proc.stdout.strip() == "False"
 
 
-def test_eval_names_the_benchmark_tracer_wraps_exist():
+def test_eval_names_the_benchmark_tracer_wraps_exist(work, tmp_path, monkeypatch):
     # perfbench's tracer times the layers of all three workloads by wrapping
     # these attributes of diffusionlab.cli, and its checks call some of them;
     # a rename would leave its spans silently empty or its checks broken
@@ -694,6 +758,25 @@ def test_eval_names_the_benchmark_tracer_wraps_exist():
                  "ddim_sample", "improved_sample", "guided_sample", "build_schedule",
                  "load_run_config", "main"):
         assert callable(getattr(cli, name, None)), name
+    # its read spans time one file each: eval reads every CSV through one
+    # read_numeric_csv call and every image through one read_pgm call
+    calls = {"read_numeric_csv": [], "read_pgm": []}
+    for name, seen in calls.items():
+        def counted(path, *args, _fn=getattr(cli, name), _seen=seen):
+            _seen.append(path)
+            return _fn(path, *args)
+        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.chdir(work)
+    names = ["sample_00000.pgm", "sample_00001.pgm"]
+    pgms = [str(work / "pA" / n) for n in names]
+    for gen, ref, csvs, images in [("same.csv", "same.csv", ["same.csv"] * 2, []),
+                                   ("pA", "pA/", [], [f"pA/{n}" for n in names] * 2),
+                                   (pgms[0], pgms[1], [], pgms)]:
+        for seen in calls.values():
+            seen.clear()
+        assert cli.main(["eval", "--gen", gen, "--ref", ref, "--metrics", "psnr",
+                         "--out", str(tmp_path / "m.csv")]) == 0
+        assert calls == {"read_numeric_csv": csvs, "read_pgm": images}, (gen, ref)
 
 
 # ------------------------------------------------------------ schedule, info
@@ -817,6 +900,7 @@ EXIT_CODES = {
     "NonScalarOutput": 4, "NotSymmetric": 4,
     "IndefiniteMatrix": 4, "SingularCovariance": 4, "StepOutOfRange": 4,
     "NonpositiveVariance": 4, "DegenerateEmbedding": 4, "BadWindow": 4, "NonFiniteLoss": 4,
+    "NonFiniteSample": 4,
     "NotConverged": 4,
     "ConfigError": 2, "EmptyBatch": 2, "InvalidK": 2, "InvalidPlan": 2,
     "OffsetOutOfRange": 2, "SigmaConstraintViolated": 2, "StepCountTooSmall": 2,

@@ -1,5 +1,6 @@
 """CSV, PGM, and manifest round trips, plus the malformed-file error paths."""
 
+import csv
 import errno
 import json
 import warnings
@@ -167,22 +168,62 @@ def _numeric_text(rng, rows, cols, newline, final_newline, blank_every=0, header
     return newline.join(lines) + (newline if final_newline else "")
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
-@pytest.mark.parametrize("final_newline", [True, False])
-@pytest.mark.parametrize("blank_every", [0, 1, 3])
-@pytest.mark.parametrize("header", [False, True])
-def test_read_csv_matches_the_character_loop(tmp_path, newline, final_newline,
-                                             blank_every, header):
-    rng = RngStream(40 + blank_every)
+def _csv_module_rows(path):
+    """The rows read_csv promises: the csv module's in strict mode, with
+    empty records dropped."""
+    with open(path, newline="", encoding="utf-8") as f:
+        return [row for row in csv.reader(f, strict=True) if row]
+
+
+def _generated(header, blank_every, final_newline, newline):
+    text = _numeric_text(RngStream(40 + blank_every), 23, 3, newline, final_newline,
+                         blank_every, header)
+    return pytest.param(text.encode("utf-8"), header, None,
+                        id=f"{header}-{blank_every}-{final_newline}-{newline}")
+
+
+_HUGE_CELL = "0." + "0" * 200_000 + "1"  # longer than csv.field_size_limit()
+
+# file bytes, skip_header, and what read_numeric_csv gives: a matrix, an error
+# class, or None for the oracle's cells as floats
+_CSV_INPUTS = [
+    *(_generated(header, blank_every, final_newline, newline)
+      for header in (False, True) for blank_every in (0, 1, 3)
+      for final_newline in (False, True) for newline in ("\n", "\r\n", "\r")),
+    pytest.param(b"1,2\r\n \r\n3,4\r\n", False, LengthMismatch, id="whitespace_line"),
+    pytest.param(b"\r\nx,y\r\n1,2\r\n", True, [[1.0, 2.0]], id="header_after_blank_line"),
+    pytest.param("1_0,\u0661\u0662\n".encode("utf-8"), False, [[10.0, 12.0]],
+                 id="float_syntax"),
+    pytest.param(b'"1.5",2\r\n', False, [[1.5, 2.0]], id="quoted_number"),
+    pytest.param(b"1\x00,2\r\n", False, TruncatedFile, id="nul_in_cell"),
+    pytest.param(f"{_HUGE_CELL},2\r\n".encode(), False, TruncatedFile,
+                 id="cell_over_field_size_limit"),
+]
+
+
+@pytest.mark.parametrize("raw, header, expect", _CSV_INPUTS)
+def test_read_csv_matches_the_character_loop(tmp_path, raw, header, expect):
     p = tmp_path / "m.csv"
-    p.write_bytes(_numeric_text(rng, 23, 3, newline, final_newline, blank_every,
-                                header).encode("utf-8"))
-    want = _oracle_read_csv(p)
-    assert read_csv(str(p)) == want
-    body = want[1:] if header else want
-    expect = np.array([[float(v) for v in r] for r in body], dtype=np.float64)
-    got = read_numeric_csv(str(p), skip_header=header)
-    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+    p.write_bytes(raw)
+    try:
+        want = _csv_module_rows(p)
+    except csv.Error:
+        with pytest.raises(TruncatedFile, match="m.csv: malformed CSV"):
+            read_csv(str(p))
+    else:
+        assert read_csv(str(p)) == want
+        if b"\r" not in raw.replace(b"\r\n", b""):  # the loop does not split a lone \r
+            assert _oracle_read_csv(p) == want
+    if expect is None:
+        body = want[1:] if header else want
+        expect = [[float(v) for v in r] for r in body]
+    if isinstance(expect, type):
+        with pytest.raises(expect, match="m.csv"):
+            read_numeric_csv(str(p), skip_header=header)
+    else:
+        expect = np.array(expect, dtype=np.float64)
+        got = read_numeric_csv(str(p), skip_header=header)
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
 def test_read_csv_trailing_blank_lines_and_whitespace_cells(tmp_path):

@@ -20,6 +20,7 @@ from diffusionlab.errors import (
     ConfigError,
     HeadMismatch,
     InvalidPlan,
+    NonFiniteSample,
     SigmaConstraintViolated,
 )
 from diffusionlab.numerics import RngStream, kernels
@@ -366,7 +367,7 @@ def _oracle_chain_noise(seed, count, per_chain):
     return out
 
 
-def _oracle_run_chain(step_fn, d, req, times, noisy):
+def _oracle_run_chain(step_fn, d, req, times, noisy, where):
     """The composed chain: every draw made before the first step, then the
     walk, with mean + sigma * z evaluated as one expression."""
     noisy_flags = [noisy(time) for time in times]
@@ -448,6 +449,48 @@ def test_samplers_raise_no_warnings(variant):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _run_variant(variant, 5, 3, seed=2**64 - 1)
+
+
+# ---------------------------------------------------------------- non-finite states
+
+
+@pytest.mark.parametrize("variant, where", [
+    ("ddpm", "ddpm sampling, step t=6"),
+    ("improved", "improved sampling, stride k=4"),
+    ("ddim", "ddim sampling, stride k=4"),
+    ("guided", "guided sampling, step t=6"),
+])
+def test_a_blown_up_model_stops_sampling_at_its_first_step(variant, where):
+    sched, plan, req = linear_schedule(6), stride_steps(6, 4), SampleRequest(count=5, seed=1)
+    model = _model(HEAD_DUAL if variant == "improved" else HEAD_NOISE,
+                   cond=ClassConditioning(3) if variant == "guided" else None)
+    model = model.with_params(np.full(model.param_count, 1e200))
+    run = {"ddpm": lambda: ddpm_sample(model, sched, req),
+           "improved": lambda: improved_sample(model, sched, plan, req),
+           "ddim": lambda: ddim_sample(model, sched, plan, 0.5, req),
+           "guided": lambda: guided_sample(model, sched, 1.5, np.eye(3)[1], req)}[variant]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteSample, match=f"^{where}: 5 of 5 chains hold a NaN or an infinity$"):
+        run()
+
+
+def test_the_state_check_is_per_entry():
+    # states at float64's limit are finite though their sums overflow; one
+    # infinite entry stops the walk at its step and counts its chain alone
+    req, big = SampleRequest(count=3, seed=2), np.finfo(np.float64).max
+
+    def step(x, time):
+        mean = np.full_like(x, big)
+        if time == 2:
+            mean[1, 0] = -np.inf
+        return mean, None
+
+    def walk(times):
+        return sampler._run_chain(step, 2, req, times, lambda t: False, "walk, step t")
+
+    assert np.all(walk(range(5, 2, -1)).samples == big)
+    with pytest.raises(NonFiniteSample, match=r"^walk, step t=2: 1 of 3 chains hold"):
+        walk(range(5, 0, -1))
 
 
 def test_noise_block_across_the_counter_wrap():
