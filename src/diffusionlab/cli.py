@@ -30,7 +30,6 @@ from .errors import (
     ConditioningMismatch,
     ConfigError,
     DiffusionLabError,
-    DimensionMismatch,
     OutOfRange,
     ShapeMismatch,
 )
@@ -169,6 +168,8 @@ def load_run_config(path: str) -> RunConfig:
     except ValueError as e:
         raise ConfigError(f"bad value in {path}: {e}") from None
 
+    if m["num_classes"] < 0:
+        raise ConfigError(f"[model] num_classes must be >= 0, got {m['num_classes']}")
     if d["kind"] == "idx":
         if d["path"] is None:
             raise ConfigError("dataset kind idx needs a path key")
@@ -254,7 +255,8 @@ def cmd_sample(args) -> None:
     needs_k = args.variant in ("improved", "ddim")
     ignored = [flag for flag, value, used in (("--k", args.k, needs_k),
                                               ("--eta", args.eta, args.variant == "ddim"),
-                                              ("--w", args.w, args.variant == "guided"))
+                                              ("--w", args.w, args.variant == "guided"),
+                                              ("--class", args.cls, args.variant != "improved"))
                if value is not None and not used]
     if ignored:
         raise ConfigError(f"--variant {args.variant} does not use {', '.join(ignored)}")
@@ -373,7 +375,7 @@ def cmd_eval(args) -> None:
             rows.append(("is", value, gen.shape[0], 0, args.batches, std))
         elif name in ("psnr", "ssim"):
             if gen.shape != ref.shape:
-                raise DimensionMismatch(f"{name} needs equal shapes, {gen.shape} vs {ref.shape}")
+                raise ShapeMismatch(f"{name} needs equal shapes, {gen.shape} vs {ref.shape}")
             count, width = gen.shape
             if name == "psnr":
                 # each row is one 1 x width image

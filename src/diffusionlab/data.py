@@ -8,15 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DataExhausted,
-    DimensionOverflow,
-    LengthMismatch,
-    NoCenters,
-    OutOfRange,
-    TruncatedFile,
-)
+from .errors import BadMagic, DataExhausted, OutOfRange, ShapeMismatch, TruncatedFile
 from .forward import grid_level, grid_value
 from .numerics import RngStream, kernels
 from .numerics.rng import BLOCK_DRAWS, words_to_integers
@@ -48,7 +40,7 @@ class Dataset:
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             if labels.shape != (samples.shape[0],):
-                raise LengthMismatch(
+                raise ShapeMismatch(
                     f"{labels.shape[0]} labels for {samples.shape[0]} samples")
             if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
                 raise OutOfRange(f"labels must lie in 0..{self.num_classes - 1}")
@@ -91,7 +83,9 @@ class MixtureSampler:
     def __init__(self, centers, sigma: float, rng: RngStream):
         centers = np.asarray(centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[0] < 1:
-            raise NoCenters("mixture needs at least one center point")
+            raise OutOfRange("mixture needs at least one center point")
+        if not (np.all(np.isfinite(centers)) and np.isfinite(sigma)):
+            raise OutOfRange(f"mixture centers and scale must be finite, got scale {sigma}")
         if sigma <= 0.0:
             raise OutOfRange(f"mixture scale must be > 0, got {sigma}")
         self.centers = centers
@@ -154,7 +148,7 @@ def _read_header(raw: bytes, path: str, expected_magic: int):
     for dim in dims:
         total *= dim
     if total > MAX_IDX_ELEMENTS:
-        raise DimensionOverflow(f"{path}: {total} elements exceed the {MAX_IDX_ELEMENTS} cap")
+        raise OutOfRange(f"{path}: {total} elements exceed the {MAX_IDX_ELEMENTS} cap")
     if len(raw) != header_len + total:
         raise TruncatedFile(
             f"{path}: payload is {len(raw) - header_len} bytes, header promises {total}")
@@ -174,7 +168,7 @@ def idx_read(path: str, labels_path: str | None = None) -> Dataset:
         lraw = Path(labels_path).read_bytes()
         (lcount,), lpayload = _read_header(lraw, labels_path, _IDX_LABEL_MAGIC)
         if lcount != count:
-            raise LengthMismatch(f"{lcount} labels for {count} images")
+            raise ShapeMismatch(f"{lcount} labels for {count} images")
         labels = np.frombuffer(lpayload, dtype=np.uint8).astype(np.int64)
         num_classes = int(labels.max()) + 1 if labels.size else 0
     return Dataset(Path(path).stem, samples, labels, num_classes, (rows, cols))
@@ -184,7 +178,7 @@ def idx_write(path: str, samples: np.ndarray, rows: int, cols: int) -> None:
     """Write grid-valued samples back to IDX bytes (inverse of idx_read)."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != rows * cols:
-        raise LengthMismatch(f"samples {samples.shape} do not tile {rows}x{cols} images")
+        raise ShapeMismatch(f"samples {samples.shape} do not tile {rows}x{cols} images")
     pixels = grid_level(quantize_to_grid(samples)).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", _IDX_IMAGE_MAGIC, samples.shape[0], rows, cols))

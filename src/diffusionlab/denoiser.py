@@ -33,12 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConditioningMismatch,
-    DegenerateEmbedding,
-    ShapeMismatch,
-    StepOutOfRange,
-)
+from .errors import ConditioningMismatch, ConfigError, ShapeMismatch, StepOutOfRange
 from .numerics import ParamLayout, Tensor, fused
 
 HEAD_NOISE = "noise-only"
@@ -63,6 +58,10 @@ def _embedding(t: int, d_emb: int) -> np.ndarray:
 class ClassConditioning:
     num_classes: int
 
+    def __post_init__(self):
+        if self.num_classes < 1:
+            raise ConfigError(f"class conditioning needs >= 1 class, got {self.num_classes}")
+
 
 @dataclass(frozen=True)
 class DenoiserArch:
@@ -79,9 +78,11 @@ class DenoiserArch:
             raise ShapeMismatch(f"unknown head mode {self.head!r}")
         if not self.hidden:
             raise ShapeMismatch("at least one hidden block required")
+        if min(self.hidden) < 1:
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         # the sinusoidal time embedding needs c = d_emb/2 >= 2 frequencies
         if self.d_emb < 4 or self.d_emb % 2 != 0:
-            raise DegenerateEmbedding(f"embedding dim must be even and >= 4, got {self.d_emb}")
+            raise ConfigError(f"embedding dim must be even and >= 4, got {self.d_emb}")
 
     @property
     def out_dim(self) -> int:

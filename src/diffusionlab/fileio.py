@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, BadMetadata, ConfigError, LengthMismatch, OutOfRange, TruncatedFile
+from .errors import BadMagic, BadMetadata, ConfigError, OutOfRange, ShapeMismatch, TruncatedFile
 from .forward import grid_level
 
 
@@ -101,7 +101,7 @@ def read_numeric_csv(path: str, skip_header: bool = False) -> np.ndarray:
     if not rows:
         raise TruncatedFile(f"{path}: no data rows")
     if len(commas) > 1:
-        raise LengthMismatch(f"{path}: ragged rows")
+        raise ShapeMismatch(f"{path}: ragged rows")
     width = commas.pop() + 1
     try:
         cells = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * width)
@@ -124,10 +124,10 @@ def write_pgm(path: str, image: np.ndarray) -> None:
     """8-bit binary (P5) image."""
     img = np.asarray(image)
     if img.ndim != 2:
-        raise LengthMismatch(f"PGM needs a 2-D image, got {img.shape}")
+        raise ShapeMismatch(f"PGM needs a 2-D image, got {img.shape}")
     if img.dtype != np.uint8:
         if not np.all(np.isfinite(img)) or img.min() < 0 or img.max() > 255:
-            raise LengthMismatch("PGM pixels must fit one byte")
+            raise ShapeMismatch("PGM pixels must fit one byte")
         img = img.astype(np.uint8)
     h, w = img.shape
     with open(path, "wb") as f:

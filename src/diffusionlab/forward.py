@@ -6,12 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonpositiveVariance,
-    OffGridInput,
-    StepOutOfRange,
-)
+from .errors import OutOfRange, ShapeMismatch, SingularCovariance, StepOutOfRange
 from .schedule import NoiseSchedule
 
 # data grid: 256 levels -1 + 2k/255, k = 0..255, half-bin width 1/255
@@ -28,7 +23,7 @@ def forward_sample(x0, t: int, eps, sched: NoiseSchedule) -> np.ndarray:
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
-        raise DimensionMismatch(f"shapes {x0.shape} vs {eps.shape}")
+        raise ShapeMismatch(f"shapes {x0.shape} vs {eps.shape}")
     ab = sched.abar(t)
     return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
 
@@ -53,7 +48,7 @@ def posterior_mean_var(xt, x0, t: int, sched: NoiseSchedule) -> tuple[np.ndarray
     xt = np.asarray(xt, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
     if xt.shape != x0.shape:
-        raise DimensionMismatch(f"shapes {xt.shape} vs {x0.shape}")
+        raise ShapeMismatch(f"shapes {xt.shape} vs {x0.shape}")
     return c_xt * xt + c_x0 * x0, sched.btilde(t)
 
 
@@ -84,12 +79,12 @@ def grid_index(x0) -> np.ndarray:
     """Indices k with x0 = -1 + 2k/255; raises when any coordinate is off-grid."""
     x0 = np.asarray(x0, dtype=np.float64)
     if not np.all(np.isfinite(x0)):
-        raise OffGridInput("coordinate is not finite")
+        raise OutOfRange("coordinate is not finite")
     k = grid_level(x0)
     if np.any(k < 0) or np.any(k > GRID_LEVELS - 1):
-        raise OffGridInput("coordinate outside [-1, 1]")
+        raise OutOfRange("coordinate outside [-1, 1]")
     if np.max(np.abs(x0 - grid_value(k))) > 1e-12:
-        raise OffGridInput("coordinate not on the 256-level grid")
+        raise OutOfRange("coordinate not on the 256-level grid")
     return k.astype(np.int64)
 
 
@@ -126,11 +121,11 @@ def decoder_loglik(x0, mean, variance: float) -> float:
     half-line at the grid boundaries.
     """
     if variance <= 0.0:
-        raise NonpositiveVariance(f"variance must be > 0, got {variance}")
+        raise SingularCovariance(f"variance must be > 0, got {variance}")
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     if x0.shape != mean.shape:
-        raise DimensionMismatch(f"shapes {x0.shape} vs {mean.shape}")
+        raise ShapeMismatch(f"shapes {x0.shape} vs {mean.shape}")
     k = grid_index(x0)
     sigma = math.sqrt(variance)
     upper = np.where(k == GRID_LEVELS - 1, np.inf, (x0 + HALF_BIN - mean) / sigma)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularCovariance
+from .errors import ShapeMismatch, SingularCovariance
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -38,7 +38,7 @@ class GaussianSpec:
         else:
             m = np.asarray(self.matrix, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != mean.size:
-                raise DimensionMismatch(f"covariance shape {m.shape} vs dimension {mean.size}")
+                raise ShapeMismatch(f"covariance shape {m.shape} vs dimension {mean.size}")
             if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
                 raise SingularCovariance("covariance matrix not symmetric")
             object.__setattr__(self, "matrix", m)
@@ -76,7 +76,7 @@ def gaussian_logpdf(x, g: GaussianSpec) -> float:
     """ln N(x; mean, cov) = -(d/2)ln(2pi) - (1/2)ln det Q - (1/2)(x-v)^T Q^-1 (x-v)."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != g.d:
-        raise DimensionMismatch(f"point dimension {x.size} vs spec dimension {g.d}")
+        raise ShapeMismatch(f"point dimension {x.size} vs spec dimension {g.d}")
     r = x - g.mean
     if g.is_scalar:
         s = g.scalar
@@ -92,7 +92,7 @@ def gaussian_logpdf(x, g: GaussianSpec) -> float:
 def gaussian_kl(p: GaussianSpec, q: GaussianSpec) -> float:
     """KL(p || q) between Gaussians of equal dimension, q positive definite."""
     if p.d != q.d:
-        raise DimensionMismatch(f"dimensions differ: {p.d} vs {q.d}")
+        raise ShapeMismatch(f"dimensions differ: {p.d} vs {q.d}")
     d = p.d
     dm = q.mean - p.mean
     if p.is_scalar and q.is_scalar:
@@ -120,7 +120,7 @@ def _map_parts(A, noise_cov, d_in: int):
     else:
         a_mat = np.asarray(A, dtype=np.float64)
         if a_mat.ndim != 2 or a_mat.shape[1] != d_in:
-            raise DimensionMismatch(f"map shape {a_mat.shape} vs input dimension {d_in}")
+            raise ShapeMismatch(f"map shape {a_mat.shape} vs input dimension {d_in}")
         d_out = a_mat.shape[0]
     n_scalar = None
     n_mat = None
@@ -131,7 +131,7 @@ def _map_parts(A, noise_cov, d_in: int):
     else:
         n_mat = np.asarray(noise_cov, dtype=np.float64)
         if n_mat.shape != (d_out, d_out):
-            raise DimensionMismatch(f"noise covariance shape {n_mat.shape} vs dimension {d_out}")
+            raise ShapeMismatch(f"noise covariance shape {n_mat.shape} vs dimension {d_out}")
     return a_scalar, a_mat, n_scalar, n_mat, d_out
 
 
@@ -143,7 +143,7 @@ def gaussian_marginal(inner: GaussianSpec, A, shift, noise_cov) -> GaussianSpec:
     a_s, a_m, n_s, n_m, d_out = _map_parts(A, noise_cov, inner.d)
     shift = np.asarray(shift, dtype=np.float64).reshape(-1)
     if shift.size != d_out:
-        raise DimensionMismatch(f"shift dimension {shift.size} vs output dimension {d_out}")
+        raise ShapeMismatch(f"shift dimension {shift.size} vs output dimension {d_out}")
     if a_s is not None and n_s is not None and inner.is_scalar:
         return GaussianSpec.isotropic(a_s * inner.mean + shift, a_s * a_s * inner.scalar + n_s)
     a_mat = a_m if a_m is not None else a_s * np.eye(inner.d)
@@ -161,13 +161,13 @@ def gaussian_posterior(x, prior: GaussianSpec, A, shift, noise_cov) -> GaussianS
     """
     a_s, a_m, n_s, n_m, d_out = _map_parts(A, noise_cov, prior.d)
     if d_out != prior.d:
-        raise DimensionMismatch("posterior requires a square map")
+        raise ShapeMismatch("posterior requires a square map")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != d_out:
-        raise DimensionMismatch(f"observation dimension {x.size} vs {d_out}")
+        raise ShapeMismatch(f"observation dimension {x.size} vs {d_out}")
     shift = np.asarray(shift, dtype=np.float64).reshape(-1)
     if shift.size != d_out:
-        raise DimensionMismatch(f"shift dimension {shift.size} vs {d_out}")
+        raise ShapeMismatch(f"shift dimension {shift.size} vs {d_out}")
     if a_s is not None and n_s is not None and prior.is_scalar:
         denom = a_s * a_s * prior.scalar + n_s
         if denom <= 0.0:

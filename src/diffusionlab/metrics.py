@@ -11,16 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMetadata,
-    BadWindow,
-    EmptyBatch,
-    LengthMismatch,
-    NonpositiveEntry,
-    OutOfRange,
-    ShapeMismatch,
-    TooFewSamples,
-)
+from .errors import BadMetadata, ConfigError, OutOfRange, ShapeMismatch
 from .fileio import read_container, write_container
 from .numerics import ParamLayout, RngStream, spd_sqrt
 
@@ -97,21 +88,26 @@ class FeatureModel:
         """Flat gradient of the batch-mean softmax cross-entropy at onehot labels.
 
         The logits' adjoint is (softmax - onehot) / J; the rest backpropagates
-        it through the classifier and tanh layers.
+        it through the classifier and tanh layers, writing each block's
+        adjoint into its view of one fresh vector with out=.
         """
         p = self._blocks
+        flat = np.empty(self._plan.total)
+        gb = self._plan.blocks(flat)
         inputs: list[np.ndarray] = []
         h = self._trunk(x, inputs)
         logits = np.add(np.matmul(h, p["cls.w"]), p["cls.b"])
         g = (_softmax(logits) - onehot) / h.shape[0]
-        grads = {"cls.w": h.T @ g, "cls.b": g.sum(axis=0)}
+        np.matmul(h.T, g, out=gb["cls.w"])
+        np.add.reduce(g, axis=0, out=gb["cls.b"])
         g = g @ p["cls.w"].T
         for name in reversed(self._tanh_layers()):
             g = g * (1.0 - h * h)
             h = inputs.pop()
-            grads[name + ".w"], grads[name + ".b"] = h.T @ g, g.sum(axis=0)
+            np.matmul(h.T, g, out=gb[name + ".w"])
+            np.add.reduce(g, axis=0, out=gb[name + ".b"])
             g = g @ p[name + ".w"].T
-        return self._plan.gather(grads)
+        return flat
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -127,9 +123,9 @@ def train_feature_model(x: np.ndarray, labels: np.ndarray, num_classes: int,
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.shape[0] != labels.shape[0]:
-        raise LengthMismatch(f"{x.shape[0]} points vs {labels.shape[0]} labels")
+        raise ShapeMismatch(f"{x.shape[0]} points vs {labels.shape[0]} labels")
     if x.shape[0] < 1:
-        raise TooFewSamples("need at least one training point")
+        raise OutOfRange("need at least one training point")
     fm = FeatureModel.initialized(x.shape[1], num_classes, feature_dim, hidden, seed)
     rng = RngStream(seed).split(1)
     n = x.shape[0]
@@ -166,9 +162,9 @@ def discrete_kl(v: np.ndarray, w: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if v.shape != w.shape or v.ndim != 1:
-        raise LengthMismatch(f"shapes {v.shape} vs {w.shape}")
+        raise ShapeMismatch(f"shapes {v.shape} vs {w.shape}")
     if np.any(v <= 0.0) or np.any(w <= 0.0):
-        raise NonpositiveEntry("divergence needs strictly positive entries")
+        raise OutOfRange("divergence needs strictly positive entries")
     return float(np.sum(np.log(v / w) * v))
 
 
@@ -178,13 +174,13 @@ def inception_score(samples: np.ndarray, fm, batches: int = 1) -> tuple[float, f
     samples = np.asarray(samples, dtype=np.float64)
     count = samples.shape[0]
     if batches < 1 or count < batches:
-        raise EmptyBatch(f"cannot split {count} samples into {batches} batches")
+        raise ConfigError(f"cannot split {count} samples into {batches} batches")
     scores = []
     for part in np.array_split(samples, batches):
         p = np.asarray(fm.probs(part))
         avg = p.mean(axis=0)
         if np.any(p <= 0.0) or np.any(avg <= 0.0):
-            raise NonpositiveEntry("divergence needs strictly positive entries")
+            raise OutOfRange("divergence needs strictly positive entries")
         # each row's discrete_kl(row, avg), as one row sum
         kls = np.sum(np.log(p / avg) * p, axis=1)
         scores.append(math.exp(float(np.mean(kls))))
@@ -201,7 +197,7 @@ def fid(gen: np.ndarray, ref: np.ndarray, fm) -> float:
     gx = np.asarray(fm.features(np.asarray(gen, dtype=np.float64)))
     gy = np.asarray(fm.features(np.asarray(ref, dtype=np.float64)))
     if gx.shape[0] < 2 or gy.shape[0] < 2:
-        raise TooFewSamples("feature covariance needs at least 2 samples per set")
+        raise OutOfRange("feature covariance needs at least 2 samples per set")
     mu_x, mu_y = gx.mean(axis=0), gy.mean(axis=0)
     sx = np.cov(gx.T, ddof=1).reshape(gx.shape[1], gx.shape[1])
     sy = np.cov(gy.T, ddof=1).reshape(gy.shape[1], gy.shape[1])
@@ -250,10 +246,10 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 4):
     """
     a, b, single = _image_stacks(a, b)
     if a.ndim != 3:
-        raise BadWindow("patch similarity expects 2-D images")
+        raise ShapeMismatch("patch similarity expects 2-D images")
     count, h, w = a.shape
     if window < 2 or h % window or w % window:
-        raise BadWindow(f"window {window} must tile image dims {(h, w)}")
+        raise ConfigError(f"window {window} must tile image dims {(h, w)}")
     # (N, patches, window * window)
     pa, pb = (x.reshape(count, h // window, window, w // window, window)
               .transpose(0, 1, 3, 2, 4).reshape(count, -1, window * window) for x in (a, b))

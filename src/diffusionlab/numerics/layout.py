@@ -2,11 +2,10 @@
 
 A ParamLayout compiles an ordered list of (name, shape) entries into a plan
 of (name, start, stop, shape) rows that tile the vector in row-major order.
-`blocks` then reads every block in one pass as numpy views of the vector,
-and `gather`, its inverse, joins a hand-written backward's block adjoints
-into one flat vector in plan order (the feature model's; the denoiser's
-backward writes into the views of a gradient vector instead). No other
-module reads the plan's rows.
+`blocks` then reads every block in one pass as numpy views of the vector.
+A hand-written backward fills a flat gradient the same way: it takes the
+block views of a gradient vector and writes each block's adjoint into its
+view with out=. No other module reads the plan's rows.
 
 Every layout is a list of `affine` maps, each a weight matrix directly
 followed by its bias. That order is the one rule `init_uniform` needs for
@@ -55,10 +54,6 @@ class ParamLayout:
             raise ShapeMismatch(f"parameter vector of shape {flat.shape}, "
                                 f"layout needs ({self.total},)")
         return {name: flat[a:b].reshape(shape) for name, a, b, shape in self.plan}
-
-    def gather(self, grads: dict) -> np.ndarray:
-        """The named blocks as one flat vector in plan order: blocks' inverse."""
-        return np.concatenate([grads[name].reshape(-1) for name, _, _, _ in self.plan])
 
     def init_uniform(self, seed: int) -> np.ndarray:
         """Each block uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn in

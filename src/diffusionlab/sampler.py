@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import HEAD_DUAL, HEAD_NOISE, ClassConditioning, DenoiserModel, denoise
-from .errors import (
-    ConditioningMismatch,
-    ConfigError,
-    HeadMismatch,
-    InvalidPlan,
-    NonFiniteSample,
-    SigmaConstraintViolated,
-)
+from .errors import ConditioningMismatch, ConfigError, HeadMismatch, NonFiniteSample
 from .forward import log_variance_interpolation, reverse_mean_from_eps
 from .numerics.kernels import normals_rows
 from .numerics.rng import require_seed, split_keys
@@ -90,7 +83,7 @@ def _run_chain(step_fn, d: int, req: SampleRequest, times, noisy, where: str):
 def _validate_plan(plan: StridePlan, sched: NoiseSchedule):
     # the plan checks its own shape; only the schedule knows where it must end
     if plan.steps[-1] != sched.T:
-        raise InvalidPlan(f"plan ends at {plan.steps[-1]}, schedule has T={sched.T}")
+        raise ConfigError(f"plan ends at {plan.steps[-1]}, schedule has T={sched.T}")
 
 
 def ddpm_sample(model: DenoiserModel, sched: NoiseSchedule, req: SampleRequest,
@@ -157,11 +150,11 @@ def ddim_sigma(sched: NoiseSchedule, t_k: int, t_prev: int, eta: float) -> float
     """eta * sqrt((1-a_{t_k}) (1-abar_{t_prev}) / (1-abar_{t_k})), checked
     against the accumulated-noise budget sigma^2 <= 1 - abar_{t_prev}."""
     if not (0.0 <= eta <= 1.0):
-        raise SigmaConstraintViolated(f"eta {eta} outside [0,1] breaks the noise budget")
+        raise ConfigError(f"eta {eta} outside [0,1] breaks the noise budget")
     ab_k, ab_prev = sched.abar(t_k), sched.abar(t_prev)
     sigma2 = eta**2 * (1.0 - sched.a(t_k)) * (1.0 - ab_prev) / (1.0 - ab_k)
     if sigma2 > (1.0 - ab_prev) + 1e-15:
-        raise SigmaConstraintViolated(
+        raise ConfigError(
             f"sigma^2 {sigma2} exceeds 1 - abar_(t_prev) = {1.0 - ab_prev}")
     return math.sqrt(sigma2)
 

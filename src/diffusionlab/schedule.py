@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidK, InvalidPlan, OffsetOutOfRange, StepCountTooSmall
+from .errors import ConfigError
 
 # largest admissible noise increment per step
 _MAX_ONE_MINUS_ALPHA = 0.999
@@ -65,7 +65,7 @@ def _finish(kind: str, alpha: np.ndarray, s: float | None = None) -> NoiseSchedu
 def linear_schedule(T: int) -> NoiseSchedule:
     """Retention factors interpolated linearly from 1-1e-4 down to 0.98."""
     if T < 2:
-        raise StepCountTooSmall(f"linear schedule needs T >= 2, got {T}")
+        raise ConfigError(f"linear schedule needs T >= 2, got {T}")
     t = np.arange(1, T + 1, dtype=np.float64)
     alpha = _LINEAR_ALPHA_FIRST - (t - 1.0) * (_LINEAR_ALPHA_FIRST - _LINEAR_ALPHA_LAST) / (T - 1.0)
     return _finish("linear", alpha)
@@ -79,9 +79,9 @@ def cosine_schedule(T: int, s: float = DEFAULT_COSINE_OFFSET) -> NoiseSchedule:
     holds exactly.
     """
     if T < 2:
-        raise StepCountTooSmall(f"cosine schedule needs T >= 2, got {T}")
+        raise ConfigError(f"cosine schedule needs T >= 2, got {T}")
     if not (0.0 < s < 1.0):
-        raise OffsetOutOfRange(f"cosine offset must lie in (0, 1), got {s}")
+        raise ConfigError(f"cosine offset must lie in (0, 1), got {s}")
     t = np.arange(0, T + 1, dtype=np.float64)
     profile = np.cos(((t / T + s) * math.pi) / ((1.0 + s) * 2.0)) ** 2
     raw_bar = profile / profile[0]
@@ -110,7 +110,7 @@ class StridePlan:
     def __post_init__(self):
         s = self.steps
         if not s or s[0] != 0 or any(b <= a for a, b in zip(s, s[1:])):
-            raise InvalidPlan(f"plan {s} is not strictly increasing steps from 0")
+            raise ConfigError(f"plan {s} is not strictly increasing steps from 0")
 
     @property
     def K(self) -> int:  # the number of strides
@@ -124,5 +124,5 @@ def stride_steps(T: int, K: int) -> StridePlan:
     least one per k and ends at t_K = T.
     """
     if not (2 <= K <= T):
-        raise InvalidK(f"need 2 <= k <= T, got k={K}, T={T}")
+        raise ConfigError(f"need 2 <= k <= T, got k={K}, T={T}")
     return StridePlan((0,) + tuple(1 + ((k - 1) * (T - 1)) // (K - 1) for k in range(1, K + 1)))

@@ -23,9 +23,9 @@ from .errors import (
     BadMetadata,
     ConfigError,
     DiffusionLabError,
-    LengthMismatch,
+    HeadMismatch,
     NonFiniteLoss,
-    NotDualHead,
+    ShapeMismatch,
     StepOutOfRange,
 )
 from .fileio import read_container, write_container
@@ -60,6 +60,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("learning rate", self.gamma), ("hybrid weight", self.lam)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.gamma <= 0.0:
             raise ConfigError(f"learning rate must be > 0, got {self.gamma}")
         if self.J < 1:
@@ -216,7 +219,7 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps,
     """
     arch = model.arch
     if arch.head != HEAD_DUAL:
-        raise NotDualHead("hybrid loss needs a noise+variance head")
+        raise HeadMismatch("hybrid loss needs a noise+variance head")
     x0b, epsb = _batched(x0), _batched(eps)
     # the decoder's grid check comes before any forward, which an off-grid
     # (say, infinite) x0 would run on
@@ -260,7 +263,7 @@ def sgd_step(params: np.ndarray, grads, gamma: float) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != params.shape:
-        raise LengthMismatch(f"gradient shape {g.shape} vs {params.shape}")
+        raise ShapeMismatch(f"gradient shape {g.shape} vs {params.shape}")
     return np.subtract(params, gamma * g, out=params)
 
 
@@ -291,7 +294,7 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     if variant == "improved" and model.arch.head != HEAD_DUAL:
-        raise NotDualHead("variant improved needs a noise+variance head")
+        raise HeadMismatch("variant improved needs a noise+variance head")
     if variant == "cfg" and not isinstance(model.arch.conditioning, ClassConditioning):
         raise ConfigError("variant cfg needs a class-conditional model")
 

@@ -10,6 +10,7 @@ import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +380,46 @@ def test_refused_train_leaves_no_run_directory(tmp_path, monkeypatch, capsys, ch
     assert not (tmp_path / "run").exists()
 
 
+def _improved(text):
+    return (text.replace("variant = ddpm", "variant = improved")
+            .replace("d_emb = 4", "d_emb = 4\nhead = noise+variance"))
+
+
+@pytest.mark.parametrize("change, code, message", [
+    (lambda t: t.replace("hidden = 8", "hidden = 0"), 2, "hidden widths must be >= 1"),
+    (lambda t: t.replace("hidden = 8", "hidden = -1"), 2, "hidden widths must be >= 1"),
+    (lambda t: t.replace("d_emb = 4", "d_emb = 3"), 2, "embedding dim must be even"),
+    (lambda t: t.replace("d_emb = 4", "d_emb = 4\nnum_classes = -1"), 2,
+     "num_classes must be >= 0"),
+    (lambda t: t.replace("gamma = 1e-3", "gamma = nan"), 2, "learning rate must be finite"),
+    (lambda t: t.replace("gamma = 1e-3", "gamma = inf"), 2, "learning rate must be finite"),
+    (lambda t: _improved(t).replace("gamma = 1e-3", "gamma = 1e-3\nlambda = nan"), 2,
+     "hybrid weight must be finite"),
+    (lambda t: _improved(t).replace("gamma = 1e-3", "gamma = 1e-3\nlambda = inf"), 2,
+     "hybrid weight must be finite"),
+    (lambda t: t.replace("sigma = 0.5", "sigma = nan"), 3, "must be finite"),
+    (lambda t: _improved(t).replace("sigma = 0.5", "sigma = inf"), 3, "must be finite"),
+    (lambda t: t.replace("kind = gaussian", "kind = mixture8\nradius = inf"), 3,
+     "must be finite"),
+    (lambda t: t.replace("center = 1.0,-1.0", "center = nan,1"), 3, "must be finite"),
+], ids=["hidden-0", "hidden-negative", "d_emb-odd", "num_classes-negative", "gamma-nan",
+        "gamma-inf", "lambda-nan", "lambda-inf", "sigma-nan", "sigma-inf-improved",
+        "radius-inf", "center-nan"])
+def test_bad_model_train_or_dataset_value_is_refused_before_the_first_step(
+        tmp_path, monkeypatch, capsys, change, code, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "train", no_training)
+    write_ini(tmp_path / "r.ini", steps=3, out="run")
+    (tmp_path / "r.ini").write_text(change((tmp_path / "r.ini").read_text()))
+    assert cli.main(["train", "r.ini"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert not (tmp_path / "run").exists()
+
+
 # ------------------------------------------------------------ sample
 
 
@@ -506,6 +547,7 @@ def test_untileable_rows_are_exit_2_before_the_sampler_runs(work, monkeypatch, c
     ("ddpm", ("--k", 3)),
     ("ddim", ("--k", 3, "--w", 0)),
     ("improved", ("--k", 3, "--eta", 0.5)),
+    ("improved", ("--k", 3, "--class", 1)),
 ])
 def test_sample_flags_the_variant_ignores_are_exit_2(work, variant, flags):
     ck = {"guided": "cond", "improved": "dual"}.get(variant, "base") + "/model.ckpt"
@@ -608,6 +650,15 @@ def test_eval_unknown_metric_is_exit_2(work):
     proc = run_cli("eval", "--gen", "same.csv", "--ref", "same.csv",
                    "--metrics", "sharpness", "--out", "x.csv", cwd=work)
     assert proc.returncode == 2
+
+
+def test_eval_window_that_does_not_tile_is_exit_2(work, tmp_path):
+    # pA holds 2x2 images
+    proc = run_cli("eval", "--gen", "pA", "--ref", "pA", "--metrics", "ssim",
+                   "--window", 3, "--out", str(tmp_path / "m.csv"), cwd=work)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: window 3 must tile image dims (2, 2)\n"
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_eval_unreadable_input_is_exit_3(work):
@@ -859,6 +910,7 @@ def test_corrupt_checkpoint_metadata_is_exit_3(work, tmp_path, corrupt, message,
 @pytest.mark.parametrize("section, key, value, message", [
     ("arch", "d_emb", 3, "architecture metadata unusable"),
     ("arch", "hidden", "wide", "architecture metadata unusable"),
+    ("arch", "hidden", [0], "hidden widths must be >= 1"),
     ("schedule", "kind", "sigmoid", "unknown schedule kind"),
     ("schedule", "T", None, "schedule metadata unusable"),
     ("arch", "conditioning", {"kind": "tokens", "length": 2, "width": 5, "heads": 2,
@@ -897,30 +949,28 @@ def test_info_on_garbage_is_exit_3(tmp_path):
 
 EXIT_CODES = {
     "DiffusionLabError": 4,
-    "NonScalarOutput": 4, "NotSymmetric": 4,
-    "IndefiniteMatrix": 4, "SingularCovariance": 4, "StepOutOfRange": 4,
-    "NonpositiveVariance": 4, "DegenerateEmbedding": 4, "BadWindow": 4, "NonFiniteLoss": 4,
-    "NonFiniteSample": 4,
-    "NotConverged": 4,
-    "ConfigError": 2, "EmptyBatch": 2, "InvalidK": 2, "InvalidPlan": 2,
-    "OffsetOutOfRange": 2, "SigmaConstraintViolated": 2, "StepCountTooSmall": 2,
-    "BadMagic": 3, "BadMetadata": 3, "DataExhausted": 3, "DimensionMismatch": 3,
-    "DimensionOverflow": 3, "LengthMismatch": 3, "NoCenters": 3, "NonpositiveEntry": 3,
-    "OffGridInput": 3, "OutOfRange": 3, "ShapeMismatch": 3, "TooFewSamples": 3,
-    "TruncatedFile": 3,
-    "ConditioningMismatch": 5, "HeadMismatch": 5, "NotDualHead": 5,
+    "ConfigError": 2,
+    "ShapeMismatch": 3, "OutOfRange": 3, "BadMagic": 3, "TruncatedFile": 3,
+    "BadMetadata": 3, "DataExhausted": 3,
+    "NonScalarOutput": 4, "NotSymmetric": 4, "IndefiniteMatrix": 4, "NotConverged": 4,
+    "SingularCovariance": 4, "StepOutOfRange": 4, "NonFiniteLoss": 4, "NonFiniteSample": 4,
+    "ConditioningMismatch": 5, "HeadMismatch": 5,
     "OSError": 3, "FileNotFoundError": 3,
 }
 
 
-def test_every_error_class_exit_code(monkeypatch, capsys):
+def _error_classes():
     classes = {errors.DiffusionLabError}
     todo = [errors.DiffusionLabError]
     while todo:
         for sub in todo.pop().__subclasses__():
             classes.add(sub)
             todo.append(sub)
-    by_name = {c.__name__: c for c in classes}
+    return classes
+
+
+def test_every_error_class_exit_code(monkeypatch, capsys):
+    by_name = {c.__name__: c for c in _error_classes()}
     assert set(by_name) == set(EXIT_CODES) - {"OSError", "FileNotFoundError"}
     for name, code in EXIT_CODES.items():
         kind = by_name.get(name) or getattr(builtins, name)
@@ -931,6 +981,15 @@ def test_every_error_class_exit_code(monkeypatch, capsys):
         monkeypatch.setattr(cli, "cmd_info", raise_it)
         assert cli.main(["info", "x"]) == code, name
         assert capsys.readouterr().err == f"error: {name} raised\n"
+
+
+def test_every_error_class_is_raised():
+    # a class no check raises is dead: every subclass appears in a raise in src/
+    package = Path(errors.__file__).parent
+    source = "\n".join(p.read_text() for p in sorted(package.rglob("*.py")))
+    raised = set(re.findall(r"\braise (\w+)\(", source))
+    subclasses = {c.__name__ for c in _error_classes()} - {"DiffusionLabError"}
+    assert not subclasses - raised, sorted(subclasses - raised)
 
 
 # ------------------------------------------------------------ malformed containers, in process

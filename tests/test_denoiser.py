@@ -19,12 +19,7 @@ from diffusionlab.denoiser import (
     init_params,
     param_layout,
 )
-from diffusionlab.errors import (
-    ConditioningMismatch,
-    DegenerateEmbedding,
-    ShapeMismatch,
-    StepOutOfRange,
-)
+from diffusionlab.errors import ConditioningMismatch, ConfigError, ShapeMismatch, StepOutOfRange
 from diffusionlab.metrics import FeatureModel, _feature_layout
 from diffusionlab.numerics import ADTape, RngStream, grad
 from diffusionlab.schedule import cosine_schedule
@@ -57,7 +52,7 @@ def test_time_embedding_range():
 
 def test_time_embedding_degenerate():
     for d_emb in (2, 3, 0, 7):
-        with pytest.raises(DegenerateEmbedding):
+        with pytest.raises(ConfigError, match="embedding dim"):
             DenoiserArch(2, (4,), d_emb)
     model = DenoiserModel.initialized(DenoiserArch(2, (4,), 4), 0)
     with pytest.raises(StepOutOfRange):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from diffusionlab import fileio
-from diffusionlab.errors import BadMagic, LengthMismatch, OutOfRange, TruncatedFile
+from diffusionlab.errors import BadMagic, OutOfRange, ShapeMismatch, TruncatedFile
 from diffusionlab.fileio import (
     format_cell,
     read_csv,
@@ -112,7 +112,7 @@ def test_numeric_csv_non_numeric_raises(tmp_path):
 def test_numeric_csv_ragged_raises(tmp_path):
     p = tmp_path / "r.csv"
     p.write_bytes(b"1,2,3\r\n4,5\r\n")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         read_numeric_csv(str(p))
 
 
@@ -190,7 +190,7 @@ _CSV_INPUTS = [
     *(_generated(header, blank_every, final_newline, newline)
       for header in (False, True) for blank_every in (0, 1, 3)
       for final_newline in (False, True) for newline in ("\n", "\r\n", "\r")),
-    pytest.param(b"1,2\r\n \r\n3,4\r\n", False, LengthMismatch, id="whitespace_line"),
+    pytest.param(b"1,2\r\n \r\n3,4\r\n", False, ShapeMismatch, id="whitespace_line"),
     pytest.param(b"\r\nx,y\r\n1,2\r\n", True, [[1.0, 2.0]], id="header_after_blank_line"),
     pytest.param("1_0,\u0661\u0662\n".encode("utf-8"), False, [[10.0, 12.0]],
                  id="float_syntax"),
@@ -331,11 +331,11 @@ def test_pgm_header_whitespace_is_any_run_of_blanks(tmp_path):
 
 
 def test_write_pgm_validates_input():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         write_pgm("/tmp/never.pgm", np.zeros(6))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         write_pgm("/tmp/never.pgm", np.full((2, 2), 300.0))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         write_pgm("/tmp/never.pgm", np.full((2, 2), np.nan))
 
 

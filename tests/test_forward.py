@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from diffusionlab.errors import (
-    DimensionMismatch,
-    NonpositiveVariance,
-    OffGridInput,
-    StepOutOfRange,
-)
+from diffusionlab.errors import OutOfRange, ShapeMismatch, SingularCovariance, StepOutOfRange
 from diffusionlab.forward import (
     GRID_LEVELS,
     GRID_STEP,
@@ -65,7 +60,7 @@ def test_forward_sample_step_bounds():
     for t in (0, 11, -1):
         with pytest.raises(StepOutOfRange):
             forward_sample([0.0], t, [0.0], sch)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         forward_sample([0.0, 0.0], 1, [0.0], sch)
 
 
@@ -150,7 +145,7 @@ def test_grid_index_roundtrip():
     levels = -1.0 + GRID_STEP * np.arange(GRID_LEVELS)
     np.testing.assert_array_equal(grid_index(levels), np.arange(GRID_LEVELS))
     for bad in (0.5, -1.2, 1.0001, 1.0 / 256.0):
-        with pytest.raises(OffGridInput):
+        with pytest.raises(OutOfRange):
             grid_index([bad])
 
 
@@ -164,12 +159,12 @@ def _old_grid_index(x0):
     the step, value as -1 + k * step."""
     x0 = np.asarray(x0, dtype=np.float64)
     if not np.all(np.isfinite(x0)):
-        raise OffGridInput("coordinate is not finite")
+        raise OutOfRange("coordinate is not finite")
     k = np.rint((x0 + 1.0) / GRID_STEP)
     if np.any(k < 0) or np.any(k > GRID_LEVELS - 1):
-        raise OffGridInput("coordinate outside [-1, 1]")
+        raise OutOfRange("coordinate outside [-1, 1]")
     if np.max(np.abs(x0 - (-1.0 + k * GRID_STEP))) > 1e-12:
-        raise OffGridInput("coordinate not on the 256-level grid")
+        raise OutOfRange("coordinate not on the 256-level grid")
     return k.astype(np.int64)
 
 
@@ -209,8 +204,8 @@ def test_grid_index_accepts_what_it_accepted_before_with_the_same_levels():
     for v in np.concatenate([_grid_probes(), 3.0 * rng.uniforms(2048) - 1.5]):
         try:
             want = _old_grid_index([v])
-        except OffGridInput:
-            with pytest.raises(OffGridInput):
+        except OutOfRange:
+            with pytest.raises(OutOfRange):
                 grid_index([v])
         else:
             assert np.array_equal(grid_index([v]), want), v
@@ -219,9 +214,9 @@ def test_grid_index_accepts_what_it_accepted_before_with_the_same_levels():
 def test_non_finite_coordinates_are_off_grid():
     # nan fails both range tests, so it must be caught before them
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(OffGridInput):
+        with pytest.raises(OutOfRange):
             grid_index([-1.0, bad])
-        with pytest.raises(OffGridInput):
+        with pytest.raises(OutOfRange):
             decoder_loglik(np.array([bad, -1.0]), np.zeros(2), 0.5)
 
 
@@ -270,9 +265,9 @@ def test_decoder_deep_tail_is_finite_until_underflow():
 
 
 def test_decoder_input_validation():
-    with pytest.raises(NonpositiveVariance):
+    with pytest.raises(SingularCovariance):
         decoder_loglik([-1.0 + 128 * GRID_STEP], [0.0], 0.0)
-    with pytest.raises(OffGridInput):
+    with pytest.raises(OutOfRange):
         decoder_loglik([0.5], [0.0], 1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         decoder_loglik([-1.0, 1.0], [0.0], 1.0)

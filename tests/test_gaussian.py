@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from diffusionlab.errors import DimensionMismatch, SingularCovariance
+from diffusionlab.errors import ShapeMismatch, SingularCovariance
 from diffusionlab.gaussian import (
     GaussianSpec,
     gaussian_kl,
@@ -53,7 +53,7 @@ def test_logpdf_rejects_degenerate():
 
 def test_logpdf_dimension_check():
     g = GaussianSpec.isotropic([0.0, 0.0], 1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         gaussian_logpdf([0.0], g)
 
 
@@ -62,7 +62,7 @@ def test_spec_validation():
         GaussianSpec.isotropic([0.0], -1.0)
     with pytest.raises(SingularCovariance):
         GaussianSpec.full([0.0, 0.0], np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         GaussianSpec.full([0.0, 0.0], np.eye(3))
     with pytest.raises(ValueError):
         GaussianSpec(np.zeros(2))
@@ -130,7 +130,7 @@ def test_kl_requires_positive_definite():
         gaussian_kl(p, q)
     with pytest.raises(SingularCovariance):
         gaussian_kl(q, p)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         gaussian_kl(q, GaussianSpec.isotropic([0.0, 0.0], 1.0))
 
 
@@ -197,11 +197,11 @@ def test_marginal_chaining_is_one_affine_step():
 
 def test_marginal_dimension_checks():
     inner = GaussianSpec.isotropic([0.0, 0.0], 1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         gaussian_marginal(inner, np.ones((2, 3)), [0.0, 0.0], 1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         gaussian_marginal(inner, 1.0, [0.0, 0.0, 0.0], 1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         gaussian_marginal(inner, np.ones((3, 2)), [0.0, 0.0, 0.0], np.eye(2))
 
 
@@ -286,9 +286,9 @@ def test_posterior_composed_with_marginal_recovers_prior():
 
 def test_posterior_rejects_bad_inputs():
     prior = GaussianSpec.isotropic([0.0, 0.0], 1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         gaussian_posterior([0.0, 0.0], prior, np.ones((3, 2)), [0.0, 0.0, 0.0], 1.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         gaussian_posterior([0.0], prior, 1.0, [0.0, 0.0], 1.0)
     with pytest.raises(SingularCovariance):
         gaussian_posterior([0.0, 0.0], GaussianSpec.isotropic([0.0, 0.0], 0.0), 1.0, [0.0, 0.0], 0.0)

@@ -7,8 +7,9 @@ kl`, a one-image PGM directory by `eval --metrics psnr`, an IDX file by a
 5-step improved `train`, and that run's INI config by `train`. The config
 names its files relative to the test's directory, so a damaged path or a
 dropped [output] section still writes there. A damaged file may still be valid (a flipped
-pixel is a different picture), so exit 0 is allowed; any other outcome must
-be a documented exit code with exactly one `error:` line on stderr.
+pixel is a different picture), so exit 0 is allowed, with nothing on stderr;
+any other outcome must be a documented exit code with exactly one `error:`
+line on stderr.
 """
 
 import numpy as np
@@ -93,6 +94,8 @@ def test_damaged_fixture_ends_in_a_named_error(fixtures, capsys, name):
             err = capsys.readouterr().err
             where = f"{name}, {label}, {argv[0]}: exit {code}, stderr {err!r}"
             assert code in EXIT_CODES, where
-            if code != 0:
+            if code == 0:
+                assert err == "", where
+            else:
                 assert err.startswith("error:") and err.count("\n") == 1, where
                 assert err.endswith("\n"), where

@@ -23,10 +23,9 @@ from diffusionlab.errors import (
     BadMagic,
     ConfigError,
     DataExhausted,
-    LengthMismatch,
+    HeadMismatch,
     NonFiniteLoss,
-    NotDualHead,
-    OffGridInput,
+    OutOfRange,
     ShapeMismatch,
     StepOutOfRange,
     TruncatedFile,
@@ -223,7 +222,7 @@ def test_hybrid_loss_requires_dual_head():
     model = _model(HEAD_NOISE)
     sched = linear_schedule(10)
     x = np.zeros(2)
-    with pytest.raises(NotDualHead):
+    with pytest.raises(HeadMismatch):
         hybrid_loss(model, model.params, x, x, 3, sched)
 
 
@@ -260,7 +259,7 @@ def test_hybrid_loss_off_grid_x0_rejected_at_first_step():
     model = _model(HEAD_DUAL)
     sched = linear_schedule(10)
     x0 = np.array([0.5, 0.5])
-    with pytest.raises(OffGridInput):
+    with pytest.raises(OutOfRange, match="256-level grid"):
         hybrid_loss(model, model.params, x0, np.zeros(2), 1, sched, lam=0.1)
 
 
@@ -271,7 +270,7 @@ def test_hybrid_loss_non_finite_x0_rejected_at_first_step(bad):
     x0 = np.array([bad, -1.0])
     for params in (None, ADTape().tensor(model.params)):
         # rejected before the network runs on it: no numpy warning on the way
-        with pytest.raises(OffGridInput), warnings.catch_warnings():
+        with pytest.raises(OutOfRange, match="not finite"), warnings.catch_warnings():
             warnings.simplefilter("error")
             hybrid_loss(model, None, x0, np.zeros(2), 1, sched, lam=0.1, params=params)
 
@@ -516,9 +515,9 @@ def test_sgd_step_updates_in_place_with_the_bits_of_the_expression():
 
 def test_sgd_step_length_mismatch():
     p = np.zeros(3)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         sgd_step(p, np.zeros(4), 0.1)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         sgd_step(p, np.zeros((1, 3)), 0.1)
 
 
@@ -774,7 +773,7 @@ def test_train_variant_validation():
     cfg = TrainConfig(gamma=0.01, J=2, N=1, seed=1)
     with pytest.raises(ConfigError):
         train(_model(), GaussianSource(1), cfg, sched, variant="nope")
-    with pytest.raises(NotDualHead):
+    with pytest.raises(HeadMismatch):
         train(_model(HEAD_NOISE), GaussianSource(1), cfg, sched, variant="improved")
     with pytest.raises(ConfigError):
         train(_model(HEAD_NOISE), GaussianSource(1), cfg, sched, variant="cfg")
