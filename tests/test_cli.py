@@ -910,11 +910,11 @@ def test_corrupt_checkpoint_metadata_is_exit_3(work, tmp_path, corrupt, message,
 @pytest.mark.parametrize("section, key, value, message", [
     ("arch", "d_emb", 3, "architecture metadata unusable"),
     ("arch", "hidden", "wide", "architecture metadata unusable"),
-    ("arch", "hidden", [0], "hidden widths must be >= 1"),
     ("schedule", "kind", "sigmoid", "unknown schedule kind"),
     ("schedule", "T", None, "schedule metadata unusable"),
     ("arch", "conditioning", {"kind": "tokens", "length": 2, "width": 5, "heads": 2,
                               "d_head": 4}, "architecture metadata unusable"),
+    ("arch", "hidden", [0], "hidden widths must be >= 1"),
 ])
 def test_unusable_checkpoint_model_or_schedule_is_exit_3(work, tmp_path, section, key,
                                                          value, message):
