@@ -17,7 +17,8 @@ tape Tensor, reads those views.
 During training, `train` owns the parameter and gradient buffers: its own
 model holds both, with block views of each taken once, and the backward
 writes its block adjoints into the gradient's views. Any other backward
-returns a fresh vector. AdaGN's constant columns are made once per model.
+returns a fresh vector. AdaGN's constant columns are made once per model,
+and its time embeddings one call per block of 16 steps, on first use.
 
 A sampler makes one workspace per call, a dict of buffers keyed by role
 and shape, and passes it to every network evaluation. The forward then
@@ -28,7 +29,6 @@ temporaries on every step. Training passes none: its saved activations
 must stay intact until the backward.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,20 +38,16 @@ from .numerics import ParamLayout, Tensor, fused
 
 HEAD_NOISE = "noise-only"
 HEAD_DUAL = "noise+variance"
+_EMB_BLOCK = 16  # steps per time-embedding call of a model's cache
 
 
-@functools.lru_cache(maxsize=8192)
-def _embedding(t: int, d_emb: int) -> np.ndarray:
-    """c = d_emb/2 sines then c cosines of t / 10000^(i/(c-1)), i = 1..c.
-
-    Cached per (t, d_emb) and shared, so read-only.
-    """
+def _embedding(t, d_emb: int) -> np.ndarray:
+    """c = d_emb/2 sines then c cosines of t / 10000^(i/(c-1)), i = 1..c;
+    for an array of steps t, one row per step, with the one-step call's bits."""
     c = d_emb // 2
     i = np.arange(1, c + 1, dtype=np.float64)
-    angles = t * np.power(10000.0, -i / (c - 1))
-    emb = np.concatenate([np.sin(angles), np.cos(angles)])
-    emb.flags.writeable = False
-    return emb
+    angles = np.multiply.outer(t, np.power(10000.0, -i / (c - 1)))
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,7 @@ class DenoiserModel:
         adagn = {} if self.arch.conditioning is None else {
             w: _adagn_consts(w) for w in set(self.arch.hidden)}
         object.__setattr__(self, "adagn_consts", adagn)
+        object.__setattr__(self, "embeddings", {})
 
     @staticmethod
     def initialized(arch: DenoiserArch, seed: int) -> "DenoiserModel":
@@ -357,7 +354,13 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
     xb = xv.reshape(1, -1) if single else xv
     cv = _check_conditioning(arch, cond, xb.shape[0])
 
-    emb = _embedding(t, arch.d_emb)
+    emb = model.embeddings.get(t)
+    if emb is None:
+        steps = range(t - t % _EMB_BLOCK, t - t % _EMB_BLOCK + _EMB_BLOCK)
+        table = _embedding(np.array(steps), arch.d_emb)
+        table.flags.writeable = False
+        model.embeddings.update(zip(steps, table))
+        emb = table[t % _EMB_BLOCK]
     if isinstance(params, Tensor):
         own = params.value is model.params
         p = model.blocks if own else model.plan.blocks(params.value)

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: counter-stream words, Box-Muller normals, Jacobi.
+"""Hot numeric kernels: counter-stream words, Box-Muller normals, erf, Jacobi.
 
 The generator is counter based: output j of a stream is a pure function
 mix(key + (counter + j) * GOLDEN) of the stream key and the absolute
@@ -35,6 +35,18 @@ _TWO_PI = 6.283185307179586
 # largest |tau| whose square is finite; beyond it t = 1/(tau + sqrt(1 + tau^2))
 # rounds to 0 and the Jacobi rotation is the identity
 _TAU_MAX = math.sqrt(sys.float_info.max)
+
+# cephes ndtr.c's erf T/U (|x| <= 1) and erfc P/Q (x < 8), highest power first, U and Q monic
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
 
 
 def mix64(z: int) -> int:
@@ -83,15 +95,45 @@ def normals_rows(keys: np.ndarray, counter: int, out: np.ndarray) -> None:
     c = np.empty(out.shape, np.uint64)
     _mix_array(a, c)
     radius = c.view(np.float64)
-    np.copyto(radius, np.add(np.right_shift(a, _S11, out=a), _ONE_U, out=a), casting="unsafe")
+    # the shifted words are at most 2**53: cast from int64, faster, to the same doubles
+    np.add(np.right_shift(a, _S11, out=a), _ONE_U, out=a)
+    np.copyto(radius, a.view(np.int64), casting="unsafe")
     np.multiply(radius, _INV53, out=radius)  # u1 in (0, 1]
     np.sqrt(np.multiply(-2.0, np.log(radius, out=radius), out=radius), out=radius)
     _mix_array(b, a)
     angle = a.view(np.float64)
-    np.copyto(angle, np.right_shift(b, _S11, out=b), casting="unsafe")
+    np.right_shift(b, _S11, out=b)
+    np.copyto(angle, b.view(np.int64), casting="unsafe")
     np.multiply(angle, _INV53, out=angle)  # u2 in [0, 1)
     np.cos(np.multiply(_TWO_PI, angle, out=angle), out=angle)
     np.multiply(radius, angle, out=out)
+
+
+def _polevl(x: np.ndarray, coefs: tuple, monic: bool = False) -> np.ndarray:
+    """cephes polevl (p1evl when monic): Horner in its order, with no fused multiply-add."""
+    y = x + coefs[0] if monic else coefs[0] * x + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        y *= x
+        y += c
+    return y
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """erf of each entry of the float64 array x with scipy.special.erf's bits: its
+    cephes erf, x T(x^2)/U(x^2) for |x| <= 1, else 1 - erfc(|x|) (1 from |x| = 8
+    on), given x's sign. exp(-x^2) is the C library's, via numpy's complex exp
+    (cexp(r + 0i) is exp(r)); numpy's float exp differs in the last bit at times."""
+    ax = np.abs(x)
+    y = np.minimum(ax, 1.0)  # 1 from 8 on, NaN stays NaN
+    inner = ax <= 1.0
+    a = ax[inner]
+    sq = np.square(a)
+    y[inner] = a * _polevl(sq, _ERF_T) / _polevl(sq, _ERF_U, True)
+    mid = (ax > 1.0) & (ax < 8.0)
+    a = ax[mid]
+    e = np.exp(np.negative(np.square(a), dtype=np.complex128)).real
+    y[mid] = 1.0 - (e * _polevl(a, _ERFC_P)) / _polevl(a, _ERFC_Q, True)
+    return np.copysign(y, x)
 
 
 def jacobi_sweeps(a: np.ndarray, v: np.ndarray, tol_abs: float, max_sweeps: int) -> int:

@@ -3,6 +3,7 @@ the documented reductions between sampler variants, through real
 subprocesses; the sweeps over error classes and malformed checkpoints call
 `cli.main` in process."""
 
+import ast
 import builtins
 import hashlib
 import json
@@ -790,13 +791,64 @@ def test_eval_feature_checkpoint_kind_is_enforced(work):
 
 
 def test_import_cli_does_not_load_scipy_special():
-    # scipy.special is most of the start-up time; only the erf primitive and
-    # the decoder likelihood use it, and they import it when first called
+    # scipy.special is most of the start-up time; only the library-only
+    # decoder likelihood (forward.decoder_loglik) uses it, imported when first
+    # called
     code = "import sys, diffusionlab.cli; print('scipy.special' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_improved_training_through_t_1_does_not_load_scipy_special(tmp_path):
+    # the hybrid loss's decoder term at t = 1 takes erf from the numpy kernel
+    body = BASE_INI.replace("t = 5", "t = 2").format(
+        variant="improved", steps=6, seed=0, out="out", model_extra="head = noise+variance\n")
+    write_ini(tmp_path / "t1.ini", body=body)
+    code = ("import sys\n"
+            "from diffusionlab import cli, training\n"
+            "calls = []\n"
+            "term = training._decoder_term\n"
+            "def spy(*args):\n"
+            "    calls.append(1)\n"
+            "    return term(*args)\n"
+            "training._decoder_term = spy\n"
+            "code = cli.main(['train', 't1.ini'])\n"
+            "print(code, len(calls), 'scipy.special' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    exit_code, t1_steps, loaded = proc.stdout.splitlines()[-1].split()
+    assert exit_code == "0", proc.stderr
+    assert int(t1_steps) > 0, "no step drew t = 1"
+    assert loaded == "False"
+
+
+def _scipy_importers(node, owner, found):
+    """Add to found the name of the innermost function (owner, None at module
+    level) around each import of scipy under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _scipy_importers(child, child.name, found)
+            continue
+        names = ([a.name for a in child.names] if isinstance(child, ast.Import) else
+                 [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.add(owner)
+        _scipy_importers(child, owner, found)
+
+
+def test_only_the_decoder_likelihood_imports_scipy():
+    # scipy serves forward.decoder_loglik alone; an import anywhere else in the
+    # package could put its start-up cost back on the command line
+    package = Path(cli.__file__).parent
+    importers = set()
+    for path in sorted(package.rglob("*.py")):
+        found = set()
+        _scipy_importers(ast.parse(path.read_text()), None, found)
+        importers |= {(path.relative_to(package).as_posix(), owner) for owner in found}
+    assert importers == {("forward.py", "_log_bin_prob")}, importers
 
 
 def test_eval_names_the_benchmark_tracer_wraps_exist(work, tmp_path, monkeypatch):
@@ -926,6 +978,32 @@ def test_unusable_checkpoint_model_or_schedule_is_exit_3(work, tmp_path, section
     proc = run_cli("sample", "bad.ckpt", "--count", 1, cwd=tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("change, fault", [
+    (lambda meta: meta["arch"].pop("d"), "missing key 'd'"),
+    (lambda meta: meta["arch"].update(d_emb=3), "embedding dim must be even"),
+    (lambda meta: meta["arch"].update(hidden="wide"), "invalid literal for int()"),
+    (lambda meta: meta["schedule"].update(T=None), "int() argument must be"),
+    (lambda meta: meta["schedule"].update(s="x"), "schedule metadata unusable"),
+], ids=["missing-key", "config", "value", "type", "s-text"])
+def test_unusable_checkpoint_error_names_no_exception_class(work, tmp_path, monkeypatch,
+                                                            capsys, change, fault):
+    # the error line states the fault; an internal class name would change its
+    # text whenever a class is renamed or merged
+    raw = (work / "base" / "model.ckpt").read_bytes()
+    meta = json.loads(raw[16:16 + struct.unpack_from("<I", raw, 12)[0]])
+    change(meta)
+    _with_metadata(work / "base" / "model.ckpt", tmp_path / "bad.ckpt",
+                   json.dumps(meta).encode())
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sample", "bad.ckpt", "--count", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fault in err
+    classes = {name for space in (vars(builtins), vars(errors)) for name, obj in space.items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert not {name for name in classes if re.search(rf"\b{name}\b", err)}, err
 
 
 def test_feature_checkpoint_with_bad_hidden_is_exit_3(work, tmp_path):

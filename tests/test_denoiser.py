@@ -59,6 +59,21 @@ def test_time_embedding_degenerate():
         denoise(model, np.zeros(2), -1)
 
 
+@pytest.mark.parametrize("d_emb", [4, 8, 64])
+def test_time_embedding_cache_is_the_models_and_has_the_pure_functions_bits(d_emb):
+    # a forward at t fills its model's cache for the block of steps around t
+    # in one call; each row must keep the bits of the one-step function
+    model = DenoiserModel.initialized(DenoiserArch(2, (4,), d_emb), 0)
+    other = DenoiserModel.initialized(DenoiserArch(2, (4,), d_emb), 0)
+    for t in (1, 63, 64, 1000):
+        denoise(model, np.zeros(2), t)
+    assert other.embeddings == {}
+    assert {1, 63, 64, 1000} <= model.embeddings.keys()
+    for t, emb in model.embeddings.items():
+        assert not emb.flags.writeable
+        assert np.array_equal(emb.view(np.uint64), _embedding(t, d_emb).view(np.uint64)), t
+
+
 def test_time_embedding_injective_at_desk_scale():
     table = np.stack([_embedding(t, 64) for t in range(1, 10_001)])
     tree = cKDTree(table)

@@ -8,6 +8,7 @@ by a few ulps, bounded here at 1e-12.
 
 import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -184,6 +185,35 @@ def test_one_integer_matches_the_block_kernel_across_the_counter_wrap(counter):
     got = [int(one.integers(1, 1, 51)[0]) for _ in range(4)]
     assert got == block.integers(4, 1, 51).tolist()
     assert one.counter == counter + 4
+
+
+# ---------------------------------------------------------------- erf
+
+
+def _erf_grid():
+    """Every branch edge of cephes erf/erfc and seeded normals at three scales."""
+    tiny = np.nextafter(0.0, 1.0)
+    edge = math.sqrt(math.log(sys.float_info.max))  # cephes' erfc is 0 beyond |x| ~ 26.64
+    points = [0.0, tiny, 3 * tiny, 2.2250738585072014e-308, 1e-300, 1.0, 8.0,
+              edge, 26.64, 26.65, 27.0, 1e300, np.inf]
+    points += [np.nextafter(p, q) for p in (1.0, 8.0, edge) for q in (0.0, 30.0)]
+    points = np.array(points)
+    rng = np.random.default_rng(2024)
+    return np.concatenate([points, -points, [np.nan]]
+                          + [scale * rng.standard_normal(10**5) for scale in (1e-3, 1.0, 5.0)])
+
+
+def test_erf_matches_scipy_bit_for_bit():
+    from scipy.special import erf
+
+    x = _erf_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = kernels.erf(x)
+    want = erf(x)
+    nan = np.isnan(x)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 # ---------------------------------------------------------------- Jacobi
