@@ -65,6 +65,7 @@ from .sampler import (
 from .schedule import DEFAULT_COSINE_OFFSET, SCHEDULE_KINDS, build_schedule, stride_steps
 from .training import (
     HYBRID_LAMBDA,
+    TAG_DATA,
     VARIANTS,
     TrainConfig,
     load_checkpoint,
@@ -73,9 +74,6 @@ from .training import (
     schedule_from_meta,
     train,
 )
-
-# stream tag for data-source draws, distinct from the loop's internal tags
-_TAG_DATA = 4
 
 
 def _numbers(cast):
@@ -195,7 +193,7 @@ class _QuantizingSource:
 
 def _build_source(rc: RunConfig):
     """Returns (source, d, num_classes_in_data)."""
-    rng = RngStream(rc.train_cfg.seed).split(_TAG_DATA)
+    rng = RngStream(rc.train_cfg.seed).split(TAG_DATA)
     if rc.dataset_kind == "gaussian":
         return MixtureSampler([rc.center], rc.sigma, rng), len(rc.center), 1
     if rc.dataset_kind == "mixture8":
@@ -212,6 +210,16 @@ def _build_model(rc: RunConfig, d: int) -> DenoiserModel:
     return DenoiserModel.initialized(arch, rc.train_cfg.seed)
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory, made once a command's work is done; a file at
+    it or at a parent is refused now."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
+    return out
+
+
 def cmd_train(args) -> None:
     rc = load_run_config(args.config)
     sched = build_schedule(rc.schedule_type, rc.T, rc.s)
@@ -223,17 +231,11 @@ def cmd_train(args) -> None:
         raise ConfigError(
             f"model num_classes {rc.num_classes} != dataset classes {data_classes}")
     model = _build_model(rc, d)
-    out = Path(rc.out_dir)
-    # the directory is made after training; a file in its way is refused now
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
+    out = _out_dir(rc.out_dir)
 
     _progress(f"training variant={rc.variant} steps={rc.train_cfg.N} "
               f"batch={rc.train_cfg.J} schedule={rc.schedule_type} T={rc.T}")
-    # divergence is reported by train's NonFiniteLoss, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = train(model, source, rc.train_cfg, sched, rc.variant)
+    result = train(model, source, rc.train_cfg, sched, rc.variant)
 
     ckpt = out / "model.ckpt"
     float32_params(result.model.params, str(ckpt))  # a refused run makes no directory
@@ -245,7 +247,6 @@ def cmd_train(args) -> None:
     _progress(f"saved {ckpt} and {out / 'loss.csv'}")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is refused by the sampler
 def cmd_sample(args) -> None:
     ck = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ck)
@@ -277,7 +278,10 @@ def cmd_sample(args) -> None:
         if not (0 <= args.cls < C):
             raise ConfigError(f"--class must lie in 0..{C - 1}, got {args.cls}")
         onehot = np.eye(C)[args.cls]
+    if args.variant == "guided" and onehot is None:
+        raise ConfigError("--variant guided requires --class")
 
+    out = _out_dir(args.out)
     if args.variant == "ddpm":
         res = ddpm_sample(model, sched, req, cond=onehot)
     elif args.variant == "improved":
@@ -286,11 +290,8 @@ def cmd_sample(args) -> None:
         res = ddim_sample(model, sched, stride_steps(sched.T, args.k), eta,
                           req, cond=onehot)
     else:
-        if onehot is None:
-            raise ConfigError("--variant guided requires --class")
         res = guided_sample(model, sched, w, onehot, req)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         target = str(out / "samples.csv")
@@ -352,7 +353,6 @@ def _load_eval_matrix(path: str) -> np.ndarray:
     return m
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
 def cmd_eval(args) -> None:
     gen = _load_eval_matrix(args.gen)
     ref = _load_eval_matrix(args.ref)
@@ -477,7 +477,10 @@ def _error(e: Exception) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.handler(args)
+        # no numpy warning reaches stderr: each step refuses an overflow or
+        # NaN it meets with a named error (loss, sample, parameter, metric)
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.handler(args)
     except DiffusionLabError as e:
         _error(e)
         return e.exit_code

@@ -29,7 +29,7 @@ temporaries on every step. Training passes none: its saved activations
 must stay intact until the backward.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,34 +115,25 @@ def _adagn_consts(w: int) -> tuple:
     return np.full((w, 1), 1.0 / w), np.full((1, w), 1.0 / w), np.ones((w, 1))
 
 
-@dataclass(frozen=True)
 class DenoiserModel:
     """The network's shape and its flat parameter vector. grads, given only
     by `train` to the model it keeps to itself, is where a tape forward of
     params writes its parameter adjoint instead of a fresh vector."""
 
-    arch: DenoiserArch
-    params: np.ndarray
-    grads: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        plan = param_layout(self.arch)
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "blocks", plan.blocks(self.params))  # checks the length
-        object.__setattr__(self, "grad_blocks",
-                           None if self.grads is None else plan.blocks(self.grads))
-        adagn = {} if self.arch.conditioning is None else {
-            w: _adagn_consts(w) for w in set(self.arch.hidden)}
-        object.__setattr__(self, "adagn_consts", adagn)
-        object.__setattr__(self, "embeddings", {})
+    def __init__(self, arch: DenoiserArch, params: np.ndarray, grads: np.ndarray | None = None):
+        self.arch = arch
+        self.params = params
+        self.grads = grads
+        self.plan = param_layout(arch)
+        self.blocks = self.plan.blocks(params)  # checks the length
+        self.grad_blocks = None if grads is None else self.plan.blocks(grads)
+        self.adagn_consts = {} if arch.conditioning is None else {
+            w: _adagn_consts(w) for w in set(arch.hidden)}
+        self.embeddings = {}
 
     @staticmethod
     def initialized(arch: DenoiserArch, seed: int) -> "DenoiserModel":
         return DenoiserModel(arch, init_params(arch, seed))
-
-    @property
-    def layout(self) -> dict[str, tuple[int, tuple[int, ...]]]:
-        return self.plan.offsets
 
     @property
     def param_count(self) -> int:
@@ -280,42 +271,37 @@ def _network_backward(g, model: DenoiserModel, p: dict, xb, emb, cv, saved: list
 
     Runs the VJPs of the composed tape (one linear, add, tanh, slice and
     AdaGN node each) in reverse tape order with the same expressions:
-    linear gives g @ w.T, x.T @ g (an outer product for the 1-D time
-    embedding) and g.sum(axis=0) (np.add.reduce, the same reduction without
-    the method's Python wrapper), each written into its block with out=;
-    a residual adjoint is the later use's plus the earlier one's. The tape
-    added each block adjoint into zeros (`view`) and padded the class
-    slices with zeros, so a -0.0 entry read +0.0; one final + 0.0 gives
-    the same bits, as IEEE addition commutes and a zero's sign can only
-    reach a result that is itself zero.
+    linear gives g @ w.T and, through ParamLayout.affine_adjoint, x.T @ g
+    and g.sum(axis=0) in its blocks (the 1-D time embedding's weight takes
+    an outer product); a residual adjoint is the later use's plus the
+    earlier one's. The tape added each block adjoint into zeros (`view`)
+    and padded the class slices with zeros, so a -0.0 entry read +0.0; one
+    final + 0.0 gives the same bits, as IEEE addition commutes and a
+    zero's sign can only reach a result that is itself zero.
     """
     flat = model.grads if into_grads else np.empty(model.plan.total)
     gb = model.grad_blocks if into_grads else model.plan.blocks(flat)
-
-    def affine(name_w, name_b, x, gy):
-        # the weight and bias adjoints of x @ w + b for output adjoint gy
-        np.matmul(x.T, gy, out=gb[name_w])
-        np.add.reduce(gy, axis=0, out=gb[name_b])
+    affine = ParamLayout.affine_adjoint
 
     saved = list(saved)
-    affine("head.w", "head.b", saved.pop(), g)
+    affine(gb, "head.w", "head.b", saved.pop(), g)
     gh = g @ p["head.w"].T
     for k in range(len(model.arch.hidden) - 1, -1, -1):
         pre = f"block{k}."
         hc, inner = saved.pop()
-        affine(pre + "core.w2", pre + "core.b2", inner, gh)
+        affine(gb, pre + "core.w2", pre + "core.b2", inner, gh)
         g_pre = (gh @ p[pre + "core.w2"].T) * (1.0 - inner * inner)
-        affine(pre + "core.w1", pre + "core.b1", hc, g_pre)
+        affine(gb, pre + "core.w1", pre + "core.b1", hc, g_pre)
         gh = gh + g_pre @ p[pre + "core.w1"].T
         if cv is not None:
             gh, g_y1, g_y2 = _adagn_backward(gh, *saved.pop())
-            affine(pre + "cls.w", pre + "cls.b", cv, np.concatenate((g_y1, g_y2), axis=1))
+            affine(gb, pre + "cls.w", pre + "cls.b", cv, np.concatenate((g_y1, g_y2), axis=1))
         g_time = np.add.reduce(gh, axis=0, out=gb[pre + "time.b"])
         np.multiply(emb[:, None], g_time, out=gb[pre + "time.w"])
         if pre + "proj.w" in p:
-            affine(pre + "proj.w", pre + "proj.b", saved.pop(), gh)
+            affine(gb, pre + "proj.w", pre + "proj.b", saved.pop(), gh)
             gh = gh @ p[pre + "proj.w"].T
-    affine("input.w", "input.b", xb, gh)
+    affine(gb, "input.w", "input.b", xb, gh)
     return np.add(flat, 0.0, out=flat)
 
 

@@ -1,12 +1,12 @@
 """Forward diffusion: closed-form noising, its reverse-time posterior and mean,
-the 256-level byte grid's two maps, and the discretized decoder likelihood.
+and the 256-level byte grid's two maps.
 """
 
 import math
 
 import numpy as np
 
-from .errors import OutOfRange, ShapeMismatch, SingularCovariance, StepOutOfRange
+from .errors import OutOfRange, ShapeMismatch, StepOutOfRange
 from .schedule import NoiseSchedule
 
 # data grid: 256 levels -1 + 2k/255, k = 0..255, half-bin width 1/255
@@ -86,48 +86,3 @@ def grid_index(x0) -> np.ndarray:
     if np.max(np.abs(x0 - grid_value(k))) > 1e-12:
         raise OutOfRange("coordinate not on the 256-level grid")
     return k.astype(np.int64)
-
-
-def _log_bin_prob(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """ln(Phi(hi) - Phi(lo)) elementwise, stable far into either tail.
-
-    Entries of lo may be -inf and entries of hi +inf (boundary bins).
-    """
-    from scipy.special import log_ndtr, ndtr  # lazy: ~0.3 s to import
-
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-
-    # mirror right-tail pairs into the left tail where log_ndtr is sharp
-    flip = lo > 0.0
-    lo_w = np.where(flip, -hi, lo)
-    hi_w = np.where(flip, -lo, hi)
-
-    tail = hi_w <= 0.0
-    with np.errstate(divide="ignore"):
-        la = log_ndtr(np.where(tail, lo_w, -np.inf))
-        lb = log_ndtr(np.where(tail, hi_w, 0.0))
-        # la <= lb by monotonicity; equality marks a bin with no mass left
-        tail_val = lb + np.log1p(-np.exp(la - lb))
-        direct = ndtr(hi_w) - ndtr(lo_w)
-        out = np.where(tail, tail_val, np.log(np.maximum(direct, 1e-300)))
-    return out
-
-
-def decoder_loglik(x0, mean, variance: float) -> float:
-    """Log-probability that a N(mean, variance*I) draw rounds back to x0's bins.
-
-    Per coordinate the bin is (x - 1/255, x + 1/255), widened to a full
-    half-line at the grid boundaries.
-    """
-    if variance <= 0.0:
-        raise SingularCovariance(f"variance must be > 0, got {variance}")
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-    if x0.shape != mean.shape:
-        raise ShapeMismatch(f"shapes {x0.shape} vs {mean.shape}")
-    k = grid_index(x0)
-    sigma = math.sqrt(variance)
-    upper = np.where(k == GRID_LEVELS - 1, np.inf, (x0 + HALF_BIN - mean) / sigma)
-    lower = np.where(k == 0, -np.inf, (x0 - HALF_BIN - mean) / sigma)
-    return float(np.sum(_log_bin_prob(lower, upper)))

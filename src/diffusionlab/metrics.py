@@ -7,7 +7,6 @@ probabilities. Sizes are configuration, not constants.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,20 +34,18 @@ def _feature_layout(d: int, hidden: tuple[int, ...], feature_dim: int,
                        + affine("cls.w", "cls.b", feature_dim, num_classes))
 
 
-@dataclass(frozen=True)
 class FeatureModel:
     """Classifier whose last hidden layer doubles as the feature map."""
 
-    d: int
-    num_classes: int
-    feature_dim: int
-    hidden: tuple[int, ...]
-    params: np.ndarray
-
-    def __post_init__(self):
-        plan = _feature_layout(self.d, self.hidden, self.feature_dim, self.num_classes)
-        object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_blocks", plan.blocks(self.params))  # checks the length
+    def __init__(self, d: int, num_classes: int, feature_dim: int, hidden: tuple[int, ...],
+                 params: np.ndarray):
+        self.d = d
+        self.num_classes = num_classes
+        self.feature_dim = feature_dim
+        self.hidden = hidden
+        self.params = params
+        self._plan = _feature_layout(d, hidden, feature_dim, num_classes)
+        self._blocks = self._plan.blocks(params)  # checks the length
 
     @staticmethod
     def initialized(d: int, num_classes: int, feature_dim: int,
@@ -88,8 +85,8 @@ class FeatureModel:
         """Flat gradient of the batch-mean softmax cross-entropy at onehot labels.
 
         The logits' adjoint is (softmax - onehot) / J; the rest backpropagates
-        it through the classifier and tanh layers, writing each block's
-        adjoint into its view of one fresh vector with out=.
+        it through the classifier and tanh layers, writing each affine map's
+        adjoints into its views of one fresh vector (ParamLayout.affine_adjoint).
         """
         p = self._blocks
         flat = np.empty(self._plan.total)
@@ -98,14 +95,12 @@ class FeatureModel:
         h = self._trunk(x, inputs)
         logits = np.add(np.matmul(h, p["cls.w"]), p["cls.b"])
         g = (_softmax(logits) - onehot) / h.shape[0]
-        np.matmul(h.T, g, out=gb["cls.w"])
-        np.add.reduce(g, axis=0, out=gb["cls.b"])
+        ParamLayout.affine_adjoint(gb, "cls.w", "cls.b", h, g)
         g = g @ p["cls.w"].T
         for name in reversed(self._tanh_layers()):
             g = g * (1.0 - h * h)
             h = inputs.pop()
-            np.matmul(h.T, g, out=gb[name + ".w"])
-            np.add.reduce(g, axis=0, out=gb[name + ".b"])
+            ParamLayout.affine_adjoint(gb, name + ".w", name + ".b", h, g)
             g = g @ p[name + ".w"].T
         return flat
 

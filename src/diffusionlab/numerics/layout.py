@@ -5,7 +5,8 @@ of (name, start, stop, shape) rows that tile the vector in row-major order.
 `blocks` then reads every block in one pass as numpy views of the vector.
 A hand-written backward fills a flat gradient the same way: it takes the
 block views of a gradient vector and writes each block's adjoint into its
-view with out=. No other module reads the plan's rows.
+view with out=, an affine map's through `affine_adjoint`. No other module
+reads the plan's rows.
 
 Every layout is a list of `affine` maps, each a weight matrix directly
 followed by its bias. That order is the one rule `init_uniform` needs for
@@ -46,6 +47,13 @@ class ParamLayout:
     def affine(weight: str, bias: str, n_in: int, n_out: int) -> list:
         """The entries of one affine map: the (n_in, n_out) weight, then its bias."""
         return [(weight, (n_in, n_out)), (bias, (n_out,))]
+
+    @staticmethod
+    def affine_adjoint(grads: dict, weight: str, bias: str, x, gy) -> None:
+        """Write x @ w + b's adjoints for output adjoint gy into grads' views:
+        x.T @ gy into the weight's, gy's column sums into the bias's."""
+        np.matmul(x.T, gy, out=grads[weight])
+        np.add.reduce(gy, axis=0, out=grads[bias])
 
     def blocks(self, params) -> dict:
         """Every block of params by name, shaped as its entry."""

@@ -40,15 +40,17 @@ VARIANTS = ("ddpm", "improved", "cfg")
 HYBRID_LAMBDA = 0.001  # default weight of the hybrid loss's variational term
 
 # log-probabilities in the optimization objective are clamped here; the
-# measurement-grade decoder likelihood in forward.py is exact instead
+# exact decoder likelihood the tests compare with is not
 _DECODER_PROB_FLOOR = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
-# stream tags for the independent draw sequences of one training run
+# stream tags for the independent draw sequences of one run seed: the
+# loop's steps, noise and cfg masks, and the data source's (built by cli)
 _TAG_STEP = 1
 _TAG_NOISE = 2
 _TAG_MASK = 3
+TAG_DATA = 4
 
 
 @dataclass(frozen=True)
@@ -378,17 +380,27 @@ def _meta_fault(e: Exception) -> str:
     return f"missing key {e.args[0]!r}" if isinstance(e, KeyError) else str(e)
 
 
+def _meta_int(meta: dict, key: str) -> int:
+    """meta[key], which must be a JSON integer: not a float, a text or a bool."""
+    if type(meta[key]) is not int:
+        raise ValueError(f"key {key!r} must be a JSON integer, got {meta[key]!r}")
+    return meta[key]
+
+
 def arch_from_meta(meta: dict) -> DenoiserArch:
     try:
         cond_meta = meta.get("conditioning")
         if cond_meta is None:
             cond = None
         elif cond_meta["kind"] == "class":
-            cond = ClassConditioning(int(cond_meta["num_classes"]))
+            cond = ClassConditioning(_meta_int(cond_meta, "num_classes"))
         else:
             raise ValueError(f"conditioning kind {cond_meta['kind']!r} is not 'class'")
-        return DenoiserArch(int(meta["d"]), tuple(int(w) for w in meta["hidden"]),
-                            int(meta["d_emb"]), meta["head"], cond)
+        hidden = meta["hidden"]
+        if type(hidden) is not list or not all(type(w) is int for w in hidden):
+            raise ValueError(f"key 'hidden' must list JSON integers, got {hidden!r}")
+        return DenoiserArch(_meta_int(meta, "d"), tuple(hidden), _meta_int(meta, "d_emb"),
+                            meta["head"], cond)
     except _META_ERRORS as e:
         raise BadMetadata(f"architecture metadata unusable: {_meta_fault(e)}") from None
 
@@ -399,7 +411,7 @@ def schedule_to_meta(sched: NoiseSchedule) -> dict:
 
 def schedule_from_meta(meta: dict) -> NoiseSchedule:
     try:
-        return build_schedule(meta["kind"], int(meta["T"]), meta.get("s"))
+        return build_schedule(meta["kind"], _meta_int(meta, "T"), meta.get("s"))
     except _META_ERRORS as e:
         raise BadMetadata(f"schedule metadata unusable: {_meta_fault(e)}") from None
 

@@ -6,7 +6,9 @@ were composed from before that: elementwise and matrix ops, `view` (one
 block of a flat leaf) and `linear` (x @ w + b as one node), each with its
 closed-form VJP, and a `grad` that replays any tape of them, `fused` nodes
 included. On top of it sit the network, the two training losses and the
-feature classifier's cross-entropy as compositions of these ops.
+feature classifier's cross-entropy as compositions of these ops, and the
+exact discretized decoder likelihood that the hybrid loss's clamped t = 1
+term approximates.
 
 The ops record nodes on the program's ADTape with its Tensor handles, so a
 composed loss can sit on the program's fused network node. Given float64
@@ -23,11 +25,11 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf as _scipy_erf
+from scipy.special import erf as _scipy_erf, log_ndtr, ndtr
 
 from diffusionlab import training
 from diffusionlab.denoiser import HEAD_DUAL, _check_conditioning, _embedding
-from diffusionlab.errors import NonScalarOutput
+from diffusionlab.errors import NonScalarOutput, ShapeMismatch, SingularCovariance
 from diffusionlab.forward import GRID_LEVELS, HALF_BIN, forward_sample, grid_index, \
     posterior_mean_var, reverse_mean_from_eps
 from diffusionlab.numerics import ADTape, Tensor
@@ -560,3 +562,47 @@ def feature_cross_entropy(fm, x, onehot, params):
     probs = softmax(linear(h, p["cls.w"], p["cls.b"]), axis=-1)
     return mul(total(mul(ln(probs), onehot)), -1.0 / onehot.shape[0])
 
+
+# ------------------------------------------------------------ the exact decoder likelihood
+
+def _log_bin_prob(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """ln(Phi(hi) - Phi(lo)) elementwise, stable far into either tail.
+
+    Entries of lo may be -inf and entries of hi +inf (boundary bins).
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+
+    # mirror right-tail pairs into the left tail where log_ndtr is sharp
+    flip = lo > 0.0
+    lo_w = np.where(flip, -hi, lo)
+    hi_w = np.where(flip, -lo, hi)
+
+    tail = hi_w <= 0.0
+    with np.errstate(divide="ignore"):
+        la = log_ndtr(np.where(tail, lo_w, -np.inf))
+        lb = log_ndtr(np.where(tail, hi_w, 0.0))
+        # la <= lb by monotonicity; equality marks a bin with no mass left
+        tail_val = lb + np.log1p(-np.exp(la - lb))
+        direct = ndtr(hi_w) - ndtr(lo_w)
+        out = np.where(tail, tail_val, np.log(np.maximum(direct, 1e-300)))
+    return out
+
+
+def decoder_loglik(x0, mean, variance: float) -> float:
+    """Log-probability that a N(mean, variance*I) draw rounds back to x0's bins.
+
+    Per coordinate the bin is (x - 1/255, x + 1/255), widened to a full
+    half-line at the grid boundaries.
+    """
+    if variance <= 0.0:
+        raise SingularCovariance(f"variance must be > 0, got {variance}")
+    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+    if x0.shape != mean.shape:
+        raise ShapeMismatch(f"shapes {x0.shape} vs {mean.shape}")
+    k = grid_index(x0)
+    sigma = math.sqrt(variance)
+    upper = np.where(k == GRID_LEVELS - 1, np.inf, (x0 + HALF_BIN - mean) / sigma)
+    lower = np.where(k == 0, -np.inf, (x0 - HALF_BIN - mean) / sigma)
+    return float(np.sum(_log_bin_prob(lower, upper)))

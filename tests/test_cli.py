@@ -6,6 +6,7 @@ subprocesses; the sweeps over error classes and malformed checkpoints call
 import ast
 import builtins
 import hashlib
+import importlib.util
 import json
 import re
 import struct
@@ -582,6 +583,23 @@ def test_sample_manifest_records_flags(work):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("out", ["runfile", "runfile/sub"])
+def test_sample_refuses_a_file_as_output_dir_before_sampling(work, tmp_path, monkeypatch,
+                                                             capsys, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runfile").write_text("a file, not a directory\n")
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sampler ran")
+
+    for name in ("ddpm_sample", "ddim_sample", "improved_sample", "guided_sample"):
+        monkeypatch.setattr(cli, name, no_sampling)
+    assert cli.main(["sample", str(work / "base" / "model.ckpt"), "--count", "20000",
+                     "--out", out]) == 3
+    assert capsys.readouterr().err == "error: [Errno 20] Not a directory: 'runfile'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runfile"]
+
+
 def test_sample_pgm_output(work):
     proc = run_cli("sample", "d4/model.ckpt", "--count", 3, "--seed", 1,
                    "--format", "pgm", "--out", "imgs", cwd=work)
@@ -791,9 +809,8 @@ def test_eval_feature_checkpoint_kind_is_enforced(work):
 
 
 def test_import_cli_does_not_load_scipy_special():
-    # scipy.special is most of the start-up time; only the library-only
-    # decoder likelihood (forward.decoder_loglik) uses it, imported when first
-    # called
+    # scipy.special would be most of the start-up time; the program needs
+    # numpy alone
     code = "import sys, diffusionlab.cli; print('scipy.special' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
@@ -801,12 +818,16 @@ def test_import_cli_does_not_load_scipy_special():
     assert proc.stdout.strip() == "False"
 
 
-def test_improved_training_through_t_1_does_not_load_scipy_special(tmp_path):
-    # the hybrid loss's decoder term at t = 1 takes erf from the numpy kernel
+def test_improved_training_through_t_1_does_not_load_scipy_special(work, tmp_path):
+    # with scipy made unimportable, improved training (its hybrid loss takes
+    # the t = 1 decoder term's erf from the numpy kernel), sampling and
+    # evaluation all run
     body = BASE_INI.replace("t = 5", "t = 2").format(
         variant="improved", steps=6, seed=0, out="out", model_extra="head = noise+variance\n")
     write_ini(tmp_path / "t1.ini", body=body)
+    features = work / "features.ckpt"
     code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from diffusionlab import cli, training\n"
             "calls = []\n"
             "term = training._decoder_term\n"
@@ -814,15 +835,18 @@ def test_improved_training_through_t_1_does_not_load_scipy_special(tmp_path):
             "    calls.append(1)\n"
             "    return term(*args)\n"
             "training._decoder_term = spy\n"
-            "code = cli.main(['train', 't1.ini'])\n"
-            "print(code, len(calls), 'scipy.special' in sys.modules)\n")
+            "codes = [cli.main(['train', 't1.ini']),\n"
+            "         cli.main(['sample', 'out/model.ckpt', '--variant', 'improved', '--k', '2',\n"
+            "                   '--count', '50', '--out', 's']),\n"
+            "         cli.main(['eval', '--gen', 's/samples.csv', '--ref', 's/samples.csv',\n"
+            f"                   '--metrics', 'fid,is', '--features', {str(features)!r}])]\n"
+            "print(*codes, len(calls))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    exit_code, t1_steps, loaded = proc.stdout.splitlines()[-1].split()
-    assert exit_code == "0", proc.stderr
+    *codes, t1_steps = proc.stdout.splitlines()[-1].split()
+    assert codes == ["0", "0", "0"], proc.stderr
     assert int(t1_steps) > 0, "no step drew t = 1"
-    assert loaded == "False"
 
 
 def _scipy_importers(node, owner, found):
@@ -839,30 +863,54 @@ def _scipy_importers(node, owner, found):
         _scipy_importers(child, owner, found)
 
 
-def test_only_the_decoder_likelihood_imports_scipy():
-    # scipy serves forward.decoder_loglik alone; an import anywhere else in the
-    # package could put its start-up cost back on the command line
+def test_no_module_imports_scipy():
+    # the program's one runtime dependency is numpy; scipy serves the tests
     package = Path(cli.__file__).parent
     importers = set()
     for path in sorted(package.rglob("*.py")):
         found = set()
         _scipy_importers(ast.parse(path.read_text()), None, found)
         importers |= {(path.relative_to(package).as_posix(), owner) for owner in found}
-    assert importers == {("forward.py", "_log_bin_prob")}, importers
+    assert importers == set(), importers
 
 
-def test_eval_names_the_benchmark_tracer_wraps_exist(work, tmp_path, monkeypatch):
-    # perfbench's tracer times the layers of all three workloads by wrapping
-    # these attributes of diffusionlab.cli, and its checks call some of them;
-    # a rename would leave its spans silently empty or its checks broken
-    for name in ("read_numeric_csv", "read_pgm", "inception_score", "fid", "ssim", "psnr",
-                 "load_feature_model", "train", "save_checkpoint", "load_checkpoint",
-                 "write_csv", "write_samples_csv", "write_pgm", "ddpm_sample",
-                 "ddim_sample", "improved_sample", "guided_sample", "build_schedule",
-                 "load_run_config", "main"):
-        assert callable(getattr(cli, name, None)), name
-    # its read spans time one file each: eval reads every CSV through one
-    # read_numeric_csv call and every image through one read_pgm call
+def _perfbench_tracing():
+    """perfbench/tracing.py, loaded as a module of its own."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_finds_every_name_it_wraps_or_imports():
+    # perfbench's tracer times the layers by wrapping program attributes by
+    # name, and its checks import a few more; a rename would break its runs
+    # or leave its spans silently empty. Installing the tracer looks up
+    # every wrapped attribute.
+    tracing = _perfbench_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+    finally:
+        tracer.uninstall()
+    imported = {"cli": ("load_run_config", "build_schedule", "main"),
+                "sampler": ("SampleRequest", "ddpm_sample", "ddim_sample"),
+                "schedule": ("linear_schedule", "stride_steps"),
+                "training": ("load_checkpoint", "model_from_checkpoint", "simple_loss",
+                             "hybrid_loss"),
+                "numerics": ("ADTape", "grad"), "denoiser": ("denoise",),
+                "fileio": ("read_numeric_csv",)}
+    for module, names in imported.items():
+        owner = importlib.import_module(f"diffusionlab.{module}")
+        for name in names:
+            assert callable(getattr(owner, name, None)), (module, name)
+
+
+def test_eval_reads_each_input_file_through_one_traced_call(work, tmp_path, monkeypatch):
+    # perfbench's read spans time one file each: eval reads every CSV
+    # through one read_numeric_csv call and every image through one
+    # read_pgm call
     calls = {"read_numeric_csv": [], "read_pgm": []}
     for name, seen in calls.items():
         def counted(path, *args, _fn=getattr(cli, name), _seen=seen):
@@ -967,6 +1015,17 @@ def test_corrupt_checkpoint_metadata_is_exit_3(work, tmp_path, corrupt, message,
     ("arch", "conditioning", {"kind": "tokens", "length": 2, "width": 5, "heads": 2,
                               "d_head": 4}, "architecture metadata unusable"),
     ("arch", "hidden", [0], "hidden widths must be >= 1"),
+    # sizes are JSON integers, never truncated floats, texts or booleans
+    ("arch", "d", 2.7, "key 'd' must be a JSON integer, got 2.7"),
+    ("arch", "d", "2", "key 'd' must be a JSON integer, got '2'"),
+    ("arch", "d", True, "key 'd' must be a JSON integer, got True"),
+    ("arch", "hidden", [8.9], "key 'hidden' must list JSON integers, got [8.9]"),
+    ("arch", "hidden", ["8"], "key 'hidden' must list JSON integers, got ['8']"),
+    ("arch", "d_emb", 4.5, "key 'd_emb' must be a JSON integer, got 4.5"),
+    ("arch", "conditioning", {"kind": "class", "num_classes": 2.0},
+     "key 'num_classes' must be a JSON integer, got 2.0"),
+    ("schedule", "T", 10.9, "key 'T' must be a JSON integer, got 10.9"),
+    ("schedule", "T", "10", "key 'T' must be a JSON integer, got '10'"),
 ])
 def test_unusable_checkpoint_model_or_schedule_is_exit_3(work, tmp_path, section, key,
                                                          value, message):
@@ -983,8 +1042,8 @@ def test_unusable_checkpoint_model_or_schedule_is_exit_3(work, tmp_path, section
 @pytest.mark.parametrize("change, fault", [
     (lambda meta: meta["arch"].pop("d"), "missing key 'd'"),
     (lambda meta: meta["arch"].update(d_emb=3), "embedding dim must be even"),
-    (lambda meta: meta["arch"].update(hidden="wide"), "invalid literal for int()"),
-    (lambda meta: meta["schedule"].update(T=None), "int() argument must be"),
+    (lambda meta: meta["arch"].update(hidden="wide"), "key 'hidden' must list JSON integers"),
+    (lambda meta: meta["schedule"].update(T=None), "key 'T' must be a JSON integer"),
     (lambda meta: meta["schedule"].update(s="x"), "schedule metadata unusable"),
 ], ids=["missing-key", "config", "value", "type", "s-text"])
 def test_unusable_checkpoint_error_names_no_exception_class(work, tmp_path, monkeypatch,

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from tape_oracle import decoder_loglik
 
 from diffusionlab.errors import OutOfRange, ShapeMismatch, SingularCovariance, StepOutOfRange
 from diffusionlab.forward import (
     GRID_LEVELS,
     GRID_STEP,
-    decoder_loglik,
     forward_sample,
     grid_index,
     grid_level,

@@ -131,17 +131,17 @@ def _paired_dual_and_noise_models(seed=19, d=2, hidden=(8,), d_emb=4):
     sharing trunk weights and the v1 half of the head."""
     dual = _model(HEAD_DUAL, hidden=hidden, d=d, d_emb=d_emb, seed=seed)
     p = dual.params.copy()
-    off_w, (w_last, twod) = dual.layout["head.w"]
-    off_b, _ = dual.layout["head.b"]
+    off_w, (w_last, twod) = dual.plan.offsets["head.w"]
+    off_b, _ = dual.plan.offsets["head.b"]
     p[off_w : off_w + w_last * twod].reshape(w_last, twod)[:, d:] = 0.0
     p[off_b + d : off_b + twod] = 0.0
     dual = dual.with_params(p)
 
     noise = _model(HEAD_NOISE, hidden=hidden, d=d, d_emb=d_emb, seed=0)
     q = noise.params.copy()
-    for name, (noff, nshape) in noise.layout.items():
+    for name, (noff, nshape) in noise.plan.offsets.items():
         size = int(np.prod(nshape))
-        doff, _ = dual.layout[name]
+        doff, _ = dual.plan.offsets[name]
         if name == "head.w":
             full = p[doff : doff + w_last * twod].reshape(w_last, twod)
             q[noff : noff + size] = full[:, :d].ravel()
@@ -187,7 +187,7 @@ def test_improved_v2_one_noise_scale_is_step_variance():
     # so the injected noise scale must be sqrt(1 - a'_k) within 1e-12
     model = _zero_model(HEAD_DUAL)
     p = model.params.copy()
-    off_b, (twod,) = model.layout["head.b"]
+    off_b, (twod,) = model.plan.offsets["head.b"]
     d = 2
     p[off_b + d : off_b + twod] = 20.0
     model = model.with_params(p)
