@@ -21,7 +21,6 @@ from .data import DatasetCursor, MixtureSampler, idx_read, quantize_to_grid
 from .denoiser import (
     HEAD_DUAL,
     HEAD_NOISE,
-    ClassConditioning,
     DenoiserArch,
     DenoiserModel,
 )
@@ -166,8 +165,6 @@ def load_run_config(path: str) -> RunConfig:
     except ValueError as e:
         raise ConfigError(f"bad value in {path}: {e}") from None
 
-    if m["num_classes"] < 0:
-        raise ConfigError(f"[model] num_classes must be >= 0, got {m['num_classes']}")
     if d["kind"] == "idx":
         if d["path"] is None:
             raise ConfigError("dataset kind idx needs a path key")
@@ -205,12 +202,11 @@ def _build_source(rc: RunConfig):
 
 
 def _build_model(rc: RunConfig, d: int) -> DenoiserModel:
-    cond = ClassConditioning(rc.num_classes) if rc.num_classes > 0 else None
-    arch = DenoiserArch(d, rc.hidden, rc.d_emb, rc.head, cond)
+    arch = DenoiserArch(d, rc.hidden, rc.d_emb, rc.head, rc.num_classes)
     return DenoiserModel.initialized(arch, rc.train_cfg.seed)
 
 
-def _out_dir(path: str) -> Path:
+def _out_dir(path: str | Path) -> Path:
     """The output directory, made once a command's work is done; a file at
     it or at a parent is refused now."""
     out = Path(path)
@@ -218,6 +214,13 @@ def _out_dir(path: str) -> Path:
     if not existing.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
     return out
+
+
+def _out_file_dir(path: str) -> Path:
+    """_out_dir of an output file's parent; a directory at path is refused now."""
+    if Path(path).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return _out_dir(Path(path).parent)
 
 
 def cmd_train(args) -> None:
@@ -272,9 +275,9 @@ def cmd_sample(args) -> None:
 
     onehot = None
     if args.cls is not None:
-        if not isinstance(model.arch.conditioning, ClassConditioning):
+        C = model.arch.num_classes
+        if not C:
             raise ConditioningMismatch("checkpoint model is not class-conditional")
-        C = model.arch.conditioning.num_classes
         if not (0 <= args.cls < C):
             raise ConfigError(f"--class must lie in 0..{C - 1}, got {args.cls}")
         onehot = np.eye(C)[args.cls]
@@ -354,6 +357,7 @@ def _load_eval_matrix(path: str) -> np.ndarray:
 
 
 def cmd_eval(args) -> None:
+    out = _out_file_dir(args.out)
     gen = _load_eval_matrix(args.gen)
     ref = _load_eval_matrix(args.ref)
     metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -398,15 +402,18 @@ def cmd_eval(args) -> None:
     for name, value, _, _, _, std in rows:
         if not (math.isfinite(value) and math.isfinite(std)):
             raise OutOfRange(f"{name} is not finite on these inputs")
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(args.out, rows,
               header=("metric", "value", "k_samples", "m_samples", "batches", "std"))
     _progress(f"wrote {args.out} with {len(rows)} metric rows")
 
 
 def cmd_schedule(args) -> None:
+    out = _out_file_dir(args.out)
     sched = build_schedule(args.type, args.t, args.s)
     rows = [(t, sched.a(t), sched.abar(t), sched.btilde(t))
             for t in range(1, sched.T + 1)]
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(args.out, rows, header=("t", "alpha", "alpha_bar", "beta_tilde"))
     _progress(f"wrote {args.out} with {sched.T} schedule rows")
 

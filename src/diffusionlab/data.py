@@ -24,11 +24,9 @@ _IDX_LABEL_MAGIC = 0x00000801
 class Dataset:
     """Immutable sample matrix with optional class labels."""
 
-    name: str
     samples: np.ndarray
     labels: np.ndarray | None = None
     num_classes: int = 0
-    image_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -110,15 +108,6 @@ class MixtureSampler:
         return self._x[self._row - 1], self._idx[self._row - 1]
 
 
-def make_gaussian_mixture(centers, sigma: float, n: int, rng: RngStream) -> Dataset:
-    """n draws with uniformly chosen centers; labels are the center indices."""
-    if n < 1:
-        raise OutOfRange(f"sample count must be >= 1, got {n}")
-    sampler = MixtureSampler(centers, sigma, rng)
-    x, labels = sampler.take(n)
-    return Dataset("mixture", x, labels, num_classes=sampler.centers.shape[0])
-
-
 # ------------------------------------------------------------ quantization
 
 
@@ -171,24 +160,4 @@ def idx_read(path: str, labels_path: str | None = None) -> Dataset:
             raise ShapeMismatch(f"{lcount} labels for {count} images")
         labels = np.frombuffer(lpayload, dtype=np.uint8).astype(np.int64)
         num_classes = int(labels.max()) + 1 if labels.size else 0
-    return Dataset(Path(path).stem, samples, labels, num_classes, (rows, cols))
-
-
-def idx_write(path: str, samples: np.ndarray, rows: int, cols: int) -> None:
-    """Write grid-valued samples back to IDX bytes (inverse of idx_read)."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] != rows * cols:
-        raise ShapeMismatch(f"samples {samples.shape} do not tile {rows}x{cols} images")
-    pixels = grid_level(quantize_to_grid(samples)).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", _IDX_IMAGE_MAGIC, samples.shape[0], rows, cols))
-        f.write(pixels.tobytes())
-
-
-def idx_write_labels(path: str, labels: np.ndarray) -> None:
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() > 255):
-        raise OutOfRange("IDX labels must fit one byte")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", _IDX_LABEL_MAGIC, labels.size))
-        f.write(labels.astype(np.uint8).tobytes())
+    return Dataset(samples, labels, num_classes)

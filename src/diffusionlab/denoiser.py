@@ -51,25 +51,22 @@ def _embedding(t, d_emb: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ClassConditioning:
-    num_classes: int
-
-    def __post_init__(self):
-        if self.num_classes < 1:
-            raise ConfigError(f"class conditioning needs >= 1 class, got {self.num_classes}")
-
-
-@dataclass(frozen=True)
 class DenoiserArch:
-    """Shape of the network; parameters live separately as one flat vector."""
+    """Shape of the network; parameters live separately as one flat vector.
+    num_classes > 0 makes the model class-conditional; 0 leaves it
+    unconditional."""
 
     d: int
     hidden: tuple[int, ...]
     d_emb: int
     head: str = HEAD_NOISE
-    conditioning: ClassConditioning | None = None
+    num_classes: int = 0
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ConfigError(f"data dimension d must be >= 1, got {self.d}")
+        if self.num_classes < 0:
+            raise ConfigError(f"num_classes must be >= 0, got {self.num_classes}")
         if self.head not in (HEAD_NOISE, HEAD_DUAL):
             raise ShapeMismatch(f"unknown head mode {self.head!r}")
         if not self.hidden:
@@ -96,8 +93,8 @@ def param_layout(arch: DenoiserArch) -> ParamLayout:
         if k > 0 and prev != w:
             entries += affine(pre + "proj.w", pre + "proj.b", prev, w)
         entries += affine(pre + "time.w", pre + "time.b", arch.d_emb, w)
-        if arch.conditioning is not None:
-            entries += affine(pre + "cls.w", pre + "cls.b", arch.conditioning.num_classes, 2 * w)
+        if arch.num_classes:
+            entries += affine(pre + "cls.w", pre + "cls.b", arch.num_classes, 2 * w)
         entries += affine(pre + "core.w1", pre + "core.b1", w, w)
         entries += affine(pre + "core.w2", pre + "core.b2", w, w)
         prev = w
@@ -127,8 +124,7 @@ class DenoiserModel:
         self.plan = param_layout(arch)
         self.blocks = self.plan.blocks(params)  # checks the length
         self.grad_blocks = None if grads is None else self.plan.blocks(grads)
-        self.adagn_consts = {} if arch.conditioning is None else {
-            w: _adagn_consts(w) for w in set(arch.hidden)}
+        self.adagn_consts = {w: _adagn_consts(w) for w in set(arch.hidden) if arch.num_classes}
         self.embeddings = {}
 
     @staticmethod
@@ -155,12 +151,11 @@ def _buf(ws, role: str, shape: tuple) -> np.ndarray | None:
     return b
 
 
-def _adagn_rows(x, y1, y2, eps, saved=None, ws=None, consts=None):
+def _adagn_rows(x, y1, y2, eps, consts, saved=None, ws=None):
     """Adaptive normalization of the rows of x with one group: normalize each
     row, then scale by y1 and shift by y2, which hold one row, or one per
-    row of x. Appends what its backward reads to saved; with ws, writes
-    the result over x. consts are _adagn_consts of x's width, made here
-    when not given.
+    row of x. consts are _adagn_consts of x's width. Appends what its
+    backward reads to saved; with ws, writes the result over x.
 
     A row mean is one matrix-vector product against a column of 1/w. The
     `+ 0.0` terms keep the bits of the general form's averaging and tiling
@@ -168,7 +163,6 @@ def _adagn_rows(x, y1, y2, eps, saved=None, ws=None, consts=None):
     BLAS sum started at zero does.
     """
     n, w = x.shape
-    consts = _adagn_consts(w) if consts is None else consts
     mean_col = consts[0]
     col = _buf(ws, "col", (n, 1))
     m = np.add(np.matmul(x, mean_col, out=col), 0.0, out=col)
@@ -201,8 +195,8 @@ def _adagn_backward(g, centered, ve, sd, gn, y1t, consts):
 
 
 def _check_conditioning(arch: DenoiserArch, cond, batch: int):
-    c = arch.conditioning
-    if c is None:
+    c = arch.num_classes
+    if not c:
         if cond is not None:
             raise ConditioningMismatch("model takes no conditioning input")
         return None
@@ -210,11 +204,11 @@ def _check_conditioning(arch: DenoiserArch, cond, batch: int):
         raise ConditioningMismatch("conditioning input required")
     cv = np.asarray(cond, dtype=np.float64)
     if cv.ndim == 1:
-        if cv.shape != (c.num_classes,):
-            raise ConditioningMismatch(f"class vector shape {cv.shape} vs ({c.num_classes},)")
-        return np.broadcast_to(cv, (batch, c.num_classes))
-    if cv.shape != (batch, c.num_classes):
-        raise ConditioningMismatch(f"class batch shape {cv.shape} vs ({batch}, {c.num_classes})")
+        if cv.shape != (c,):
+            raise ConditioningMismatch(f"class vector shape {cv.shape} vs ({c},)")
+        return np.broadcast_to(cv, (batch, c))
+    if cv.shape != (batch, c):
+        raise ConditioningMismatch(f"class batch shape {cv.shape} vs ({batch}, {c})")
     return cv
 
 
@@ -248,8 +242,8 @@ def _network(model: DenoiserModel, p: dict, xb, emb, cv, saved=None, ws=None):
             ypair = np.add(np.matmul(cv, p[pre + "cls.w"], out=yb), p[pre + "cls.b"], out=yb)
             if cv.strides[0] == 0:
                 ypair = ypair[:1]
-            h = _adagn_rows(h, ypair[:, :w], ypair[:, w:], 1e-5, saved, ws,
-                            model.adagn_consts[w])
+            h = _adagn_rows(h, ypair[:, :w], ypair[:, w:], 1e-5, model.adagn_consts[w],
+                            saved, ws)
         s1 = _buf(ws, "s1", (n, w))
         inner = np.tanh(np.add(np.matmul(h, p[pre + "core.w1"], out=s1), p[pre + "core.b1"],
                                out=s1), out=s1)

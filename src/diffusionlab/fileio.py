@@ -10,7 +10,6 @@ import os
 import re
 import struct
 from itertools import chain, repeat
-from pathlib import Path
 
 import numpy as np
 
@@ -31,18 +30,16 @@ def format_cell(value) -> str:
     return text
 
 
-def write_csv(path: str, rows, header=None) -> None:
-    lines = []
-    if header is not None:
-        lines.append(",".join(format_cell(h) for h in header))
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+def write_csv(path: str, rows, header) -> None:
+    """A header line, then one line per row, each ended by CRLF."""
+    lines = [",".join(map(format_cell, row)) for row in chain((header,), rows)]
     _write_atomic(path, (("\r\n".join(lines) + "\r\n").encode("utf-8"),))
 
 
 def _write_atomic(path, chunks) -> None:
     """Write the byte chunks to a temp file next to path, then rename it
-    over path, so a failed or killed write leaves any old file intact.
+    over path, so a failed or killed write leaves any old file intact. An
+    OSError names path, not the temp file.
 
     No fsync: the rename is atomic against a failed write, not a power cut.
     """
@@ -52,9 +49,11 @@ def _write_atomic(path, chunks) -> None:
             for chunk in chunks:
                 f.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, str(path)) from None
         raise
 
 
@@ -70,32 +69,22 @@ def _read_text(path) -> str:
         raise TruncatedFile(f"{path}: not UTF-8 text") from None
 
 
-def _csv_rows(text: str, path) -> list[list[str]]:
-    try:
-        return [row for row in csv.reader(io.StringIO(text, newline=""), strict=True) if row]
-    except csv.Error as e:
-        raise TruncatedFile(f"{path}: malformed CSV ({e})") from None
-
-
-def read_csv(path: str) -> list[list[str]]:
-    """Rows of string cells read by the csv module in strict mode, empty records
-    dropped; quoted cells may embed commas, quotes and line breaks."""
-    return _csv_rows(_read_text(path), path)
-
-
-def read_numeric_csv(path: str, skip_header: bool = False) -> np.ndarray:
-    """(rows, cols) float matrix of read_csv's cells; raises on ragged or
-    non-numeric content. Quote-free text whose lines fit the csv module's field
-    size limit is split at each CR, LF and comma, which gives the same cells."""
+def read_numeric_csv(path: str) -> np.ndarray:
+    """(rows, cols) float matrix of the cells the csv module reads in strict
+    mode, empty records dropped (quoted cells may embed commas, quotes and
+    line breaks); raises on ragged or non-numeric content, a header line
+    included. Quote-free text whose lines fit the csv module's field size
+    limit is split at each CR, LF and comma, which gives the same cells."""
     text = _read_text(path)
-    lines = [] if '"' in text else list(filter(None, text.replace("\r", "\n").split("\n")))
-    if lines and max(map(len, lines)) <= csv.field_size_limit():
-        rows = lines[1:] if skip_header else lines
+    rows = [] if '"' in text else list(filter(None, text.replace("\r", "\n").split("\n")))
+    if rows and max(map(len, rows)) <= csv.field_size_limit():
         commas = set(map(str.count, rows, repeat(",")))
         cells = ",".join(rows).split(",")
     else:
-        rows = _csv_rows(text, path)
-        rows = rows[1:] if skip_header else rows
+        try:
+            rows = [row for row in csv.reader(io.StringIO(text, newline=""), strict=True) if row]
+        except csv.Error as e:
+            raise TruncatedFile(f"{path}: malformed CSV ({e})") from None
         commas = {len(r) - 1 for r in rows}
         cells = chain.from_iterable(rows)
     if not rows:
@@ -166,10 +155,6 @@ def to_bytes_image(samples_row: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def write_manifest(path: str, payload: dict) -> None:
     blob = json.dumps(payload, sort_keys=True, indent=2)
     _write_atomic(path, ((blob + "\n").encode("utf-8"),))
-
-
-def read_manifest(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 # ------------------------------------------------------------ checkpoint container

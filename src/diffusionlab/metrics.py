@@ -26,6 +26,9 @@ SSIM_C2 = 0.03**2
 
 def _feature_layout(d: int, hidden: tuple[int, ...], feature_dim: int,
                     num_classes: int) -> ParamLayout:
+    if min(d, *hidden, feature_dim, num_classes) < 1:
+        raise ConfigError(f"feature model sizes must be >= 1, got d {d}, hidden {list(hidden)}, "
+                          f"feature_dim {feature_dim}, num_classes {num_classes}")
     affine, entries, prev = ParamLayout.affine, [], d
     for i, w in enumerate(hidden):
         entries += affine(f"h{i}.w", f"h{i}.b", prev, w)
@@ -145,8 +148,11 @@ def load_feature_model(path: str) -> FeatureModel:
         "d": int, "feature_dim": int, "hidden": list, "num_classes": int})
     if not all(type(w) is int for w in meta["hidden"]):
         raise BadMetadata(f"{path}: metadata key 'hidden' must list integers")
-    return FeatureModel(meta["d"], meta["num_classes"], meta["feature_dim"],
-                        tuple(meta["hidden"]), params32.astype(np.float64))
+    try:
+        return FeatureModel(meta["d"], meta["num_classes"], meta["feature_dim"],
+                            tuple(meta["hidden"]), params32.astype(np.float64))
+    except ConfigError as e:
+        raise BadMetadata(f"{path}: feature model metadata unusable: {e}") from None
 
 
 # ------------------------------------------------------------ divergences

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import HEAD_DUAL, HEAD_NOISE, ClassConditioning, DenoiserModel, denoise
+from .denoiser import HEAD_DUAL, HEAD_NOISE, DenoiserModel, denoise
 from .errors import ConditioningMismatch, ConfigError, HeadMismatch, NonFiniteSample
 from .forward import log_variance_interpolation, reverse_mean_from_eps
 from .numerics.kernels import normals_rows
@@ -190,7 +190,7 @@ def guided_sample(model: DenoiserModel, sched: NoiseSchedule, w: float, c,
                   req: SampleRequest) -> SampleResult:
     """Ancestral chain driven by the class-extrapolated noise estimate
     (1+w) V(x, c, t) - w V(x, 0, t); c may be one-hot or all zeros."""
-    if not isinstance(model.arch.conditioning, ClassConditioning):
+    if not model.arch.num_classes:
         raise ConditioningMismatch("guided sampling needs a class-conditional model")
     if model.arch.head != HEAD_NOISE:
         raise HeadMismatch("guided sampling needs a noise-only head")
@@ -199,7 +199,7 @@ def guided_sample(model: DenoiserModel, sched: NoiseSchedule, w: float, c,
     c = np.asarray(c, dtype=np.float64)
     if not (np.all((c == 0.0) | (c == 1.0)) and c.sum() in (0.0, 1.0)):
         raise ConditioningMismatch("class vector must be one-hot or all zeros")
-    zero = np.zeros(model.arch.conditioning.num_classes)
+    zero = np.zeros(model.arch.num_classes)
     ws = {}
 
     def guided_eps(x, t):

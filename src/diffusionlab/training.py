@@ -13,7 +13,6 @@ import numpy as np
 
 from .denoiser import (
     HEAD_DUAL,
-    ClassConditioning,
     DenoiserArch,
     DenoiserModel,
     denoise,
@@ -297,7 +296,7 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
         raise ConfigError(f"unknown variant {variant!r}")
     if variant == "improved" and model.arch.head != HEAD_DUAL:
         raise HeadMismatch("variant improved needs a noise+variance head")
-    if variant == "cfg" and not isinstance(model.arch.conditioning, ClassConditioning):
+    if variant == "cfg" and not model.arch.num_classes:
         raise ConfigError("variant cfg needs a class-conditional model")
 
     root = RngStream(cfg.seed)
@@ -310,7 +309,7 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
     params = work.params
     d = model.arch.d
     losses: list[float] = []
-    onehots = np.eye(model.arch.conditioning.num_classes) if variant == "cfg" else None
+    onehots = np.eye(model.arch.num_classes) if variant == "cfg" else None
 
     def run_steps(first: int, m: int) -> None:
         # steps first .. first + m - 1; their draws and tapes are freed on return
@@ -365,8 +364,7 @@ class Checkpoint:
 
 
 def _arch_to_meta(arch: DenoiserArch) -> dict:
-    cond = arch.conditioning
-    cond_meta = None if cond is None else {"kind": "class", "num_classes": cond.num_classes}
+    cond_meta = {"kind": "class", "num_classes": arch.num_classes} if arch.num_classes else None
     return {"d": arch.d, "hidden": list(arch.hidden), "d_emb": arch.d_emb,
             "head": arch.head, "conditioning": cond_meta}
 
@@ -390,17 +388,18 @@ def _meta_int(meta: dict, key: str) -> int:
 def arch_from_meta(meta: dict) -> DenoiserArch:
     try:
         cond_meta = meta.get("conditioning")
-        if cond_meta is None:
-            cond = None
-        elif cond_meta["kind"] == "class":
-            cond = ClassConditioning(_meta_int(cond_meta, "num_classes"))
-        else:
-            raise ValueError(f"conditioning kind {cond_meta['kind']!r} is not 'class'")
+        num_classes = 0
+        if cond_meta is not None:
+            if cond_meta["kind"] != "class":
+                raise ValueError(f"conditioning kind {cond_meta['kind']!r} is not 'class'")
+            num_classes = _meta_int(cond_meta, "num_classes")
+            if num_classes < 1:
+                raise ValueError(f"class conditioning needs >= 1 class, got {num_classes}")
         hidden = meta["hidden"]
         if type(hidden) is not list or not all(type(w) is int for w in hidden):
             raise ValueError(f"key 'hidden' must list JSON integers, got {hidden!r}")
         return DenoiserArch(_meta_int(meta, "d"), tuple(hidden), _meta_int(meta, "d_emb"),
-                            meta["head"], cond)
+                            meta["head"], num_classes)
     except _META_ERRORS as e:
         raise BadMetadata(f"architecture metadata unusable: {_meta_fault(e)}") from None
 

@@ -1,7 +1,11 @@
-"""Shared helpers for tests that run the package in a child interpreter."""
+"""Shared test helpers: the environment of tests that run the package in a
+child interpreter, and a writer of IDX fixture files."""
 
 import os
+import struct
 from pathlib import Path
+
+import numpy as np
 
 import diffusionlab
 
@@ -21,3 +25,10 @@ def child_env():
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
     return env
+
+
+def write_idx(path, array) -> None:
+    """An IDX file of unsigned bytes: images (count, rows, cols) or labels
+    (count,), in the layout data.idx_read reads."""
+    a = np.asarray(array, dtype=np.uint8)
+    Path(path).write_bytes(struct.pack(f">I{a.ndim}I", 0x800 | a.ndim, *a.shape) + a.tobytes())

@@ -15,7 +15,6 @@ from scipy.integrate import trapezoid
 from diffusionlab.data import MixtureSampler, quantize_to_grid
 from diffusionlab.denoiser import (
     HEAD_DUAL,
-    ClassConditioning,
     DenoiserArch,
     DenoiserModel,
 )
@@ -204,7 +203,7 @@ def test_criterion_6_end_to_end_gaussian_recovery():
 def test_criterion_7_guidance_weight_zero_reduction():
     """w=0 guided sampling is the conditional sampler, bit for bit."""
     sched = cosine_schedule(10)
-    arch = DenoiserArch(2, (8,), 4, conditioning=ClassConditioning(3))
+    arch = DenoiserArch(2, (8,), 4, num_classes=3)
     model = DenoiserModel.initialized(arch, 21)
     c = np.array([0.0, 1.0, 0.0])
     req = SampleRequest(count=8, seed=5)

@@ -5,6 +5,7 @@ subprocesses; the sweeps over error classes and malformed checkpoints call
 
 import ast
 import builtins
+import csv
 import hashlib
 import importlib.util
 import json
@@ -17,19 +18,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffusionlab import cli, errors
-from diffusionlab.data import idx_write, idx_write_labels
-from diffusionlab.fileio import (read_csv, read_manifest, read_numeric_csv,
-                                 write_pgm, write_samples_csv)
+from diffusionlab import cli, errors, fileio
+from diffusionlab.data import quantize_to_grid
+from diffusionlab.fileio import read_numeric_csv, write_pgm, write_samples_csv
 from diffusionlab.denoiser import DenoiserArch, DenoiserModel
-from diffusionlab.forward import grid_value
+from diffusionlab.forward import grid_level, grid_value
 from diffusionlab.metrics import (FeatureModel, discrete_kl, save_feature_model,
                                   train_feature_model)
 from diffusionlab.numerics import RngStream
 from diffusionlab.schedule import linear_schedule
 from diffusionlab.training import load_checkpoint, save_checkpoint
 
-from conftest import child_env
+from conftest import child_env, write_idx
 
 BASE_INI = """\
 [dataset]
@@ -82,8 +82,19 @@ def write_ini(path, variant="ddpm", steps=4, seed=0, out="out", model_extra="",
     return path
 
 
+def csv_rows(path):
+    """The rows of a CSV file as lists of text cells."""
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))
+
+
+def csv_body(path):
+    """The rows after a CSV file's header line, as a float matrix."""
+    return np.array([[float(v) for v in row] for row in csv_rows(path)[1:]])
+
+
 def metric_value(path, name, column=1):
-    rows = read_csv(str(path))
+    rows = csv_rows(path)
     assert rows[0] == ["metric", "value", "k_samples", "m_samples", "batches", "std"]
     for row in rows[1:]:
         if row[0] == name:
@@ -159,8 +170,8 @@ def test_train_zero_steps_keeps_initialization(work):
 def test_train_from_idx_dataset(work):
     rng = RngStream(12)
     x = np.clip(rng.normals(64 * 4).reshape(64, 4) * 0.3, -1.0, 1.0)
-    idx_write(str(work / "train.idx"), x, 2, 2)
-    idx_write_labels(str(work / "labels.idx"), (x[:, 0] > 0).astype(np.int64))
+    write_idx(work / "train.idx", grid_level(quantize_to_grid(x)).reshape(64, 2, 2))
+    write_idx(work / "labels.idx", x[:, 0] > 0)
     body = """\
 [dataset]
 kind = idx
@@ -373,7 +384,7 @@ def test_train_refuses_a_file_as_output_dir_before_its_first_step(tmp_path, monk
 def test_refused_train_leaves_no_run_directory(tmp_path, monkeypatch, capsys, change, code,
                                                message):
     monkeypatch.chdir(tmp_path)
-    idx_write(str(tmp_path / "four.idx"), np.zeros((3, 4)), 2, 2)
+    write_idx(tmp_path / "four.idx", np.zeros((3, 2, 2)))
     write_ini(tmp_path / "r.ini", steps=3, out="run")
     (tmp_path / "r.ini").write_text(change((tmp_path / "r.ini").read_text()))
     assert cli.main(["train", "r.ini"]) == code
@@ -572,7 +583,7 @@ def test_improved_sampling_from_dual_checkpoint(work):
 def test_sample_manifest_records_flags(work):
     run_ok("sample", "base/model.ckpt", "--variant", "ddim", "--k", 4,
            "--eta", 0.5, "--seed", 3, "--count", 2, "--out", "mf", cwd=work)
-    m = read_manifest(str(work / "mf" / "manifest.json"))
+    m = json.loads((work / "mf" / "manifest.json").read_text(encoding="utf-8"))
     assert m["variant"] == "ddim"
     assert m["k"] == 4
     assert m["eta"] == 0.5
@@ -795,6 +806,43 @@ def test_eval_overflowing_metric_is_exit_3_without_a_report(tmp_path, flags):
     assert not (tmp_path / "m.csv").exists()
 
 
+def _eval_or_schedule(work, command):
+    return {"eval": ["eval", "--gen", str(work / "same.csv"), "--ref", str(work / "same.csv"),
+                     "--metrics", "psnr"],
+            "schedule": ["schedule", "--t", "1000"]}[command]
+
+
+@pytest.mark.parametrize("out, error", [
+    ("runfile/m.csv", "[Errno 20] Not a directory: 'runfile'"),
+    ("runfile/sub/m.csv", "[Errno 20] Not a directory: 'runfile'"),
+    ("adir", "[Errno 21] Is a directory: 'adir'"),
+], ids=["runfile/m.csv", "runfile/sub/m.csv", "adir"])
+@pytest.mark.parametrize("command", ["eval", "schedule"])
+def test_eval_and_schedule_refuse_an_unusable_output_before_any_work(
+        work, tmp_path, monkeypatch, capsys, command, out, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runfile").write_text("a file, not a directory\n")
+    (tmp_path / "adir").mkdir()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "_load_eval_matrix", no_work)
+    monkeypatch.setattr(cli, "build_schedule", no_work)
+    assert cli.main([*_eval_or_schedule(work, command), "--out", out]) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "runfile"]
+    assert not any((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize("command", ["eval", "schedule"])
+def test_eval_and_schedule_make_a_missing_output_dir(work, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*_eval_or_schedule(work, command), "--out", "new/sub/m.csv"]) == 0
+    header = csv_rows(tmp_path / "new" / "sub" / "m.csv")[0]
+    assert header[0] == {"eval": "metric", "schedule": "t"}[command]
+
+
 def test_successful_eval_leaves_stderr_empty(work):
     proc = run_cli("eval", "--gen", "same.csv", "--ref", "same.csv", "--metrics",
                    "fid,is", "--features", "features.ckpt", "--out", "quiet.csv", cwd=work)
@@ -937,7 +985,7 @@ def test_schedule_linear_first_row(tmp_path):
     proc = run_cli("schedule", "--type", "linear", "--t", 1000,
                    "--out", "lin.csv", cwd=tmp_path)
     assert proc.returncode == 0
-    rows = read_numeric_csv(str(tmp_path / "lin.csv"), skip_header=True)
+    rows = csv_body(tmp_path / "lin.csv")
     assert rows[0, 0] == 1
     assert rows[0, 1] == 1.0 - 1e-4
     assert rows[-1, 1] == 0.98
@@ -947,7 +995,7 @@ def test_schedule_cosine_clip(tmp_path):
     proc = run_cli("schedule", "--type", "cosine", "--t", 1000, "--s", 0.008,
                    "--out", "cos.csv", cwd=tmp_path)
     assert proc.returncode == 0
-    rows = read_numeric_csv(str(tmp_path / "cos.csv"), skip_header=True)
+    rows = csv_body(tmp_path / "cos.csv")
     assert np.max(1.0 - rows[:, 1]) <= 0.999 + 1e-15
 
 
@@ -955,7 +1003,7 @@ def test_schedule_abar_strictly_decreasing(tmp_path):
     for kind in ("linear", "cosine"):
         run_ok("schedule", "--type", kind, "--t", 300,
                "--out", f"{kind}.csv", cwd=tmp_path)
-        rows = read_numeric_csv(str(tmp_path / f"{kind}.csv"), skip_header=True)
+        rows = csv_body(tmp_path / f"{kind}.csv")
         assert np.all(np.diff(rows[:, 2]) < 0)
 
 
@@ -1026,6 +1074,7 @@ def test_corrupt_checkpoint_metadata_is_exit_3(work, tmp_path, corrupt, message,
      "key 'num_classes' must be a JSON integer, got 2.0"),
     ("schedule", "T", 10.9, "key 'T' must be a JSON integer, got 10.9"),
     ("schedule", "T", "10", "key 'T' must be a JSON integer, got '10'"),
+    ("arch", "d", 0, "data dimension d must be >= 1, got 0"),
 ])
 def test_unusable_checkpoint_model_or_schedule_is_exit_3(work, tmp_path, section, key,
                                                          value, message):
@@ -1074,6 +1123,30 @@ def test_feature_checkpoint_with_bad_hidden_is_exit_3(work, tmp_path):
                    "--metrics", "fid", "--features", "f.ckpt", "--out", "x.csv", cwd=tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert "'hidden' must list integers" in proc.stderr
+
+
+@pytest.mark.parametrize("d, hidden, feature_dim, num_classes, metric", [
+    (2, [4], 3, 0, "is"),
+    (2, [4], 0, 2, "fid"),
+    (2, [4, 0], 3, 2, "fid"),
+], ids=["num_classes-0", "feature_dim-0", "hidden-0"])
+def test_feature_checkpoint_with_a_size_below_1_is_exit_3(tmp_path, monkeypatch, capsys, d,
+                                                          hidden, feature_dim, num_classes,
+                                                          metric):
+    # the parameter count fits the sizes, so only the size refusal can stop it
+    widths = [d, *hidden, feature_dim, num_classes]
+    count = sum((a + 1) * b for a, b in zip(widths, widths[1:]))
+    fileio.write_container(str(tmp_path / "f.ckpt"), {
+        "d": d, "feature_dim": feature_dim, "hidden": hidden, "kind": "feature",
+        "num_classes": num_classes}, np.zeros(count))
+    write_samples_csv(str(tmp_path / "x.csv"), np.arange(8.0).reshape(4, d))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["eval", "--gen", "x.csv", "--ref", "x.csv", "--metrics", metric,
+                     "--features", "f.ckpt", "--out", "m.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "feature model sizes must be >= 1" in err
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_info_on_garbage_is_exit_3(tmp_path):
@@ -1127,6 +1200,46 @@ def test_every_error_class_is_raised():
     raised = set(re.findall(r"\braise (\w+)\(", source))
     subclasses = {c.__name__ for c in _error_classes()} - {"DiffusionLabError"}
     assert not subclasses - raised, sorted(subclasses - raised)
+
+
+# public names reached by nothing outside the tests, each for its stated reason
+UNREACHED_PUBLIC_NAMES = {
+    # the closed-form Gaussian reference that acceptance criteria 2 and 3 check
+    "gaussian_logpdf", "gaussian_kl", "gaussian_marginal", "gaussian_posterior",
+    # the only way to make a --features checkpoint until a command trains one
+    "train_feature_model", "save_feature_model",
+}
+
+
+def _names_used(node, owner, used):
+    """Add to used each (name, owner) that node's subtree names as a variable,
+    attribute or imported name; owner is the top-level definition around it."""
+    for child in ast.iter_child_nodes(node):
+        name = (child.id if isinstance(child, ast.Name) else
+                child.attr if isinstance(child, ast.Attribute) else
+                child.name if isinstance(child, ast.alias) else None)
+        if name is not None:
+            used.add((name, owner))
+        _names_used(child, owner, used)
+
+
+def test_every_public_name_is_reached():
+    # a public function or class that neither the program nor the benchmark
+    # names outside its own body is surface nothing reaches
+    package = Path(cli.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    defined, used = set(), set()
+    for path in sorted(package.rglob("*.py")) + sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            owner = (path, getattr(node, "name", None))
+            public = isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"
+            if public and path.is_relative_to(package):
+                defined.add(owner)
+            _names_used(node, owner, used)
+    unreached = {name for path, name in defined
+                 if not any(n == name and o != (path, name) for n, o in used)}
+    assert unreached == UNREACHED_PUBLIC_NAMES, sorted(unreached ^ UNREACHED_PUBLIC_NAMES)
 
 
 # ------------------------------------------------------------ malformed containers, in process

@@ -4,19 +4,12 @@ import struct
 import numpy as np
 import pytest
 
-from diffusionlab.data import (
-    Dataset,
-    DatasetCursor,
-    MixtureSampler,
-    idx_read,
-    idx_write,
-    idx_write_labels,
-    make_gaussian_mixture,
-    quantize_to_grid,
-)
+from diffusionlab.data import Dataset, DatasetCursor, MixtureSampler, idx_read, quantize_to_grid
 from diffusionlab.errors import BadMagic, DataExhausted, OutOfRange, ShapeMismatch, TruncatedFile
 from diffusionlab.forward import GRID_STEP, grid_index, grid_level, grid_value
 from diffusionlab.numerics import RngStream
+
+from conftest import write_idx
 
 _CIRCLE = [(math.cos(2 * math.pi * i / 8), math.sin(2 * math.pi * i / 8))
            for i in range(8)]
@@ -27,21 +20,20 @@ _CIRCLE = [(math.cos(2 * math.pi * i / 8), math.sin(2 * math.pi * i / 8))
 
 def test_dataset_validation():
     x = np.zeros((4, 2))
-    Dataset("ok", x)
-    Dataset("ok", x, labels=np.array([0, 1, 0, 1]), num_classes=2)
+    Dataset(x)
+    Dataset(x, labels=np.array([0, 1, 0, 1]), num_classes=2)
     with pytest.raises(OutOfRange):
-        Dataset("bad", np.array([[np.inf, 0.0]]))
+        Dataset(np.array([[np.inf, 0.0]]))
     with pytest.raises(OutOfRange):
-        Dataset("bad", np.zeros(4))
+        Dataset(np.zeros(4))
     with pytest.raises(ShapeMismatch):
-        Dataset("bad", x, labels=np.array([0, 1]), num_classes=2)
+        Dataset(x, labels=np.array([0, 1]), num_classes=2)
     with pytest.raises(OutOfRange):
-        Dataset("bad", x, labels=np.array([0, 1, 2, 3]), num_classes=2)
+        Dataset(x, labels=np.array([0, 1, 2, 3]), num_classes=2)
 
 
 def test_dataset_cursor_walks_then_exhausts():
-    ds = Dataset("seq", np.arange(10.0).reshape(5, 2),
-                 labels=np.arange(5), num_classes=5)
+    ds = Dataset(np.arange(10.0).reshape(5, 2), labels=np.arange(5), num_classes=5)
     cur = DatasetCursor(ds)
     x1, l1 = cur.take(2)
     x2, l2 = cur.take(2)
@@ -56,25 +48,25 @@ def test_dataset_cursor_walks_then_exhausts():
 
 
 def test_mixture_single_center_mean_bound():
-    ds = make_gaussian_mixture([(0.0, 0.0)], 0.5, 100_000, RngStream(1))
-    assert ds.count == 100_000 and ds.d == 2
+    x, labels = MixtureSampler([(0.0, 0.0)], 0.5, RngStream(1)).take(100_000)
+    assert x.shape == (100_000, 2)
     # standard error 0.5/sqrt(n) ~ 0.0016, so 0.01 is a generous cap
-    assert np.all(np.abs(ds.samples.mean(axis=0)) <= 0.01)
-    assert np.all(ds.labels == 0)
+    assert np.all(np.abs(x.mean(axis=0)) <= 0.01)
+    assert np.all(labels == 0)
 
 
 def test_mixture_eight_centers_label_histogram():
     n = 100_000
-    ds = make_gaussian_mixture(_CIRCLE, 0.1, n, RngStream(2))
-    counts = np.bincount(ds.labels, minlength=8)
+    _, labels = MixtureSampler(_CIRCLE, 0.1, RngStream(2)).take(n)
+    counts = np.bincount(labels, minlength=8)
     sigma = math.sqrt(n * (1 / 8) * (7 / 8))
     assert np.all(np.abs(counts - n / 8) <= 3 * sigma)
 
 
 def test_mixture_labels_point_to_their_centers():
-    ds = make_gaussian_mixture(_CIRCLE, 0.05, 5000, RngStream(3))
+    x, labels = MixtureSampler(_CIRCLE, 0.05, RngStream(3)).take(5000)
     centers = np.asarray(_CIRCLE)
-    gaps = np.linalg.norm(ds.samples - centers[ds.labels], axis=1)
+    gaps = np.linalg.norm(x - centers[labels], axis=1)
     assert np.max(gaps) <= 6 * 0.05 * math.sqrt(2)
 
 
@@ -83,25 +75,23 @@ def test_mixture_degenerate_scale_probe():
     # centers sit off the axes so no coordinate is exactly zero
     off_axis = [(math.cos(a + math.pi / 8), math.sin(a + math.pi / 8))
                 for a in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
-    ds = make_gaussian_mixture(off_axis, 1e-300, 64, RngStream(4))
+    x, labels = MixtureSampler(off_axis, 1e-300, RngStream(4)).take(64)
     centers = np.asarray(off_axis)
-    assert np.array_equal(ds.samples, centers[ds.labels])
+    assert np.array_equal(x, centers[labels])
 
 
 def test_mixture_reproducible_bitwise():
-    a = make_gaussian_mixture(_CIRCLE, 0.3, 500, RngStream(7))
-    b = make_gaussian_mixture(_CIRCLE, 0.3, 500, RngStream(7))
-    assert np.array_equal(a.samples, b.samples)
-    assert np.array_equal(a.labels, b.labels)
+    xa, la = MixtureSampler(_CIRCLE, 0.3, RngStream(7)).take(500)
+    xb, lb = MixtureSampler(_CIRCLE, 0.3, RngStream(7)).take(500)
+    assert np.array_equal(xa, xb)
+    assert np.array_equal(la, lb)
 
 
 def test_mixture_validation():
     with pytest.raises(OutOfRange, match="at least one center"):
-        make_gaussian_mixture(np.zeros((0, 2)), 0.5, 10, RngStream(0))
+        MixtureSampler(np.zeros((0, 2)), 0.5, RngStream(0))
     with pytest.raises(OutOfRange):
-        make_gaussian_mixture([(0, 0)], 0.0, 10, RngStream(0))
-    with pytest.raises(OutOfRange):
-        make_gaussian_mixture([(0, 0)], 0.5, 0, RngStream(0))
+        MixtureSampler([(0, 0)], 0.0, RngStream(0))
 
 
 def test_mixture_sampler_is_endless_and_sequential():
@@ -143,10 +133,10 @@ def test_mixture_read_ahead_matches_one_take_at_a_time(centers):
 
 def test_gaussian_mixture_draws_no_further_than_its_points():
     rng = RngStream(6)
-    ds = make_gaussian_mixture(_CIRCLE, 0.2, 5000, rng)
+    x, labels = MixtureSampler(_CIRCLE, 0.2, rng).take(5000)
     assert rng.counter == 5000 * (1 + 2 * 2)
     want_x, want_labels = _oracle_take(RngStream(6), np.asarray(_CIRCLE), 0.2, 5000)
-    assert _same_bits(ds.samples, want_x) and _same_bits(ds.labels, want_labels)
+    assert _same_bits(x, want_x) and _same_bits(labels, want_labels)
 
 
 # ---------------------------------------------------------------- grid
@@ -193,18 +183,11 @@ def test_quantize_rejects_out_of_range():
 # ---------------------------------------------------------------- IDX
 
 
-def _write_raw_images(path, count, rows, cols, payload: bytes):
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", 0x00000803, count, rows, cols))
-        f.write(payload)
-
-
 def test_idx_endpoint_mapping(tmp_path):
     p = tmp_path / "img.idx"
-    _write_raw_images(str(p), 2, 1, 3, bytes([0, 128, 255, 7, 9, 201]))
+    write_idx(p, np.reshape([0, 128, 255, 7, 9, 201], (2, 1, 3)))
     ds = idx_read(str(p))
     assert ds.count == 2 and ds.d == 3
-    assert ds.image_shape == (1, 3)
     assert ds.samples[0, 0] == -1.0
     assert ds.samples[0, 2] == 1.0
     assert ds.samples[0, 1] == pytest.approx(2 * 128 / 255 - 1, rel=1e-15)
@@ -213,8 +196,7 @@ def test_idx_endpoint_mapping(tmp_path):
 
 def test_idx_values_land_on_the_grid(tmp_path):
     p = tmp_path / "img.idx"
-    payload = bytes(range(256)) + bytes(reversed(range(256)))
-    _write_raw_images(str(p), 2, 16, 16, payload)
+    write_idx(p, np.concatenate([np.arange(256), np.arange(255, -1, -1)]).reshape(2, 16, 16))
     ds = idx_read(str(p))
     k = grid_index(ds.samples)
     assert np.array_equal(k[0], np.arange(256))
@@ -223,31 +205,31 @@ def test_idx_values_land_on_the_grid(tmp_path):
 def test_idx_round_trip_byte_exact(tmp_path):
     src = tmp_path / "src.idx"
     back = tmp_path / "back.idx"
-    payload = bytes((i * 37) % 256 for i in range(4 * 6))
-    _write_raw_images(str(src), 4, 2, 3, payload)
+    write_idx(src, ((np.arange(4 * 6) * 37) % 256).reshape(4, 2, 3))
     ds = idx_read(str(src))
-    idx_write(str(back), ds.samples, 2, 3)
+    # every value idx_read makes is a grid value whose level is its byte
+    write_idx(back, grid_level(ds.samples).reshape(4, 2, 3))
     assert src.read_bytes() == back.read_bytes()
 
 
 def test_idx_labels_round_trip(tmp_path):
     img = tmp_path / "img.idx"
     lab = tmp_path / "lab.idx"
-    _write_raw_images(str(img), 3, 1, 2, bytes([0, 1, 2, 3, 4, 5]))
-    idx_write_labels(str(lab), np.array([2, 0, 1]))
+    write_idx(img, np.arange(6).reshape(3, 1, 2))
+    write_idx(lab, [2, 0, 1])
     ds = idx_read(str(img), str(lab))
     assert np.array_equal(ds.labels, [2, 0, 1])
     assert ds.num_classes == 3
     lab2 = tmp_path / "lab2.idx"
-    idx_write_labels(str(lab2), ds.labels)
+    write_idx(lab2, ds.labels)
     assert lab.read_bytes() == lab2.read_bytes()
 
 
 def test_idx_label_count_mismatch(tmp_path):
     img = tmp_path / "img.idx"
     lab = tmp_path / "lab.idx"
-    _write_raw_images(str(img), 3, 1, 2, bytes(6))
-    idx_write_labels(str(lab), np.array([0, 1]))
+    write_idx(img, np.zeros((3, 1, 2)))
+    write_idx(lab, [0, 1])
     with pytest.raises(ShapeMismatch):
         idx_read(str(img), str(lab))
 
@@ -280,10 +262,3 @@ def test_idx_dimension_overflow(tmp_path):
     p.write_bytes(struct.pack(">IIII", 0x00000803, 1 << 20, 1 << 10, 1 << 10))
     with pytest.raises(OutOfRange):
         idx_read(str(p))
-
-
-def test_idx_write_validates_shape(tmp_path):
-    with pytest.raises(ShapeMismatch):
-        idx_write(str(tmp_path / "x.idx"), np.zeros((2, 5)), 2, 3)
-    with pytest.raises(OutOfRange):
-        idx_write_labels(str(tmp_path / "l.idx"), np.array([300]))

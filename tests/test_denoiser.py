@@ -9,10 +9,10 @@ from diffusionlab import training
 from diffusionlab.data import quantize_to_grid
 from diffusionlab.denoiser import (
     HEAD_DUAL,
-    ClassConditioning,
     DenoiserArch,
     DenoiserModel,
     _adagn_backward,
+    _adagn_consts,
     _adagn_rows,
     _embedding,
     denoise,
@@ -86,7 +86,7 @@ def test_time_embedding_injective_at_desk_scale():
 def adagn(x, y1, y2, eps=1e-5):
     """_adagn_rows of one feature vector or a batch of rows."""
     rows = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (x, y1, y2)]
-    return _adagn_rows(*rows, eps).reshape(np.shape(x))
+    return _adagn_rows(*rows, eps, _adagn_consts(rows[0].shape[1])).reshape(np.shape(x))
 
 
 def test_adagn_identity_modulation_is_group_norm():
@@ -167,7 +167,7 @@ def test_adagn_rows_match_the_matmul_form_bit_for_bit(w):
             for rows in (B, 1):  # per-row modulation, and one row for the batch
                 y1, y2 = y[:rows, :w], y[:rows, w:]
                 saved = []
-                out = _adagn_rows(x, y1, y2, 1e-5, saved)
+                out = _adagn_rows(x, y1, y2, 1e-5, _adagn_consts(w), saved)
                 with np.errstate(all="ignore"):
                     got = (out, *_adagn_backward(g, *saved[0]))
                     want = _adagn_matmul_form(x, np.broadcast_to(y1, (B, w)).copy(),
@@ -180,7 +180,7 @@ def test_adagn_rows_match_the_matmul_form_bit_for_bit(w):
 
 def test_layout_tiles_exactly():
     arch = DenoiserArch(d=3, hidden=(8, 12), d_emb=6, head=HEAD_DUAL,
-                        conditioning=ClassConditioning(4))
+                        num_classes=4)
     plan = param_layout(arch)
     layout, total = plan.offsets, plan.total
     seen = np.zeros(total, dtype=bool)
@@ -222,7 +222,7 @@ def _oracle_init(layout, seed):
 
 @pytest.mark.parametrize("arch", [
     DenoiserArch(d=3, hidden=(16, 32), d_emb=4),  # with a projection block
-    DenoiserArch(d=2, hidden=(8, 8), d_emb=6, conditioning=ClassConditioning(5)),
+    DenoiserArch(d=2, hidden=(8, 8), d_emb=6, num_classes=5),
     DenoiserArch(d=4, hidden=(12,), d_emb=4, head=HEAD_DUAL),
 ], ids=["projection", "class-conditional", "dual-head"])
 def test_init_uniform_matches_the_per_name_rule(arch):
@@ -242,7 +242,7 @@ def test_feature_model_init_matches_the_per_name_rule(hidden):
 
 def test_zero_params_give_zero_output():
     arch = DenoiserArch(d=2, hidden=(8, 8), d_emb=4, head=HEAD_DUAL,
-                        conditioning=ClassConditioning(3))
+                        num_classes=3)
     model = DenoiserModel(arch, np.zeros(param_layout(arch).total))
     eps_hat, v2 = denoise(model, np.array([0.7, -0.7]), 5, np.array([1.0, 0.0, 0.0]))
     np.testing.assert_array_equal(eps_hat, np.zeros(2))
@@ -283,7 +283,7 @@ def test_conditioning_mismatch():
         denoise(plain, np.zeros(2), 1, np.array([1.0, 0.0]))
 
     cls = DenoiserModel.initialized(
-        DenoiserArch(2, (8,), 4, conditioning=ClassConditioning(3)), 1)
+        DenoiserArch(2, (8,), 4, num_classes=3), 1)
     with pytest.raises(ConditioningMismatch):
         denoise(cls, np.zeros(2), 1)
     with pytest.raises(ConditioningMismatch):
@@ -337,7 +337,7 @@ def test_denoise_gradient_matches_finite_differences():
     rel = _fd_vs_ad(DenoiserArch(2, (6, 6), 4), None, 7)
     assert rel <= 1e-4
     rel = _fd_vs_ad(
-        DenoiserArch(2, (6, 6), 4, head=HEAD_DUAL, conditioning=ClassConditioning(3)),
+        DenoiserArch(2, (6, 6), 4, head=HEAD_DUAL, num_classes=3),
         np.array([0.0, 1.0, 0.0]), 11)
     assert rel <= 1e-4
 
@@ -368,8 +368,8 @@ def test_varied_widths_use_projection():
 
 _WS_ARCHS = {
     "plain": DenoiserArch(2, (32, 32), 8),
-    "class": DenoiserArch(2, (32, 32), 8, conditioning=ClassConditioning(8)),
-    "class-dual-proj": DenoiserArch(3, (16, 24, 24), 6, HEAD_DUAL, ClassConditioning(12)),
+    "class": DenoiserArch(2, (32, 32), 8, num_classes=8),
+    "class-dual-proj": DenoiserArch(3, (16, 24, 24), 6, HEAD_DUAL, 12),
 }
 
 
@@ -384,8 +384,8 @@ def test_denoise_with_a_workspace_gives_the_bits_of_fresh_arrays(name):
     for B in (1, 16, 1000):
         x = rng.normal(size=(B, arch.d))
         conds = [None]
-        if arch.conditioning is not None:
-            C = arch.conditioning.num_classes
+        if arch.num_classes:
+            C = arch.num_classes
             # one-hot and zero rows are exact in any summation order; a dense
             # class vector's modulation row has the bits of the batch's only
             # if numpy runs the same loop for both
@@ -409,7 +409,7 @@ def test_workspace_calls_return_arrays_of_their_own(name):
     arch = _WS_ARCHS[name]
     model = DenoiserModel.initialized(arch, 14)
     x = np.random.default_rng(15).normal(size=(64, arch.d))
-    C = arch.conditioning.num_classes
+    C = arch.num_classes
     ws = {}
     vc = denoise(model, x, 5, np.eye(C)[1], ws=ws)
     kept = [a.copy() for a in vc if a is not None]
@@ -435,8 +435,8 @@ def _bits(a):
 
 _FUSED_ARCHS = {
     "plain": DenoiserArch(2, (8, 8), 4),
-    "class": DenoiserArch(2, (8, 8), 6, conditioning=ClassConditioning(3)),
-    "class-dual-proj": DenoiserArch(3, (6, 10), 4, HEAD_DUAL, ClassConditioning(4)),
+    "class": DenoiserArch(2, (8, 8), 6, num_classes=3),
+    "class-dual-proj": DenoiserArch(3, (6, 10), 4, HEAD_DUAL, 4),
     "dual-proj": DenoiserArch(3, (8, 4, 4), 8, HEAD_DUAL),
 }
 _SCHED = cosine_schedule(50)
@@ -457,9 +457,9 @@ def _cases(arch, seed):
         x0 = quantize_to_grid(np.clip(0.5 * rng.normal(size=shape), -1.0, 1.0))
         eps = rng.normal(size=shape)
         cond = None
-        if arch.conditioning is not None:
-            onehot = np.eye(arch.conditioning.num_classes)[
-                rng.integers(0, arch.conditioning.num_classes, size=shape[:-1] or (1,))]
+        if arch.num_classes:
+            onehot = np.eye(arch.num_classes)[
+                rng.integers(0, arch.num_classes, size=shape[:-1] or (1,))]
             onehot[rng.random(onehot.shape[0]) < 0.3] = 0.0  # dropped conditioning
             cond = onehot[0] if len(shape) == 1 else onehot
         yield x0, eps, cond

@@ -13,8 +13,6 @@ from diffusionlab import fileio
 from diffusionlab.errors import BadMagic, OutOfRange, ShapeMismatch, TruncatedFile
 from diffusionlab.fileio import (
     format_cell,
-    read_csv,
-    read_manifest,
     read_numeric_csv,
     read_pgm,
     to_bytes_image,
@@ -63,9 +61,8 @@ def test_write_csv_uses_crlf(tmp_path):
 def test_csv_quoted_fields_round_trip(tmp_path):
     p = tmp_path / "q.csv"
     rows = [["a,b", 'with "quotes"', "line\nbreak"], ["plain", "x", "y"]]
-    write_csv(p, rows)
-    back = read_csv(p)
-    assert back == [["a,b", 'with "quotes"', "line\nbreak"], ["plain", "x", "y"]]
+    write_csv(p, rows, header=("name", "text", "note"))
+    assert _csv_module_rows(p) == [["name", "text", "note"], *rows]
 
 
 def test_numeric_csv_round_trip_bitwise(tmp_path):
@@ -84,15 +81,10 @@ def test_samples_csv_has_the_bytes_of_write_csv(tmp_path, shape):
     m = np.resize(np.concatenate([specials, 1e3 * RngStream(4).normals(5)]), shape)
     got, want = tmp_path / "fast.csv", tmp_path / "cells.csv"
     write_samples_csv(str(got), m)
-    write_csv(str(want), m)
+    # the first row as write_csv's header, whose cells it formats as a row's;
+    # an empty header is the one empty line of a file without samples
+    write_csv(str(want), m[1:], header=m[0] if len(m) else ())
     assert got.read_bytes() == want.read_bytes()
-
-
-def test_numeric_csv_skip_header(tmp_path):
-    p = tmp_path / "h.csv"
-    write_csv(p, [(1.0, 2.0)], header=("x", "y"))
-    back = read_numeric_csv(str(p), skip_header=True)
-    assert np.array_equal(back, [[1.0, 2.0]])
 
 
 def test_numeric_csv_empty_raises(tmp_path):
@@ -117,8 +109,9 @@ def test_numeric_csv_ragged_raises(tmp_path):
 
 
 def _oracle_read_csv(path):
-    """The character loop read_csv replaced: CRLF folded to LF, quoted cells
-    may embed commas, quotes and newlines, blank lines dropped."""
+    """The character loop the csv module replaced in the CSV reader: CRLF
+    folded to LF, quoted cells may embed commas, quotes and newlines, blank
+    lines dropped."""
     text = Path(path).read_text(encoding="utf-8").replace("\r\n", "\n")
     rows = []
     record, field = [], []
@@ -169,8 +162,8 @@ def _numeric_text(rng, rows, cols, newline, final_newline, blank_every=0, header
 
 
 def _csv_module_rows(path):
-    """The rows read_csv promises: the csv module's in strict mode, with
-    empty records dropped."""
+    """The rows whose cells read_numeric_csv parses: the csv module's in
+    strict mode, with empty records dropped."""
     with open(path, newline="", encoding="utf-8") as f:
         return [row for row in csv.reader(f, strict=True) if row]
 
@@ -184,14 +177,15 @@ def _generated(header, blank_every, final_newline, newline):
 
 _HUGE_CELL = "0." + "0" * 200_000 + "1"  # longer than csv.field_size_limit()
 
-# file bytes, skip_header, and what read_numeric_csv gives: a matrix, an error
-# class, or None for the oracle's cells as floats
+# file bytes, whether the text starts with a header line, and what
+# read_numeric_csv gives: a matrix, an error class, or None for the csv
+# module's cells as floats (a header is a non-numeric cell)
 _CSV_INPUTS = [
     *(_generated(header, blank_every, final_newline, newline)
       for header in (False, True) for blank_every in (0, 1, 3)
       for final_newline in (False, True) for newline in ("\n", "\r\n", "\r")),
     pytest.param(b"1,2\r\n \r\n3,4\r\n", False, ShapeMismatch, id="whitespace_line"),
-    pytest.param(b"\r\nx,y\r\n1,2\r\n", True, [[1.0, 2.0]], id="header_after_blank_line"),
+    pytest.param(b"\r\nx,y\r\n1,2\r\n", True, TruncatedFile, id="header_after_blank_line"),
     pytest.param("1_0,\u0661\u0662\n".encode("utf-8"), False, [[10.0, 12.0]],
                  id="float_syntax"),
     pytest.param(b'"1.5",2\r\n', False, [[1.5, 2.0]], id="quoted_number"),
@@ -208,42 +202,44 @@ def test_read_csv_matches_the_character_loop(tmp_path, raw, header, expect):
     try:
         want = _csv_module_rows(p)
     except csv.Error:
-        with pytest.raises(TruncatedFile, match="m.csv: malformed CSV"):
-            read_csv(str(p))
+        want = None
     else:
-        assert read_csv(str(p)) == want
         if b"\r" not in raw.replace(b"\r\n", b""):  # the loop does not split a lone \r
             assert _oracle_read_csv(p) == want
     if expect is None:
-        body = want[1:] if header else want
-        expect = [[float(v) for v in r] for r in body]
+        expect = TruncatedFile if header else [[float(v) for v in r] for r in want]
     if isinstance(expect, type):
         with pytest.raises(expect, match="m.csv"):
-            read_numeric_csv(str(p), skip_header=header)
+            read_numeric_csv(str(p))
     else:
         expect = np.array(expect, dtype=np.float64)
-        got = read_numeric_csv(str(p), skip_header=header)
+        got = read_numeric_csv(str(p))
         assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
 def test_read_csv_trailing_blank_lines_and_whitespace_cells(tmp_path):
     p = tmp_path / "w.csv"
     p.write_bytes(b"\r\n\n1, 2\r\n \n\n3,4\n\r\n\r\n")
-    assert read_csv(str(p)) == _oracle_read_csv(p) == [["1", " 2"], [" "], ["3", "4"]]
+    assert _csv_module_rows(p) == _oracle_read_csv(p) == [["1", " 2"], [" "], ["3", "4"]]
+    with pytest.raises(ShapeMismatch, match="ragged"):  # the blank cell is a row
+        read_numeric_csv(str(p))
+    p.write_bytes(b"\r\n\n1, 2\r\n\n\n3,4\n\r\n\r\n")
+    assert read_numeric_csv(str(p)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_read_csv_line_breaks_the_loop_did_not_split(tmp_path):
-    # the csv module ends a line at a lone \r and keeps a quoted \r\n as written
+    # the csv module ends a line at a lone \r and keeps a quoted \r\n in its cell
     p = tmp_path / "cr.csv"
-    p.write_bytes(b'1,2\r3,4\r\n"a\r\nb",c\r\n')
-    assert read_csv(str(p)) == [["1", "2"], ["3", "4"], ["a\r\nb", "c"]]
+    p.write_bytes(b'1,2\r3,4\r\n"5\r\n",6\r\n')
+    assert _csv_module_rows(p) == [["1", "2"], ["3", "4"], ["5\r\n", "6"]]
+    assert read_numeric_csv(str(p)).tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
 
 def test_read_csv_non_utf8_raises_naming_the_path(tmp_path):
     p = tmp_path / "latin.csv"
     p.write_bytes(b"1.0,2.0\r\n\xff\xfe,3\r\n")
     with pytest.raises(TruncatedFile, match="latin.csv"):
-        read_csv(str(p))
+        read_numeric_csv(str(p))
 
 
 @pytest.mark.parametrize("text", [b'1,"2\r\n3,4\r\n', b'1,"2"x\r\n'])
@@ -367,7 +363,7 @@ def test_manifest_round_trip(tmp_path):
     payload = {"seed": 7, "variant": "ddim", "eta": 0.5, "k": None}
     p = tmp_path / "m.json"
     write_manifest(str(p), payload)
-    assert read_manifest(str(p)) == payload
+    assert json.loads(p.read_text(encoding="utf-8")) == payload
 
 
 def test_manifest_bytes_deterministic_and_sorted(tmp_path):
@@ -439,8 +435,9 @@ def test_failed_text_write_keeps_the_old_file(tmp_path, monkeypatch, name, write
         return DiskFull(open(file, mode))
 
     monkeypatch.setattr(fileio, "open", failing_open, raising=False)
-    with pytest.raises(OSError):
+    with pytest.raises(OSError) as failed:
         write(path, 2.5)
+    assert failed.value.filename == str(path)  # the file asked for, not the temp file
     assert len(opened) == 1 and opened[0].startswith(str(path) + ".")
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == [name]

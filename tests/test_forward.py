@@ -187,9 +187,9 @@ def test_grid_maps_give_the_bits_of_the_expressions_they_replaced():
     assert _same_bits(grid_value(k), -1.0 + GRID_STEP * k)
     pixels = np.arange(GRID_LEVELS, dtype=np.uint8)
     assert _same_bits(grid_value(pixels), -1.0 + GRID_STEP * pixels.astype(np.float64))
-    # every level maps back to itself, so idx_write's bytes round-trip
+    # every level maps back to itself, so the bytes idx_read maps round-trip
     assert _same_bits(grid_level(grid_value(k)), k)
-    # level from value: data.quantize_to_grid and data.idx_write
+    # level from value: data.quantize_to_grid
     probes = _grid_probes()
     inside = probes[(probes >= -1.0) & (probes <= 1.0)]
     assert _same_bits(grid_level(inside), np.rint((inside + 1.0) * ((GRID_LEVELS - 1) / 2.0)))

@@ -307,6 +307,10 @@ def test_feature_model_shape_validation():
         FeatureModel(2, 3, 4, (6,), np.zeros(7))
     with pytest.raises(ShapeMismatch):
         train_feature_model(np.zeros((4, 2)), np.zeros(3), num_classes=2)
+    # d, num_classes, feature_dim, hidden: each size below 1 is refused
+    for sizes in ((0, 3, 4, (6,)), (2, 0, 4, (6,)), (2, 3, 0, (6,)), (2, 3, 4, (6, 0))):
+        with pytest.raises(ConfigError, match="feature model sizes must be >= 1"):
+            FeatureModel.initialized(*sizes, 0)
 
 
 # ---------------------------------------------------------------- PSNR

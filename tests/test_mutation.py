@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from diffusionlab import cli
-from diffusionlab.data import idx_write
 from diffusionlab.denoiser import DenoiserArch, DenoiserModel
-from diffusionlab.fileio import write_csv, write_pgm
+from diffusionlab.fileio import write_pgm, write_samples_csv
 from diffusionlab.schedule import linear_schedule
 from diffusionlab.training import save_checkpoint
+
+from conftest import write_idx
 
 CUTS = 10
 FLIPS = 25
@@ -45,13 +46,13 @@ def fixtures(tmp_path, monkeypatch):
     save_checkpoint(str(tmp_path / "model.ckpt"),
                     DenoiserModel.initialized(DenoiserArch(2, (4,), 4), 3),
                     linear_schedule(10), step=0)
-    write_csv(str(tmp_path / "p.csv"), [(0.1,), (0.2,), (0.3,), (0.4,)])
+    write_samples_csv(str(tmp_path / "p.csv"), np.array([[0.1], [0.2], [0.3], [0.4]]))
     (tmp_path / "ref").mkdir()
     (tmp_path / "gen").mkdir()
     write_pgm(str(tmp_path / "ref" / "a.pgm"),
               np.arange(16, dtype=np.uint8).reshape(4, 4) * 16)
     images = np.random.default_rng(5).integers(0, 256, size=(12, 16))
-    idx_write(str(tmp_path / "x.idx"), -1.0 + images * (2.0 / 255.0), 4, 4)
+    write_idx(tmp_path / "x.idx", images.reshape(12, 4, 4))
     config = ("[dataset]\nkind = idx\npath = {}\n"
               "[schedule]\ntype = linear\nt = 10\n"
               "[model]\nhidden = 4\nd_emb = 4\nhead = noise+variance\n"

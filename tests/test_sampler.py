@@ -10,7 +10,6 @@ from diffusionlab import sampler
 from diffusionlab.denoiser import (
     HEAD_DUAL,
     HEAD_NOISE,
-    ClassConditioning,
     DenoiserArch,
     DenoiserModel,
     denoise,
@@ -30,12 +29,12 @@ from diffusionlab.sampler import (
 from diffusionlab.schedule import StridePlan, linear_schedule, stride_steps
 
 
-def _model(head=HEAD_NOISE, hidden=(8,), d=2, d_emb=4, cond=None, seed=7):
-    return DenoiserModel.initialized(DenoiserArch(d, hidden, d_emb, head, cond), seed)
+def _model(head=HEAD_NOISE, hidden=(8,), d=2, d_emb=4, classes=0, seed=7):
+    return DenoiserModel.initialized(DenoiserArch(d, hidden, d_emb, head, classes), seed)
 
 
-def _zero_model(head=HEAD_NOISE, d=2, cond=None):
-    m = _model(head, d=d, cond=cond)
+def _zero_model(head=HEAD_NOISE, d=2):
+    m = _model(head, d=d)
     return m.with_params(np.zeros(m.param_count))
 
 
@@ -276,7 +275,7 @@ def test_ddim_invalid_plan():
 
 
 def _class_model(seed=37):
-    return _model(cond=ClassConditioning(3), seed=seed)
+    return _model(classes=3, seed=seed)
 
 
 def test_guided_validation():
@@ -286,7 +285,7 @@ def test_guided_validation():
     with pytest.raises(ConditioningMismatch):
         guided_sample(_model(), sched, 0.5, np.array([1.0, 0.0]), req)
     with pytest.raises(HeadMismatch):
-        guided_sample(_model(HEAD_DUAL, cond=ClassConditioning(3)), sched, 0.5, c, req)
+        guided_sample(_model(HEAD_DUAL, classes=3), sched, 0.5, c, req)
     for w in (-0.5, math.nan, math.inf):
         with pytest.raises(ConfigError):
             guided_sample(_class_model(), sched, w, c, req)
@@ -393,7 +392,7 @@ def _run_variant(variant, count, d, seed, T=6):
     if variant.startswith("ddim"):
         return ddim_sample(_model(d=d, seed=31), sched, plan, float(variant[4:]), req)
     c = np.array([0.0, 1.0, 0.0])
-    return guided_sample(_model(d=d, cond=ClassConditioning(3), seed=37), sched, 1.5, c, req)
+    return guided_sample(_model(d=d, classes=3, seed=37), sched, 1.5, c, req)
 
 
 _VARIANTS = ["ddpm", "improved", "ddim0", "ddim0.5", "ddim1", "guided"]
@@ -456,7 +455,7 @@ def test_samplers_raise_no_warnings(variant):
 def test_a_blown_up_model_stops_sampling_at_its_first_step(variant, where):
     sched, plan, req = linear_schedule(6), stride_steps(6, 4), SampleRequest(count=5, seed=1)
     model = _model(HEAD_DUAL if variant == "improved" else HEAD_NOISE,
-                   cond=ClassConditioning(3) if variant == "guided" else None)
+                   classes=3 if variant == "guided" else 0)
     model = model.with_params(np.full(model.param_count, 1e200))
     run = {"ddpm": lambda: ddpm_sample(model, sched, req),
            "improved": lambda: improved_sample(model, sched, plan, req),
@@ -503,7 +502,7 @@ def test_noise_block_across_the_counter_wrap():
 
 def test_sampler_memory_is_flat_in_the_number_of_steps():
     plain = _model(d=64, seed=3)
-    cls = _model(d=64, cond=ClassConditioning(4), seed=3)
+    cls = _model(d=64, classes=4, seed=3)
     runs = {
         "ddpm": lambda sched, req: ddpm_sample(plain, sched, req),
         "guided": lambda sched, req: guided_sample(cls, sched, 2.0, np.eye(4)[1], req),

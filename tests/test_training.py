@@ -13,7 +13,6 @@ from diffusionlab import BACKEND, data, fileio, training
 from diffusionlab.denoiser import (
     HEAD_DUAL,
     HEAD_NOISE,
-    ClassConditioning,
     DenoiserArch,
     DenoiserModel,
     denoise,
@@ -91,8 +90,8 @@ class GaussianSource:
         return self.center + self.sd * z, None
 
 
-def _model(head=HEAD_NOISE, hidden=(6,), d=2, d_emb=4, cond=None, seed=7):
-    return DenoiserModel.initialized(DenoiserArch(d, hidden, d_emb, head, cond), seed)
+def _model(head=HEAD_NOISE, hidden=(6,), d=2, d_emb=4, classes=0, seed=7):
+    return DenoiserModel.initialized(DenoiserArch(d, hidden, d_emb, head, classes), seed)
 
 
 # ---------------------------------------------------------------- config
@@ -421,27 +420,30 @@ def _bits(a):
 
 
 _ADJOINT_CASES = [
-    (loss, head, cond, frozen)
+    (loss, head, classes, frozen)
     for loss, head in (("simple", HEAD_NOISE), ("simple", HEAD_DUAL), ("hybrid", HEAD_DUAL))
-    for cond in (None, ClassConditioning(3))
+    for classes in (0, 3)
     for frozen in ((None, "explicit") if loss == "hybrid" else (None,))
 ]
 
 
-@pytest.mark.parametrize("loss, head, cond, frozen", _ADJOINT_CASES)
-def test_loss_adjoints_match_the_composed_tape_bit_for_bit(loss, head, cond, frozen):
+# ids as pytest named these cases when a class-conditional one held an object
+@pytest.mark.parametrize("loss, head, classes, frozen", _ADJOINT_CASES, ids=[
+    f"{loss}-{head}-{f'cond{i}' if classes else None}-{frozen}"
+    for i, (loss, head, classes, frozen) in enumerate(_ADJOINT_CASES)])
+def test_loss_adjoints_match_the_composed_tape_bit_for_bit(loss, head, classes, frozen):
     # the program's loss node against the losses composed from tape ops
     # (tests/tape_oracle.py), over the program's fused network node and
     # over the network composed from ops as well
-    model = _model(head, hidden=(8, 8), d_emb=6, cond=cond, seed=41)
-    frozen_params = None if frozen is None else _model(head, (8, 8), 2, 6, cond, 42).params
+    model = _model(head, hidden=(8, 8), d_emb=6, classes=classes, seed=41)
+    frozen_params = None if frozen is None else _model(head, (8, 8), 2, 6, classes, 42).params
     sched = cosine_schedule(40)
     rng = np.random.default_rng(43)
     for batch in (1, 16):
         x0 = _quantize(0.6 * rng.normal(size=(batch, 2)))
         x0[0, 0], x0[-1, -1] = -1.0, 1.0  # both boundary bins at t = 1
         eps = rng.normal(size=(batch, 2))
-        c = None if cond is None else np.eye(3)[rng.integers(0, 3, size=batch)]
+        c = np.eye(3)[rng.integers(0, 3, size=batch)] if classes else None
         for t in (1, 2, sched.T):
             for lam in ((0.3, 0.0) if loss == "hybrid" else (None,)):
                 def fn(p, m, network=None):
@@ -595,7 +597,7 @@ def test_train_leaves_the_callers_parameters_alone():
 
 
 def test_grad_outside_train_returns_a_fresh_array_each_call():
-    model = _model(hidden=(8, 5), cond=ClassConditioning(3), seed=4)
+    model = _model(hidden=(8, 5), classes=3, seed=4)
     x0, eps = RngStream(5).normals(8).reshape(4, 2), RngStream(6).normals(8).reshape(4, 2)
     cond = np.eye(3)[[0, 1, 2, 0]]
     grads = []
@@ -608,14 +610,14 @@ def test_grad_outside_train_returns_a_fresh_array_each_call():
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
-@pytest.mark.parametrize("head, cond, hidden", [
-    (HEAD_NOISE, None, (6,)),
-    (HEAD_DUAL, None, (8, 5)),
-    (HEAD_NOISE, ClassConditioning(3), (8, 5)),
-    (HEAD_DUAL, ClassConditioning(3), (5, 8)),
+@pytest.mark.parametrize("head, classes, hidden", [
+    (HEAD_NOISE, 0, (6,)),
+    (HEAD_DUAL, 0, (8, 5)),
+    (HEAD_NOISE, 3, (8, 5)),
+    (HEAD_DUAL, 3, (5, 8)),
 ], ids=["noise", "dual-proj", "adagn-proj", "dual-adagn-proj"])
-def test_backward_into_the_run_buffers_has_the_bits_of_a_fresh_backward(head, cond, hidden):
-    model = _model(head, hidden=hidden, d=3, cond=cond, seed=6)
+def test_backward_into_the_run_buffers_has_the_bits_of_a_fresh_backward(head, classes, hidden):
+    model = _model(head, hidden=hidden, d=3, classes=classes, seed=6)
     # train's own kind of model; its gradient buffer starts as nan, so a
     # block the backward left unwritten would show
     own = DenoiserModel(model.arch, model.params.copy(), np.full(model.param_count, np.nan))
@@ -625,7 +627,7 @@ def test_backward_into_the_run_buffers_has_the_bits_of_a_fresh_backward(head, co
         x0 = _quantize(0.5 * rng.normals(18).reshape(6, 3))
         eps = rng.normals(18).reshape(6, 3)
         keep = (rng.uniforms(6) < 0.7)[:, None]  # some rows dropped, as cfg does
-        c = None if cond is None else np.eye(3)[[0, 1, 2, 0, 1, 2]] * keep
+        c = np.eye(3)[[0, 1, 2, 0, 1, 2]] * keep if classes else None
         got = []
         for m in (own, model):
             leaf = ADTape().tensor(m.params)
@@ -686,7 +688,7 @@ def _oracle_train(model, source, cfg, sched, variant):
         eps = noise_stream.normals(cfg.J * d).reshape(cfg.J, d)
         cond = None
         if variant == "cfg":
-            onehot = np.eye(model.arch.conditioning.num_classes)[np.asarray(labels)]
+            onehot = np.eye(model.arch.num_classes)[np.asarray(labels)]
             keep = mask_stream.bernoulli(cfg.J, 1.0 - cfg.p_uncond)
             cond = np.stack([onehot[j] if keep[j] == 1 else np.zeros_like(onehot[j])
                              for j in range(cfg.J)])
@@ -709,8 +711,7 @@ def _oracle_case(variant, d):
     if variant == "improved":
         x = _quantize(0.4 * RngStream(8).normals(300 * d).reshape(300, d))
         return _model(HEAD_DUAL, hidden=(5,), d=d, seed=3), lambda: ArraySource(x)
-    cond = ClassConditioning(3) if variant == "cfg" else None
-    return (_model(hidden=(5,), d=d, cond=cond, seed=3),
+    return (_model(hidden=(5,), d=d, classes=3 if variant == "cfg" else 0, seed=3),
             lambda: data.MixtureSampler(centers, 0.2, RngStream(4)))
 
 
@@ -774,7 +775,7 @@ def test_train_improved_variant_runs_and_learns_nothing_nan():
 
 
 def test_train_cfg_variant_consumes_mask_draws():
-    model = _model(cond=ClassConditioning(3), seed=4)
+    model = _model(classes=3, seed=4)
     sched = linear_schedule(10)
     labels = np.arange(60) % 3
     x = 0.1 * RngStream(51).normals(120).reshape(60, 2)
@@ -786,7 +787,7 @@ def test_train_cfg_variant_consumes_mask_draws():
 
 
 def test_train_cfg_variant_needs_labels():
-    model = _model(cond=ClassConditioning(3), seed=4)
+    model = _model(classes=3, seed=4)
     sched = linear_schedule(10)
     with pytest.raises(ConfigError):
         train(model, GaussianSource(1),
@@ -807,7 +808,7 @@ def test_train_smoothed_loss_non_increasing():
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
-    model = _model(HEAD_DUAL, hidden=(8, 6), cond=ClassConditioning(4), seed=15)
+    model = _model(HEAD_DUAL, hidden=(8, 6), classes=4, seed=15)
     sched = cosine_schedule(25, s=0.01)
     path = tmp_path / "model.ckpt"
     save_checkpoint(str(path), model, sched, step=42, rng_counters={"t": 9, "eps": 18})
