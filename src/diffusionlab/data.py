@@ -149,6 +149,10 @@ def idx_read(path: str, labels_path: str | None = None) -> Dataset:
     raw = Path(path).read_bytes()
     dims, payload = _read_header(raw, path, _IDX_IMAGE_MAGIC)
     count, rows, cols = dims
+    if count == 0:
+        raise OutOfRange(f"{path}: holds no images")
+    if rows * cols == 0:
+        raise OutOfRange(f"{path}: image size {cols}x{rows} is not at least 1x1")
     samples = grid_value(np.frombuffer(payload, dtype=np.uint8)).reshape(count, rows * cols)
 
     labels = None

@@ -20,13 +20,18 @@ writes its block adjoints into the gradient's views. Any other backward
 returns a fresh vector. AdaGN's constant columns are made once per model,
 and its time embeddings one call per block of 16 steps, on first use.
 
-A sampler makes one workspace per call, a dict of buffers keyed by role
-and shape, and passes it to every network evaluation. The forward then
-writes each (rows, width) intermediate into the same few buffers step
-after step, with the same ufuncs in the same order, so the bits are those
-of fresh arrays; a large batch no longer frees and re-faults its
-temporaries on every step. Training passes none: its saved activations
-must stay intact until the backward.
+A forward off the tape runs the network on consecutive blocks of at most
+_ROW_BLOCK rows and writes each block's head output into one (rows,
+out_dim) result, so its intermediates never grow with the batch. A
+sampler makes one workspace per call, a dict of buffers keyed by role and
+width, and passes it to every network evaluation. The forward then writes
+each (rows, width) intermediate into the leading rows of the same few
+buffers block after block and step after step, with the same ufuncs in
+the same order, so the bits are those of fresh arrays; a large batch no
+longer frees and re-faults its temporaries on every step, and its
+workspace holds at most _ROW_BLOCK rows per buffer. Training passes none
+and runs its batch whole: its saved activations must stay intact until the
+backward.
 """
 
 from dataclasses import dataclass
@@ -39,6 +44,13 @@ from .numerics import ParamLayout, Tensor, fused
 HEAD_NOISE = "noise-only"
 HEAD_DUAL = "noise+variance"
 _EMB_BLOCK = 16  # steps per time-embedding call of a model's cache
+# Rows per network block off the tape. OpenBLAS changes its gemm kernel for
+# the narrow head once rows x inputs x outputs passes 10^6; 512 rows keep a
+# head of up to 4 outputs after a last hidden width of up to 488 on one
+# kernel, so a chain's network output does not move with the batch size
+# across that switch. Of 256, 512 and 1024, 512 gave the lowest sampling RSS
+# with no loss in rows per second.
+_ROW_BLOCK = 512
 
 
 def _embedding(t, d_emb: int) -> np.ndarray:
@@ -140,15 +152,16 @@ class DenoiserModel:
 
 
 def _buf(ws, role: str, shape: tuple) -> np.ndarray | None:
-    """ws's buffer for role at shape, made on first use; None without ws,
-    so an out= of it gives a fresh array."""
+    """The leading shape[0] rows of ws's buffer for role at width shape[1],
+    made on first use and remade only to grow; None without ws, so an out=
+    of it gives a fresh array."""
     if ws is None:
         return None
-    key = (role, shape)
+    key = (role, shape[1])
     b = ws.get(key)
-    if b is None:
+    if b is None or b.shape[0] < shape[0]:
         b = ws[key] = np.empty(shape)
-    return b
+    return b[:shape[0]]
 
 
 def _adagn_rows(x, y1, y2, eps, consts, saved=None, ws=None):
@@ -212,13 +225,14 @@ def _check_conditioning(arch: DenoiserArch, cond, batch: int):
     return cv
 
 
-def _network(model: DenoiserModel, p: dict, xb, emb, cv, saved=None, ws=None):
-    """The network's head output for row batch xb; with saved (a list),
-    also keeps the activations _network_backward reads.
+def _network(model: DenoiserModel, p: dict, xb, emb, cv, saved=None, ws=None, out=None):
+    """The network's head output for row batch xb, written into out when
+    given; with saved (a list), also keeps the activations
+    _network_backward reads.
 
     With ws (a dict, for forwards without saved), every row-batch result
-    but the returned head output is written into ws's buffers, kept by
-    role and shape; the values and their bits are those of fresh arrays.
+    but the head output is written into ws's buffers, kept by role and
+    width; the values and their bits are those of fresh arrays.
     """
     arch = model.arch
     n = xb.shape[0]
@@ -254,7 +268,7 @@ def _network(model: DenoiserModel, p: dict, xb, emb, cv, saved=None, ws=None):
                              out=s2), out=hb)
     if saved is not None:
         saved.append(h)
-    out = np.matmul(h, p["head.w"])
+    out = np.matmul(h, p["head.w"], out=out)
     return np.add(out, p["head.b"], out=out)
 
 
@@ -319,6 +333,12 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
     is model.params reads the model's block views, and its backward writes
     into model.grads when the model has them.
 
+    Off the tape, the rows run through the network in consecutive blocks
+    of at most _ROW_BLOCK = 512 rows, each block's head output written
+    into one (J, out_dim) result: the intermediates hold at most 512 rows
+    whatever J is, and every block stays on the gemm kernel a 512-row
+    batch uses (see _ROW_BLOCK). A tape Tensor runs the batch whole.
+
     ws is an optional workspace, a dict that one caller keeps across calls
     (a sampler, for all its steps): the forward then reuses its buffers
     instead of allocating its intermediates afresh. The returned arrays
@@ -350,7 +370,19 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
         return fused(params, value, lambda g: _network_backward(
             g, model, p, xb, emb, cv, saved, into_grads))
     p = model.blocks if params is None else model.plan.blocks(params)
-    eps_hat, v2 = split_head(arch, _network(model, p, xb, emb, cv, ws=ws))
+    n = xb.shape[0]
+    out = np.empty((n, arch.out_dim))
+    lo = 0
+    while lo < n:
+        # blocks start at multiples of 8 rows, so each row keeps its place in
+        # BLAS's row tiles; numpy multiplies a single row through gemv, not
+        # gemm, so a last block of one row takes the 8 rows before it
+        hi = lo + _ROW_BLOCK - (8 if n - lo == _ROW_BLOCK + 1 else 0)
+        rows, lo = slice(lo, hi), hi
+        # a broadcast class vector goes whole: _network reads its first two rows
+        cb = cv if cv is None or cv.strides[0] == 0 else cv[rows]
+        _network(model, p, xb[rows], emb, cb, ws=ws, out=out[rows])
+    eps_hat, v2 = split_head(arch, out)
     if single:
         return eps_hat.reshape(arch.d), None if v2 is None else v2.reshape(arch.d)
     return eps_hat, v2

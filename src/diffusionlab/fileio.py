@@ -16,6 +16,8 @@ import numpy as np
 from .errors import BadMagic, BadMetadata, ConfigError, OutOfRange, ShapeMismatch, TruncatedFile
 from .forward import grid_level
 
+_CSV_ROWS = 512  # sample rows per encoded chunk of write_samples_csv
+
 
 def format_cell(value) -> str:
     """One CSV cell: floats at 17 significant digits, quoting per RFC 4180."""
@@ -102,11 +104,14 @@ def read_numeric_csv(path: str) -> np.ndarray:
 def write_samples_csv(path: str, samples: np.ndarray) -> None:
     """Sample matrices are written headerless, one row per sample, in
     write_csv's bytes; a float's text never needs quoting, so each row is
-    formatted in one step."""
+    formatted in one step. Rows are formatted and encoded _CSV_ROWS at a
+    time, so the text never exists whole; a matrix without rows is one
+    empty line, as in write_csv."""
     m = np.asarray(samples, dtype=np.float64)
-    row = ",".join(["%.17g"] * m.shape[1])
-    text = "\r\n".join(row % tuple(r) for r in m.tolist()) + "\r\n"
-    _write_atomic(path, (text.encode("ascii"),))
+    line = ",".join(["%.17g"] * m.shape[1]) + "\r\n"
+    chunks = ("".join(line % tuple(r) for r in m[lo:lo + _CSV_ROWS].tolist()).encode("ascii")
+              for lo in range(0, len(m), _CSV_ROWS))
+    _write_atomic(path, chunks if len(m) else (b"\r\n",))
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
@@ -140,6 +145,8 @@ def read_pgm(path: str) -> np.ndarray:
         raise BadMagic(f"{path}: malformed header tokens {m.groups()}") from None
     if maxval != 255:
         raise BadMagic(f"{path}: only 8-bit images supported, maxval {maxval}")
+    if w < 1 or h < 1:
+        raise OutOfRange(f"{path}: image size {w}x{h} is not at least 1x1")
     data = raw[m.end():]
     if len(data) != w * h:
         raise TruncatedFile(f"{path}: {len(data)} pixel bytes, header promises {w * h}")

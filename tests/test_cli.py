@@ -379,12 +379,15 @@ def test_train_refuses_a_file_as_output_dir_before_its_first_step(tmp_path, monk
     (lambda t: t.replace("gamma = 1e-3", "gamma = 1e12"), 3, "not finite as float32"),
     (lambda t: t.replace("kind = gaussian", "kind = idx\npath = four.idx"), 3, "need 4 points"),
     (lambda t: t.replace("seed = 0", "seed = -1"), 2, "seed must lie in 0 ... 2**64 - 1"),
+    (lambda t: t.replace("kind = gaussian", "kind = idx\npath = flat.idx"), 3,
+     "flat.idx: image size 0x2 is not at least 1x1"),
 ], ids=["bogus-variant", "improved-noise-head", "non-finite-loss", "float32-overflow",
-        "data-exhausted", "negative-seed"])
+        "data-exhausted", "negative-seed", "idx-without-pixels"])
 def test_refused_train_leaves_no_run_directory(tmp_path, monkeypatch, capsys, change, code,
                                                message):
     monkeypatch.chdir(tmp_path)
     write_idx(tmp_path / "four.idx", np.zeros((3, 2, 2)))
+    write_idx(tmp_path / "flat.idx", np.zeros((4, 2, 0)))
     write_ini(tmp_path / "r.ini", steps=3, out="run")
     (tmp_path / "r.ini").write_text(change((tmp_path / "r.ini").read_text()))
     assert cli.main(["train", "r.ini"]) == code
@@ -734,6 +737,31 @@ def test_eval_pgm_directory_of_mixed_sizes_is_exit_3(work, tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "b.pgm is 4x2 pixels" in proc.stderr
+
+
+def _zero_pixel_pgm_directory(path):
+    path.mkdir()
+    for name in ("a.pgm", "b.pgm"):
+        (path / name).write_bytes(b"P5\n0 0\n255\n")
+
+
+@pytest.mark.parametrize("make, name, message", [
+    (lambda p: write_idx(p, np.zeros((0, 2, 2))), "none.idx", "none.idx: holds no images"),
+    (lambda p: write_idx(p, np.zeros((2, 2, 0))), "flat.idx",
+     "flat.idx: image size 0x2 is not at least 1x1"),
+    (_zero_pixel_pgm_directory, "flat", "a.pgm: image size 0x0 is not at least 1x1"),
+], ids=["idx-no-images", "idx-zero-pixels", "pgm-zero-pixels"])
+@pytest.mark.parametrize("metrics", [("psnr",), ("ssim", "--window", 2), ("kl",)],
+                         ids=["psnr", "ssim", "kl"])
+def test_eval_of_images_without_pixels_is_exit_3(tmp_path, make, name, message, metrics):
+    # refused when read, before any metric runs: no traceback, warning or report
+    make(tmp_path / name)
+    proc = run_cli("eval", "--gen", name, "--ref", name, "--metrics", *metrics,
+                   "--out", "m.csv", cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert message in proc.stderr
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_eval_pgm_directory_lists_every_entry_named_pgm(tmp_path, monkeypatch, capsys):

@@ -257,6 +257,19 @@ def test_idx_truncations(tmp_path):
         idx_read(str(p))
 
 
+@pytest.mark.parametrize("shape, message", [
+    ((0, 2, 2), "holds no images"),
+    ((0, 0, 0), "holds no images"),
+    ((2, 2, 0), "image size 0x2 is not at least 1x1"),
+    ((2, 0, 3), "image size 3x0 is not at least 1x1"),
+])
+def test_idx_without_pixels_is_refused(tmp_path, shape, message):
+    p = tmp_path / "empty.idx"
+    write_idx(p, np.zeros(shape))
+    with pytest.raises(OutOfRange, match=message):
+        idx_read(str(p))
+
+
 def test_idx_dimension_overflow(tmp_path):
     p = tmp_path / "huge.idx"
     p.write_bytes(struct.pack(">IIII", 0x00000803, 1 << 20, 1 << 10, 1 << 10))

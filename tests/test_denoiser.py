@@ -14,10 +14,13 @@ from diffusionlab.denoiser import (
     _adagn_backward,
     _adagn_consts,
     _adagn_rows,
+    _check_conditioning,
     _embedding,
+    _network,
     denoise,
     init_params,
     param_layout,
+    split_head,
 )
 from diffusionlab.errors import ConditioningMismatch, ConfigError, ShapeMismatch, StepOutOfRange
 from diffusionlab.metrics import FeatureModel, _feature_layout
@@ -368,6 +371,7 @@ def test_varied_widths_use_projection():
 
 _WS_ARCHS = {
     "plain": DenoiserArch(2, (32, 32), 8),
+    "dual": DenoiserArch(2, (32, 32), 8, HEAD_DUAL),
     "class": DenoiserArch(2, (32, 32), 8, num_classes=8),
     "class-dual-proj": DenoiserArch(3, (16, 24, 24), 6, HEAD_DUAL, 12),
 }
@@ -420,6 +424,31 @@ def test_workspace_calls_return_arrays_of_their_own(name):
         assert not any(np.shares_memory(a, buf) for buf in ws.values())
         assert not any(np.shares_memory(a, b) for b in outs[i + 1:])
     assert all(_bits(a) == _bits(b) for a, b in zip(kept, vc))
+
+
+@pytest.mark.parametrize("name", sorted(_WS_ARCHS))
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 4000])
+def test_blocked_denoise_has_the_bits_of_one_network_call(name, n):
+    # the rows run in blocks of at most 512 (a last single row with the 8
+    # before it); one _network call over all rows gives the same bits
+    arch = _WS_ARCHS[name]
+    model = DenoiserModel.initialized(arch, 16)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, arch.d))
+    conds = [None]
+    if arch.num_classes:  # one class vector for every row, and one per row
+        C = arch.num_classes
+        conds = [np.eye(C)[1], np.eye(C)[rng.integers(0, C, size=n)]]
+    for cond in conds:
+        cv = _check_conditioning(arch, cond, n)
+        whole = split_head(arch, _network(model, model.blocks, x, _embedding(7, arch.d_emb), cv))
+        for ws in (None, {}):
+            got = denoise(model, x, 7, cond, ws=ws)
+            for a, b in zip(got, whole):
+                assert (a is None) == (b is None)
+                assert a is None or _bits(a) == _bits(b), (n, cond is None, ws is None)
+            if ws:
+                assert max(buf.shape[0] for buf in ws.values()) <= 512
 
 
 # ------------------------------------------------------------ the fused node

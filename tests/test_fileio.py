@@ -74,7 +74,9 @@ def test_numeric_csv_round_trip_bitwise(tmp_path):
     assert np.array_equal(back, m)
 
 
-@pytest.mark.parametrize("shape", [(6, 2), (3, 1), (2, 5), (0, 2)])
+# rows are encoded 512 at a time: the counts about one and two chunks
+@pytest.mark.parametrize("shape", [(6, 2), (3, 1), (2, 5), (0, 2), (1, 2), (511, 2), (512, 2),
+                                   (513, 2), (1100, 2)])
 def test_samples_csv_has_the_bytes_of_write_csv(tmp_path, shape):
     specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1.2e17, 1e16,
                 0.1, -1.0 / 3.0, 123456789.0]
@@ -287,6 +289,16 @@ def test_pgm_rejects_bad_header_token(tmp_path):
     p = tmp_path / "tok.pgm"
     p.write_bytes(b"P5\nwide 2\n255\n" + b"\x00" * 6)
     with pytest.raises(BadMagic):
+        read_pgm(str(p))
+
+
+@pytest.mark.parametrize("size", [b"0 0", b"3 0", b"0 2", b"-2 -3"])
+def test_pgm_rejects_an_image_without_pixels(tmp_path, size):
+    # "-2 -3" promises 6 bytes, and numpy cannot reshape them to (-3, -2)
+    p = tmp_path / "z.pgm"
+    p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(6 if size == b"-2 -3" else 0))
+    w, h = size.decode().split()
+    with pytest.raises(OutOfRange, match=f"image size {w}x{h} is not at least 1x1"):
         read_pgm(str(p))
 
 

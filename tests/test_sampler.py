@@ -500,6 +500,65 @@ def test_noise_block_across_the_counter_wrap():
         assert _same_bits(out[i, 2:], child.normals(1))
 
 
+@pytest.mark.parametrize("variant, count", [("ddpm", 15626), ("improved", 7813)])
+def test_first_chains_do_not_depend_on_the_count(variant, count):
+    # at these counts one gemm over every row would pass OpenBLAS's kernel
+    # switch for the narrow head; 512-row blocks stay below it
+    head = HEAD_DUAL if variant == "improved" else HEAD_NOISE
+    model = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 8, head), 3)
+    sched = linear_schedule(5)
+
+    def run(n):
+        req = SampleRequest(count=n, seed=5)
+        if variant == "improved":
+            return improved_sample(model, sched, stride_steps(5, 5), req).samples
+        return ddpm_sample(model, sched, req).samples
+
+    assert _same_bits(run(count)[:16], run(16))
+
+
+def _wide_runs():
+    plain = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 8), 3)
+    cls = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 8, num_classes=4), 3)
+    sched = linear_schedule(5)
+    return {
+        "ddpm": lambda n: ddpm_sample(plain, sched, SampleRequest(count=n, seed=1)),
+        "guided": lambda n: guided_sample(cls, sched, 2.0, np.eye(4)[1],
+                                          SampleRequest(count=n, seed=1)),
+    }
+
+
+@pytest.mark.parametrize("name", ["ddpm", "guided"])
+def test_sampler_memory_per_chain_is_its_state_not_the_network_width(name):
+    # each chain holds O(d) state and noise (about 100 B at d = 2); the
+    # network's (rows, 32) intermediates are bounded by the 512-row blocks
+    run = _wide_runs()[name]
+    peaks = {}
+    for n in (4000, 16000):
+        run(n)
+        tracemalloc.start()
+        try:
+            run(n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[16000] - peaks[4000]) / 12000 < 256, peaks
+
+
+@pytest.mark.parametrize("name", ["ddpm", "guided"])
+def test_sampler_workspace_holds_at_most_512_rows(monkeypatch, name):
+    workspaces = []
+
+    def recording(*args, ws=None, **kwargs):
+        workspaces.append(ws)
+        return denoise(*args, ws=ws, **kwargs)
+
+    monkeypatch.setattr(sampler, "denoise", recording)
+    _wide_runs()[name](4000)
+    assert workspaces and all(ws is workspaces[0] for ws in workspaces)
+    assert max(buf.shape[0] for buf in workspaces[0].values()) <= 512
+
+
 def test_sampler_memory_is_flat_in_the_number_of_steps():
     plain = _model(d=64, seed=3)
     cls = _model(d=64, classes=4, seed=3)

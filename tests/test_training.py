@@ -734,11 +734,13 @@ def test_train_draws_blocks_of_steps_with_the_bits_of_one_step_at_a_time(variant
 
 
 def test_train_memory_is_flat_in_the_step_count():
-    # the draws of a block are bounded by BLOCK_DRAWS, not by N
+    # the draws of a block are bounded by BLOCK_DRAWS, not by N; both runs
+    # are many blocks (8 steps each here) long, so each peak is taken past
+    # the first block, with the forwards' arrays live
     model = _model(hidden=(8,), d=64, seed=3)
     sched = cosine_schedule(20)
     peaks = []
-    for N in (10, 400):
+    for N in (200, 400):
         cfg = TrainConfig(gamma=0.001, J=16, N=N, seed=2)
         src = GaussianSource(3, center=np.zeros(64))
         train(model, src, TrainConfig(gamma=0.001, J=16, N=2, seed=2), sched)  # warm caches
