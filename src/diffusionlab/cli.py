@@ -357,25 +357,32 @@ def _load_eval_matrix(path: str) -> np.ndarray:
 
 
 def cmd_eval(args) -> None:
+    # the metric names and the flags they read are checked before any input is read
+    metric_names = [m.strip() for m in args.metrics.split(",")]
+    for i, name in enumerate(metric_names):
+        if name not in ("fid", "is", "psnr", "ssim", "kl") or name in metric_names[:i]:
+            raise ConfigError(f"--metrics {args.metrics!r}: {name!r} is unknown, empty "
+                              "or repeated")
+    for metric, flag, low in (("is", "batches", 1), ("ssim", "window", 2)):
+        if metric in metric_names and getattr(args, flag) < low:
+            raise ConfigError(f"--{flag} must be >= {low}, got {getattr(args, flag)}")
+    needs_features = "fid" in metric_names or "is" in metric_names
+    if needs_features and args.features is None:
+        raise ConfigError("metrics fid/is require --features <checkpoint>")
     out = _out_file_dir(args.out)
     gen = _load_eval_matrix(args.gen)
     ref = _load_eval_matrix(args.ref)
-    metric_names = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    if not metric_names:
-        raise ConfigError("--metrics must name at least one metric")
-    fm = None
-    if any(m in ("fid", "is") for m in metric_names):
-        if args.features is None:
-            raise ConfigError("metrics fid/is require --features <checkpoint>")
+    if needs_features:  # one feature pass of each input serves both metrics
         fm = load_feature_model(args.features)
+        gx = fm.features(gen)
 
     rows = []
     for name in metric_names:
         if name == "fid":
-            value = fid(gen, ref, fm)
+            value = fid(gx, fm.features(ref))
             rows.append(("fid", value, gen.shape[0], ref.shape[0], 1, 0.0))
         elif name == "is":
-            value, std = inception_score(gen, fm, batches=args.batches)
+            value, std = inception_score(fm.class_probs(gx), batches=args.batches)
             rows.append(("is", value, gen.shape[0], 0, args.batches, std))
         elif name in ("psnr", "ssim"):
             if gen.shape != ref.shape:
@@ -393,11 +400,9 @@ def cmd_eval(args) -> None:
                             window=args.window)
             rows.append((name, float(np.mean(vals)), count, count,
                          1, float(np.std(vals, ddof=1)) if count > 1 else 0.0))
-        elif name == "kl":
+        else:
             rows.append(("kl", discrete_kl(gen.ravel(), ref.ravel()),
                          gen.size, ref.size, 1, 0.0))
-        else:
-            raise ConfigError(f"unknown metric {name!r}")
 
     for name, value, _, _, _, std in rows:
         if not (math.isfinite(value) and math.isfinite(std)):

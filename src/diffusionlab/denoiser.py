@@ -20,16 +20,15 @@ writes its block adjoints into the gradient's views. Any other backward
 returns a fresh vector. AdaGN's constant columns are made once per model,
 and its time embeddings one call per block of 16 steps, on first use.
 
-A forward off the tape runs the network on consecutive blocks of at most
-_ROW_BLOCK rows and writes each block's head output into one (rows,
-out_dim) result, so its intermediates never grow with the batch. A
+A forward off the tape runs the network on the row blocks of
+kernels.row_blocks, so its intermediates never grow with the batch. A
 sampler makes one workspace per call, a dict of buffers keyed by role and
 width, and passes it to every network evaluation. The forward then writes
 each (rows, width) intermediate into the leading rows of the same few
 buffers block after block and step after step, with the same ufuncs in
 the same order, so the bits are those of fresh arrays; a large batch no
 longer frees and re-faults its temporaries on every step, and its
-workspace holds at most _ROW_BLOCK rows per buffer. Training passes none
+workspace holds at most 512 rows per buffer. Training passes none
 and runs its batch whole: its saved activations must stay intact until the
 backward.
 """
@@ -40,17 +39,11 @@ import numpy as np
 
 from .errors import ConditioningMismatch, ConfigError, ShapeMismatch, StepOutOfRange
 from .numerics import ParamLayout, Tensor, fused
+from .numerics.kernels import row_blocks
 
 HEAD_NOISE = "noise-only"
 HEAD_DUAL = "noise+variance"
 _EMB_BLOCK = 16  # steps per time-embedding call of a model's cache
-# Rows per network block off the tape. OpenBLAS changes its gemm kernel for
-# the narrow head once rows x inputs x outputs passes 10^6; 512 rows keep a
-# head of up to 4 outputs after a last hidden width of up to 488 on one
-# kernel, so a chain's network output does not move with the batch size
-# across that switch. Of 256, 512 and 1024, 512 gave the lowest sampling RSS
-# with no loss in rows per second.
-_ROW_BLOCK = 512
 
 
 def _embedding(t, d_emb: int) -> np.ndarray:
@@ -333,11 +326,9 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
     is model.params reads the model's block views, and its backward writes
     into model.grads when the model has them.
 
-    Off the tape, the rows run through the network in consecutive blocks
-    of at most _ROW_BLOCK = 512 rows, each block's head output written
-    into one (J, out_dim) result: the intermediates hold at most 512 rows
-    whatever J is, and every block stays on the gemm kernel a 512-row
-    batch uses (see _ROW_BLOCK). A tape Tensor runs the batch whole.
+    Off the tape, the rows run through the network in the blocks of
+    kernels.row_blocks, at most 512 rows each, and a single row runs as 8
+    copies of itself. A tape Tensor runs the batch whole.
 
     ws is an optional workspace, a dict that one caller keeps across calls
     (a sampler, for all its steps): the forward then reuses its buffers
@@ -371,17 +362,11 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
             g, model, p, xb, emb, cv, saved, into_grads))
     p = model.blocks if params is None else model.plan.blocks(params)
     n = xb.shape[0]
-    out = np.empty((n, arch.out_dim))
-    lo = 0
-    while lo < n:
-        # blocks start at multiples of 8 rows, so each row keeps its place in
-        # BLAS's row tiles; numpy multiplies a single row through gemv, not
-        # gemm, so a last block of one row takes the 8 rows before it
-        hi = lo + _ROW_BLOCK - (8 if n - lo == _ROW_BLOCK + 1 else 0)
-        rows, lo = slice(lo, hi), hi
-        # a broadcast class vector goes whole: _network reads its first two rows
-        cb = cv if cv is None or cv.strides[0] == 0 else cv[rows]
-        _network(model, p, xb[rows], emb, cb, ws=ws, out=out[rows])
+    # a broadcast class vector of two or more rows goes whole: _network reads
+    # its first two rows
+    whole = cv is None or cv.strides[0] == 0 and n > 1
+    out = row_blocks(n, arch.out_dim, lambda rows, dst: _network(
+        model, p, xb[rows], emb, cv if whole else cv[rows], ws=ws, out=dst))
     eps_hat, v2 = split_head(arch, out)
     if single:
         return eps_hat.reshape(arch.d), None if v2 is None else v2.reshape(arch.d)

@@ -60,8 +60,17 @@ def _write_atomic(path, chunks) -> None:
 
 
 def _read_bytes(path) -> bytes:
-    with open(path, "rb", buffering=0) as f:
-        return f.readall()
+    """The whole file, read on its raw descriptor in 64 KiB chunks; an
+    OSError names path (a directory opens and fails at its first read)."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = list(iter(lambda: os.read(fd, 1 << 16), b""))
+        finally:
+            os.close(fd)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from None
+    return b"".join(chunks)
 
 
 def _read_text(path) -> str:

@@ -3,7 +3,8 @@ feature distance, PSNR, and patchwise SSIM.
 
 The feature extractor is a small trainable classifier: its last hidden
 layer provides the feature vectors and its softmax head the class
-probabilities. Sizes are configuration, not constants.
+probabilities; FID and the score take those, so one feature pass serves
+both. Sizes are configuration, not constants.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 from .errors import BadMetadata, ConfigError, OutOfRange, ShapeMismatch
 from .fileio import read_container, write_container
 from .numerics import ParamLayout, RngStream, spd_sqrt
+from .numerics.kernels import row_blocks
 
 # classifier probabilities are floored by smoothing so KL terms stay finite
 PROB_SMOOTHING = 1e-12
@@ -56,14 +58,17 @@ class FeatureModel:
         params = _feature_layout(d, hidden, feature_dim, num_classes).init_uniform(seed)
         return FeatureModel(d, num_classes, feature_dim, hidden, params)
 
-    def _trunk(self, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
-        """The feature rows of x; with inputs (a list), also keeps each tanh
-        layer's input rows for the backward."""
+    def _rows(self, x: np.ndarray) -> np.ndarray:
         h = np.asarray(x, dtype=np.float64)
         if h.ndim == 1:
             h = h.reshape(1, -1)
         if h.shape[1] != self.d:
             raise ShapeMismatch(f"input width {h.shape[1]}, expected {self.d}")
+        return h
+
+    def _trunk(self, h: np.ndarray, inputs: list | None = None) -> np.ndarray:
+        """The feature rows of input rows h, whole; with inputs (a list), also
+        keeps each tanh layer's input rows for the backward."""
         for name in self._tanh_layers():
             if inputs is not None:
                 inputs.append(h)
@@ -75,14 +80,20 @@ class FeatureModel:
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """(J, feature_dim) activations of the last hidden layer."""
-        return self._trunk(x)
+        h = self._rows(x)
+        return row_blocks(h.shape[0], self.feature_dim,
+                          lambda rows, out: np.copyto(out, self._trunk(h[rows])))
 
     def probs(self, x: np.ndarray) -> np.ndarray:
         """(J, num_classes) smoothed class probabilities, strictly positive."""
+        return self.class_probs(self.features(x))
+
+    def class_probs(self, f: np.ndarray) -> np.ndarray:
+        """probs of the inputs whose feature rows are f."""
         blk = self._blocks
-        p = _softmax(np.add(np.matmul(self._trunk(x), blk["cls.w"]), blk["cls.b"]))
-        p = (p + PROB_SMOOTHING) / (1.0 + self.num_classes * PROB_SMOOTHING)
-        return p
+        p = row_blocks(f.shape[0], self.num_classes, lambda rows, out: np.copyto(
+            out, _softmax(np.add(np.matmul(f[rows], blk["cls.w"]), blk["cls.b"]))))
+        return (p + PROB_SMOOTHING) / (1.0 + self.num_classes * PROB_SMOOTHING)
 
     def cross_entropy_grad(self, x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
         """Flat gradient of the batch-mean softmax cross-entropy at onehot labels.
@@ -95,7 +106,7 @@ class FeatureModel:
         flat = np.empty(self._plan.total)
         gb = self._plan.blocks(flat)
         inputs: list[np.ndarray] = []
-        h = self._trunk(x, inputs)
+        h = self._trunk(self._rows(x), inputs)
         logits = np.add(np.matmul(h, p["cls.w"]), p["cls.b"])
         g = (_softmax(logits) - onehot) / h.shape[0]
         ParamLayout.affine_adjoint(gb, "cls.w", "cls.b", h, g)
@@ -169,16 +180,16 @@ def discrete_kl(v: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(np.log(v / w) * v))
 
 
-def inception_score(samples: np.ndarray, fm, batches: int = 1) -> tuple[float, float]:
-    """Per batch exp of the mean KL from each classifier output to the batch
-    average; returns (mean, std) across batches, std 0 for one batch."""
-    samples = np.asarray(samples, dtype=np.float64)
-    count = samples.shape[0]
+def inception_score(probs: np.ndarray, batches: int = 1) -> tuple[float, float]:
+    """Per batch of classifier output rows probs (FeatureModel.probs), exp of
+    the mean KL from each row to the batch average; returns (mean, std)
+    across batches, std 0 for one batch."""
+    probs = np.asarray(probs, dtype=np.float64)
+    count = probs.shape[0]
     if batches < 1 or count < batches:
         raise ConfigError(f"cannot split {count} samples into {batches} batches")
     scores = []
-    for part in np.array_split(samples, batches):
-        p = np.asarray(fm.probs(part))
+    for p in np.array_split(probs, batches):
         avg = p.mean(axis=0)
         if np.any(p <= 0.0) or np.any(avg <= 0.0):
             raise OutOfRange("divergence needs strictly positive entries")
@@ -188,15 +199,15 @@ def inception_score(samples: np.ndarray, fm, batches: int = 1) -> tuple[float, f
     return float(np.mean(scores)), (float(np.std(scores, ddof=1)) if batches >= 2 else 0.0)
 
 
-def fid(gen: np.ndarray, ref: np.ndarray, fm) -> float:
-    """||mu_x - mu_y||^2 + tr(Sx + Sy - 2 (Sx^1/2 Sy Sx^1/2)^1/2) on features.
+def fid(gx: np.ndarray, gy: np.ndarray) -> float:
+    """||mu_x - mu_y||^2 + tr(Sx + Sy - 2 (Sx^1/2 Sy Sx^1/2)^1/2) on the
+    feature rows gx and gy (FeatureModel.features of the two sample sets).
 
     Covariances use the K-1 normalization; the root argument is symmetrized
     by the similarity trick so the matrix square root stays on symmetric
     positive input.
     """
-    gx = np.asarray(fm.features(np.asarray(gen, dtype=np.float64)))
-    gy = np.asarray(fm.features(np.asarray(ref, dtype=np.float64)))
+    gx, gy = np.asarray(gx, dtype=np.float64), np.asarray(gy, dtype=np.float64)
     if gx.shape[0] < 2 or gy.shape[0] < 2:
         raise OutOfRange("feature covariance needs at least 2 samples per set")
     mu_x, mu_y = gx.mean(axis=0), gy.mean(axis=0)

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: counter-stream words, Box-Muller normals, erf, Jacobi.
+"""Hot numeric kernels: stream words, Box-Muller normals, erf, Jacobi, row blocks.
 
 The generator is counter based: output j of a stream is a pure function
 mix(key + (counter + j) * GOLDEN) of the stream key and the absolute
@@ -27,6 +27,11 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _ONE_U = np.uint64(1)
+
+# Rows per network block off the tape. OpenBLAS changes its gemm kernel once
+# rows x inputs x outputs passes 10^6: 512 rows keep an (up to 488) x 4 layer on
+# one kernel. Of 256, 512 and 1024, 512 gave the lowest sampling RSS.
+ROW_BLOCK = 512
 
 # 2**-53, exact
 _INV53 = 1.0 / 9007199254740992.0
@@ -107,6 +112,27 @@ def normals_rows(keys: np.ndarray, counter: int, out: np.ndarray) -> None:
     np.multiply(angle, _INV53, out=angle)  # u2 in [0, 1)
     np.cos(np.multiply(_TWO_PI, angle, out=angle), out=angle)
     np.multiply(radius, angle, out=out)
+
+
+def row_blocks(n: int, width: int, fill) -> np.ndarray:
+    """The (n, width) result whose rows fill(rows, out) writes into out for
+    the input rows that rows indexes, at most ROW_BLOCK rows per call, so a
+    forward's intermediates never grow with n. Blocks start at multiples of
+    8 rows, each row's place in BLAS's row tiles. numpy multiplies one row
+    through gemv, and a product of fewer rows than a tile has other bits: a
+    last block of one row takes the 8 rows before it, and a lone row runs as
+    8 copies of itself, the first kept, with the bits it has as the first
+    row of any batch of 8 or more."""
+    out = np.empty((8 if n == 1 else n, width))
+    if n == 1:
+        fill([0] * 8, out)
+        return out[:1]
+    lo = 0
+    while lo < n:
+        hi = lo + ROW_BLOCK - (8 if n - lo == ROW_BLOCK + 1 else 0)
+        fill(slice(lo, hi), out[lo:hi])
+        lo = hi
+    return out
 
 
 def _polevl(x: np.ndarray, coefs: tuple, monic: bool = False) -> np.ndarray:

@@ -477,6 +477,17 @@ def denoise(model, xt, t, cond=None, params=None):
     return _split(arch, linear(h, p["head.w"], p["head.b"]), single)
 
 
+def denoise_off_tape(model, xt, t, cond=None, params=None):
+    """denoise of arrays as the program's forward off the tape runs it: a
+    single row runs as the first of 8 copies of itself."""
+    xv = np.asarray(xt, dtype=np.float64)
+    if xv.ndim == 2 and xv.shape[0] != 1:
+        return denoise(model, xv, t, cond, params)
+    cv = cond if cond is None or np.ndim(cond) == 1 else np.repeat(cond, 8, axis=0)
+    copies = denoise(model, np.repeat(xv.reshape(1, -1), 8, axis=0), t, cv, params)
+    return tuple(None if o is None else o[:1].reshape(xv.shape) for o in copies)
+
+
 def denoise_on_fused(model, xt, t, cond=None, params=None):
     """The program's fused network node, its head split by ops."""
     if not isinstance(params, Tensor):

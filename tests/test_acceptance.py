@@ -213,27 +213,20 @@ def test_criterion_7_guidance_weight_zero_reduction():
             "guided w=0 samples bitwise equal to conditional ancestral samples")
 
 
-class _IdentityFeatures:
-    """Feature map = identity, for checks stated in feature space."""
-
-    def features(self, x):
-        return np.asarray(x, dtype=np.float64)
-
-
 def test_criterion_8_fid_and_score_properties():
     rng = RngStream(88)
     x = rng.normals(200 * 2).reshape(200, 2)
 
     fm = FeatureModel.initialized(2, 4, 3, (8,), seed=1)
-    same = fid(x, x.copy(), fm)
+    same = fid(fm.features(x), fm.features(x.copy()))
 
     delta = np.array([0.6, -0.2])
-    shifted = fid(x, x + delta, _IdentityFeatures())
+    shifted = fid(x, x + delta)  # in feature space: identity features
     shift_err = abs(shifted - float(delta @ delta))
 
     zero = FeatureModel.initialized(2, 5, 3, (4,), seed=0)
     uniform = FeatureModel(2, 5, 3, (4,), np.zeros_like(zero.params))
-    score, _ = inception_score(x, uniform, batches=2)
+    score, _ = inception_score(uniform.probs(x), batches=2)
     is_err = abs(score - 1.0)
 
     ok = same <= 1e-6 and shift_err <= 1e-6 and is_err <= 1e-12

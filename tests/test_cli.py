@@ -877,6 +877,82 @@ def test_successful_eval_leaves_stderr_empty(work):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_eval_fid_and_is_share_one_feature_pass_with_the_bytes_of_two_evals(
+        work, tmp_path, monkeypatch):
+    passes = []
+    features = FeatureModel.features
+    monkeypatch.setattr(FeatureModel, "features",
+                        lambda self, x: passes.append(len(x)) or features(self, x))
+    write_samples_csv(str(tmp_path / "gen.csv"), RngStream(3).normals(600).reshape(300, 2))
+    common = ["eval", "--gen", str(tmp_path / "gen.csv"), "--ref", str(work / "same.csv"),
+              "--features", str(work / "features.ckpt"), "--batches", "3"]
+    lines = {}
+    for metrics in ("fid,is", "fid", "is"):
+        out = tmp_path / f"{metrics}.csv"
+        assert cli.main([*common, "--metrics", metrics, "--out", str(out)]) == 0
+        lines[metrics] = out.read_bytes().splitlines(keepends=True)
+    assert lines["fid,is"] == lines["fid"] + lines["is"][1:]
+    ref_rows = len(read_numeric_csv(str(work / "same.csv")))
+    assert passes == [300, ref_rows, 300, ref_rows, 300]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--metrics", "fid,bogus"), "'fid,bogus': 'bogus' is unknown, empty or repeated"),
+    (("--metrics", "fid,,is"), "'fid,,is': '' is unknown, empty or repeated"),
+    (("--metrics", ""), "'': '' is unknown, empty or repeated"),
+    (("--metrics", "fid,fid"), "'fid,fid': 'fid' is unknown, empty or repeated"),
+    (("--metrics", "is", "--batches", "0"), "--batches must be >= 1, got 0"),
+    (("--metrics", "kl,ssim", "--window", "1"), "--window must be >= 2, got 1"),
+    (("--metrics", "psnr,fid"), "metrics fid/is require --features"),
+], ids=["unknown", "empty", "none", "repeated", "batches", "window", "no-features"])
+def test_eval_refuses_bad_arguments_before_reading_any_input(tmp_path, monkeypatch, capsys,
+                                                             flags, message):
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "_load_eval_matrix", no_read)
+    monkeypatch.setattr(cli, "load_feature_model", no_read)
+    monkeypatch.chdir(tmp_path)
+    features = [] if "require --features" in message else ["--features", "absent.ckpt"]
+    argv = ["eval", "--gen", "absent.csv", "--ref", "absent.csv", *features, *flags,
+            "--out", "m.csv"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "absent" not in err
+    assert message in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "--gen", "g.csv", "--ref", "g.csv", "--metrics", "fid", "--features", "adir"],
+     "[Errno 21] Is a directory: 'adir'"),
+    (["eval", "--gen", "g.csv", "--ref", "g.csv", "--metrics", "is", "--features", "adir/"],
+     "[Errno 21] Is a directory: 'adir/'"),
+    (["eval", "--gen", "pg", "--ref", "pg", "--metrics", "psnr"],
+     "[Errno 21] Is a directory: 'pg/x.pgm'"),
+    (["info", "adir"], "[Errno 21] Is a directory: 'adir'"),
+    (["sample", "adir", "--out", "s"], "[Errno 21] Is a directory: 'adir'"),
+    (["info", "missing.ckpt"], "[Errno 2] No such file or directory: 'missing.ckpt'"),
+    (["sample", "missing.ckpt", "--out", "s"],
+     "[Errno 2] No such file or directory: 'missing.ckpt'"),
+    (["eval", "--gen", "g.csv", "--ref", "g.csv", "--metrics", "fid", "--features",
+      "missing.ckpt"], "[Errno 2] No such file or directory: 'missing.ckpt'"),
+    (["info", "g.csv/model.ckpt"], "[Errno 20] Not a directory: 'g.csv/model.ckpt'"),
+], ids=["features-dir", "features-dir-slash", "pgm-named-dir", "info-dir", "sample-dir",
+        "info-missing", "sample-missing", "features-missing", "info-through-a-file"])
+def test_unreadable_inputs_name_the_path_asked_for(tmp_path, monkeypatch, capsys, argv, error):
+    # files are read on raw descriptors: a directory opens and fails only at
+    # its first read, and that error names the path as given, as an open does
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "pg" / "x.pgm").mkdir(parents=True)
+    write_pgm(str(tmp_path / "pg" / "a.pgm"), np.zeros((2, 2), dtype=np.uint8))
+    write_samples_csv(str(tmp_path / "g.csv"), np.array([[0.1, 0.2], [0.3, 0.4]]))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "s").exists() and not (tmp_path / "metrics.csv").exists()
+
+
 def test_eval_feature_checkpoint_kind_is_enforced(work):
     proc = run_cli("eval", "--gen", "same.csv", "--ref", "same.csv",
                    "--metrics", "fid", "--features", "base/model.ckpt",

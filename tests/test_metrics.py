@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import tape_oracle
 
 from diffusionlab.errors import ConfigError, OutOfRange, ShapeMismatch
 from diffusionlab.metrics import (
+    PROB_SMOOTHING,
     SSIM_C1,
     SSIM_C2,
     FeatureModel,
     _feature_layout,
+    _softmax,
     discrete_kl,
     fid,
     inception_score,
@@ -93,11 +96,11 @@ def test_discrete_kl_validation():
 
 def test_inception_score_uniform_classifier_is_exactly_one():
     samples = RngStream(1).normals(40).reshape(20, 2)
-    assert inception_score(samples, IdentityFeatures(), batches=4) == (1.0, 0.0)
+    assert inception_score(IdentityFeatures().probs(samples), batches=4) == (1.0, 0.0)
 
 
 def test_inception_score_single_sample_is_one():
-    assert inception_score(np.array([[0.3, -0.2]]), SignClassifier(), batches=1) == (1.0, 0.0)
+    assert inception_score(SignClassifier().probs(np.array([[0.3, -0.2]])), batches=1) == (1.0, 0.0)
 
 
 def test_inception_score_two_sample_hand_oracle():
@@ -105,7 +108,7 @@ def test_inception_score_two_sample_hand_oracle():
     # (1-e) ln 2(1-e) + e ln 2e, and the score exponentiates their mean
     eps = 1e-6
     samples = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    value, _ = inception_score(samples, SignClassifier(eps), batches=1)
+    value, _ = inception_score(SignClassifier(eps).probs(samples), batches=1)
     kl = (1 - eps) * math.log(2 * (1 - eps)) + eps * math.log(2 * eps)
     assert value == pytest.approx(math.exp(kl), abs=1e-9)
 
@@ -114,16 +117,16 @@ def test_inception_score_at_least_one_for_any_classifier():
     fm = train_feature_model(np.array([[1.0, 0.0], [-1.0, 0.0]] * 10),
                              np.array([0, 1] * 10), num_classes=2, steps=20, seed=3)
     samples = RngStream(9).normals(60).reshape(30, 2)
-    value, _ = inception_score(samples, fm, batches=3)
+    value, _ = inception_score(fm.probs(samples), batches=3)
     assert value >= 1.0 - 1e-12
 
 
 def test_inception_score_empty_batch():
     samples = np.zeros((3, 2))
     with pytest.raises(ConfigError):
-        inception_score(samples, IdentityFeatures(), batches=4)
+        inception_score(IdentityFeatures().probs(samples), batches=4)
     with pytest.raises(ConfigError):
-        inception_score(samples, IdentityFeatures(), batches=0)
+        inception_score(IdentityFeatures().probs(samples), batches=0)
 
 
 class TableClassifier:
@@ -160,7 +163,7 @@ def test_inception_score_matches_the_per_row_loop():
         table = np.exp(logits - logits.max()).reshape(rows, classes)
         table = (table + 1e-12) / (table + 1e-12).sum(axis=1, keepdims=True)
         samples = np.arange(rows, dtype=np.float64)[:, None]
-        got = inception_score(samples, TableClassifier(table), batches=batches)
+        got = inception_score(TableClassifier(table).probs(samples), batches=batches)
         want = _oracle_inception_score(samples, TableClassifier(table), batches)
         assert got == want, (rows, classes, batches)
 
@@ -168,7 +171,7 @@ def test_inception_score_matches_the_per_row_loop():
 def test_inception_score_rejects_a_zero_probability():
     table = np.array([[0.5, 0.5], [1.0, 0.0]])
     with pytest.raises(OutOfRange):
-        inception_score(np.array([[0.0], [1.0]]), TableClassifier(table))
+        inception_score(TableClassifier(table).probs(np.array([[0.0], [1.0]])))
 
 
 # ---------------------------------------------------------------- FID
@@ -188,13 +191,13 @@ def _fid_eigen_oracle(x, y):
 
 def test_fid_identical_sets_is_zero():
     x = RngStream(2).normals(100).reshape(50, 2)
-    assert abs(fid(x, x.copy(), IdentityFeatures())) <= 1e-6
+    assert abs(fid(x, x.copy())) <= 1e-6
 
 
 def test_fid_pure_mean_shift():
     x = RngStream(3).normals(200).reshape(100, 2)
     delta = np.array([0.7, -0.4])
-    got = fid(x + delta, x, IdentityFeatures())
+    got = fid(x + delta, x)
     assert got == pytest.approx(float(delta @ delta), abs=1e-6)
 
 
@@ -202,7 +205,7 @@ def test_fid_matches_eigendecomposition_oracle():
     rng = RngStream(4)
     x = rng.normals(160).reshape(80, 2) @ np.array([[1.0, 0.3], [0.0, 0.7]])
     y = rng.normals(160).reshape(80, 2) @ np.array([[0.6, -0.2], [0.1, 1.1]]) + 0.5
-    got = fid(x, y, IdentityFeatures())
+    got = fid(x, y)
     assert got == pytest.approx(_fid_eigen_oracle(x, y), abs=1e-8)
 
 
@@ -210,9 +213,9 @@ def test_fid_symmetric_and_nonnegative():
     rng = RngStream(6)
     x = rng.normals(120).reshape(60, 2) * 1.4
     y = rng.normals(120).reshape(60, 2) + 0.3
-    assert fid(x, y, IdentityFeatures()) == pytest.approx(
-        fid(y, x, IdentityFeatures()), abs=1e-8)
-    assert fid(x, y, IdentityFeatures()) >= -1e-8
+    assert fid(x, y) == pytest.approx(
+        fid(y, x), abs=1e-8)
+    assert fid(x, y) >= -1e-8
 
 
 def test_fid_on_a_near_singular_16_feature_covariance():
@@ -229,14 +232,14 @@ def test_fid_on_a_near_singular_16_feature_covariance():
     fm = FeatureModel(2, 8, 16, (32,), params)
     gen = rng.normal(size=(1000, 2)) * 0.3 + 0.05
     ref = rng.normal(size=(1000, 2)) * 0.3
-    assert abs(fid(gen, ref, fm) - 0.0421616342232647769036616006685) <= 1e-9
+    assert abs(fid(fm.features(gen), fm.features(ref)) - 0.0421616342232647769036616006685) <= 1e-9
 
 
 def test_fid_too_few_samples():
     with pytest.raises(OutOfRange):
-        fid(np.zeros((1, 2)), np.zeros((5, 2)), IdentityFeatures())
+        fid(np.zeros((1, 2)), np.zeros((5, 2)))
     with pytest.raises(OutOfRange):
-        fid(np.zeros((5, 2)), np.zeros((1, 2)), IdentityFeatures())
+        fid(np.zeros((5, 2)), np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------- features
@@ -278,8 +281,40 @@ def test_feature_model_zero_params_is_uniform():
     fm = FeatureModel(2, 5, 4, (6,), np.zeros_like(fm.params))
     p = fm.probs(np.array([[0.4, -1.0]]))
     assert np.allclose(p, 0.2, atol=1e-12)
-    value, _ = inception_score(RngStream(1).normals(20).reshape(10, 2), fm, batches=2)
+    value, _ = inception_score(fm.probs(RngStream(1).normals(20).reshape(10, 2)), batches=2)
     assert value == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025, 4000])
+def test_blocked_features_and_probs_have_the_bits_of_one_whole_pass(n):
+    # the rows run in 512-row blocks; one _trunk pass over all rows gives
+    # the same bits, and a lone row those of row 0 of a pass over 8 copies
+    fm = FeatureModel.initialized(2, 8, 4, (32,), 5)
+    x = np.random.default_rng(n).normal(size=(n, 2))
+    rows = x if n > 1 else np.repeat(x, 8, axis=0)
+    whole = fm._trunk(rows)
+    logits = np.add(np.matmul(whole, fm._blocks["cls.w"]), fm._blocks["cls.b"])
+    p = (_softmax(logits) + PROB_SMOOTHING) / (1.0 + 8 * PROB_SMOOTHING)
+    assert fm.features(x).tobytes() == whole[:n].tobytes()
+    assert fm.probs(x).tobytes() == p[:n].tobytes()
+    assert fm.class_probs(fm.features(x)).tobytes() == p[:n].tobytes()
+
+
+def test_feature_memory_is_its_result_not_the_hidden_width():
+    # 4 features are 32 B a row; a whole pass would hold (rows, 32)
+    # intermediates, about 600 B a row
+    fm = FeatureModel.initialized(2, 8, 4, (32,), 5)
+    peaks = {}
+    for n in (4000, 16000):
+        x = np.random.default_rng(n).normal(size=(n, 2))
+        fm.features(x)
+        tracemalloc.start()
+        try:
+            fm.features(x)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[16000] - peaks[4000]) / 12000 < 64, peaks
 
 
 @pytest.mark.parametrize("hidden", [(), (6,), (8, 5)])

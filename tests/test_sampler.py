@@ -517,6 +517,30 @@ def test_first_chains_do_not_depend_on_the_count(variant, count):
     assert _same_bits(run(count)[:16], run(16))
 
 
+@pytest.mark.parametrize("variant", ["ddpm", "improved", "ddim", "guided"])
+@pytest.mark.parametrize("model_seed", [1, 3, 7, 12, 20])
+def test_one_chain_has_the_bits_of_the_first_of_sixteen(variant, model_seed):
+    # a lone row runs through the network as 8 copies of itself, a full
+    # BLAS row tile, so a one-chain run has the bits of the first chain of
+    # a larger run, not those of gemv or a partial tile
+    head = HEAD_DUAL if variant == "improved" else HEAD_NOISE
+    arch = DenoiserArch(2, (32, 32), 8, head, 4 if variant == "guided" else 0)
+    model = DenoiserModel.initialized(arch, model_seed)
+    sched = linear_schedule(8)
+
+    def run(n):
+        req = SampleRequest(count=n, seed=5)
+        if variant == "improved":
+            return improved_sample(model, sched, stride_steps(8, 4), req).samples
+        if variant == "ddim":
+            return ddim_sample(model, sched, stride_steps(8, 4), 0.5, req).samples
+        if variant == "guided":
+            return guided_sample(model, sched, 2.0, np.eye(4)[1], req).samples
+        return ddpm_sample(model, sched, req).samples
+
+    assert _same_bits(run(1), run(16)[:1])
+
+
 def _wide_runs():
     plain = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 8), 3)
     cls = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 8, num_classes=4), 3)
