@@ -7,30 +7,27 @@ Heads: plain noise prediction, or a doubled output whose second half is a
 tanh-squashed interpolation coefficient for learned variances.
 
 The network is one plain-numpy forward for sampling and training alike.
-Given a tape Tensor of parameters, it keeps its activations and becomes
-a single tape node whose backward is written by hand; the losses put one
-more node with their own hand-written adjoint on top of it. A model
-compiles its parameter layout and takes its block views once, when it is
-made; a forward of the model's own parameters, plain or as the value of a
-tape Tensor, reads those views.
+For training, _network_vjp keeps its activations and pairs it with its
+backward, written by hand. A model takes its layer views once, when it is
+made: per hidden block one tuple of its layers' weights and biases. A
+forward of another vector builds its tuples straight from the plan.
 
 During training, `train` owns the parameter and gradient buffers: its own
-model holds both, with block views of each taken once, and the backward
+model holds both, with layer views of each taken once, and the backward
 writes its block adjoints into the gradient's views. Any other backward
 returns a fresh vector. AdaGN's constant columns are made once per model,
 and its time embeddings one call per block of 16 steps, on first use.
 
-A forward off the tape runs the network on the row blocks of
-kernels.row_blocks, so its intermediates never grow with the batch. A
-sampler makes one workspace per call, a dict of buffers keyed by role and
-width, and passes it to every network evaluation. The forward then writes
-each (rows, width) intermediate into the leading rows of the same few
-buffers block after block and step after step, with the same ufuncs in
-the same order, so the bits are those of fresh arrays; a large batch no
-longer frees and re-faults its temporaries on every step, and its
-workspace holds at most 512 rows per buffer. Training passes none
-and runs its batch whole: its saved activations must stay intact until the
-backward.
+`denoise` runs the network on the row blocks of kernels.row_blocks, so
+its intermediates never grow with the batch. A sampler makes one
+workspace per call, a dict of buffers keyed by role and width, and passes
+it to every network evaluation. The forward then writes each (rows,
+width) intermediate into the leading rows of the same few buffers block
+after block and step after step, with the same ufuncs in the same order,
+so the bits are those of fresh arrays; a large batch no longer frees and
+re-faults its temporaries on every step, and its workspace holds at most
+512 rows per buffer. Training passes none and runs its batch whole: its
+saved activations must stay intact until the backward.
 """
 
 from dataclasses import dataclass
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningMismatch, ConfigError, ShapeMismatch, StepOutOfRange
-from .numerics import ParamLayout, Tensor, fused
+from .numerics import ParamLayout
 from .numerics.kernels import row_blocks
 
 HEAD_NOISE = "noise-only"
@@ -117,9 +114,24 @@ def _adagn_consts(w: int) -> tuple:
     return np.full((w, 1), 1.0 / w), np.full((1, w), 1.0 / w), np.ones((w, 1))
 
 
+def _layer_views(arch: DenoiserArch, plan: ParamLayout, flat) -> tuple:
+    """((input.w, input.b), per hidden block (proj, time.w, time.b, cls,
+    core.w1, core.b1, core.w2, core.b2), (head.w, head.b)): flat's views,
+    proj and cls (w, b) pairs, or None where arch has no such layer."""
+    v = iter(plan.blocks(flat).values())
+    first, blocks, prev = (next(v), next(v)), [], arch.hidden[0]
+    for w in arch.hidden:
+        proj = (next(v), next(v)) if prev != w else None
+        time_w, time_b = next(v), next(v)
+        cls = (next(v), next(v)) if arch.num_classes else None
+        blocks.append((proj, time_w, time_b, cls, next(v), next(v), next(v), next(v)))
+        prev = w
+    return first, tuple(blocks), (next(v), next(v))
+
+
 class DenoiserModel:
     """The network's shape and its flat parameter vector. grads, given only
-    by `train` to the model it keeps to itself, is where a tape forward of
+    by `train` to the model it keeps to itself, is where a backward of
     params writes its parameter adjoint instead of a fresh vector."""
 
     def __init__(self, arch: DenoiserArch, params: np.ndarray, grads: np.ndarray | None = None):
@@ -127,8 +139,8 @@ class DenoiserModel:
         self.params = params
         self.grads = grads
         self.plan = param_layout(arch)
-        self.blocks = self.plan.blocks(params)  # checks the length
-        self.grad_blocks = None if grads is None else self.plan.blocks(grads)
+        self.blocks = _layer_views(arch, self.plan, params)  # checks the length
+        self.grad_blocks = None if grads is None else _layer_views(arch, self.plan, grads)
         self.adagn_consts = {w: _adagn_consts(w) for w in set(arch.hidden) if arch.num_classes}
         self.embeddings = {}
 
@@ -139,6 +151,15 @@ class DenoiserModel:
     @property
     def param_count(self) -> int:
         return self.params.size
+
+    def embedding(self, t: int) -> np.ndarray:
+        """Step t's time embedding, cached 16 steps a call."""
+        if t not in self.embeddings:
+            steps = range(t - t % _EMB_BLOCK, t - t % _EMB_BLOCK + _EMB_BLOCK)
+            table = _embedding(np.array(steps), self.arch.d_emb)
+            table.flags.writeable = False
+            self.embeddings.update(zip(steps, table))
+        return self.embeddings[t]
 
     def with_params(self, params: np.ndarray) -> "DenoiserModel":
         return DenoiserModel(self.arch, params)
@@ -218,92 +239,109 @@ def _check_conditioning(arch: DenoiserArch, cond, batch: int):
     return cv
 
 
-def _network(model: DenoiserModel, p: dict, xb, emb, cv, saved=None, ws=None, out=None):
-    """The network's head output for row batch xb, written into out when
-    given; with saved (a list), also keeps the activations
-    _network_backward reads.
+def _network(model: DenoiserModel, p: tuple, xb, emb, cv, saved=None, ws=None, out=None):
+    """The network's head output for row batch xb under layer views p
+    (_layer_views), written into out when given; with saved (a list), also
+    keeps the activations _network_backward reads.
 
     With ws (a dict, for forwards without saved), every row-batch result
     but the head output is written into ws's buffers, kept by role and
     width; the values and their bits are those of fresh arrays.
     """
-    arch = model.arch
+    (w_in, b_in), blocks, (w_head, b_head) = p
     n = xb.shape[0]
     if cv is not None and cv.strides[0] == 0:
         # one class vector for every row: its modulation is one row. numpy
         # multiplies a stride-0 batch of two or more rows as a contiguous
         # copy through gemm, so two rows keep the whole batch's bits
         cv = cv[:2]
-    hb = _buf(ws, "h", (n, arch.hidden[0]))
-    h = np.add(np.matmul(xb, p["input.w"], out=hb), p["input.b"], out=hb)
-    for k, w in enumerate(arch.hidden):
-        pre = f"block{k}."
+    hb = _buf(ws, "h", (n, w_in.shape[1]))
+    h = np.add(np.matmul(xb, w_in, out=hb), b_in, out=hb)
+    for proj, time_w, time_b, cls, w1, b1, w2, b2 in blocks:
+        w = time_w.shape[1]
         hb = _buf(ws, "h", (n, w))
-        if pre + "proj.w" in p:
+        if proj is not None:
             if saved is not None:
                 saved.append(h)
-            h = np.add(np.matmul(h, p[pre + "proj.w"], out=hb), p[pre + "proj.b"], out=hb)
-        h = np.add(h, np.add(np.matmul(emb, p[pre + "time.w"]), p[pre + "time.b"]), out=hb)
-        if cv is not None:
+            h = np.add(np.matmul(h, proj[0], out=hb), proj[1], out=hb)
+        h = np.add(h, np.add(np.matmul(emb, time_w), time_b), out=hb)
+        if cls is not None:
             yb = _buf(ws, "ypair", (cv.shape[0], 2 * w))
-            ypair = np.add(np.matmul(cv, p[pre + "cls.w"], out=yb), p[pre + "cls.b"], out=yb)
+            ypair = np.add(np.matmul(cv, cls[0], out=yb), cls[1], out=yb)
             if cv.strides[0] == 0:
                 ypair = ypair[:1]
             h = _adagn_rows(h, ypair[:, :w], ypair[:, w:], 1e-5, model.adagn_consts[w],
                             saved, ws)
         s1 = _buf(ws, "s1", (n, w))
-        inner = np.tanh(np.add(np.matmul(h, p[pre + "core.w1"], out=s1), p[pre + "core.b1"],
-                               out=s1), out=s1)
+        inner = np.tanh(np.add(np.matmul(h, w1, out=s1), b1, out=s1), out=s1)
         if saved is not None:
             saved.append((h, inner))
         s2 = _buf(ws, "s2", (n, w))
-        h = np.add(h, np.add(np.matmul(inner, p[pre + "core.w2"], out=s2), p[pre + "core.b2"],
-                             out=s2), out=hb)
+        h = np.add(h, np.add(np.matmul(inner, w2, out=s2), b2, out=s2), out=hb)
     if saved is not None:
         saved.append(h)
-    out = np.matmul(h, p["head.w"], out=out)
-    return np.add(out, p["head.b"], out=out)
+    out = np.matmul(h, w_head, out=out)
+    return np.add(out, b_head, out=out)
 
 
-def _network_backward(g, model: DenoiserModel, p: dict, xb, emb, cv, saved: list,
+def _network_backward(g, model: DenoiserModel, p: tuple, xb, emb, cv, saved: list,
                       into_grads: bool = False) -> np.ndarray:
-    """Flat parameter adjoint of _network's head output adjoint g: a fresh
-    vector, or with into_grads model.grads, its block views overwritten.
+    """Flat parameter adjoint of _network's head output adjoint g, for its
+    layer views p and saved activations: a fresh vector, or with into_grads
+    model.grads, its layer views overwritten.
 
     Runs the VJPs of the composed tape (one linear, add, tanh, slice and
     AdaGN node each) in reverse tape order with the same expressions:
-    linear gives g @ w.T and, through ParamLayout.affine_adjoint, x.T @ g
-    and g.sum(axis=0) in its blocks (the 1-D time embedding's weight takes
-    an outer product); a residual adjoint is the later use's plus the
-    earlier one's. The tape added each block adjoint into zeros (`view`)
-    and padded the class slices with zeros, so a -0.0 entry read +0.0; one
-    final + 0.0 gives the same bits, as IEEE addition commutes and a
-    zero's sign can only reach a result that is itself zero.
+    linear x @ w + b gives g @ w.T, x.T @ g and g's column sums (the 1-D
+    time embedding's weight takes an outer product); a residual adjoint is
+    the later use's plus the earlier one's. The tape added each block
+    adjoint into zeros (`view`) and padded the class slices with zeros, so
+    a -0.0 entry read +0.0; one final + 0.0 gives the same bits, as IEEE
+    addition commutes and a zero's sign only reaches a zero result.
     """
     flat = model.grads if into_grads else np.empty(model.plan.total)
-    gb = model.grad_blocks if into_grads else model.plan.blocks(flat)
-    affine = ParamLayout.affine_adjoint
-
-    saved = list(saved)
-    affine(gb, "head.w", "head.b", saved.pop(), g)
-    gh = g @ p["head.w"].T
-    for k in range(len(model.arch.hidden) - 1, -1, -1):
-        pre = f"block{k}."
-        hc, inner = saved.pop()
-        affine(gb, pre + "core.w2", pre + "core.b2", inner, gh)
-        g_pre = (gh @ p[pre + "core.w2"].T) * (1.0 - inner * inner)
-        affine(gb, pre + "core.w1", pre + "core.b1", hc, g_pre)
-        gh = gh + g_pre @ p[pre + "core.w1"].T
-        if cv is not None:
-            gh, g_y1, g_y2 = _adagn_backward(gh, *saved.pop())
-            affine(gb, pre + "cls.w", pre + "cls.b", cv, np.concatenate((g_y1, g_y2), axis=1))
-        g_time = np.add.reduce(gh, axis=0, out=gb[pre + "time.b"])
-        np.multiply(emb[:, None], g_time, out=gb[pre + "time.w"])
-        if pre + "proj.w" in p:
-            affine(gb, pre + "proj.w", pre + "proj.b", saved.pop(), gh)
-            gh = gh @ p[pre + "proj.w"].T
-    affine(gb, "input.w", "input.b", xb, gh)
+    (gw_in, gb_in), grad_blocks, (gw_head, gb_head) = (
+        model.grad_blocks if into_grads else _layer_views(model.arch, model.plan, flat))
+    _, blocks, (w_head, _) = p
+    acts = reversed(saved)
+    np.matmul(next(acts).T, g, out=gw_head)
+    np.add.reduce(g, axis=0, out=gb_head)
+    gh = g @ w_head.T
+    for (proj, _, _, cls, w1, _, w2, _), (g_proj, g_time_w, g_time_b, g_cls, g_w1, g_b1, g_w2,
+                                          g_b2) in zip(reversed(blocks), reversed(grad_blocks)):
+        hc, inner = next(acts)
+        np.matmul(inner.T, gh, out=g_w2)
+        np.add.reduce(gh, axis=0, out=g_b2)
+        g_pre = (gh @ w2.T) * (1.0 - inner * inner)
+        np.matmul(hc.T, g_pre, out=g_w1)
+        np.add.reduce(g_pre, axis=0, out=g_b1)
+        gh = gh + g_pre @ w1.T
+        if cls is not None:
+            gh, g_y1, g_y2 = _adagn_backward(gh, *next(acts))
+            g_y = np.concatenate((g_y1, g_y2), axis=1)
+            np.matmul(cv.T, g_y, out=g_cls[0])
+            np.add.reduce(g_y, axis=0, out=g_cls[1])
+        np.multiply(emb[:, None], np.add.reduce(gh, axis=0, out=g_time_b), out=g_time_w)
+        if proj is not None:
+            np.matmul(next(acts).T, gh, out=g_proj[0])
+            np.add.reduce(gh, axis=0, out=g_proj[1])
+            gh = gh @ proj[0].T
+    np.matmul(xb.T, gh, out=gw_in)
+    np.add.reduce(gh, axis=0, out=gb_in)
     return np.add(flat, 0.0, out=flat)
+
+
+def _network_vjp(model: DenoiserModel, flat: np.ndarray, xb: np.ndarray, t: int, cond):
+    """(head output, backward) of one forward of row batch xb under flat:
+    backward(g) is the flat parameter adjoint of head output adjoint g, in
+    model.grads if flat is model.params and it has them, else fresh."""
+    if xb.shape[1] != model.arch.d:
+        raise ShapeMismatch(f"input shape {xb.shape} vs dimension {model.arch.d}")
+    cv, emb, saved = _check_conditioning(model.arch, cond, len(xb)), model.embedding(t), []
+    own = flat is model.params
+    p = model.blocks if own else _layer_views(model.arch, model.plan, flat)
+    return _network(model, p, xb, emb, cv, saved), lambda g: _network_backward(
+        g, model, p, xb, emb, cv, saved, own and model.grads is not None)
 
 
 def split_head(arch: DenoiserArch, out: np.ndarray):
@@ -320,20 +358,15 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
 
     xt is one point (d,) or a batch (J, d). Returns (eps_hat, v2) with v2
     None for noise-only heads. params defaults to the model's own vector.
-    Given a tape Tensor of the same layout instead, denoise returns the
-    head output rows (J, out_dim) as one fused tape node whose backward is
-    _network_backward; split_head splits its value. A Tensor whose value
-    is model.params reads the model's block views, and its backward writes
-    into model.grads when the model has them.
 
-    Off the tape, the rows run through the network in the blocks of
-    kernels.row_blocks, at most 512 rows each, and a single row runs as 8
-    copies of itself. A tape Tensor runs the batch whole.
+    The rows run through the network in the blocks of kernels.row_blocks,
+    at most 512 rows each, a block of a row count that is not a multiple
+    of 8 padded with copies of its last row.
 
     ws is an optional workspace, a dict that one caller keeps across calls
     (a sampler, for all its steps): the forward then reuses its buffers
     instead of allocating its intermediates afresh. The returned arrays
-    never share memory with it. A tape Tensor ignores ws.
+    never share memory with it.
     """
     if t < 1:
         raise StepOutOfRange(f"step must be >= 1, got {t}")
@@ -343,25 +376,10 @@ def denoise(model: DenoiserModel, xt, t: int, cond=None, params=None, ws=None):
     if xv.shape[-1] != arch.d or xv.ndim > 2:
         raise ShapeMismatch(f"input shape {xv.shape} vs dimension {arch.d}")
     xb = xv.reshape(1, -1) if single else xv
-    cv = _check_conditioning(arch, cond, xb.shape[0])
-
-    emb = model.embeddings.get(t)
-    if emb is None:
-        steps = range(t - t % _EMB_BLOCK, t - t % _EMB_BLOCK + _EMB_BLOCK)
-        table = _embedding(np.array(steps), arch.d_emb)
-        table.flags.writeable = False
-        model.embeddings.update(zip(steps, table))
-        emb = table[t % _EMB_BLOCK]
-    if isinstance(params, Tensor):
-        own = params.value is model.params
-        p = model.blocks if own else model.plan.blocks(params.value)
-        into_grads = own and model.grads is not None
-        saved = []
-        value = _network(model, p, xb, emb, cv, saved)
-        return fused(params, value, lambda g: _network_backward(
-            g, model, p, xb, emb, cv, saved, into_grads))
-    p = model.blocks if params is None else model.plan.blocks(params)
     n = xb.shape[0]
+    cv = _check_conditioning(arch, cond, n)
+    emb = model.embedding(t)
+    p = model.blocks if params is None else _layer_views(arch, model.plan, params)
     # a broadcast class vector of two or more rows goes whole: _network reads
     # its first two rows
     whole = cv is None or cv.strides[0] == 0 and n > 1

@@ -3,10 +3,10 @@
 A Tensor is a float64 numpy array registered on an ADTape. The tape holds
 leaves and `fused` nodes: a fused node is a whole function of one Tensor,
 computed off the tape, with a caller-written backward that maps the
-adjoint of its value to the adjoint of its parent. The denoiser network is
-one such node and each training loss another, so a training step's tape is
-the parameter leaf, the network and the loss. grad runs the backwards of
-the chain from its target down to the leaf.
+adjoint of its value to the adjoint of its parent. A training loss's tape
+form is one such node on the parameter leaf; training itself builds no
+tape (training.loss_and_grad). grad runs the backwards of the chain from
+its target down to the leaf.
 
 The general op set (add, mul, matmul, slice, ...) that the fused backwards
 reproduce lives in the tests, as the oracle they are checked against bit

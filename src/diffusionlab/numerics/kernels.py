@@ -118,21 +118,17 @@ def row_blocks(n: int, width: int, fill) -> np.ndarray:
     """The (n, width) result whose rows fill(rows, out) writes into out for
     the input rows that rows indexes, at most ROW_BLOCK rows per call, so a
     forward's intermediates never grow with n. Blocks start at multiples of
-    8 rows, each row's place in BLAS's row tiles. numpy multiplies one row
-    through gemv, and a product of fewer rows than a tile has other bits: a
-    last block of one row takes the 8 rows before it, and a lone row runs as
-    8 copies of itself, the first kept, with the bits it has as the first
-    row of any batch of 8 or more."""
-    out = np.empty((8 if n == 1 else n, width))
-    if n == 1:
-        fill([0] * 8, out)
-        return out[:1]
-    lo = 0
-    while lo < n:
-        hi = lo + ROW_BLOCK - (8 if n - lo == ROW_BLOCK + 1 else 0)
-        fill(slice(lo, hi), out[lo:hi])
-        lo = hi
-    return out
+    8 rows, each row's place in BLAS's row tiles. A product of a row count
+    that is not a multiple of 8 has other bits in its last rows (one row
+    goes through gemv), so such a block is padded with copies of its last
+    row to the next multiple of 8, and only its own rows are kept."""
+    out = np.empty((n + -n % 8, width))
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(n, lo + ROW_BLOCK)
+        pad = -(hi - lo) % 8
+        fill(np.minimum(np.arange(lo, hi + pad), hi - 1) if pad else slice(lo, hi),
+             out[lo:hi + pad])
+    return out[:n]
 
 
 def _polevl(x: np.ndarray, coefs: tuple, monic: bool = False) -> np.ndarray:

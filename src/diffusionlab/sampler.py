@@ -7,11 +7,11 @@ Chain i's noise comes from the key of RngStream(seed).split(i): its start
 is the d normals at counters 0 ... 2d - 1, and its k-th noisy step uses
 counters 2*d*k ... 2*d*(k+1) - 1. Each step draws its block for all chains
 at once, so a batch holds O(count * d) noise whatever the number of steps.
-A chain's network output can still differ in the last bit between row
-counts, as BLAS may sum a product's terms in another order for another
-number of rows. The network runs in the row blocks of kernels.row_blocks
-(see denoiser.denoise), so one chain, and the first 16 chains of every
-count of 16 or more measured, have the bits of a 16-chain run.
+BLAS may sum a product's terms in another order for another number of
+rows, so the network runs in the row blocks of kernels.row_blocks, each
+padded to a multiple of 8 rows (see denoiser.denoise): no chain's bits
+depend on the count in any case measured (counts 1 to 47 against a
+48-chain run, and the first 16 chains of counts up to 20 001).
 All four samplers share the convention that the final step adds no noise.
 """
 

@@ -4,6 +4,11 @@ The hybrid loss realizes learned variances: the per-coordinate variance
 interpolates log-linearly between the step variance 1 - alpha_t and the
 posterior variance beta_tilde_t, driven by the tanh head v2. Its mean path
 runs through a frozen parameter copy so no gradient flows into the mean.
+
+A training step is one loss_and_grad call: a network forward, the loss,
+then its hand-written adjoint and the network's backward, with no tape.
+The losses' tape form, one fused node over the same code, serves the
+tests and the benchmark's gradient check.
 """
 
 import math
@@ -15,6 +20,7 @@ from .denoiser import (
     HEAD_DUAL,
     DenoiserArch,
     DenoiserModel,
+    _network_vjp,
     denoise,
     split_head,
 )
@@ -30,7 +36,7 @@ from .errors import (
 from .fileio import read_container, write_container
 from .forward import (GRID_LEVELS, HALF_BIN, forward_sample, grid_index,
                       log_variance_interpolation, posterior_mean_var, reverse_mean_from_eps)
-from .numerics import ADTape, RngStream, Tensor, fused, grad
+from .numerics import RngStream, Tensor, fused, grad  # grad: wrapped by the benchmark's tracer
 from .numerics.kernels import erf
 from .numerics.rng import BLOCK_DRAWS, require_seed
 from .schedule import NoiseSchedule, build_schedule
@@ -83,27 +89,6 @@ def _batched(x) -> np.ndarray:
     return arr.reshape(1, -1) if arr.ndim == 1 else arr
 
 
-def _head(model: DenoiserModel, xt: np.ndarray, t: int, cond, params):
-    """(eps_hat, v2, node): the network's outputs at xt, and the fused tape
-    node of its head output when params is a tape Tensor (else None)."""
-    out = denoise(model, xt, t, cond, params=params)
-    if isinstance(params, Tensor):
-        return (*split_head(model.arch, out.value), out)
-    return (*out, None)
-
-
-def _head_adjoint(arch: DenoiserArch, g_eps: np.ndarray, g_pre: np.ndarray | None):
-    """The head output's adjoint from those of eps_hat and of v2's tanh input.
-
-    The composed tape padded each half's adjoint with zeros and added the
-    two; the concatenation differs from that sum at most in the sign of a
-    zero, which _network_backward's final + 0.0 settles.
-    """
-    if arch.head != HEAD_DUAL:
-        return g_eps
-    return np.concatenate((g_eps, np.zeros_like(g_eps) if g_pre is None else g_pre), axis=1)
-
-
 def _noise_term(epsb: np.ndarray, eps_hat: np.ndarray):
     """(sum ||eps - eps_hat||^2 / J, the adjoint map to eps_hat's adjoint)."""
     r = epsb - eps_hat
@@ -122,16 +107,10 @@ def simple_loss(model: DenoiserModel, x0, eps, t: int, sched: NoiseSchedule,
     """Mean over the batch of ||eps - V(sqrt(abar_t) x0 + sqrt(1-abar_t) eps, t)||^2.
 
     Single samples (1-D inputs) give the plain squared norm. Given a tape
-    Tensor of parameters, the loss is one fused node on top of the
-    network's, with a hand-written adjoint.
+    Tensor of parameters, the loss is one fused node on it, with a
+    hand-written adjoint.
     """
-    x0b, epsb = _batched(x0), _batched(eps)
-    xt = forward_sample(x0b, t, epsb, sched)
-    eps_hat, _, node = _head(model, xt, t, cond, params)
-    loss, noise_backward = _noise_term(epsb, eps_hat)
-    if node is None:
-        return float(loss)
-    return fused(node, loss, lambda g: _head_adjoint(model.arch, noise_backward(g), None))
+    return _loss(model, None, x0, eps, t, sched, None, cond, params)
 
 
 def log_variance_range(t: int, sched: NoiseSchedule) -> tuple[float, float]:
@@ -215,25 +194,44 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps,
     the same mean/variance split; x0 must sit on the data grid there.
     frozen_params None takes the live parameters as the frozen copy, so the
     mean reuses the live v1's value instead of a second forward. Given a
-    tape Tensor of parameters, the loss is one fused node on top of the
-    network's; its adjoint runs the composed tape's VJPs in reverse order.
+    tape Tensor of parameters, the loss is one fused node on it; its
+    adjoint runs the composed tape's VJPs in reverse order.
     """
+    return _loss(model, frozen_params, x0, eps, t, sched, lam, cond, params)
+
+
+def loss_and_grad(model: DenoiserModel, x0, eps, t: int, sched: NoiseSchedule, variant: str,
+                  cond=None, lam: float = HYBRID_LAMBDA) -> float:
+    """A training step's loss at model.params, its gradient written into
+    model.grads (train's own model has them), with no tape: the tape form's
+    bits of simple_loss, or for improved of hybrid_loss(frozen_params=None)."""
+    lam = lam if variant == "improved" else None
+    return _loss(model, None, x0, eps, t, sched, lam, cond, model.params, into_grads=True)
+
+
+def _loss(model: DenoiserModel, frozen_params, x0, eps, t: int, sched: NoiseSchedule,
+          lam: float | None, cond, params, into_grads: bool = False):
+    """The hybrid loss, or for lam None the simple loss: its value at an array
+    or None, one fused node on a tape Tensor, and with into_grads its value,
+    the gradient written by the loss's adjoint and _network_vjp's backward."""
     arch = model.arch
-    if arch.head != HEAD_DUAL:
+    if lam is not None and arch.head != HEAD_DUAL:
         raise HeadMismatch("hybrid loss needs a noise+variance head")
     x0b, epsb = _batched(x0), _batched(eps)
     # the decoder's grid check comes before any forward, which an off-grid
     # (say, infinite) x0 would run on
-    k = grid_index(x0b) if lam != 0.0 and t == 1 else None
+    k = grid_index(x0b) if lam and t == 1 else None
     xt = forward_sample(x0b, t, epsb, sched)
-
-    v1, v2, node = _head(model, xt, t, cond, params)
+    node = isinstance(params, Tensor)
+    if node or into_grads:
+        out, network_backward = _network_vjp(model, params.value if node else params, xt, t, cond)
+        v1, v2 = split_head(arch, out)
+    else:
+        v1, v2 = denoise(model, xt, t, cond, params=params)
     loss, noise_backward = _noise_term(epsb, v1)
-    if lam != 0.0:
-        if frozen_params is None:
-            frozen_v1 = v1
-        else:
-            frozen_v1, _ = denoise(model, xt, t, cond, params=frozen_params)
+    if lam:
+        frozen_v1 = v1 if frozen_params is None else denoise(model, xt, t, cond,
+                                                             params=frozen_params)[0]
         mean_p = reverse_mean_from_eps(xt, frozen_v1, sched.a(t), sched.abar(t))
         log_hi, log_lo = log_variance_range(t, sched)
         log_sigma2 = log_variance_interpolation(v2, log_hi, log_lo)
@@ -242,19 +240,27 @@ def hybrid_loss(model: DenoiserModel, frozen_params: np.ndarray | None, x0, eps,
         else:
             term, term_backward = _decoder_term(x0b, k, mean_p, log_sigma2)
         loss = loss + term * lam
-    if node is None:
+    if not (node or into_grads):
         return float(loss)
 
     def backward(g):
-        g_pre = None
-        if lam != 0.0:
-            g_log = term_backward(g * lam)
-            # v2 log_hi + (1 - v2) log_lo, the (1 - v2) recorded as -(v2 - 1)
-            g_v2 = (g_log * log_lo) * -1.0 + g_log * log_hi
-            g_pre = g_v2 * (1.0 - v2 * v2)
-        return _head_adjoint(arch, noise_backward(g), g_pre)
+        g_eps = noise_backward(g)
+        if arch.head == HEAD_DUAL:
+            g_pre = np.zeros_like(g_eps)
+            if lam:
+                g_log = term_backward(g * lam)
+                # v2 log_hi + (1 - v2) log_lo, the (1 - v2) recorded as -(v2 - 1)
+                g_pre = ((g_log * log_lo) * -1.0 + g_log * log_hi) * (1.0 - v2 * v2)
+            # the composed tape padded each half's adjoint with zeros and added
+            # them; the concatenation differs at most in a zero's sign, which
+            # _network_backward's final + 0.0 settles
+            g_eps = np.concatenate((g_eps, g_pre), axis=1)
+        return network_backward(g_eps)
 
-    return fused(node, loss, backward)
+    if node:
+        return fused(params, loss, backward)
+    backward(1.0)
+    return float(loss)
 
 
 def sgd_step(params: np.ndarray, grads, gamma: float) -> np.ndarray:
@@ -281,7 +287,8 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
 
     variant ddpm trains the noise head with simple_loss, improved trains a
     dual head with hybrid_loss, cfg trains a class-conditional model with
-    conditioning dropped (zeroed) with probability p_uncond per sample.
+    conditioning dropped (zeroed) with probability p_uncond per sample. A
+    step is one loss_and_grad call, then one sgd_step.
     Step s takes t-stream counter s-1, noise counters from 2Jd(s-1) and cfg
     mask counters from J(s-1), drawn a block of steps (BLOCK_DRAWS noise
     values) at a time with the bits of per-step draws; data are per step.
@@ -312,11 +319,11 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
     onehots = np.eye(model.arch.num_classes) if variant == "cfg" else None
 
     def run_steps(first: int, m: int) -> None:
-        # steps first .. first + m - 1; their draws and tapes are freed on return
+        # steps first .. first + m - 1; their draws are freed on return
         ts = t_stream.integers(m, 1, sched.T + 1).tolist()
         eps_block = noise_stream.normals(m * cfg.J * d).reshape(m, cfg.J, d)
         if variant == "cfg":
-            keep_block = mask_stream.bernoulli(m * cfg.J, 1.0 - cfg.p_uncond).reshape(m, cfg.J)
+            keep_block = mask_stream.bernoulli(m * cfg.J, 1.0 - cfg.p_uncond).reshape(m, cfg.J, 1)
         for i, t in enumerate(ts):
             x0, labels = source.take(cfg.J)
             x0 = np.asarray(x0, dtype=np.float64).reshape(cfg.J, d)
@@ -326,19 +333,13 @@ def train(model: DenoiserModel, source, cfg: TrainConfig, sched: NoiseSchedule,
                 if labels is None:
                     raise ConfigError("variant cfg needs labeled data")
                 # a dropped row trains the unconditional model: zero conditioning
-                cond = np.where(keep_block[i][:, None] == 1, onehots[np.asarray(labels)], 0.0)
+                cond = onehots[np.asarray(labels)] * keep_block[i]
 
-            leaf = ADTape().tensor(params)
-            if variant == "improved":
-                loss = hybrid_loss(work, None, x0, eps_block[i], t, sched,
-                                   lam=cfg.lam, cond=cond, params=leaf)
-            else:
-                loss = simple_loss(work, x0, eps_block[i], t, sched, cond=cond, params=leaf)
-            value = float(loss.value)
+            value = loss_and_grad(work, x0, eps_block[i], t, sched, variant, cond, cfg.lam)
             if not math.isfinite(value):
                 raise NonFiniteLoss(
                     f"training loss became non-finite at step {first + i} (t = {t})")
-            sgd_step(params, grad(loss, [leaf])[0], cfg.gamma)
+            sgd_step(params, work.grads, cfg.gamma)
             losses.append(value)
 
     chunk = max(1, BLOCK_DRAWS // (cfg.J * d))

@@ -1,8 +1,9 @@
 """The general reverse-mode op set: the oracle for the program's fused nodes.
 
-The program differentiates with hand-written backwards only (the network
-and each loss are one `fused` tape node). This module keeps the op set they
-were composed from before that: elementwise and matrix ops, `view` (one
+The program differentiates with hand-written backwards only (a loss's
+tape form is one `fused` node over its own adjoint and the network's
+backward). This module keeps the op set they were composed from before
+that: elementwise and matrix ops, `view` (one
 block of a flat leaf) and `linear` (x @ w + b as one node), each with its
 closed-form VJP, and a `grad` that replays any tape of them, `fused` nodes
 included. On top of it sit the network, the two training losses and the
@@ -11,8 +12,9 @@ exact discretized decoder likelihood that the hybrid loss's clamped t = 1
 term approximates.
 
 The ops record nodes on the program's ADTape with its Tensor handles, so a
-composed loss can sit on the program's fused network node. Given float64
-numpy operands they compute plain numpy results.
+composed loss can sit on a fused node of the program's network
+(`denoise_on_fused`). Given float64 numpy operands they compute plain
+numpy results.
 
 Scope is deliberately small: arrays of rank <= 2, broadcasting only between
 rank-2 and rank-1 (bias rows) or scalars. Fractional powers assume positive
@@ -28,11 +30,11 @@ import numpy as np
 from scipy.special import erf as _scipy_erf, log_ndtr, ndtr
 
 from diffusionlab import training
-from diffusionlab.denoiser import HEAD_DUAL, _check_conditioning, _embedding
+from diffusionlab.denoiser import HEAD_DUAL, _check_conditioning, _embedding, _network_vjp
 from diffusionlab.errors import NonScalarOutput, ShapeMismatch, SingularCovariance
 from diffusionlab.forward import GRID_LEVELS, HALF_BIN, forward_sample, grid_index, \
     posterior_mean_var, reverse_mean_from_eps
-from diffusionlab.numerics import ADTape, Tensor
+from diffusionlab.numerics import ADTape, Tensor, fused
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 _ND = np.ndarray
@@ -478,23 +480,28 @@ def denoise(model, xt, t, cond=None, params=None):
 
 
 def denoise_off_tape(model, xt, t, cond=None, params=None):
-    """denoise of arrays as the program's forward off the tape runs it: a
-    single row runs as the first of 8 copies of itself."""
+    """denoise of arrays as the program's forward off the tape runs up to
+    512 rows: padded to a multiple of 8 rows with copies of the last row,
+    whose own rows are kept."""
     xv = np.asarray(xt, dtype=np.float64)
-    if xv.ndim == 2 and xv.shape[0] != 1:
+    xb = xv.reshape(1, -1) if xv.ndim == 1 else xv
+    n = xb.shape[0]
+    if n % 8 == 0:
         return denoise(model, xv, t, cond, params)
-    cv = cond if cond is None or np.ndim(cond) == 1 else np.repeat(cond, 8, axis=0)
-    copies = denoise(model, np.repeat(xv.reshape(1, -1), 8, axis=0), t, cv, params)
-    return tuple(None if o is None else o[:1].reshape(xv.shape) for o in copies)
+    rows = np.minimum(np.arange(n + -n % 8), n - 1)
+    cv = cond if cond is None or np.ndim(cond) == 1 else np.asarray(cond)[rows]
+    padded = denoise(model, xb[rows], t, cv, params)
+    return tuple(None if o is None else o[:n].reshape(xv.shape) for o in padded)
 
 
 def denoise_on_fused(model, xt, t, cond=None, params=None):
-    """The program's fused network node, its head split by ops."""
+    """The program's network forward and backward (denoiser._network_vjp)
+    as one fused node on a tape Tensor of parameters, its head split by ops."""
     if not isinstance(params, Tensor):
         return training.denoise(model, xt, t, cond, params=params)
     xv = np.asarray(xt, dtype=np.float64)
-    out = training.denoise(model, xv, t, cond, params=params)
-    return _split(model.arch, out, xv.ndim == 1)
+    out, backward = _network_vjp(model, params.value, xv.reshape(-1, xv.shape[-1]), t, cond)
+    return _split(model.arch, fused(params, out, backward), xv.ndim == 1)
 
 
 # ------------------------------------------------------------ the losses

@@ -429,9 +429,9 @@ def test_workspace_calls_return_arrays_of_their_own(name):
 @pytest.mark.parametrize("name", sorted(_WS_ARCHS))
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 4000])
 def test_blocked_denoise_has_the_bits_of_one_network_call(name, n):
-    # the rows run in blocks of at most 512 (a last single row with the 8
-    # before it); one _network call over all rows gives the same bits, and
-    # a lone row has the bits of row 0 of a call on 8 copies of it
+    # the rows run in blocks of at most 512, a block of a count that is not
+    # a multiple of 8 padded with copies of its last row; one _network call
+    # over all rows, padded so, gives the same bits
     arch = _WS_ARCHS[name]
     model = DenoiserModel.initialized(arch, 16)
     rng = np.random.default_rng(n)
@@ -440,10 +440,10 @@ def test_blocked_denoise_has_the_bits_of_one_network_call(name, n):
     if arch.num_classes:  # one class vector for every row, and one per row
         C = arch.num_classes
         conds = [np.eye(C)[1], np.eye(C)[rng.integers(0, C, size=n)]]
+    padded = np.minimum(np.arange(n + -n % 8), n - 1)
     for cond in conds:
-        rows = x if n > 1 else np.repeat(x, 8, axis=0)
-        cv = _check_conditioning(arch, cond if n > 1 or np.ndim(cond) < 2 else
-                                 np.repeat(cond, 8, axis=0), len(rows))
+        rows = x[padded]
+        cv = _check_conditioning(arch, cond if np.ndim(cond) < 2 else cond[padded], len(rows))
         whole = split_head(arch, _network(model, model.blocks, rows,
                                           _embedding(7, arch.d_emb), cv)[:n])
         for ws in (None, {}):
@@ -519,7 +519,7 @@ def test_fused_network_matches_the_composed_tape_bit_for_bit(name, loss, zero_pa
                        for m in (training, ops)]
             value, g, nodes = _loss_and_grad(fns[0], model.params)
             want_value, want_g, oracle_nodes = ops.loss_and_grad(fns[1], model.params)
-            assert nodes == 3 < oracle_nodes
+            assert nodes == 2 < oracle_nodes
             assert _bits(value) == _bits(want_value), (x0.shape, t)
             assert _bits(g) == _bits(want_g), (x0.shape, t)
 
@@ -534,8 +534,9 @@ def test_fused_network_outputs_match_the_composed_tape(name):
             got = ops.denoise_on_fused(model, x0, t, cond, params=tape.tensor(model.params))
             plain = denoise(model, x0, t, cond)
             want = ops.denoise(model, x0, t, cond, params=ADTape().tensor(model.params))
-            # off the tape a single row runs as 8 copies of itself, so only
-            # batches of two or more rows give the tape's bits
+            # off the tape the rows are padded to a multiple of 8 with copies
+            # of the last row, so only batches of a multiple of 8 rows give
+            # the tape's bits
             want_plain = ops.denoise_off_tape(model, x0, t, cond)
             for a, b, c, e in zip(got, plain, want, want_plain):
                 if c is None:
@@ -544,4 +545,4 @@ def test_fused_network_outputs_match_the_composed_tape(name):
                 assert a.shape == b.shape == c.shape
                 assert _bits(a.value) == _bits(c.value)
                 assert _bits(b) == _bits(e)
-                assert x0.ndim == 1 or len(x0) == 1 or _bits(b) == _bits(c.value)
+                assert x0.ndim == 1 or len(x0) % 8 or _bits(b) == _bits(c.value)

@@ -541,6 +541,28 @@ def test_one_chain_has_the_bits_of_the_first_of_sixteen(variant, model_seed):
     assert _same_bits(run(1), run(16)[:1])
 
 
+@pytest.mark.parametrize("variant", ["ddpm", "guided"])
+@pytest.mark.parametrize("d", [2, 64])
+def test_no_chain_depends_on_the_count(variant, d):
+    # a block of a row count that is not a multiple of 8 runs padded with
+    # copies of its last row, so every count's chains have the bits of the
+    # first chains of a 48-chain run
+    arch = DenoiserArch(d, (32, 32), 8, HEAD_NOISE, 4 if variant == "guided" else 0)
+    sched = linear_schedule(8)
+    for model_seed in (1, 3, 12, 40):
+        model = DenoiserModel.initialized(arch, model_seed)
+
+        def run(n):
+            req = SampleRequest(count=n, seed=5)
+            if variant == "guided":
+                return guided_sample(model, sched, 2.0, np.eye(4)[1], req).samples
+            return ddpm_sample(model, sched, req).samples
+
+        full = run(48)
+        for n in range(1, 48):
+            assert _same_bits(run(n), full[:n]), (model_seed, n)
+
+
 def _wide_runs():
     plain = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 8), 3)
     cls = DenoiserModel.initialized(DenoiserArch(2, (32, 32), 8, num_classes=4), 3)

@@ -35,7 +35,7 @@ from diffusionlab.forward import (
     posterior_coefficients,
     reverse_mean_from_eps,
 )
-from diffusionlab.numerics import ADTape, RngStream, grad
+from diffusionlab.numerics import ADTape, RngStream, autodiff, grad
 from diffusionlab.numerics.rng import BLOCK_DRAWS
 from diffusionlab.schedule import cosine_schedule, linear_schedule
 from diffusionlab.training import (
@@ -43,6 +43,7 @@ from diffusionlab.training import (
     TrainConfig,
     hybrid_loss,
     load_checkpoint,
+    loss_and_grad,
     log_variance_range,
     model_from_checkpoint,
     save_checkpoint,
@@ -457,7 +458,7 @@ def test_loss_adjoints_match_the_composed_tape_bit_for_bit(loss, head, classes, 
                 leaf = tape.tensor(model.params)
                 got = fn(leaf, training)
                 g = grad(got, [leaf])[0]
-                assert len(tape) == 3
+                assert len(tape) == 2
                 # off the tape a single row runs as 8 copies (denoiser.denoise)
                 assert _bits(fn(model.params, training)) == _bits(
                     got.value if batch > 1 else
@@ -659,13 +660,14 @@ def test_train_steps_give_the_benchmark_tracer_its_counts(monkeypatch):
         assert f.tape is tape and leaves[0].value.nbytes == 8 * model.param_count
         assert sum(1 for op, par in zip(f.tape.ops, f.tape.parents)
                    if op == "slice" and par[0] == leaves[0].index) == 0
-        assert len(f.tape) == 3
+        assert len(f.tape) == 2
     # and its run records name the numeric implementation
     assert BACKEND == "numpy"
     # the tracer counts steps by sgd_step calls and divides its per-step
-    # figures by that count: each step makes one call of every wrapped name
+    # figures by that count: each step makes one sgd_step call, after one
+    # loss_and_grad call, and calls no other wrapped name
     calls = {}
-    for name in ("denoise", "simple_loss", "hybrid_loss", "grad", "sgd_step"):
+    for name in ("denoise", "simple_loss", "hybrid_loss", "grad", "sgd_step", "loss_and_grad"):
         def counted(*args, _fn=getattr(training, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -675,8 +677,7 @@ def test_train_steps_give_the_benchmark_tracer_its_counts(monkeypatch):
         calls.clear()
         train(model, source(), TrainConfig(gamma=0.01, J=4, N=7, p_uncond=0.3, seed=3),
               linear_schedule(10), variant)
-        loss = "hybrid_loss" if variant == "improved" else "simple_loss"
-        assert calls == {"denoise": 7, loss: 7, "grad": 7, "sgd_step": 7}, variant
+        assert calls == {"loss_and_grad": 7, "sgd_step": 7}, variant
 
 
 def _oracle_train(model, source, cfg, sched, variant):
@@ -734,6 +735,59 @@ def test_train_draws_blocks_of_steps_with_the_bits_of_one_step_at_a_time(variant
     assert res.model.params.tobytes() == params.tobytes()
     assert np.array(res.losses).tobytes() == np.array(losses).tobytes()
     assert res.rng_counters == counters
+
+
+@pytest.mark.parametrize("variant", ["ddpm", "cfg", "improved"])
+def test_train_has_the_bits_of_steps_through_the_tape_form(variant):
+    # unequal hidden widths run the proj layers, and T = 3 takes the hybrid
+    # loss's decoder term at t = 1
+    _, source = _oracle_case(variant, 2)
+    head = HEAD_DUAL if variant == "improved" else HEAD_NOISE
+    model = _model(head, hidden=(16, 32), classes=3 if variant == "cfg" else 0, seed=5)
+    cfg = TrainConfig(gamma=0.01, J=8, N=30, p_uncond=0.3, seed=9)
+    sched = cosine_schedule(3)
+    assert 1 in RngStream(cfg.seed).split(1).integers(cfg.N, 1, sched.T + 1).tolist()
+    res = train(model, source(), cfg, sched, variant)
+    params, losses, counters = _oracle_train(model, source(), cfg, sched, variant)
+    assert res.model.params.tobytes() == params.tobytes()
+    assert np.array(res.losses).tobytes() == np.array(losses).tobytes()
+    assert res.rng_counters == counters
+
+
+@pytest.mark.parametrize("variant", ["ddpm", "cfg", "improved"])
+def test_loss_and_grad_has_the_bits_of_the_tape_form(variant):
+    head = HEAD_DUAL if variant == "improved" else HEAD_NOISE
+    model = _model(head, hidden=(16, 32), d=3, classes=4 if variant == "cfg" else 0, seed=8)
+    # train's own kind of model; a gradient entry left unwritten would stay nan
+    own = DenoiserModel(model.arch, model.params.copy(), np.full(model.param_count, np.nan))
+    sched = cosine_schedule(20)
+    rng = RngStream(33)
+    for J in (1, 5, 16):
+        for t in (1, 2, sched.T):
+            x0 = _quantize(0.5 * rng.normals(3 * J).reshape(J, 3))
+            eps = rng.normals(3 * J).reshape(J, 3)
+            cond = None
+            if variant == "cfg":  # some rows dropped
+                cond = np.eye(4)[np.arange(J) % 4] * (rng.uniforms(J) < 0.7)[:, None]
+            value = loss_and_grad(own, x0, eps, t, sched, variant, cond, lam=0.3)
+            leaf = ADTape().tensor(model.params)
+            if variant == "improved":
+                loss = hybrid_loss(model, None, x0, eps, t, sched, 0.3, cond, params=leaf)
+            else:
+                loss = simple_loss(model, x0, eps, t, sched, cond, params=leaf)
+            assert _bits(value) == _bits(loss.value), (J, t)
+            assert own.grads.tobytes() == grad(loss, [leaf])[0].tobytes(), (J, t)
+
+
+def test_train_builds_no_tape(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("train built a tape")
+
+    monkeypatch.setattr(autodiff.ADTape, "__init__", refuse)
+    for variant in training.VARIANTS:
+        model, source = _oracle_case(variant, 2)
+        train(model, source(), TrainConfig(gamma=0.01, J=4, N=5, p_uncond=0.3, seed=3),
+              linear_schedule(10), variant)
 
 
 def test_train_memory_is_flat_in_the_step_count():

@@ -10,8 +10,10 @@ tree runs first. A process imports that tree's perfbench/workloads.py
 directory, then runs every job of the workload --rounds times in-process
 through diffusionlab.cli.main, timing each call. One BLAS thread is used,
 as in the benchmark. Then one line per job gives, for each tree, the best
-and the median of all its calls, and the ratios b/a of both. A ratio below
-1 means that tree b is faster. Exit status 1 names a job that did not exit 0.
+and the median of all its calls, and the ratios b/a of both; a last line,
+`round`, gives the same of the per-round sums of the job times, the figure
+the benchmark's rows_per_s follows. A ratio below 1 means that tree b is
+faster. Exit status 1 names a job that did not exit 0.
 """
 
 import argparse
@@ -95,6 +97,8 @@ def main(argv=None) -> int:
                     calls[tree].setdefault(job, []).extend(seconds)
     print(f"{'job':<12} {'a best ms':>10} {'b best ms':>10} {'b/a':>7} "
           f"{'a median ms':>12} {'b median ms':>12} {'b/a':>7}")
+    for tree in calls:  # the round row: each round's jobs summed
+        calls[tree]["round"] = [sum(jobs) for jobs in zip(*calls[tree].values())]
     for job, a_s in calls[args.a].items():
         b_s = calls[args.b][job]
         best_a, best_b = min(a_s), min(b_s)
