@@ -75,7 +75,9 @@ class MixtureSampler:
 
     take(k) has the bits of rng.integers(k, 0, centers) then rng.normals(k*d).
     A take that repeats the last k reads the next takes of that k ahead, up
-    to BLOCK_DRAWS draws in one pass; rng.counter reads what was consumed.
+    to BLOCK_DRAWS draws in one pass, if k % 4 == 0, so that each take's
+    k(1 + 2d) counters keep the phase kernels.normals_rows asks of its keys.
+    rng.counter reads what was consumed.
     """
 
     def __init__(self, centers, sigma: float, rng: RngStream):
@@ -96,11 +98,13 @@ class MixtureSampler:
         c, d = self.centers.shape
         rng, stride = self.rng, k * (1 + 2 * d)
         if self._row == len(self._idx) or (k, rng.seed, rng.counter) != self._next:
-            m = max(1, BLOCK_DRAWS // max(1, k * (1 + d))) if k == self._next[0] else 1
+            ahead = k == self._next[0] and k % 4 == 0
+            m = max(1, BLOCK_DRAWS // max(1, k * (1 + d))) if ahead else 1
             keys = rng.block_keys(m, stride)
             self._idx, self._row = words_to_integers(kernels.words(keys, k), 0, c), 0
             noise = np.empty((m, k * d))
-            kernels.normals_rows(keys, k, noise)
+            # the counter goes in whole: the keys may fold in only multiples of 4
+            kernels.normals_rows(RngStream(rng.seed).block_keys(m, stride), rng.counter + k, noise)
             self._x = self.centers[self._idx] + self.sigma * noise.reshape(m, k, d)
         rng.counter += stride
         self._next = (k, rng.seed, rng.counter)

@@ -3,9 +3,11 @@
 The generator is counter based: output j of a stream is a pure function
 mix(key + (counter + j) * GOLDEN) of the stream key and the absolute
 counter, so any prefix can be regenerated and streams never share state.
-mix is the splitmix64 finalizer. Counters are taken mod 2**64 in python
-ints, because a uint64 scalar product raises numpy's overflow warning where
-the counter wraps; uint64 array arithmetic wraps silently.
+normals_rows states how normals are made of these words, and the phase
+rule its callers keep. mix is the splitmix64 finalizer. Counters are taken
+mod 2**64 in python ints, because a uint64 scalar product raises numpy's
+overflow warning where the counter wraps; uint64 array arithmetic wraps
+silently.
 """
 
 import math
@@ -19,13 +21,15 @@ _MIX2 = 0x94D049BB133111EB
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 _GOLDEN_U = np.uint64(_GOLDEN)
-_GOLDEN2_U = np.uint64(2 * _GOLDEN & _U64)
+_GOLDEN4_U = np.uint64(4 * _GOLDEN & _U64)
 _MIX1_U = np.uint64(_MIX1)
 _MIX2_U = np.uint64(_MIX2)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
+_S13 = np.uint64(13)
+_S62 = np.uint64(62)
 _ONE_U = np.uint64(1)
 
 # Rows per network block off the tape. OpenBLAS changes its gemm kernel once
@@ -35,7 +39,8 @@ ROW_BLOCK = 512
 
 # 2**-53, exact
 _INV53 = 1.0 / 9007199254740992.0
-_TWO_PI = 6.283185307179586
+# (pi/2) 2**-51, exact: the angle of the top 51 bits of a word
+_QUARTER_TURN = math.pi / 2 / 2251799813685248.0
 
 # largest |tau| whose square is finite; beyond it t = 1/(tau + sqrt(1 + tau^2))
 # rounds to 0 and the Jacobi rotation is the identity
@@ -80,38 +85,53 @@ def words(starts: np.ndarray, n: int) -> np.ndarray:
 
 
 def normals_rows(keys: np.ndarray, counter: int, out: np.ndarray) -> None:
-    """Fill out (rows, n) with the normals of stream keys[r] from counter on:
-    draw i uses counters counter+2i and counter+2i+1 (Box-Muller, cosine
-    branch only, so concatenated calls reproduce one long call exactly).
+    """Fill out (rows, n) with the normals of stream keys[r] from counter on,
+    draw i at counter c = counter + 2i. This is the one definition of them.
 
-    keys is a uint64 array of one key per row and counter a python int. The
-    whole grid is drawn in one pass, with the keys as a column broadcast
-    against the row of counter offsets. Every stage is written in place
-    into out (first holding the second words, as uint64) and two uint64
-    work arrays, each read as the float scratch of one Box-Muller factor
-    once its words are used.
+    Box-Muller on both branches: the words w0 and w1 at counters b = c & ~2
+    and b + 1 (mod 2**64) serve the normals at b and b + 2. With
+    r = sqrt(-2 ln u1), u1 = ((w0 >> 11) + 1) 2**-53 in (0, 1], and the
+    quarter-turn angle phi = (pi/2) (w1 >> 13) 2**-51 in [0, pi/2), where
+    libm's trig is fastest, the normal at b is r cos(phi) and at b + 2 it is
+    r sin(phi), each negated iff its bit of w1 is set: bit 0 for the cosine,
+    bit 1 for the sine. (+-cos, +-sin) is uniform on the circle, so a pair
+    is i.i.d. N(0, 1).
+
+    Phase rule: a normal is a function of its key and absolute counter
+    alone, so concatenated calls reproduce one long call. keys (uint64, one
+    per row) may fold in only a multiple of 4 counters (word j of row r is
+    mix(keys[r] + j * GOLDEN)), and counter, a python int, carries the rest.
+    The pairs are drawn in place in four work arrays of about half out's
+    size; an int64 -> float cast inside a ufunc buffers one more.
     """
-    start = keys.reshape(-1, 1) + np.uint64(int(counter) * _GOLDEN & _U64)
-    step = np.arange(out.shape[1], dtype=np.uint64)
-    a = np.add(start, np.multiply(step, _GOLDEN2_U, out=step))
-    del step
-    b = out.view(np.uint64)
-    np.add(a, _GOLDEN_U, out=b)
-    c = np.empty(out.shape, np.uint64)
+    n = out.shape[1]
+    sine_first = counter >> 1 & 1
+    pairs = (n + sine_first + 1) // 2
+    start = keys.reshape(-1, 1) + np.uint64((counter & ~2) * _GOLDEN & _U64)
+    a = start + np.arange(pairs, dtype=np.uint64) * _GOLDEN4_U
+    b = np.add(a, _GOLDEN_U)
+    c = np.empty_like(a)
     _mix_array(a, c)
-    radius = c.view(np.float64)
-    # the shifted words are at most 2**53: cast from int64, faster, to the same doubles
+    _mix_array(b, c)
+    radius = a.view(np.float64)
+    # the shifted words are at most 2**53: read as int64, faster, they cast to the same doubles
     np.add(np.right_shift(a, _S11, out=a), _ONE_U, out=a)
-    np.copyto(radius, a.view(np.int64), casting="unsafe")
-    np.multiply(radius, _INV53, out=radius)  # u1 in (0, 1]
+    np.multiply(a.view(np.int64), _INV53, out=radius)  # u1
     np.sqrt(np.multiply(-2.0, np.log(radius, out=radius), out=radius), out=radius)
-    _mix_array(b, a)
-    angle = a.view(np.float64)
-    np.right_shift(b, _S11, out=b)
-    np.copyto(angle, b.view(np.int64), casting="unsafe")
-    np.multiply(angle, _INV53, out=angle)  # u2 in [0, 1)
-    np.cos(np.multiply(_TWO_PI, angle, out=angle), out=angle)
-    np.multiply(radius, angle, out=out)
+    angle = c.view(np.float64)
+    # (w1 >> 13) 2**-51 (pi/2) in one rounding: the power of two scales exactly
+    np.multiply(np.right_shift(b, _S13, out=c).view(np.int64), _QUARTER_TURN, out=angle)
+    sin = np.sin(angle)
+    cos = np.cos(angle, out=angle)
+    # the signs: w1's bit 1, then its bit 0, shifted to the sign bit of
+    # w1 read as a double, the only bit of it copysign reads
+    np.copysign(sin, np.left_shift(b, _S62, out=b).view(np.float64), out=sin)
+    np.copysign(cos, np.left_shift(b, _ONE_U, out=b).view(np.float64), out=cos)
+    first, second = (sin, cos) if sine_first else (cos, sin)
+    m = (n + 1) // 2
+    np.multiply(first[:, :m], radius[:, :m], out=out[:, 0::2])
+    np.multiply(second[:, sine_first:sine_first + n // 2],
+                radius[:, sine_first:sine_first + n // 2], out=out[:, 1::2])
 
 
 def row_blocks(n: int, width: int, fill) -> np.ndarray:

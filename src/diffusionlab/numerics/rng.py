@@ -54,9 +54,9 @@ class RngStream:
         return _uniforms(self.raw(n))
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normal draws via Box-Muller; two counters each."""
+        """n standard normal draws, two counters each (kernels.normals_rows)."""
         out = np.empty(n, dtype=np.float64)
-        kernels.normals_rows(self.block_keys(1, 0), 0, out.reshape(1, n))
+        kernels.normals_rows(np.array([_key(self.seed)], np.uint64), self.counter, out[None])
         self.counter += 2 * n
         return out
 

@@ -6,7 +6,9 @@ index), so per-chain draws never depend on how many chains run together.
 Chain i's noise comes from the key of RngStream(seed).split(i): its start
 is the d normals at counters 0 ... 2d - 1, and its k-th noisy step uses
 counters 2*d*k ... 2*d*(k+1) - 1. Each step draws its block for all chains
-at once, so a batch holds O(count * d) noise whatever the number of steps.
+at once, so a batch holds O(count * d) noise whatever the number of steps;
+the block's absolute counter goes to kernels.normals_rows, whose phase rule
+makes it split(i).normals at any d.
 BLAS may sum a product's terms in another order for another number of
 rows, so the network runs in the row blocks of kernels.row_blocks, each
 padded to a multiple of 8 rows (see denoiser.denoise): no chain's bits

@@ -116,11 +116,12 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("centers", [_CIRCLE, np.linspace(-1, 1, 15).reshape(3, 5)])
 def test_mixture_read_ahead_matches_one_take_at_a_time(centers):
     # a changing k drops the read-ahead; 400 takes of 16 cross its blocks;
-    # 700 draws at d = 2 are beyond one block
+    # 700 draws at d = 2 are beyond one block; repeated takes of 2 and 6
+    # span 2 mod 4 counters, so each is drawn on its own
     centers = np.asarray(centers)
     s = MixtureSampler(centers, 0.3, RngStream(12))
     oracle = RngStream(12)
-    for k in [3, 3, 5, 3, 700, 700, 700, 1, 1] + [16] * 400:
+    for k in [3, 3, 5, 3, 700, 700, 700, 1, 1, 2, 2, 2, 6, 6, 6] + [16] * 400:
         x, labels = s.take(k)
         want_x, want_labels = _oracle_take(oracle, centers, 0.3, k)
         assert _same_bits(x, want_x) and _same_bits(labels, want_labels), k

@@ -38,13 +38,17 @@ def _oracle_raw_block(key, counter, n):
 
 def _oracle_normals_block(key, counter, n):
     """The n normals of stream key from counter on, one draw at a time, with
-    math.log and math.cos."""
-    words = _oracle_raw_block(key, counter, 2 * n)
+    math.log, math.cos and math.sin: the draw at counter c reads the words
+    at c & ~2 and the next, and is the sine iff bit 1 of c is set."""
     out = np.empty(n, dtype=np.float64)
     for i in range(n):
-        u1 = float((words[2 * i] >> kernels._S11) + kernels._ONE_U) * kernels._INV53  # (0, 1]
-        u2 = float(words[2 * i + 1] >> kernels._S11) * kernels._INV53  # [0, 1)
-        out[i] = math.sqrt(-2.0 * math.log(u1)) * math.cos(kernels._TWO_PI * u2)
+        c = (counter + 2 * i) & kernels._U64
+        w0, w1 = (int(w) for w in _oracle_raw_block(key, c & ~2, 2))
+        u1 = ((w0 >> 11) + 1) * kernels._INV53  # (0, 1]
+        phi = math.pi / 2 * ((w1 >> 13) * 2.0**-51)  # [0, pi/2)
+        branch = c >> 1 & 1
+        value = math.sqrt(-2.0 * math.log(u1)) * (math.sin(phi) if branch else math.cos(phi))
+        out[i] = -value if w1 >> branch & 1 else value
     return out
 
 
@@ -54,9 +58,11 @@ def test_scalar_loop_source_matches_vectorized_raw():
 
 
 def test_scalar_loop_source_matches_vectorized_normals():
-    got = np.empty((1, 512))
-    kernels.normals_rows(np.array([5], dtype=np.uint64), 0, got)
-    assert np.max(np.abs(_oracle_normals_block(5, 0, 512) - got[0])) <= 1e-12
+    # every phase of the first counter: draw 0 a cosine or a sine, at even or odd counters
+    for counter in (0, 1, 2, 3, 2**64 - 3):
+        got = np.empty((1, 512))
+        kernels.normals_rows(np.array([5], dtype=np.uint64), counter, got)
+        assert np.max(np.abs(_oracle_normals_block(5, counter, 512) - got[0])) <= 1e-12
 
 
 def _allocating_mix(z):
@@ -66,17 +72,22 @@ def _allocating_mix(z):
 
 
 def _allocating_normals_rows(keys, counter, out):
-    """normals_rows as whole-array expressions, one fresh array per stage."""
-    start = keys.reshape(-1, 1) + np.uint64(int(counter) * kernels._GOLDEN & kernels._U64)
-    step = np.arange(out.shape[1], dtype=np.uint64) * kernels._GOLDEN2_U
-    b1 = _allocating_mix(start + step)
-    b2 = _allocating_mix((start + kernels._GOLDEN_U) + step)
-    u1 = ((b1 >> kernels._S11) + kernels._ONE_U).astype(np.float64) * kernels._INV53
-    u2 = (b2 >> kernels._S11).astype(np.float64) * kernels._INV53
-    np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(kernels._TWO_PI * u2), out=out)
+    """normals_rows as whole-array expressions, one fresh array per stage,
+    and one entry per draw: each draw's words and branch come from its own
+    counter, not from a grid of pairs."""
+    c = np.uint64(counter & kernels._U64) + 2 * np.arange(out.shape[1], dtype=np.uint64)
+    pair = c & ~np.uint64(2)
+    w0 = _allocating_mix(keys.reshape(-1, 1) + pair * kernels._GOLDEN_U)
+    w1 = _allocating_mix(keys.reshape(-1, 1) + (pair + kernels._ONE_U) * kernels._GOLDEN_U)
+    u1 = ((w0 >> kernels._S11) + kernels._ONE_U).astype(np.float64) * kernels._INV53
+    phi = (w1 >> np.uint64(13)).astype(np.float64) * 2.0**-51 * (math.pi / 2)
+    branch = (c >> kernels._ONE_U) & kernels._ONE_U
+    trig = np.where(branch == 1, np.sin(phi), np.cos(phi))
+    negative = (w1 >> branch) & kernels._ONE_U == 1
+    np.multiply(np.where(negative, -trig, trig), np.sqrt(-2.0 * np.log(u1)), out=out)
 
 
-@pytest.mark.parametrize("counter", [0, 12345, 2**63 + 7, 2**64 - 3])
+@pytest.mark.parametrize("counter", [0, 2, 12345, 2**63 + 7, 2**64 - 3])
 def test_normals_rows_in_place_matches_the_allocating_form_bit_for_bit(counter):
     keys = np.array([0, 5, 2**64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64)
     for n in (1, 7, 300):
@@ -90,7 +101,7 @@ def test_normals_rows_in_place_matches_the_allocating_form_bit_for_bit(counter):
 
 
 def test_normals_working_memory_is_about_three_outputs():
-    # out and two work arrays of its size: 197 KB for a 64 KB result
+    # out, four work arrays of half its size and a cast buffer: 232 KB for a 64 KB result
     RngStream(1).normals(8192)
     tracemalloc.start()
     try:
@@ -111,31 +122,31 @@ _PINNED = {
     0: {"raw": "ff48c96a173d734d", "integers": "2f9ef36bd6a2d282",
         "split": "b24271ee7e91ffa0", "split_keys": "78c46a16ec92eb08",
         "mixture_idx": "bf8c029e8e18251d",
-        "normals": [-0.43438523635822995, 0.01657397640262135,
-                    0.918997554711084, 1.8541132207520163],
-        "mixture_sums": [-17.177381690000026, -5.872995333813838, -6.012373057794168,
-                         -6.068086329382433, -8.443209655201983]},
+        "normals": [-0.29653382932162053, 0.33751234857725454,
+                    -1.243172783228622, -0.2385460438849041],
+        "mixture_sums": [-16.909606510773152, -11.858104290302208, -5.781658188853491,
+                         -7.248588891009854, -3.2213414547624235]},
     7: {"raw": "0af6239f3b21f891", "integers": "7ac1d87169349e98",
         "split": "d3fa92852dc1ccef", "split_keys": "8fb2dd99111f7e4c",
         "mixture_idx": "0f8c52777c2221ca",
-        "normals": [1.76049382300923, -0.26220834690354355,
-                    0.3548633489371315, 0.7232182490743342],
-        "mixture_sums": [-9.642099533752695, -8.072231946441304, -11.466758814494147,
-                         -5.775773875039513, -4.687996444575663]},
+        "normals": [0.4039922106672769, -2.2730978389098535,
+                    -0.7014878464789503, -1.9264671131340823],
+        "mixture_sums": [-7.806839374270524, -6.85159342994896, -8.86312058817543,
+                         -7.397926025712346, -4.353852234566805]},
     2**63 + 5: {"raw": "186a31069b2092bf", "integers": "b7b1a88b6f890083",
                 "split": "e77cb13678ebd4a4", "split_keys": "09cb64e7da43d1ad",
                 "mixture_idx": "225a78fb6f39c44d",
-                "normals": [-0.32547557234874713, -1.2526944063516305,
-                            -0.5868846258330748, -1.7242809918056592],
-                "mixture_sums": [-0.9128922142002969, -8.525506330743033, -4.086923526396328,
-                                 -8.10964174524162, -4.262159317945454]},
+                "normals": [0.4406539531696733, 0.8471302937478938,
+                            -1.0665334489886846, -0.6069318148973953],
+                "mixture_sums": [-2.876562111844062, -7.716395481747419, -7.643435403949359,
+                                 -1.9287039741213148, -4.463889650514724]},
     2**64 - 1: {"raw": "56104d544788f280", "integers": "bccdb1e0beebe82d",
                 "split": "c88e0f6f47f3da9d", "split_keys": "454b1c69adf292b3",
                 "mixture_idx": "a98c9e3725346dcd",
-                "normals": [-1.2882245601873918, -0.7631134028111066,
-                            1.1321047603287304, -0.06524996473498404],
-                "mixture_sums": [-4.829921322786278, -6.636542105739429, -7.545418104392224,
-                                 -6.4113807458188035, -5.8090956470641375]},
+                "normals": [0.9551358214487167, 1.3489083381815907,
+                            -0.20272671640697326, -1.3521714903418356],
+                "mixture_sums": [-5.571932681260899, -7.75971584303826, -0.2448360269458978,
+                                 -11.353614789878607, -3.2624779540656266]},
 }
 
 
@@ -164,6 +175,57 @@ def test_generator_outputs_match_pinned_values(seed):
     assert np.max(np.abs(normals - pinned["normals"])) <= 1e-12
     sums = [float(x.sum()) for x, _ in takes]
     assert np.max(np.abs(np.subtract(sums, pinned["mixture_sums"]))) <= 1e-12
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("c0", [0, 1, 2, 3, 2**64 - 3])
+def test_a_normal_depends_only_on_its_key_and_absolute_counter(c0):
+    # a draw pairs with the one two counters away, which may fall in another
+    # call: split at every point, the pieces still make up the one long call
+    n = 11
+    for seed in (0, 7):
+        whole = RngStream(seed, c0).normals(n)
+        for cut in range(n + 1):
+            stream = RngStream(seed, c0)
+            head = stream.normals(cut)
+            assert _same_bits(np.concatenate((head, stream.normals(n - cut))), whole), cut
+            assert stream.counter == c0 + 2 * n
+
+
+@pytest.mark.parametrize("d", [1, 9])
+def test_sampler_blocks_at_odd_d_match_the_chain_streams(d):
+    # at odd d the sampler's blocks start at every phase of a pair
+    keys = split_keys(11, np.arange(3, dtype=np.uint64))
+    out = np.empty((3, d))
+    for block in range(6):
+        kernels.normals_rows(keys, 2 * d * block, out)
+        for i in range(3):
+            child = RngStream(11).split(i)
+            assert _same_bits(out[i], RngStream(child.seed, 2 * d * block).normals(d)), block
+
+
+def test_normal_draws_are_standard_normal():
+    # 2**20 draws, 2**18 from each of four seeds; draws 2j and 2j + 1 of a
+    # stream are the cosine and the sine of one pair
+    x = np.concatenate([RngStream(seed).normals(2**18) for seed in (1, 2, 3, 4)])
+    n = x.size
+    dev = x - x.mean()
+    var = np.mean(dev**2)
+    moments = (x.mean(), var - 1.0, np.mean(dev**3) / var**1.5, np.mean(dev**4) / var**2 - 3.0)
+    for value, se in zip(moments, np.sqrt(np.array([1.0, 2.0, 6.0, 24.0]) / n)):
+        assert abs(value) <= 5 * se, moments
+    cdf = 0.5 * (1.0 + kernels.erf(np.sort(x) / math.sqrt(2.0)))
+    rank = np.arange(1, n + 1) / n
+    ks = max(np.max(rank - cdf), np.max(cdf - (rank - 1.0 / n)))
+    assert ks < 1.63 / math.sqrt(n), ks
+    cos, sin = x[0::2], x[1::2]
+    m = cos.size
+    for branch in (cos, sin):
+        assert abs(np.mean(np.signbit(branch)) - 0.5) <= 5 * 0.5 / math.sqrt(m)
+    assert abs(np.corrcoef(cos, sin)[0, 1]) <= 5 / math.sqrt(m)
 
 
 @pytest.mark.parametrize("high", [2, 3, 6, 51, 1001, 2**31])
