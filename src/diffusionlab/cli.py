@@ -228,7 +228,7 @@ def cmd_train(args) -> None:
     sched = build_schedule(rc.schedule_type, rc.T, rc.s)
     source, d, data_classes = _build_source(rc)
     if rc.variant == "improved" and rc.dataset_kind != "idx":
-        # idx_read already puts IDX rows on the grid; mixture draws can leave it
+        # an IDX source's takes are grid values already; mixture draws can leave the grid
         source = _QuantizingSource(source)
     if rc.variant == "cfg" and rc.num_classes != data_classes:
         raise ConfigError(
@@ -346,7 +346,7 @@ def _load_eval_matrix(path: str) -> np.ndarray:
     if not p.is_file():
         raise FileNotFoundError(f"input {path} not found")
     if p.suffix == ".idx":
-        return idx_read(path).samples  # checked finite by the IDX reader
+        return grid_value(idx_read(path).levels)
     if p.suffix == ".pgm":
         return _pgm_rows([path])
     m = read_numeric_csv(path)

@@ -22,39 +22,49 @@ _IDX_LABEL_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable sample matrix with optional class labels."""
+    """Immutable image levels with optional class labels.
 
-    samples: np.ndarray
+    levels is a read-only (count, d) uint8 matrix, one row of grid levels
+    (an IDX file's pixel bytes) per sample; a sample's values are
+    forward.grid_value of its row, made a take at a time by DatasetCursor,
+    so the dataset holds one byte per pixel.
+    """
+
+    levels: np.ndarray
     labels: np.ndarray | None = None
     num_classes: int = 0
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 2:
-            raise OutOfRange(f"samples must be (count, d), got {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise OutOfRange("samples must be finite")
-        object.__setattr__(self, "samples", samples)
+        levels = self.levels
+        if not (isinstance(levels, np.ndarray) and levels.dtype == np.uint8 and levels.ndim == 2):
+            raise OutOfRange("levels must be a (count, d) uint8 matrix, got "
+                             f"{getattr(levels, 'dtype', type(levels).__name__)} "
+                             f"of shape {np.shape(levels)}")
+        levels = levels.view()
+        levels.flags.writeable = False
+        object.__setattr__(self, "levels", levels)
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.shape != (samples.shape[0],):
+            if labels.shape != (levels.shape[0],):
                 raise ShapeMismatch(
-                    f"{labels.shape[0]} labels for {samples.shape[0]} samples")
+                    f"{labels.shape[0]} labels for {levels.shape[0]} samples")
             if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
                 raise OutOfRange(f"labels must lie in 0..{self.num_classes - 1}")
             object.__setattr__(self, "labels", labels)
 
     @property
     def count(self) -> int:
-        return self.samples.shape[0]
+        return self.levels.shape[0]
 
     @property
     def d(self) -> int:
-        return self.samples.shape[1]
+        return self.levels.shape[1]
 
 
 class DatasetCursor:
-    """Sequential reader over a dataset for the training loop."""
+    """Sequential reader over a dataset for the training loop: take(k)
+    returns the next k samples as new float64 grid values (grid_value of
+    their k level rows alone) and a copy of their labels."""
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
@@ -67,7 +77,7 @@ class DatasetCursor:
         sl = slice(self.pos, self.pos + k)
         self.pos += k
         labels = None if self.dataset.labels is None else self.dataset.labels[sl].copy()
-        return self.dataset.samples[sl].copy(), labels
+        return grid_value(self.dataset.levels[sl]), labels
 
 
 class MixtureSampler:
@@ -127,6 +137,8 @@ def quantize_to_grid(x: np.ndarray) -> np.ndarray:
 
 
 def _read_header(raw: bytes, path: str, expected_magic: int):
+    """The dimensions an IDX file's header gives and the header's length;
+    the payload after it must hold exactly their product of bytes."""
     if len(raw) < 4:
         raise TruncatedFile(f"{path}: shorter than its magic number")
     magic = struct.unpack(">I", raw[:4])[0]
@@ -145,27 +157,28 @@ def _read_header(raw: bytes, path: str, expected_magic: int):
     if len(raw) != header_len + total:
         raise TruncatedFile(
             f"{path}: payload is {len(raw) - header_len} bytes, header promises {total}")
-    return dims, raw[header_len:]
+    return dims, header_len
 
 
 def idx_read(path: str, labels_path: str | None = None) -> Dataset:
-    """Load an IDX image file, mapping bytes onto the [-1, 1] grid exactly."""
+    """Load an IDX image file as a Dataset of its pixel bytes, which stay
+    the file's own bytes (a read-only view, no copy); each byte k is the
+    grid value -1 + 2k/255 exactly."""
     raw = Path(path).read_bytes()
-    dims, payload = _read_header(raw, path, _IDX_IMAGE_MAGIC)
-    count, rows, cols = dims
+    (count, rows, cols), offset = _read_header(raw, path, _IDX_IMAGE_MAGIC)
     if count == 0:
         raise OutOfRange(f"{path}: holds no images")
     if rows * cols == 0:
         raise OutOfRange(f"{path}: image size {cols}x{rows} is not at least 1x1")
-    samples = grid_value(np.frombuffer(payload, dtype=np.uint8)).reshape(count, rows * cols)
+    levels = np.frombuffer(raw, np.uint8, offset=offset).reshape(count, rows * cols)
 
     labels = None
     num_classes = 0
     if labels_path is not None:
         lraw = Path(labels_path).read_bytes()
-        (lcount,), lpayload = _read_header(lraw, labels_path, _IDX_LABEL_MAGIC)
+        (lcount,), loffset = _read_header(lraw, labels_path, _IDX_LABEL_MAGIC)
         if lcount != count:
             raise ShapeMismatch(f"{lcount} labels for {count} images")
-        labels = np.frombuffer(lpayload, dtype=np.uint8).astype(np.int64)
-        num_classes = int(labels.max()) + 1 if labels.size else 0
-    return Dataset(samples, labels, num_classes)
+        labels = np.frombuffer(lraw, np.uint8, offset=loffset).astype(np.int64)
+        num_classes = int(labels.max()) + 1
+    return Dataset(levels, labels, num_classes)

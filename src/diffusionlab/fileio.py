@@ -17,6 +17,7 @@ from .errors import BadMagic, BadMetadata, ConfigError, OutOfRange, ShapeMismatc
 from .forward import grid_level
 
 _CSV_ROWS = 512  # sample rows per encoded chunk of write_samples_csv
+_CSV_CHUNK = 1 << 16  # text bytes per parsed chunk of read_numeric_csv (whole lines)
 
 
 def format_cell(value) -> str:
@@ -60,22 +61,25 @@ def _write_atomic(path, chunks) -> None:
 
 
 def _read_bytes(path) -> bytes:
-    """The whole file, read on its raw descriptor in 64 KiB chunks; an
-    OSError names path (a directory opens and fails at its first read)."""
+    """The whole file, read on its raw descriptor: one read of the size
+    fstat gives, then 64 KiB reads to end of file, so a file of that size
+    is held once; an OSError names path (a directory opens and fails at its
+    first read)."""
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
-            chunks = list(iter(lambda: os.read(fd, 1 << 16), b""))
+            chunks = [os.read(fd, os.fstat(fd).st_size)]
+            chunks += iter(lambda: os.read(fd, 1 << 16), b"")
         finally:
             os.close(fd)
     except OSError as e:
         raise OSError(e.errno, e.strerror, str(path)) from None
-    return b"".join(chunks)
+    return b"".join(chunks)  # one chunk is returned as it is, not copied
 
 
-def _read_text(path) -> str:
+def _decode(raw: bytes, path) -> str:
     try:
-        return _read_bytes(path).decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError:
         raise TruncatedFile(f"{path}: not UTF-8 text") from None
 
@@ -84,22 +88,69 @@ def read_numeric_csv(path: str) -> np.ndarray:
     """(rows, cols) float matrix of the cells the csv module reads in strict
     mode, empty records dropped (quoted cells may embed commas, quotes and
     line breaks); raises on ragged or non-numeric content, a header line
-    included. Quote-free text whose lines fit the csv module's field size
-    limit is split at each CR, LF and comma, which gives the same cells."""
-    text = _read_text(path)
-    rows = [] if '"' in text else list(filter(None, text.replace("\r", "\n").split("\n")))
-    if rows and max(map(len, rows)) <= csv.field_size_limit():
-        commas = set(map(str.count, rows, repeat(",")))
-        cells = ",".join(rows).split(",")
-    else:
-        try:
-            rows = [row for row in csv.reader(io.StringIO(text, newline=""), strict=True) if row]
-        except csv.Error as e:
-            raise TruncatedFile(f"{path}: malformed CSV ({e})") from None
-        commas = {len(r) - 1 for r in rows}
-        cells = chain.from_iterable(rows)
+    included.
+
+    Quote-free text whose lines fit the csv module's field size limit is
+    split at each CR, LF and comma, which gives the same cells, in chunks of
+    at most _CSV_CHUNK bytes that end at a line break (a longer line is a
+    chunk of its own), one width holding across them: the file's bytes, the
+    matrix and one chunk's cells are held. As the chunks are checked in
+    file order, a file with faults in two chunks reports the first chunk's.
+    Other text goes to the csv module whole."""
+    raw = _read_bytes(path)
+    m = None if b'"' in raw else _quote_free_matrix(raw, path)
+    if m is not None:
+        return m
+    try:
+        rows = [row for row in csv.reader(io.StringIO(_decode(raw, path), newline=""),
+                                          strict=True) if row]
+    except csv.Error as e:
+        raise TruncatedFile(f"{path}: malformed CSV ({e})") from None
     if not rows:
         raise TruncatedFile(f"{path}: no data rows")
+    return _cell_matrix(path, rows, {len(r) - 1 for r in rows}, chain.from_iterable(rows))
+
+
+def _quote_free_matrix(raw: bytes, path) -> np.ndarray | None:
+    """read_numeric_csv's matrix of quote-free CSV bytes, parsed a chunk at
+    a time; None when no line holds a cell or a line is longer than
+    csv.field_size_limit(), which the csv module then reads. A chunk ends
+    after the last CR or LF among its first _CSV_CHUNK bytes; CR, LF and
+    comma are single bytes in UTF-8, so each chunk decodes on its own."""
+    out, n, lo, limit = None, 0, 0, csv.field_size_limit()
+    while lo < len(raw):
+        hi = min(lo + _CSV_CHUNK, len(raw))
+        if hi < len(raw):
+            hi = max(raw.rfind(b"\n", lo, hi), raw.rfind(b"\r", lo, hi)) + 1
+            if hi == 0:  # no line break in the chunk: it runs to the next one
+                hi = min((i for i in (raw.find(b"\n", lo), raw.find(b"\r", lo)) if i >= 0),
+                         default=len(raw) - 1) + 1
+        chunk, lo = raw[lo:hi], hi
+        rows = list(filter(None, _decode(chunk, path).replace("\r", "\n").split("\n")))
+        if not rows:
+            continue
+        if max(map(len, rows)) > limit:
+            return None
+        commas = set(map(str.count, rows, repeat(",")))
+        if out is not None:
+            commas.add(out.shape[1] - 1)
+        block = _cell_matrix(path, rows, commas, ",".join(rows).split(","))
+        if out is None:
+            out = np.empty((0, block.shape[1]))
+        if n + len(block) > len(out):  # room for the rest at this chunk's rows per byte
+            rest = len(block) * (len(raw) - hi) // len(chunk)
+            out.resize((max(n + len(block) + rest, len(out) * 9 // 8), out.shape[1]),
+                       refcheck=False)
+        out[n:n + len(block)] = block
+        n += len(block)
+    if out is not None:
+        out.resize((n, out.shape[1]), refcheck=False)
+    return out
+
+
+def _cell_matrix(path, rows: list, commas: set, cells) -> np.ndarray:
+    """The (len(rows), width) float matrix of cells, whose rows hold the
+    comma counts in commas: one count, or ragged rows."""
     if len(commas) > 1:
         raise ShapeMismatch(f"{path}: ragged rows")
     width = commas.pop() + 1

@@ -71,8 +71,13 @@ def grid_level(x) -> np.ndarray:
 
 
 def grid_value(k) -> np.ndarray:
-    """Each level's value on the grid."""
-    return -1.0 + GRID_STEP * np.asarray(k, dtype=np.float64)
+    """Each level's value -1 + GRID_STEP k on the grid, as one new float64
+    array and no other allocation, so uint8 levels are cast as they are
+    scaled. The map is elementwise: mapping rows apart gives the bits of
+    mapping them whole."""
+    v = np.multiply(k, GRID_STEP, dtype=np.float64)
+    v -= 1.0
+    return v
 
 
 def grid_index(x0) -> np.ndarray:

@@ -222,52 +222,79 @@ def fid(gx: np.ndarray, gy: np.ndarray) -> float:
 # ------------------------------------------------------------ image quality
 
 PSNR_CAP = 1e9
+PIXEL_BLOCK = 1 << 14  # pixels of each input in one block of psnr and ssim
 
 
 def _image_stacks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Both inputs as float64 (N, ...) stacks, and whether they were single
-    images: an array of up to two dimensions is one image, a stack of one."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """Both inputs as (N, ...) stacks, and whether they were single images:
+    an array of up to two dimensions is one image, a stack of one."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes {a.shape} vs {b.shape}")
     single = a.ndim < 3
     return (a[None], b[None], True) if single else (a, b, False)
 
 
+def _blockwise(a: np.ndarray, b: np.ndarray, score) -> np.ndarray:
+    """The (N,) values score gives the image pairs of the stacks a and b,
+    scored in blocks of consecutive pairs of at most PIXEL_BLOCK pixels per
+    input (one pair if it alone is larger). A pair's value depends on its
+    own pixels only, so blocks keep every value's bits, and score's
+    temporaries, freed as it returns, stay one block in size."""
+    vals = np.empty(a.shape[0])
+    step = max(1, PIXEL_BLOCK // max(1, math.prod(a.shape[1:])))
+    for lo in range(0, a.shape[0], step):
+        vals[lo:lo + step] = score(a[lo:lo + step], b[lo:lo + step])
+    return vals
+
+
 def psnr(a: np.ndarray, b: np.ndarray):
     """10 log10(1 / MSE) for unit-range images, infinite when identical: a
-    float for one image, an (N,) array for an (N, h, w) stack."""
+    float for one image, an (N,) array for an (N, h, w) stack, computed in
+    float64 over blocks of PIXEL_BLOCK pixels."""
     a, b, single = _image_stacks(a, b)
-    mse = np.mean(((a - b) ** 2).reshape(a.shape[0], -1), axis=1)
+    vals = _blockwise(a, b, _psnr_rows)
+    return float(vals[0]) if single else vals
+
+
+def _psnr_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    d = np.subtract(a, b, dtype=np.float64)
+    mse = np.mean(np.square(d, out=d).reshape(d.shape[0], -1), axis=1)
     if not np.all(np.isfinite(mse)):
         raise OutOfRange("psnr: the squared error of an image pair is not finite")
     # math.log10, not np.log10, which can differ in the last bit
-    vals = np.array([10.0 * math.log10(1.0 / m) if m != 0.0 else math.inf
-                     for m in mse.tolist()])
-    return float(vals[0]) if single else vals
+    return np.fromiter((10.0 * math.log10(1.0 / m) if m != 0.0 else math.inf
+                        for m in mse.tolist()), dtype=np.float64, count=len(mse))
 
 
 def ssim(a: np.ndarray, b: np.ndarray, window: int = 4):
     """Mean over non-overlapping patches of the three-term similarity
     ((2 mu_a mu_b + c1)(2 cov + c2)) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2)).
 
-    A float for one 2-D image, an (N,) array for an (N, h, w) stack. Patch
-    moments use the K-1 normalization; each value lies in [-1, 1] and equals
-    1 exactly when the images coincide.
+    A float for one 2-D image, an (N,) array for an (N, h, w) stack,
+    computed in float64 over blocks of PIXEL_BLOCK pixels. Patch moments use
+    the K-1 normalization; each value lies in [-1, 1] and equals 1 exactly
+    when the images coincide.
     """
     a, b, single = _image_stacks(a, b)
     if a.ndim != 3:
         raise ShapeMismatch("patch similarity expects 2-D images")
-    count, h, w = a.shape
+    _, h, w = a.shape
     if window < 2 or h % window or w % window:
         raise ConfigError(f"window {window} must tile image dims {(h, w)}")
+    vals = _blockwise(a, b, lambda x, y: _ssim_rows(x, y, window))
+    return float(vals[0]) if single else vals
+
+
+def _ssim_rows(a: np.ndarray, b: np.ndarray, window: int) -> np.ndarray:
+    count, h, w = a.shape
     # (N, patches, window * window)
-    pa, pb = (x.reshape(count, h // window, window, w // window, window)
+    pa, pb = (np.asarray(x, dtype=np.float64)
+              .reshape(count, h // window, window, w // window, window)
               .transpose(0, 1, 3, 2, 4).reshape(count, -1, window * window) for x in (a, b))
     n = pa.shape[2]
     mu_a, mu_b = pa.mean(axis=2), pb.mean(axis=2)
-    # rebinding frees each uncentred copy, so fewer stack-sized arrays coexist
+    # rebinding frees each uncentred copy, so fewer block-sized arrays coexist
     pa = pa - mu_a[..., None]
     pb = pb - mu_b[..., None]
     var_a = np.sum(pa * pa, axis=2) / (n - 1)
@@ -275,5 +302,4 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 4):
     cov = np.sum(pa * pb, axis=2) / (n - 1)
     per_patch = ((2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)) / (
         (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2))
-    vals = np.mean(per_patch, axis=1)
-    return float(vals[0]) if single else vals
+    return np.mean(per_patch, axis=1)

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +20,16 @@ _CIRCLE = [(math.cos(2 * math.pi * i / 8), math.sin(2 * math.pi * i / 8))
 
 
 def test_dataset_validation():
-    x = np.zeros((4, 2))
-    Dataset(x)
+    x = np.zeros((4, 2), dtype=np.uint8)
+    ds = Dataset(x)
+    # the levels are kept as given, read-only, not copied
+    assert np.shares_memory(ds.levels, x) and not ds.levels.flags.writeable
     Dataset(x, labels=np.array([0, 1, 0, 1]), num_classes=2)
-    with pytest.raises(OutOfRange):
-        Dataset(np.array([[np.inf, 0.0]]))
-    with pytest.raises(OutOfRange):
-        Dataset(np.zeros(4))
+    # anything but a 2-D uint8 matrix of levels is refused
+    for bad in (np.array([[np.inf, 0.0]]), np.zeros((4, 2)), np.zeros(4, dtype=np.uint8),
+                np.zeros((1, 4, 2), dtype=np.uint8), np.zeros((4, 2), dtype=np.int8), [[0, 1]]):
+        with pytest.raises(OutOfRange, match="uint8 matrix"):
+            Dataset(bad)
     with pytest.raises(ShapeMismatch):
         Dataset(x, labels=np.array([0, 1]), num_classes=2)
     with pytest.raises(OutOfRange):
@@ -33,12 +37,13 @@ def test_dataset_validation():
 
 
 def test_dataset_cursor_walks_then_exhausts():
-    ds = Dataset(np.arange(10.0).reshape(5, 2), labels=np.arange(5), num_classes=5)
+    ds = Dataset(np.arange(10, dtype=np.uint8).reshape(5, 2), labels=np.arange(5), num_classes=5)
     cur = DatasetCursor(ds)
     x1, l1 = cur.take(2)
     x2, l2 = cur.take(2)
-    assert np.array_equal(x1, [[0.0, 1.0], [2.0, 3.0]])
-    assert np.array_equal(x2, [[4.0, 5.0], [6.0, 7.0]])
+    # a take's values are its levels on the grid, as float64
+    assert _same_bits(x1, -1.0 + GRID_STEP * np.array([[0.0, 1.0], [2.0, 3.0]]))
+    assert _same_bits(x2, -1.0 + GRID_STEP * np.array([[4.0, 5.0], [6.0, 7.0]]))
     assert np.array_equal(l1, [0, 1]) and np.array_equal(l2, [2, 3])
     with pytest.raises(DataExhausted):
         cur.take(2)
@@ -189,18 +194,27 @@ def test_idx_endpoint_mapping(tmp_path):
     write_idx(p, np.reshape([0, 128, 255, 7, 9, 201], (2, 1, 3)))
     ds = idx_read(str(p))
     assert ds.count == 2 and ds.d == 3
-    assert ds.samples[0, 0] == -1.0
-    assert ds.samples[0, 2] == 1.0
-    assert ds.samples[0, 1] == pytest.approx(2 * 128 / 255 - 1, rel=1e-15)
-    assert ds.samples[0, 1] == pytest.approx(0.0039216, abs=1e-7)
+    assert ds.levels.dtype == np.uint8 and ds.levels[0].tolist() == [0, 128, 255]
+    x, _ = DatasetCursor(ds).take(2)
+    assert x[0, 0] == -1.0
+    assert x[0, 2] == 1.0
+    assert x[0, 1] == pytest.approx(2 * 128 / 255 - 1, rel=1e-15)
+    assert x[0, 1] == pytest.approx(0.0039216, abs=1e-7)
 
 
 def test_idx_values_land_on_the_grid(tmp_path):
     p = tmp_path / "img.idx"
     write_idx(p, np.concatenate([np.arange(256), np.arange(255, -1, -1)]).reshape(2, 16, 16))
     ds = idx_read(str(p))
-    k = grid_index(ds.samples)
+    k = grid_index(DatasetCursor(ds).take(2)[0])
     assert np.array_equal(k[0], np.arange(256))
+    # takes of any size give the bits of mapping the whole file at once
+    p = tmp_path / "many.idx"
+    write_idx(p, ((np.arange(23 * 12) * 101) % 256).reshape(23, 3, 4))
+    cur = DatasetCursor(idx_read(str(p)))
+    rows = np.concatenate([cur.take(k)[0] for k in (1, 5, 2, 8, 7)])
+    whole = -1.0 + GRID_STEP * ((np.arange(23 * 12) * 101) % 256).astype(np.float64)
+    assert _same_bits(rows, whole.reshape(23, 12))
 
 
 def test_idx_round_trip_byte_exact(tmp_path):
@@ -208,9 +222,24 @@ def test_idx_round_trip_byte_exact(tmp_path):
     back = tmp_path / "back.idx"
     write_idx(src, ((np.arange(4 * 6) * 37) % 256).reshape(4, 2, 3))
     ds = idx_read(str(src))
-    # every value idx_read makes is a grid value whose level is its byte
-    write_idx(back, grid_level(ds.samples).reshape(4, 2, 3))
+    # every value a take makes is a grid value whose level is its byte
+    write_idx(back, grid_level(DatasetCursor(ds).take(4)[0]).reshape(4, 2, 3))
     assert src.read_bytes() == back.read_bytes()
+
+
+def test_idx_read_and_takes_hold_about_the_file(tmp_path):
+    # the levels are a view of the file's bytes; a take maps only its rows
+    p = tmp_path / "big.idx"
+    write_idx(p, (np.arange(20_000 * 64) % 251).reshape(20_000, 8, 8))
+    tracemalloc.start()
+    try:
+        cur = DatasetCursor(idx_read(str(p)))
+        for _ in range(100):
+            cur.take(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * p.stat().st_size, (peak, p.stat().st_size)
 
 
 def test_idx_labels_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import errno
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -250,6 +251,92 @@ def test_read_csv_malformed_quoting_raises(tmp_path, text):
     p.write_bytes(text)
     with pytest.raises(TruncatedFile, match="q.csv"):
         read_numeric_csv(str(p))
+
+
+def _rows_to(parts: list, stop: int, end: str, rng) -> None:
+    """Append 2-cell rows with mixed line ends to parts, then one row ended
+    by end whose first cell is padded with leading zeros, so that the text
+    is exactly stop characters long."""
+    size = sum(map(len, parts))
+    while stop - size > 120:
+        row = ",".join("%.17g" % v for v in rng.normal(size=2)) + rng.choice(["\r\n", "\r", "\n"])
+        parts.append(row)
+        size += len(row)
+    parts.append("0" * (stop - size - len(end) - 9) + "1.25,-2.5" + end)
+
+
+def _chunked_text(rng) -> str:
+    """More than three read chunks of rows. A chunk ends after the last line
+    break among its first _CSV_CHUNK bytes, so these end exactly at each
+    multiple of it: a CRLF pair straddles the first boundary, a blank line
+    between two lone CRs the second, and a blank LF line starts the fourth
+    chunk."""
+    c, parts = fileio._CSV_CHUNK, []
+    _rows_to(parts, c, "\r", rng)
+    parts.append("\n")
+    _rows_to(parts, 2 * c, "\r", rng)
+    parts.append("\r")
+    _rows_to(parts, 3 * c, "\n", rng)
+    parts.append("\n")
+    _rows_to(parts, 3 * c + 500, "\r\n", rng)
+    text = "".join(parts)
+    assert (text[c - 1:c + 1], text[2 * c - 1:2 * c + 1], text[3 * c - 1:3 * c + 1]) == (
+        "\r\n", "\r\r", "\n\n")
+    return text
+
+
+def test_numeric_csv_chunks_read_as_loadtxt_reads_the_file(tmp_path):
+    p = tmp_path / "chunks.csv"
+    p.write_bytes(_chunked_text(np.random.default_rng(5)).encode())
+    got, want = read_numeric_csv(str(p)), np.loadtxt(p, delimiter=",", ndmin=2)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", range(1, 41))
+def test_numeric_csv_every_chunk_size_gives_the_same_cells(tmp_path, monkeypatch, chunk):
+    # lines longer than a chunk included; each boundary falls everywhere once
+    p = tmp_path / "small.csv"
+    p.write_bytes(b"\r\n1,2.5\r-3e2,4\r\n\r\n\n0.125,7\n\r\r\n1e-300,-0\r\n8,9")
+    monkeypatch.setattr(fileio, "_CSV_CHUNK", chunk)
+    got, want = read_numeric_csv(str(p)), np.loadtxt(p, delimiter=",", ndmin=2)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("last_row, error, message", [
+    ("1,2,3\r\n", ShapeMismatch, "ragged rows"),
+    ("1.0,abc\r\n", TruncatedFile,
+     "non-numeric cell (could not convert string to float: 'abc')"),
+])
+def test_numeric_csv_fault_in_the_last_chunk_only(tmp_path, last_row, error, message):
+    p = tmp_path / "late.csv"
+    text = _chunked_text(np.random.default_rng(6))
+    p.write_bytes((text + last_row).encode())
+    with pytest.raises(error) as e:
+        read_numeric_csv(str(p))
+    assert str(e.value) == f"{p}: {message}"
+    # with a second fault in the first chunk, that chunk's fault is reported;
+    # both classes are data errors, exit 3
+    p.write_bytes(("x,y\r\n" + text + last_row).encode())
+    with pytest.raises(TruncatedFile, match="non-numeric cell"):
+        read_numeric_csv(str(p))
+    assert ShapeMismatch.exit_code == TruncatedFile.exit_code == 3
+
+
+def test_numeric_csv_read_holds_its_bytes_matrix_and_one_chunk(tmp_path):
+    # beyond the file's bytes and the result, the peak does not grow with rows
+    over = []
+    for rows in (5000, 50_000):
+        p = tmp_path / f"{rows}.csv"
+        write_samples_csv(str(p), np.random.default_rng(rows).normal(size=(rows, 2)))
+        read_numeric_csv(str(p))
+        tracemalloc.start()
+        try:
+            m = read_numeric_csv(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        over.append(peak - p.stat().st_size - m.nbytes)
+    assert over[1] <= over[0] + 16_384, over
 
 
 # ------------------------------------------------------------ pgm images

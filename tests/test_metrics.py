@@ -7,6 +7,7 @@ import tape_oracle
 
 from diffusionlab.errors import ConfigError, OutOfRange, ShapeMismatch
 from diffusionlab.metrics import (
+    PIXEL_BLOCK,
     PROB_SMOOTHING,
     SSIM_C1,
     SSIM_C2,
@@ -402,6 +403,24 @@ def test_psnr_stack_matches_per_image_loop(count, shape):
     assert got.shape == (count,) and got.tobytes() == want.tobytes()
     assert np.all(got[::3] == math.inf)
     assert psnr(a[0], b[0]) == _oracle_psnr(a[0], b[0])
+
+
+@pytest.mark.parametrize("score", [psnr, lambda a, b: ssim(a, b, window=4)],
+                         ids=["psnr", "ssim"])
+def test_image_scores_hold_one_pixel_block(score):
+    # the first count of 16x16 images fills one block; ten times the pairs
+    # cost only their results
+    peaks = []
+    for count in (PIXEL_BLOCK // 256, 10 * PIXEL_BLOCK // 256):
+        a, b = _random_stacks(90, count, (16, 16))
+        score(a, b)
+        tracemalloc.start()
+        try:
+            vals = score(a, b)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + vals.nbytes, peaks
 
 
 # ---------------------------------------------------------------- SSIM

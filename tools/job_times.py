@@ -14,6 +14,12 @@ and the median of all its calls, and the ratios b/a of both; a last line,
 `round`, gives the same of the per-round sums of the job times, the figure
 the benchmark's rows_per_s follows. A ratio below 1 means that tree b is
 faster. Exit status 1 names a job that did not exit 0.
+
+After its timed rounds, each process runs every job once more under
+tracemalloc, a call that enters no timing. The two peak columns give, per
+tree, the highest traced peak of a job's call across the processes (for
+`round`, of its jobs), in MB: peak RSS is one whole-process high-water
+mark, and these pin its moves to jobs.
 """
 
 import argparse
@@ -25,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 THREADS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -45,7 +52,8 @@ def parse_args(argv=None):
 
 def child(args) -> int:
     """Set up the workload from the tree's own benchmark code, then print
-    {job: [seconds per call]} as one JSON line."""
+    {"times": {job: [seconds per call]}, "peaks": {job: traced peak bytes}}
+    as one JSON line."""
     tree = Path(args.child).resolve()
     sys.path[:0] = [str(tree / "perfbench"), str(tree / "src")]
     import workloads
@@ -61,7 +69,15 @@ def child(args) -> int:
             if code != 0:
                 print(f"error: {args.workload}/{job.name} exited {code}", file=sys.stderr)
                 return 1
-    print(json.dumps(times))
+    peaks = {}
+    for job in wl.jobs:
+        tracemalloc.start()
+        try:
+            workloads.run_cli(job.argv)
+            peaks[job.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    print(json.dumps({"times": times, "peaks": peaks}))
     return 0
 
 
@@ -85,6 +101,7 @@ def main(argv=None) -> int:
     if args.child:
         return child(args)
     calls = {args.a: {}, args.b: {}}
+    peaks = {args.a: {}, args.b: {}}
     with tempfile.TemporaryDirectory(prefix="job_times-") as scratch:
         for i in range(args.pairs):
             for tree in (args.a, args.b) if i % 2 == 0 else (args.b, args.a):
@@ -93,18 +110,22 @@ def main(argv=None) -> int:
                 except RuntimeError as e:
                     print(f"error: {e}", file=sys.stderr)
                     return 1
-                for job, seconds in result.items():
+                for job, seconds in result["times"].items():
                     calls[tree].setdefault(job, []).extend(seconds)
+                for job, peak in result["peaks"].items():
+                    peaks[tree][job] = max(peak, peaks[tree].get(job, 0))
     print(f"{'job':<12} {'a best ms':>10} {'b best ms':>10} {'b/a':>7} "
-          f"{'a median ms':>12} {'b median ms':>12} {'b/a':>7}")
-    for tree in calls:  # the round row: each round's jobs summed
+          f"{'a median ms':>12} {'b median ms':>12} {'b/a':>7} {'a peak MB':>10} {'b peak MB':>10}")
+    for tree in calls:  # the round row: each round's jobs summed, the peak of its jobs
         calls[tree]["round"] = [sum(jobs) for jobs in zip(*calls[tree].values())]
+        peaks[tree]["round"] = max(peaks[tree].values())
     for job, a_s in calls[args.a].items():
         b_s = calls[args.b][job]
         best_a, best_b = min(a_s), min(b_s)
         med_a, med_b = statistics.median(a_s), statistics.median(b_s)
         print(f"{job:<12} {best_a * 1e3:>10.3f} {best_b * 1e3:>10.3f} {best_b / best_a:>7.3f} "
-              f"{med_a * 1e3:>12.3f} {med_b * 1e3:>12.3f} {med_b / med_a:>7.3f}")
+              f"{med_a * 1e3:>12.3f} {med_b * 1e3:>12.3f} {med_b / med_a:>7.3f} "
+              f"{peaks[args.a][job] / 1e6:>10.3f} {peaks[args.b][job] / 1e6:>10.3f}")
     return 0
 
 
