@@ -72,10 +72,6 @@ class IndefiniteMatrix(DiffusionLabError):
     """Matrix has an eigenvalue below the negative tolerance."""
 
 
-class NotConverged(DiffusionLabError):
-    """An iterative solve stopped at its iteration cap above its tolerance."""
-
-
 class SingularCovariance(DiffusionLabError):
     """Covariance singular or not positive definite, or a variance not > 0."""
 

@@ -9,14 +9,14 @@ import json
 import os
 import re
 import struct
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .errors import BadMagic, BadMetadata, ConfigError, OutOfRange, ShapeMismatch, TruncatedFile
 from .forward import grid_level
 
-_CSV_ROWS = 512  # sample rows per encoded chunk of write_samples_csv
+_CSV_ROWS = 512  # rows per encoded chunk of write_samples_csv and per csv-module block read
 _CSV_CHUNK = 1 << 16  # text bytes per parsed chunk of read_numeric_csv (whole lines)
 
 
@@ -77,47 +77,44 @@ def _read_bytes(path) -> bytes:
     return b"".join(chunks)  # one chunk is returned as it is, not copied
 
 
-def _decode(raw: bytes, path) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise TruncatedFile(f"{path}: not UTF-8 text") from None
-
-
 def read_numeric_csv(path: str) -> np.ndarray:
     """(rows, cols) float matrix of the cells the csv module reads in strict
     mode, empty records dropped (quoted cells may embed commas, quotes and
     line breaks); raises on ragged or non-numeric content, a header line
     included.
 
-    Quote-free text whose lines fit the csv module's field size limit is
-    split at each CR, LF and comma, which gives the same cells, in chunks of
-    at most _CSV_CHUNK bytes that end at a line break (a longer line is a
-    chunk of its own), one width holding across them: the file's bytes, the
-    matrix and one chunk's cells are held. As the chunks are checked in
-    file order, a file with faults in two chunks reports the first chunk's.
-    Other text goes to the csv module whole."""
+    The text is decoded in chunks of at most _CSV_CHUNK bytes that end at a
+    line break (a longer line is a chunk of its own), and its rows go into
+    one matrix as they are read, one width holding across them: the file's
+    bytes, the matrix and one block's text and cells are held. Quote-free
+    text is split at each CR, LF and comma, a chunk per block, which gives
+    the same cells; text with a quote goes through the csv module, blocks
+    of _CSV_ROWS records. Blocks are checked in file order, so of faults in
+    two blocks the first block's is reported."""
     raw = _read_bytes(path)
-    m = None if b'"' in raw else _quote_free_matrix(raw, path)
-    if m is not None:
-        return m
-    try:
-        rows = [row for row in csv.reader(io.StringIO(_decode(raw, path), newline=""),
-                                          strict=True) if row]
-    except csv.Error as e:
-        raise TruncatedFile(f"{path}: malformed CSV ({e})") from None
-    if not rows:
+    out, n = None, 0
+    blocks = _csv_blocks if b'"' in raw else _split_blocks
+    for rows, commas, cells in blocks(_chunk_texts(raw, path), path):
+        if out is not None:
+            commas.add(out.shape[1] - 1)
+        block = _cell_matrix(path, rows, commas, cells)
+        del rows, cells  # before the next block is read
+        if out is None:  # rows <= lines, and <= (bytes + 1) / width: width - 1 commas, a break
+            lines = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + 1
+            out = np.empty((min(lines, (len(raw) + 1) // block.shape[1]), block.shape[1]))
+        out[n:n + len(block)] = block
+        n += len(block)
+    if out is None:
         raise TruncatedFile(f"{path}: no data rows")
-    return _cell_matrix(path, rows, {len(r) - 1 for r in rows}, chain.from_iterable(rows))
+    out.resize((n, out.shape[1]), refcheck=False)
+    return out
 
 
-def _quote_free_matrix(raw: bytes, path) -> np.ndarray | None:
-    """read_numeric_csv's matrix of quote-free CSV bytes, parsed a chunk at
-    a time; None when no line holds a cell or a line is longer than
-    csv.field_size_limit(), which the csv module then reads. A chunk ends
-    after the last CR or LF among its first _CSV_CHUNK bytes; CR, LF and
-    comma are single bytes in UTF-8, so each chunk decodes on its own."""
-    out, n, lo, limit = None, 0, 0, csv.field_size_limit()
+def _chunk_texts(raw: bytes, path):
+    """The text of raw in chunks that end after the last CR or LF among
+    their first _CSV_CHUNK bytes; CR and LF are single bytes in UTF-8, so
+    each chunk decodes on its own."""
+    lo = 0
     while lo < len(raw):
         hi = min(lo + _CSV_CHUNK, len(raw))
         if hi < len(raw):
@@ -125,27 +122,38 @@ def _quote_free_matrix(raw: bytes, path) -> np.ndarray | None:
             if hi == 0:  # no line break in the chunk: it runs to the next one
                 hi = min((i for i in (raw.find(b"\n", lo), raw.find(b"\r", lo)) if i >= 0),
                          default=len(raw) - 1) + 1
-        chunk, lo = raw[lo:hi], hi
-        rows = list(filter(None, _decode(chunk, path).replace("\r", "\n").split("\n")))
+        try:
+            text, lo = raw[lo:hi].decode("utf-8"), hi
+        except UnicodeDecodeError:
+            raise TruncatedFile(f"{path}: not UTF-8 text") from None
+        yield text
+
+
+def _split_blocks(texts, path):
+    """(rows, comma counts, cells) of each quote-free text that holds a row,
+    split at each CR, LF and comma; a cell longer than csv.field_size_limit()
+    is malformed, as it is to the csv module."""
+    limit = csv.field_size_limit()
+    for text in texts:
+        rows = list(filter(None, text.replace("\r", "\n").split("\n")))
         if not rows:
             continue
-        if max(map(len, rows)) > limit:
-            return None
-        commas = set(map(str.count, rows, repeat(",")))
-        if out is not None:
-            commas.add(out.shape[1] - 1)
-        block = _cell_matrix(path, rows, commas, ",".join(rows).split(","))
-        if out is None:
-            out = np.empty((0, block.shape[1]))
-        if n + len(block) > len(out):  # room for the rest at this chunk's rows per byte
-            rest = len(block) * (len(raw) - hi) // len(chunk)
-            out.resize((max(n + len(block) + rest, len(out) * 9 // 8), out.shape[1]),
-                       refcheck=False)
-        out[n:n + len(block)] = block
-        n += len(block)
-    if out is not None:
-        out.resize((n, out.shape[1]), refcheck=False)
-    return out
+        if max(map(len, rows)) > limit and max(map(len, ",".join(rows).split(","))) > limit:
+            raise TruncatedFile(f"{path}: malformed CSV (field larger than field limit)")
+        yield rows, set(map(str.count, rows, repeat(","))), ",".join(rows).split(",")
+
+
+def _csv_blocks(texts, path):
+    """(rows, comma counts, cells) of each run of _CSV_ROWS records that the
+    csv module reads in strict mode from the lines of texts, empty records
+    dropped; a quoted cell may run across texts."""
+    reader = csv.reader(chain.from_iterable(io.StringIO(t, newline="") for t in texts), strict=True)
+    try:
+        for records in iter(lambda: list(islice(reader, _CSV_ROWS)), []):
+            if rows := [r for r in records if r]:
+                yield rows, {len(r) - 1 for r in rows}, chain.from_iterable(rows)
+    except csv.Error as e:
+        raise TruncatedFile(f"{path}: malformed CSV ({e})") from None
 
 
 def _cell_matrix(path, rows: list, commas: set, cells) -> np.ndarray:

@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from .errors import BadMetadata, ConfigError, OutOfRange, ShapeMismatch
+from .errors import (BadMetadata, ConfigError, IndefiniteMatrix, NotSymmetric, OutOfRange,
+                     ShapeMismatch)
 from .fileio import read_container, write_container
-from .numerics import ParamLayout, RngStream, spd_sqrt
+from .numerics import ParamLayout, RngStream
 from .numerics.kernels import row_blocks
 
 # classifier probabilities are floored by smoothing so KL terms stay finite
@@ -199,24 +200,44 @@ def inception_score(probs: np.ndarray, batches: int = 1) -> tuple[float, float]:
     return float(np.mean(scores)), (float(np.std(scores, ddof=1)) if batches >= 2 else 0.0)
 
 
-def fid(gx: np.ndarray, gy: np.ndarray) -> float:
-    """||mu_x - mu_y||^2 + tr(Sx + Sy - 2 (Sx^1/2 Sy Sx^1/2)^1/2) on the
-    feature rows gx and gy (FeatureModel.features of the two sample sets).
+def spd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Symmetric root S of a symmetric positive semidefinite m, by np.linalg.eigh:
+    S @ S = m up to a Frobenius residual of 1e-8 (1 + ||m||_F). Eigenvalues in
+    [-1e-6, 0) clamp to zero, lower ones are an error; a non-finite m fails the symmetry check."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
+    if m.size and not float(np.max(np.abs(m - m.T))) <= 1e-10:  # a NaN fails it
+        raise NotSymmetric("matrix is not symmetric within 1e-10")
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    if w.size and float(w[0]) < -1e-6:
+        raise IndefiniteMatrix(f"eigenvalue {w[0]:.3e} below -1e-6")
+    s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+    return 0.5 * (s + s.T)
 
-    Covariances use the K-1 normalization; the root argument is symmetrized
-    by the similarity trick so the matrix square root stays on symmetric
-    positive input.
-    """
+
+def fid(gx: np.ndarray, gy: np.ndarray) -> float:
+    """||mu_x - mu_y||^2 + tr(Sx) + tr(Sy) - 2 tr((Sx^1/2 Sy Sx^1/2)^1/2) on
+    the feature rows gx and gy (FeatureModel.features of the two sample sets).
+
+    Covariances use the K-1 normalization; they and Sx^1/2 Sy Sx^1/2 must be
+    finite. The last trace is the sum of the square roots of the eigenvalues
+    (eigvalsh) of the symmetrized Sx^1/2 Sy Sx^1/2, each clamped at zero."""
     gx, gy = np.asarray(gx, dtype=np.float64), np.asarray(gy, dtype=np.float64)
     if gx.shape[0] < 2 or gy.shape[0] < 2:
         raise OutOfRange("feature covariance needs at least 2 samples per set")
     mu_x, mu_y = gx.mean(axis=0), gy.mean(axis=0)
     sx = np.cov(gx.T, ddof=1).reshape(gx.shape[1], gx.shape[1])
     sy = np.cov(gy.T, ddof=1).reshape(gy.shape[1], gy.shape[1])
+    if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
+        raise OutOfRange("fid: a feature covariance is not finite")
     rx = spd_sqrt(sx)
-    cross = spd_sqrt(rx @ sy @ rx)
+    m = rx @ sy @ rx
+    if not np.all(np.isfinite(m)):
+        raise OutOfRange("fid: the product of the feature covariances overflows")
+    cross = np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(0.5 * (m + m.T)), 0.0)))
     gap = mu_x - mu_y
-    return float(gap @ gap + np.trace(sx) + np.trace(sy) - 2.0 * np.trace(cross))
+    return float(gap @ gap + np.trace(sx) + np.trace(sy) - 2.0 * cross)
 
 
 # ------------------------------------------------------------ image quality

@@ -1,8 +1,7 @@
-"""Core numerics: a tape of fused nodes, SPD linear algebra, RNG."""
+"""Core numerics: a tape of fused nodes, the parameter layout, RNG."""
 
 from .autodiff import ADTape, Tensor, fused, grad
 from .layout import ParamLayout
-from .linalg import jacobi_eigh, spd_sqrt
 from .rng import RngStream
 
 __all__ = [
@@ -12,6 +11,4 @@ __all__ = [
     "Tensor",
     "fused",
     "grad",
-    "jacobi_eigh",
-    "spd_sqrt",
 ]

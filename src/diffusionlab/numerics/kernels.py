@@ -1,4 +1,7 @@
-"""Hot numeric kernels: stream words, Box-Muller normals, erf, Jacobi, row blocks.
+"""Hot numeric kernels: stream words, Box-Muller normals, erf, row blocks.
+
+jacobi_sweeps (cyclic Jacobi) has no caller: FID uses np.linalg.eigh, and
+only the benchmark's tracer still wraps it by name.
 
 The generator is counter based: output j of a stream is a pure function
 mix(key + (counter + j) * GOLDEN) of the stream key and the absolute

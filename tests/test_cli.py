@@ -1266,7 +1266,7 @@ EXIT_CODES = {
     "ConfigError": 2,
     "ShapeMismatch": 3, "OutOfRange": 3, "BadMagic": 3, "TruncatedFile": 3,
     "BadMetadata": 3, "DataExhausted": 3,
-    "NonScalarOutput": 4, "NotSymmetric": 4, "IndefiniteMatrix": 4, "NotConverged": 4,
+    "NonScalarOutput": 4, "NotSymmetric": 4, "IndefiniteMatrix": 4,
     "SingularCovariance": 4, "StepOutOfRange": 4, "NonFiniteLoss": 4, "NonFiniteSample": 4,
     "ConditioningMismatch": 5, "HeadMismatch": 5,
     "OSError": 3, "FileNotFoundError": 3,
@@ -1312,6 +1312,9 @@ UNREACHED_PUBLIC_NAMES = {
     "gaussian_logpdf", "gaussian_kl", "gaussian_marginal", "gaussian_posterior",
     # the only way to make a --features checkpoint until a command trains one
     "train_feature_model", "save_feature_model",
+    # no caller since FID takes its roots from LAPACK; the benchmark's tracer
+    # still wraps it by name (a string, which this scan does not see)
+    "jacobi_sweeps",
 }
 
 

@@ -302,6 +302,31 @@ def test_numeric_csv_every_chunk_size_gives_the_same_cells(tmp_path, monkeypatch
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("chunk", range(1, 41))
+def test_numeric_csv_quoted_cells_read_across_every_chunk_size(tmp_path, monkeypatch, chunk):
+    # quoted cells hold line breaks that any chunk boundary may cut, and the
+    # csv module's records go into the matrix a few at a time
+    p = tmp_path / "quoted.csv"
+    p.write_bytes(b'\r\n"1",2.5\r"-3e2\r\n",4\r\n\r\n\n0.125,"7\r"\n\r\r\n1e-300,-0\r\n"8\n\n",9')
+    monkeypatch.setattr(fileio, "_CSV_CHUNK", chunk)
+    monkeypatch.setattr(fileio, "_CSV_ROWS", chunk % 4 + 1)
+    want = np.array([[float(c) for c in r] for r in _csv_module_rows(p)])
+    got = read_numeric_csv(str(p))
+    assert got.shape == want.shape == (5, 2) and got.tobytes() == want.tobytes()
+
+
+def test_numeric_csv_line_over_the_field_size_limit_with_short_cells(tmp_path):
+    # csv.field_size_limit() bounds a cell, not a line
+    cols = 40_000
+    lines = [",".join([v] * cols) for v in ("1", "2", "0.25", "3")]
+    assert [len(line) > csv.field_size_limit() for line in lines] == [False, False, True, False]
+    p = tmp_path / "wide.csv"
+    p.write_bytes("\r\n".join(lines).encode())
+    got = read_numeric_csv(str(p))
+    assert got.shape == (4, cols) and got[:, 0].tolist() == [1.0, 2.0, 0.25, 3.0]
+    assert got.tobytes() == np.loadtxt(p, delimiter=",", ndmin=2).tobytes()
+
+
 @pytest.mark.parametrize("last_row, error, message", [
     ("1,2,3\r\n", ShapeMismatch, "ragged rows"),
     ("1.0,abc\r\n", TruncatedFile,
@@ -323,20 +348,27 @@ def test_numeric_csv_fault_in_the_last_chunk_only(tmp_path, last_row, error, mes
 
 
 def test_numeric_csv_read_holds_its_bytes_matrix_and_one_chunk(tmp_path):
-    # beyond the file's bytes and the result, the peak does not grow with rows
-    over = []
-    for rows in (5000, 50_000):
-        p = tmp_path / f"{rows}.csv"
-        write_samples_csv(str(p), np.random.default_rng(rows).normal(size=(rows, 2)))
-        read_numeric_csv(str(p))
-        tracemalloc.start()
-        try:
-            m = read_numeric_csv(str(p))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        over.append(peak - p.stat().st_size - m.nbytes)
-    assert over[1] <= over[0] + 16_384, over
+    # beyond the file's bytes and the result, the peak does not grow with
+    # rows, for quote-free text and for text the csv module reads (one
+    # quoted cell)
+    for quote in (False, True):
+        over = []
+        for rows in (5000, 50_000):
+            p = tmp_path / f"{rows}.csv"
+            write_samples_csv(str(p), np.random.default_rng(rows).normal(size=(rows, 2)))
+            if quote:
+                raw = p.read_bytes()
+                cut = raw.index(b",")
+                p.write_bytes(b'"' + raw[:cut] + b'"' + raw[cut:])
+            read_numeric_csv(str(p))
+            tracemalloc.start()
+            try:
+                m = read_numeric_csv(str(p))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            over.append(peak - p.stat().st_size - m.nbytes)
+        assert over[1] <= over[0] + 16_384, (quote, over)
 
 
 # ------------------------------------------------------------ pgm images

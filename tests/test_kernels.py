@@ -1,4 +1,4 @@
-"""The numeric kernels and the SPD matrix root built on them.
+"""The numeric kernels, and the SPD matrix root that FID takes from LAPACK.
 
 Counter-stream words are exact integer arithmetic, so the vectorised
 kernels must match a scalar reference loop bitwise; Box-Muller normals go
@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from diffusionlab.data import MixtureSampler
-from diffusionlab.errors import IndefiniteMatrix, NotConverged, NotSymmetric
-from diffusionlab.numerics import RngStream, jacobi_eigh, kernels, spd_sqrt
+from diffusionlab.errors import IndefiniteMatrix, NotSymmetric
+from diffusionlab.metrics import spd_sqrt
+from diffusionlab.numerics import RngStream, kernels
 from diffusionlab.numerics.rng import split_keys
 
 
@@ -306,12 +307,17 @@ def test_jacobi_converges_when_the_diagonal_dominates():
 
 
 def test_jacobi_eigh_raises_when_the_sweep_cap_stops_it():
+    # the kernel stops at its cap with the off-diagonal norm still above
+    # the tolerance, and converges to LAPACK's eigenvalues without it
     a = np.random.default_rng(11).normal(size=(6, 6))
     m = a + a.T
-    with pytest.raises(NotConverged, match="after 1 sweeps"):
-        jacobi_eigh(m, max_sweeps=1)
-    w, v = jacobi_eigh(m)
-    np.testing.assert_allclose(w, np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
+    tol_abs = 1e-12 * np.linalg.norm(m)
+    b = m.copy()
+    assert kernels.jacobi_sweeps(b, np.eye(6), tol_abs, 1) == 1
+    assert math.sqrt(2.0 * np.sum(np.square(b[np.triu_indices(6, 1)]))) > tol_abs
+    b = m.copy()
+    assert kernels.jacobi_sweeps(b, np.eye(6), tol_abs, 60) < 60
+    np.testing.assert_allclose(np.sort(np.diag(b)), np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
 
 
 def test_jacobi_eigh_accepts_convergence_in_the_last_sweep():
@@ -322,9 +328,6 @@ def test_jacobi_eigh_accepts_convergence_in_the_last_sweep():
     assert sweeps >= 1
     # at a cap of s the kernel returns the cap, as it does when it gives up
     assert kernels.jacobi_sweeps(m.copy(), np.eye(3), 1e-12 * np.linalg.norm(m), sweeps) == sweeps
-    with pytest.raises(NotConverged):
-        jacobi_eigh(m, max_sweeps=sweeps - 1)
-    np.testing.assert_array_equal(jacobi_eigh(m, max_sweeps=sweeps)[0], jacobi_eigh(m)[0])
 
 
 # ---------------------------------------------------------------- spd_sqrt
@@ -369,3 +372,12 @@ def test_spd_sqrt_rejects_asymmetry_above_1e_10():
         spd_sqrt(m)
     m[0, 1] = 5e-11
     np.testing.assert_allclose(spd_sqrt(m), np.eye(3), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spd_sqrt_rejects_a_matrix_that_is_not_finite(bad):
+    # LAPACK would give eigvalsh([[nan, 0], [0, 1]]) = [0, -0] without a word
+    m = np.eye(2)
+    m[0, 0] = bad
+    with pytest.raises(NotSymmetric):
+        spd_sqrt(m)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import tape_oracle
+from conftest import child_env
 
 from diffusionlab.errors import ConfigError, OutOfRange, ShapeMismatch
 from diffusionlab.metrics import (
@@ -234,6 +239,63 @@ def test_fid_on_a_near_singular_16_feature_covariance():
     gen = rng.normal(size=(1000, 2)) * 0.3 + 0.05
     ref = rng.normal(size=(1000, 2)) * 0.3
     assert abs(fid(fm.features(gen), fm.features(ref)) - 0.0421616342232647769036616006685) <= 1e-9
+
+
+def _pinned_features():
+    """The feature rows of the near-singular 16-feature case above, built
+    the same way."""
+    rng = np.random.default_rng(9)
+    plan = _feature_layout(2, (32,), 16, 8)
+    params = np.empty(plan.total)
+    for name, start, stop, shape in plan.plan:
+        fan_in = shape[0] if len(shape) == 2 else plan.offsets[name[:-2] + ".w"][1][0]
+        params[start:stop] = rng.uniform(-2.0, 2.0, stop - start) / math.sqrt(fan_in)
+    fm = FeatureModel(2, 8, 16, (32,), params)
+    gen = rng.normal(size=(1000, 2)) * 0.3 + 0.05
+    ref = rng.normal(size=(1000, 2)) * 0.3
+    return fm.features(gen), fm.features(ref)
+
+
+_BITS_CHILD = """
+import numpy as np
+from diffusionlab.metrics import fid, spd_sqrt
+from test_metrics import _pinned_features
+gx, gy = _pinned_features()
+print(fid(gx, gy).hex(), spd_sqrt(np.cov(gx.T, ddof=1)).tobytes().hex())
+"""
+
+
+def test_fid_and_spd_sqrt_have_the_same_bits_at_1_and_2_blas_threads():
+    out = []
+    for threads in ("1", "2"):
+        env = child_env()
+        env["PYTHONPATH"] = str(Path(__file__).parent) + os.pathsep + env["PYTHONPATH"]
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _BITS_CHILD], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert out[0] == out[1]
+    gx, gy = _pinned_features()
+    assert out[0][0] == fid(gx, gy).hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_fid_refuses_features_whose_covariance_is_not_finite(bad):
+    x = RngStream(8).normals(40).reshape(20, 2)
+    y = x.copy()
+    y[3, 1] = bad
+    for gx, gy in ((x, y), (y, x)):
+        with pytest.raises(OutOfRange, match="covariance is not finite"):
+            fid(gx, gy)
+
+
+def test_fid_refuses_covariances_whose_product_overflows():
+    # each covariance is finite (about 1e160), Sx^1/2 Sy Sx^1/2 is not
+    rng = RngStream(8)
+    x, y = (1e80 * rng.normals(40).reshape(20, 2) for _ in range(2))
+    with pytest.raises(OutOfRange, match="overflows"):
+        fid(x, y)
 
 
 def test_fid_too_few_samples():
