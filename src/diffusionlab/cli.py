@@ -442,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("train", help="train a model from an INI config")
     pt.add_argument("config", help="path to the run configuration file")
-    pt.set_defaults(handler=cmd_train)
+    pt.set_defaults(handler=lambda args: cmd_train(args))
 
     ps = sub.add_parser("sample", help="draw samples from a checkpoint")
     ps.add_argument("checkpoint")
@@ -456,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--format", default="csv", choices=("csv", "pgm"))
     ps.add_argument("--rows", type=int, default=0, help="image rows for pgm output")
     ps.add_argument("--out", default="samples-out")
-    ps.set_defaults(handler=cmd_sample)
+    ps.set_defaults(handler=lambda args: cmd_sample(args))
 
     pe = sub.add_parser("eval", help="compute metrics between two sample files")
     pe.add_argument("--gen", required=True)
@@ -466,18 +466,18 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--batches", type=int, default=1)
     pe.add_argument("--window", type=int, default=4)
     pe.add_argument("--out", default="metrics.csv")
-    pe.set_defaults(handler=cmd_eval)
+    pe.set_defaults(handler=lambda args: cmd_eval(args))
 
     pc = sub.add_parser("schedule", help="dump a noise schedule as CSV")
     pc.add_argument("--type", default="linear", choices=tuple(SCHEDULE_KINDS))
     pc.add_argument("--t", type=int, default=1000)
     pc.add_argument("--s", type=float, default=DEFAULT_COSINE_OFFSET)
     pc.add_argument("--out", default="schedule.csv")
-    pc.set_defaults(handler=cmd_schedule)
+    pc.set_defaults(handler=lambda args: cmd_schedule(args))
 
     pi = sub.add_parser("info", help="describe a checkpoint")
     pi.add_argument("checkpoint")
-    pi.set_defaults(handler=cmd_info)
+    pi.set_defaults(handler=lambda args: cmd_info(args))
     return p
 
 
@@ -486,8 +486,14 @@ def _error(e: Exception) -> None:
     print("error: " + " ".join(str(e).splitlines()), file=sys.stderr)
 
 
+_PARSER = None  # main's, built once; each handler looks its cmd_* up when it runs
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         # no numpy warning reaches stderr: each step refuses an overflow or
         # NaN it meets with a named error (loss, sample, parameter, metric)

@@ -61,15 +61,17 @@ def _write_atomic(path, chunks) -> None:
 
 
 def _read_bytes(path) -> bytes:
-    """The whole file, read on its raw descriptor: one read of the size
-    fstat gives, then 64 KiB reads to end of file, so a file of that size
-    is held once; an OSError names path (a directory opens and fails at its
-    first read)."""
+    """The whole file, read on its raw descriptor: one read of fstat's size
+    + 1 bytes is the file, held once, if it returns that size; else (a FIFO,
+    a /proc file, a file that grew or shrank) 64 KiB reads follow to end of
+    file. An OSError names path (a directory fails at its first read)."""
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
-            chunks = [os.read(fd, os.fstat(fd).st_size)]
-            chunks += iter(lambda: os.read(fd, 1 << 16), b"")
+            size = os.fstat(fd).st_size
+            chunks = [os.read(fd, size + 1)]
+            if len(chunks[0]) != size:
+                chunks += iter(lambda: os.read(fd, 1 << 16), b"")
         finally:
             os.close(fd)
     except OSError as e:
@@ -100,7 +102,9 @@ def read_numeric_csv(path: str) -> np.ndarray:
         block = _cell_matrix(path, rows, commas, cells)
         del rows, cells  # before the next block is read
         if out is None:  # rows <= lines, and <= (bytes + 1) / width: width - 1 commas, a break
-            lines = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + 1
+            lines = raw.count(b"\n") + 1
+            if b"\r" in raw:  # a lone CR ends a line too
+                lines += raw.count(b"\r") - raw.count(b"\r\n")
             out = np.empty((min(lines, (len(raw) + 1) // block.shape[1]), block.shape[1]))
         out[n:n + len(block)] = block
         n += len(block)
@@ -151,19 +155,19 @@ def _csv_blocks(texts, path):
     try:
         for records in iter(lambda: list(islice(reader, _CSV_ROWS)), []):
             if rows := [r for r in records if r]:
-                yield rows, {len(r) - 1 for r in rows}, chain.from_iterable(rows)
+                yield rows, {len(r) - 1 for r in rows}, [c for r in rows for c in r]
     except csv.Error as e:
         raise TruncatedFile(f"{path}: malformed CSV ({e})") from None
 
 
-def _cell_matrix(path, rows: list, commas: set, cells) -> np.ndarray:
+def _cell_matrix(path, rows: list, commas: set, cells: list) -> np.ndarray:
     """The (len(rows), width) float matrix of cells, whose rows hold the
     comma counts in commas: one count, or ragged rows."""
     if len(commas) > 1:
         raise ShapeMismatch(f"{path}: ragged rows")
     width = commas.pop() + 1
-    try:
-        cells = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * width)
+    try:  # np.array calls float on each str: Python's syntax and error text
+        cells = np.array(cells, dtype=np.float64)
     except ValueError as e:
         raise TruncatedFile(f"{path}: non-numeric cell ({e})") from None
     return cells.reshape(len(rows), width)
@@ -201,6 +205,8 @@ _PGM_HEADER = re.compile(rb"P5\s+(\S+)\s+(\S+)\s+(\S+)\s")
 
 
 def read_pgm(path: str) -> np.ndarray:
+    """(h, w) uint8 image of a binary (P5) file whose w x h pixels end it: a
+    read-only view of the file's bytes after the header, not a copy."""
     raw = _read_bytes(path)
     if not raw.startswith(b"P5"):
         raise BadMagic(f"{path}: not a binary PGM file")
@@ -215,10 +221,9 @@ def read_pgm(path: str) -> np.ndarray:
         raise BadMagic(f"{path}: only 8-bit images supported, maxval {maxval}")
     if w < 1 or h < 1:
         raise OutOfRange(f"{path}: image size {w}x{h} is not at least 1x1")
-    data = raw[m.end():]
-    if len(data) != w * h:
-        raise TruncatedFile(f"{path}: {len(data)} pixel bytes, header promises {w * h}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
+    if len(raw) - m.end() != w * h:
+        raise TruncatedFile(f"{path}: {len(raw) - m.end()} pixel bytes, header promises {w * h}")
+    return np.frombuffer(raw, np.uint8, offset=m.end()).reshape(h, w)
 
 
 def to_bytes_image(samples_row: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -207,8 +207,9 @@ def spd_sqrt(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
-    if m.size and not float(np.max(np.abs(m - m.T))) <= 1e-10:  # a NaN fails it
-        raise NotSymmetric("matrix is not symmetric within 1e-10")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a NaN, which fails it
+        if m.size and not float(np.max(np.abs(m - m.T))) <= 1e-10:
+            raise NotSymmetric("matrix is not symmetric within 1e-10")
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     if w.size and float(w[0]) < -1e-6:
         raise IndefiniteMatrix(f"eigenvalue {w[0]:.3e} below -1e-6")
@@ -226,13 +227,15 @@ def fid(gx: np.ndarray, gy: np.ndarray) -> float:
     gx, gy = np.asarray(gx, dtype=np.float64), np.asarray(gy, dtype=np.float64)
     if gx.shape[0] < 2 or gy.shape[0] < 2:
         raise OutOfRange("feature covariance needs at least 2 samples per set")
-    mu_x, mu_y = gx.mean(axis=0), gy.mean(axis=0)
-    sx = np.cov(gx.T, ddof=1).reshape(gx.shape[1], gx.shape[1])
-    sy = np.cov(gy.T, ddof=1).reshape(gy.shape[1], gy.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a value not finite is refused below
+        mu_x, mu_y = gx.mean(axis=0), gy.mean(axis=0)
+        sx = np.cov(gx.T, ddof=1).reshape(gx.shape[1], gx.shape[1])
+        sy = np.cov(gy.T, ddof=1).reshape(gy.shape[1], gy.shape[1])
     if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
         raise OutOfRange("fid: a feature covariance is not finite")
     rx = spd_sqrt(sx)
-    m = rx @ sy @ rx
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = rx @ sy @ rx
     if not np.all(np.isfinite(m)):
         raise OutOfRange("fid: the product of the feature covariances overflows")
     cross = np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(0.5 * (m + m.T)), 0.0)))

@@ -1117,6 +1117,26 @@ def test_schedule_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_one_parser_serves_every_main_call_and_keeps_no_values(tmp_path, monkeypatch, capsys):
+    # main builds its parser once; a later call's defaults are a fresh
+    # process's, whatever an earlier call or a refused one set
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["schedule", "--type", "cosine", "--t", "50", "--s", "0.02",
+                     "--out", "first.csv"]) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["schedule", "--type", "sigmoid"])
+    assert cli.main(["schedule", "--out", "second.csv"]) == 0
+    assert cli.main(["info", "missing.ckpt"]) == 3
+    assert len(built) == 1
+    capsys.readouterr()
+    run_ok("schedule", "--out", "fresh.csv", cwd=tmp_path)
+    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert (tmp_path / "first.csv").read_bytes() != (tmp_path / "fresh.csv").read_bytes()
+
+
 def test_info_prints_progress_lines_only(work):
     proc = run_cli("info", "base/model.ckpt", cwd=work)
     assert proc.returncode == 0

@@ -3,6 +3,8 @@
 import csv
 import errno
 import json
+import os
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -238,6 +240,21 @@ def test_read_csv_line_breaks_the_loop_did_not_split(tmp_path):
     assert read_numeric_csv(str(p)).tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
 
+def test_read_csv_mixed_line_ends_read_as_their_lf_twin(tmp_path):
+    # a file holding a CR bounds its lines by CR, CRLF and LF, one without
+    # by LF alone; each bound must hold every row, here from the first block
+    rng = np.random.default_rng(9)
+    rows = [",".join("%.17g" % v for v in rng.normal(size=3)) for _ in range(40)]
+    ends = ["\r", "\r\n", "\n", "\r\r", "\n\r\n"] * 8
+    mixed, lf = tmp_path / "mixed.csv", tmp_path / "lf.csv"
+    mixed.write_bytes("".join(map(str.__add__, rows, ends)).encode())
+    lf.write_bytes(("\n".join(rows)).encode())
+    want = np.loadtxt(lf, delimiter=",", ndmin=2)
+    for p in (mixed, lf):
+        got = read_numeric_csv(str(p))
+        assert got.shape == (40, 3) and got.tobytes() == want.tobytes(), p.name
+
+
 def test_read_csv_non_utf8_raises_naming_the_path(tmp_path):
     p = tmp_path / "latin.csv"
     p.write_bytes(b"1.0,2.0\r\n\xff\xfe,3\r\n")
@@ -371,6 +388,42 @@ def test_numeric_csv_read_holds_its_bytes_matrix_and_one_chunk(tmp_path):
         assert over[1] <= over[0] + 16_384, (quote, over)
 
 
+# ------------------------------------------------------------ whole-file reads
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 16, (1 << 16) + 1])
+def test_read_bytes_gives_the_file(tmp_path, size):
+    p = tmp_path / "f.bin"
+    p.write_bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
+    assert fileio._read_bytes(str(p)) == p.read_bytes()
+
+
+def test_read_bytes_reads_a_fifo_to_its_end(tmp_path):
+    # a FIFO's size is 0: its bytes arrive after the first read
+    p = tmp_path / "pipe"
+    os.mkfifo(p)
+    data = np.random.default_rng(3).integers(0, 256, 200_000, dtype=np.uint8).tobytes()
+
+    def write():
+        with open(p, "wb", buffering=0) as f:
+            for lo in range(0, len(data), 7_000):
+                f.write(data[lo:lo + 7_000])
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        assert fileio._read_bytes(str(p)) == data
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_read_bytes_of_a_directory_names_it(tmp_path):
+    with pytest.raises(OSError) as e:
+        fileio._read_bytes(str(tmp_path))
+    assert e.value.filename == str(tmp_path) and e.value.errno == errno.EISDIR
+
+
 # ------------------------------------------------------------ pgm images
 
 
@@ -382,6 +435,19 @@ def test_pgm_round_trip(tmp_path):
     back = read_pgm(str(p))
     assert back.shape == (6, 4)
     assert np.array_equal(back, img)
+
+
+def test_pgm_pixels_are_the_read_bytes_not_a_copy(tmp_path):
+    p = tmp_path / "big.pgm"
+    write_pgm(str(p), np.full((512, 1024), 7, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        img = read_pgm(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.shape == (512, 1024) and not img.flags.writeable
+    assert peak < p.stat().st_size + 65_536, peak
 
 
 def test_pgm_header_layout(tmp_path):

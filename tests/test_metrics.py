@@ -290,6 +290,16 @@ def test_fid_refuses_features_whose_covariance_is_not_finite(bad):
             fid(gx, gy)
 
 
+def test_fid_refuses_a_feature_column_of_inf_and_minus_inf():
+    # the column's mean is inf - inf; it is refused with the covariance, and
+    # no RuntimeWarning comes first (tier-1 turns one into an error)
+    x = RngStream(8).normals(40).reshape(20, 2)
+    y = x.copy()
+    y[3, 1], y[4, 1] = math.inf, -math.inf
+    with pytest.raises(OutOfRange, match="covariance is not finite"):
+        fid(x, y)
+
+
 def test_fid_refuses_covariances_whose_product_overflows():
     # each covariance is finite (about 1e160), Sx^1/2 Sy Sx^1/2 is not
     rng = RngStream(8)
